@@ -53,7 +53,8 @@ def main() -> int:
                 missing[e.index] = d
                 drawn += d
         defects = DefectMap(missing)
-        assert within_tolerance(seq, defects)
+        if not within_tolerance(seq, defects):
+            raise AssertionError(f"drawn defect map {missing} exceeds the published tolerances")
         damaged, report = apply_defects(seq, defects)
         if report.complete_capable:
             capable += 1

@@ -60,7 +60,8 @@ def represent(m: int, seq: Sequence, *, audit: list | None = None) -> Representa
             signs[n] = s
             r -= s * bits[n]
         slack = sums.totals[n - 1] + a0 - 1
-        assert abs(r) <= slack, f"remainder {r} broke the descent bound at bit {n}"
+        if abs(r) > slack:
+            raise AssertionError(f"remainder {r} broke the descent bound at bit {n}")
         if audit is not None:
             audit.append((n, r))
     if abs(r) >= a0:
@@ -72,7 +73,8 @@ def represent(m: int, seq: Sequence, *, audit: list | None = None) -> Representa
 
     beta = r
     expressed = sum(s * a for s, a in zip(signs, bits))
-    assert expressed + beta == m and abs(beta) < max(a0, 1)
+    if expressed + beta != m or abs(beta) >= max(a0, 1):
+        raise AssertionError(f"digits sum to {expressed} with residual {beta}: not target {m} with |beta| < a_0")
     return Representation(tuple(signs), beta, m, expressed)
 
 

@@ -11,9 +11,10 @@ thirds are done by cross multiplication, never division.
 
 from __future__ import annotations
 
+import functools
 import json
-from bisect import bisect_right
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -183,64 +184,75 @@ def segmentation_efficiency(seq: Sequence) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class SumSet:
-    """Exact reachable-sum set, stored as sorted disjoint closed intervals."""
+    """Exact reachable-sum set, stored as one Python int used as a bitset.
 
-    intervals: tuple[tuple[int, int], ...]
+    Bit v + span + beta_radius of mask is set exactly when the sum v is
+    reachable, so the set takes about 2*(span + a_0) bits. Membership,
+    counting, coverage and gaps are shift-and-mask tests on mask; the
+    sorted disjoint closed intervals are built only when first read.
+    """
+
+    mask: int = field(repr=False)
     span: int
     beta_radius: int
 
     def __contains__(self, value: int) -> bool:
-        i = bisect_right(self.intervals, (value, TOTAL_LIMIT * 4)) - 1
-        return i >= 0 and self.intervals[i][0] <= value <= self.intervals[i][1]
+        i = value + self.span + self.beta_radius
+        return i >= 0 and (self.mask >> i) & 1 == 1
 
     @property
     def count(self) -> int:
-        return sum(hi - lo + 1 for lo, hi in self.intervals)
+        return self.mask.bit_count()
+
+    @functools.cached_property
+    def intervals(self) -> tuple[tuple[int, int], ...]:
+        """The set as sorted disjoint closed intervals."""
+        offset = self.span + self.beta_radius
+        return tuple((lo - offset, hi - offset) for lo, hi in _runs(self.mask))
 
     def covers(self, lo: int, hi: int) -> bool:
         if lo > hi:
             return True
-        i = bisect_right(self.intervals, (lo, TOTAL_LIMIT * 4)) - 1
-        return i >= 0 and self.intervals[i][0] <= lo and self.intervals[i][1] >= hi
+        i = lo + self.span + self.beta_radius
+        if i < 0 or hi + self.span + self.beta_radius >= self.mask.bit_length():
+            return False
+        full = (1 << (hi - lo + 1)) - 1
+        return (self.mask >> i) & full == full
 
     def gaps(self, lo: int, hi: int) -> tuple[tuple[int, int], ...]:
         """Missing integers inside [lo, hi], as intervals."""
-        out: list[tuple[int, int]] = []
-        cursor = lo
-        for ilo, ihi in self.intervals:
-            if ihi < cursor:
-                continue
-            if ilo > hi:
-                break
-            if ilo > cursor:
-                out.append((cursor, min(ilo - 1, hi)))
-            cursor = max(cursor, ihi + 1)
-            if cursor > hi:
-                break
-        if cursor <= hi:
-            out.append((cursor, hi))
+        if lo > hi:
+            return ()
+        offset = self.span + self.beta_radius
+        # Clip the window to the bits the mask can hold; everything outside
+        # is missing. Bit 0 and the top bit (sums -/+ (span + beta_radius))
+        # are always set, so a clipped-off end never touches an inner gap.
+        first = max(lo + offset, 0)
+        last = min(hi + offset, self.mask.bit_length() - 1)
+        if first > last:
+            return ((lo, hi),)
+        missing = ~(self.mask >> first) & ((1 << (last - first + 1)) - 1)
+        out = [(glo + first - offset, ghi + first - offset) for glo, ghi in _runs(missing)]
+        if lo + offset < first:
+            out.insert(0, (lo, first - 1 - offset))
+        if hi + offset > last:
+            out.append((last + 1 - offset, hi))
         return tuple(out)
 
 
-def _coalesce(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    pairs.sort()
-    out: list[tuple[int, int]] = []
-    for lo, hi in pairs:
-        if out and lo <= out[-1][1] + 1:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
+def _runs(x: int) -> list[tuple[int, int]]:
+    """Index ranges (inclusive) of the runs of set bits in x, lowest first."""
+    return [(m.start(), m.end() - 1) for m in re.finditer("1+", format(x, "b")[::-1])]
 
 
 def reachable_sums(seq: Sequence, a0_offset: bool = False, *, cap: int = DEFAULT_ORACLE_CAP) -> SumSet:
-    """Dynamic-programming oracle over the digit set {-1, 0, +1}.
+    """Bitset oracle over the digit set {-1, 0, +1}.
 
-    Grows the exact set of expressible sums one bit at a time, keeping it
-    interval-compressed instead of enumerating all 3^(N+1) digit vectors.
-    With a0_offset the set is widened by the residual radius a_0 - 1,
-    modelling the fine adjustment available below the first bit.
+    Grows the exact set of expressible sums one bit at a time as one Python
+    int, S |= (S << a) | (S >> a), instead of enumerating all 3^(N+1) digit
+    vectors. With a0_offset the set is widened by the residual radius
+    a_0 - 1, modelling the fine adjustment available below the first bit.
+    Memory is about 2*(total + a_0) bits.
 
     Raises RangeError when the sequence total exceeds the cap.
     """
@@ -248,21 +260,24 @@ def reachable_sums(seq: Sequence, a0_offset: bool = False, *, cap: int = DEFAULT
     if total > cap:
         raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
 
-    intervals: list[tuple[int, int]] = [(0, 0)]
-    for a in seq.bits:
-        if a == 0:
-            continue
-        merged = (
-            [(lo - a, hi - a) for lo, hi in intervals]
-            + intervals
-            + [(lo + a, hi + a) for lo, hi in intervals]
-        )
-        intervals = _coalesce(merged)
-
     radius = max(seq.bits[0] - 1, 0) if a0_offset else 0
+    # Bit v + total + radius stands for the sum v; the offset keeps the bit
+    # of every reachable sum at a nonnegative index, so no right shift here
+    # or in the widening below drops one.
+    reach = 1 << (total + radius)
+    for a in seq.bits:
+        reach |= (reach << a) | (reach >> a)
+
     if radius:
-        intervals = _coalesce([(lo - radius, hi + radius) for lo, hi in intervals])
-    return SumSet(tuple(intervals), total, radius)
+        # OR of reach << d for d in [0, 2*radius], by doubling the width
+        # already covered, then recentred by radius.
+        width, need = 1, 2 * radius + 1
+        while width < need:
+            step = min(width, need - width)
+            reach |= reach << step
+            width += step
+        reach >>= radius
+    return SumSet(reach, total, radius)
 
 
 def is_complete(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> bool:

@@ -44,6 +44,39 @@ def brute_sums(bits) -> set[int]:
     return {sum(s * a for s, a in zip(signs, bits)) for signs in product((-1, 0, 1), repeat=len(bits))}
 
 
+def _coalesce(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    pairs.sort()
+    out: list[tuple[int, int]] = []
+    for lo, hi in pairs:
+        if out and lo <= out[-1][1] + 1:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def interval_dp_sums(bits, radius: int = 0) -> tuple[tuple[int, int], ...]:
+    """Reference oracle computed by a different method from the library's bitset.
+
+    Keeps the reachable set as sorted disjoint closed intervals, merging the
+    shifted copies -a, 0, +a for each bit, then widens every interval by
+    radius.
+    """
+    intervals = [(0, 0)]
+    for a in bits:
+        if a == 0:
+            continue
+        intervals = _coalesce(
+            [(lo - a, hi - a) for lo, hi in intervals]
+            + intervals
+            + [(lo + a, hi + a) for lo, hi in intervals]
+        )
+    if radius:
+        intervals = _coalesce([(lo - radius, hi + radius) for lo, hi in intervals])
+    return tuple(intervals)
+
+
 @st.composite
 def capable_bits(draw, max_total: int = 10_000, max_len: int = 9):
     """Completeness-capable sequences: every bit within triple the previous."""
@@ -58,6 +91,12 @@ def capable_bits(draw, max_total: int = 10_000, max_len: int = 9):
     if len(bits) == 1:
         bits.append(draw(st.integers(1, 3 * a0)))
     return Sequence(tuple(bits))
+
+
+def any_bits(max_len: int = 6, max_bit: int = 40):
+    """Any sequence, capable or not: dead bits, a_0 >= 2, jumps above 3*a_{n-1}."""
+    bit = st.one_of(st.just(0), st.integers(1, 5), st.integers(1, max_bit))
+    return st.lists(bit, min_size=1, max_size=max_len).map(lambda bits: Sequence(tuple(bits)))
 
 
 @st.composite

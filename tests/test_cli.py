@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,17 @@ from nims.cli import main, run
 from .conftest import DEVICE_CSV, NIMS1_BITS
 
 NIMS1_ARG = ",".join(map(str, NIMS1_BITS))
+
+# Outputs captured from the interval-merge oracle before it became a bitset.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DEVICE = "<device bits>"
+GOLDEN_CASES = {
+    "oracle_device": (["oracle", "--seq", DEVICE], 0),
+    "oracle_device_a0": (["oracle", "--seq", DEVICE, "--a0-offset"], 0),
+    "oracle_1_2_7": (["oracle", "--seq", "1,2,7"], 0),
+    "defects_within": (["defects", "--seq", DEVICE, "--defects", "6:200,9:1000"], 0),
+    "defects_past": (["defects", "--seq", DEVICE, "--defects", "4:40"], 1),
+}
 
 
 def run_json(argv):
@@ -235,6 +247,16 @@ class TestEnumerateOracle:
         assert code == 0
         assert doc["sweep_checked"] == 25
         assert doc["sweep_failures"] == []
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_oracle_output_is_unchanged(case, fmt, measured):
+    argv, code = GOLDEN_CASES[case]
+    device = ",".join(map(str, measured.bits))
+    res = run([device if a == DEVICE else a for a in argv] + ["--format", fmt])
+    assert res.exit_code == code
+    assert res.text.encode() == (GOLDEN / f"{case}.{fmt}").read_bytes()
 
 
 class TestCapControls:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,6 +159,47 @@ class TestRoundTripProperty:
         bound = seq.total
         m = data.draw(st.integers(-bound, bound))
         assert represent(m, seq).beta == 0
+
+
+# Runs under python -O with prefix_sums corrupted; prints the invariant error.
+CORRUPT_PREFIX_SUMS = """
+import sys
+import nims.representation as rep
+from nims import Sequence, prefix_sums
+from nims.sequence import PrefixSums
+
+if __debug__:
+    sys.exit("not running under -O")
+
+def corrupt(seq):
+    sums = prefix_sums(seq)
+    huge = 100 * sums.totals[-1]
+    totals = tuple(huge for _ in sums.totals) if {corrupt_totals} else sums.totals
+    return PrefixSums(totals, tuple(huge for _ in sums.thresholds))
+
+rep.prefix_sums = corrupt
+try:
+    rep.represent(7, Sequence((1, 3, 8)))
+except AssertionError as exc:
+    print(exc)
+else:
+    sys.exit("represent returned despite corrupt thresholds")
+"""
+
+
+@pytest.mark.parametrize(
+    "corrupt_totals, message",
+    [(False, "broke the descent bound at bit 2"), (True, "not target 7 with |beta| < a_0")],
+    ids=["descent-bound", "final-sum"],
+)
+def test_invariants_survive_optimize_flag(corrupt_totals, message):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT_PREFIX_SUMS.format(corrupt_totals=corrupt_totals)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert message in proc.stdout
 
 
 class TestRangeCheck:

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nims import (
+    DEFAULT_ORACLE_CAP,
     InvalidInput,
     RangeError,
     Sequence,
     enumerate_nims,
     is_complete,
     make_standard,
+    oracle_gaps,
     parse_bits,
     prefix_sums,
     reachable_sums,
@@ -22,7 +24,17 @@ from nims import (
 )
 from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT
 
-from .conftest import brute_sums, capable_bits, strict_bits
+from .conftest import any_bits, brute_sums, capable_bits, interval_dp_sums, strict_bits
+
+
+def _as_intervals(values) -> tuple[tuple[int, int], ...]:
+    out: list[tuple[int, int]] = []
+    for v in sorted(values):
+        if out and v == out[-1][1] + 1:
+            out[-1] = (out[-1][0], v)
+        else:
+            out.append((v, v))
+    return tuple(out)
 
 
 class TestSequenceType:
@@ -174,6 +186,67 @@ class TestReachableSums:
     def test_cap_guard(self):
         with pytest.raises(RangeError):
             reachable_sums(Sequence((1, 3, 9)), cap=5)
+
+    @given(any_bits(), st.booleans(), st.integers(-60, 60), st.integers(0, 120))
+    @settings(max_examples=300)
+    def test_matches_interval_dp_and_brute_force(self, seq, a0_offset, lo, width):
+        sums = reachable_sums(seq, a0_offset=a0_offset)
+        radius = max(seq.bits[0] - 1, 0) if a0_offset else 0
+        assert (sums.span, sums.beta_radius) == (seq.total, radius)
+        expected = {v + d for v in brute_sums(seq.bits) for d in range(-radius, radius + 1)}
+        assert sums.intervals == interval_dp_sums(seq.bits, radius) == _as_intervals(expected)
+        assert sums.count == len(expected)
+        reach = seq.total + radius
+        assert all((v in sums) == (v in expected) for v in range(-reach - 2, reach + 3))
+        windows = ((-seq.total, seq.total), (-reach - 3, reach + 5), (lo, lo + width), (lo, lo - 1))
+        for wlo, whi in windows:
+            missing = [v for v in range(wlo, whi + 1) if v not in expected]
+            assert sums.covers(wlo, whi) == (not missing)
+            assert sums.gaps(wlo, whi) == _as_intervals(missing)
+
+    def test_large_residual_radius(self):
+        sums = reachable_sums(Sequence((1000, 1500)), a0_offset=True)
+        assert sums.beta_radius == 999
+        # consecutive sums are at most 1,000 apart, so the widening joins them
+        assert sums.intervals == ((-3499, 3499),) == interval_dp_sums((1000, 1500), 999)
+        assert sums.count == 6999
+        assert sums.covers(-sums.span, sums.span)
+        assert sums.gaps(-3600, 3600) == ((-3600, -3500), (3500, 3600))
+        assert -3499 in sums and 3500 not in sums
+
+    def test_all_zero_sequence(self):
+        for a0_offset in (False, True):
+            sums = reachable_sums(Sequence((0, 0, 0)), a0_offset=a0_offset)
+            assert (sums.span, sums.beta_radius) == (0, 0)
+            assert sums.intervals == ((0, 0),)
+            assert sums.count == 1
+            assert 0 in sums and 1 not in sums and -1 not in sums
+            assert sums.covers(0, 0) and not sums.covers(-1, 0)
+            assert sums.gaps(-2, 2) == ((-2, -1), (1, 2))
+            # windows far wider than the set are clipped, not materialised
+            assert not sums.covers(0, 10**18)
+            assert sums.gaps(-(10**18), 10**18) == ((-(10**18), -1), (1, 10**18))
+        assert is_complete(Sequence((0, 0, 0)))
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [reachable_sums, is_complete, oracle_gaps],
+        ids=["reachable_sums", "is_complete", "oracle_gaps"],
+    )
+    def test_cap_boundary(self, oracle):
+        seq = Sequence((2, 6, 18))
+        oracle(seq, cap=seq.total)
+        with pytest.raises(RangeError, match="exceeds oracle cap 25"):
+            oracle(seq, cap=seq.total - 1)
+
+    def test_default_cap_boundary(self):
+        at_cap = Sequence((1, DEFAULT_ORACLE_CAP - 1))
+        assert reachable_sums(at_cap).count == 9
+        assert not is_complete(at_cap)
+        over = Sequence((1, DEFAULT_ORACLE_CAP))
+        for oracle in (reachable_sums, is_complete, oracle_gaps):
+            with pytest.raises(RangeError, match=f"total {DEFAULT_ORACLE_CAP + 1} exceeds"):
+                oracle(over)
 
 
 class TestIsComplete:

@@ -82,9 +82,17 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(abs(x) + 0.5)) * (1 if x >= 0 else -1)
 
 
+def _require_finite(what: str, x: float) -> None:
+    if not math.isfinite(x):
+        raise InvalidInput(f"{what} must be finite, got {x}")
+
+
 def _resolve_band(freq_hz: float, band: tuple[float, float] | None) -> tuple[float, float]:
     if band is None:
         band = (freq_hz * (1 - DEFAULT_BAND_HALF_WIDTH), freq_hz * (1 + DEFAULT_BAND_HALF_WIDTH))
+    else:
+        for edge in band:
+            _require_finite("frequency band edge", edge)
     lo, hi = band
     if not 0 < lo <= hi:
         raise InvalidInput(f"bad frequency band ({lo}, {hi})")
@@ -106,9 +114,12 @@ def plan(
     The adjusted frequency may fall outside the band; the plan is still
     returned, flagged in_band=False. Raises OutOfRange when the voltage
     needs a larger multiple than the array expresses even at the band
-    top, and DegenerateTarget when a nonzero voltage rounds to an
-    expressed multiple of zero (no frequency shift can reach it).
+    top, DegenerateTarget when a nonzero voltage rounds to an expressed
+    multiple of zero (no frequency shift can reach it), and InvalidInput
+    when the voltage, frequency or band is NaN or infinite.
     """
+    _require_finite("voltage", volts)
+    _require_finite("drive frequency", freq_hz)
     kj = (constants or PhysicalConstants()).josephson_hz_per_volt
     lo, hi = _resolve_band(freq_hz, band)
     vr = validate(seq)
@@ -149,6 +160,7 @@ def max_voltage(seq: Sequence, freq_hz: float, *, constants: PhysicalConstants |
     """Largest voltage the array expresses at the given frequency."""
     if not freq_hz > 0:
         raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
+    _require_finite("drive frequency", freq_hz)
     kj = (constants or PhysicalConstants()).josephson_hz_per_volt
     return seq.total * freq_hz / kj
 
@@ -161,5 +173,6 @@ def resolution(seq: Sequence, freq_hz: float, *, constants: PhysicalConstants | 
     """
     if not freq_hz > 0:
         raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
+    _require_finite("drive frequency", freq_hz)
     kj = (constants or PhysicalConstants()).josephson_hz_per_volt
     return seq.bits[0] * freq_hz / kj

@@ -228,10 +228,16 @@ def _design_spec_from_args(args) -> designer.DesignSpec:
         if ":" not in raw:
             raise InvalidInput(f"min tolerance {raw!r} must be AT_LEAST:TOLERANCE")
         at_least, _, tol = raw.partition(":")
-        rules.append(designer.ToleranceRule(int(at_least), int(tol)))
+        try:
+            rules.append(designer.ToleranceRule(int(at_least), int(tol)))
+        except ValueError as exc:
+            raise InvalidInput(f"bad min tolerance {raw!r}: {exc}") from exc
     from fractions import Fraction
 
-    ratio = Fraction(args.max_ratio) if args.max_ratio else Fraction(3)
+    try:
+        ratio = Fraction(args.max_ratio) if args.max_ratio else Fraction(3)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"bad max ratio {args.max_ratio!r}: {exc}") from exc
     return designer.DesignSpec(
         a0=args.a0,
         msb_size=args.msb_size,

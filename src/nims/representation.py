@@ -28,6 +28,15 @@ class Representation:
         return {"m": self.target_m, "signs": list(self.signs), "beta": self.beta}
 
 
+def _require_capable(seq: Sequence) -> None:
+    report = validate(seq)
+    if not report.complete_capable:
+        raise InvalidSequence(
+            "sequence is not completeness capable: "
+            + "; ".join(v.message for v in report.violations)
+        )
+
+
 def represent(m: int, seq: Sequence, *, audit: list | None = None) -> Representation:
     """Greedy signed-digit decomposition of m over seq.
 
@@ -39,12 +48,7 @@ def represent(m: int, seq: Sequence, *, audit: list | None = None) -> Representa
     Raises InvalidSequence when seq is not completeness capable and
     OutOfRange when |m| exceeds A_N + a_0 - 1.
     """
-    report = validate(seq)
-    if not report.complete_capable:
-        raise InvalidSequence(
-            "sequence is not completeness capable: "
-            + "; ".join(v.message for v in report.violations)
-        )
+    _require_capable(seq)
     bits = seq.bits
     sums = prefix_sums(seq)
     a0 = bits[0]
@@ -102,47 +106,61 @@ class RangeCheckReport:
 def represent_range_check(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> RangeCheckReport:
     """Round-trip every representable target, from -A_N-a_0+1 to A_N+a_0-1.
 
-    Validates once and runs a lean copy of the greedy loop; sweeping the
-    Table-5-sized range through represent() itself would revalidate the
-    sequence two hundred thousand times.
+    Sweeps windows of remainders instead of one target at a time. This is
+    exact because the greedy's remaining steps depend only on the bit and
+    the current remainder, not on the target that produced it, and every
+    step moves a whole piece of a window by one shift. Starting from the
+    single window [-bound, bound], each step (every bit from the top down,
+    then a_0 with threshold a_0) splits each window at the threshold t:
+    first r >= t (shift -a), then -r >= t (shift +a), and the rest keeps
+    r, as in represent. Each piece, translated by its shift, is again a
+    window; equal windows of one step are kept once. A backward pass
+    carries the final remainders not below a_0 up to the targets m that
+    reach them, so failures come out as (m, message) in ascending m. The
+    device's 184,199 targets share 190 windows; the loop is iterative, so
+    thousands of bits do not recurse.
     """
-    report = validate(seq)
-    if not report.complete_capable:
-        raise InvalidSequence(
-            "sequence is not completeness capable: "
-            + "; ".join(v.message for v in report.violations)
-        )
+    _require_capable(seq)
     total = sum(seq.bits)
     if total > cap:
         raise RangeError(f"sequence total {total} exceeds cap {cap}")
     bits = seq.bits
-    sums = prefix_sums(seq)
-    thresholds = sums.thresholds
+    thresholds = prefix_sums(seq).thresholds
     a0 = bits[0]
     bound = total + a0 - 1
-    order = range(seq.last_index, 0, -1)
-    failures: list[tuple[int, str]] = []
-    checked = 0
-    for m in range(-bound, bound + 1):
-        checked += 1
-        r = m
-        expressed = 0
-        for n in order:
-            t = thresholds[n - 1]
-            if r >= t:
-                r -= bits[n]
-                expressed += bits[n]
-            elif -r >= t:
-                r += bits[n]
-                expressed -= bits[n]
-        if r >= a0:
-            r -= a0
-            expressed += a0
-        elif -r >= a0:
-            r += a0
-            expressed -= a0
-        if expressed + r != m:
-            failures.append((m, f"round trip gave {expressed + r}"))
-        elif abs(r) >= max(a0, 1):
-            failures.append((m, f"residual {r} not below {a0}"))
-    return RangeCheckReport(checked, tuple(failures))
+    steps = [(thresholds[n - 1], bits[n]) for n in range(seq.last_index, 0, -1)] + [(a0, a0)]
+
+    # levels[k] maps each window after step k to the (parent window, shift) pieces landing on it
+    levels: list[dict] = []
+    landed: dict = {(-bound, bound): []}
+    for t, a in steps:
+        windows, landed = landed, {}
+        for lo, hi in windows:
+            for plo, phi, shift in (
+                (max(lo, t), hi, -a),
+                (lo, min(hi, t - 1, -t), a),
+                (max(lo, 1 - t), min(hi, t - 1), 0),
+            ):
+                if plo <= phi:
+                    landed.setdefault((plo + shift, phi + shift), []).append(((lo, hi), shift))
+        levels.append(landed)
+
+    # (window, lo, hi, offset): remainders lo..hi of window end with residual r + offset
+    failing = [
+        (window, flo, fhi, 0)
+        for window in landed
+        for flo, fhi in ((window[0], min(window[1], -a0)), (max(window[0], a0), window[1]))
+        if flo <= fhi
+    ]
+    for pieces in reversed(levels):
+        failing = [
+            (parent, flo - shift, fhi - shift, offset + shift)
+            for window, flo, fhi, offset in failing
+            for parent, shift in pieces[window]
+        ]
+    failures = [
+        (m, f"residual {m + offset} not below {a0}")
+        for _, flo, fhi, offset in sorted(failing, key=lambda f: f[1])
+        for m in range(flo, fhi + 1)
+    ]
+    return RangeCheckReport(2 * bound + 1, tuple(failures))

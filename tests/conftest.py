@@ -77,6 +77,42 @@ def interval_dp_sums(bits, radius: int = 0) -> tuple[tuple[int, int], ...]:
     return tuple(intervals)
 
 
+def lean_range_check(bits, thresholds) -> tuple[int, tuple[tuple[int, str], ...]]:
+    """Reference range check that runs the greedy once per target.
+
+    The per-target loop the library used before it swept remainder
+    windows; returns (checked, failures) for the given thresholds.
+    """
+    a0 = bits[0]
+    bound = sum(bits) + a0 - 1
+    order = range(len(bits) - 1, 0, -1)
+    failures: list[tuple[int, str]] = []
+    checked = 0
+    for m in range(-bound, bound + 1):
+        checked += 1
+        r = m
+        expressed = 0
+        for n in order:
+            t = thresholds[n - 1]
+            if r >= t:
+                r -= bits[n]
+                expressed += bits[n]
+            elif -r >= t:
+                r += bits[n]
+                expressed -= bits[n]
+        if r >= a0:
+            r -= a0
+            expressed += a0
+        elif -r >= a0:
+            r += a0
+            expressed -= a0
+        if expressed + r != m:
+            failures.append((m, f"round trip gave {expressed + r}"))
+        elif abs(r) >= max(a0, 1):
+            failures.append((m, f"residual {r} not below {a0}"))
+    return checked, tuple(failures)
+
+
 @st.composite
 def capable_bits(draw, max_total: int = 10_000, max_len: int = 9):
     """Completeness-capable sequences: every bit within triple the previous."""

@@ -48,6 +48,11 @@ class TestMaxVoltageAndResolution:
             max_voltage(measured, 0.0)
         with pytest.raises(InvalidInput):
             resolution(measured, -1.0)
+        for freq in (math.inf, math.nan):
+            with pytest.raises(InvalidInput):
+                max_voltage(measured, freq)
+            with pytest.raises(InvalidInput):
+                resolution(measured, freq)
 
 
 class TestPlan:
@@ -97,6 +102,18 @@ class TestPlan:
             plan(1.0, 18.01e9, measured, (19e9, 20e9))
         with pytest.raises(InvalidInput):
             plan(1.0, 18.01e9, measured, (18.1e9, 17.9e9))
+
+    @pytest.mark.parametrize(
+        "volts, freq",
+        [(math.nan, 18.01e9), (math.inf, 18.01e9), (-math.inf, 18.01e9), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_rejects_non_finite_values(self, measured, volts, freq):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            plan(volts, freq, measured)
+
+    def test_rejects_non_finite_band(self, measured):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            plan(1.0, 18.01e9, measured, (17.9e9, math.inf))
 
     def test_incapable_sequence(self):
         with pytest.raises(InvalidSequence):

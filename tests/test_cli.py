@@ -312,6 +312,37 @@ class TestErrorPlumbing:
         assert res.exit_code == 3
 
 
+DESIGN_FLAGS = ["design", "--a0", "2", "--msb-size", "5760", "--target-total", "92098"]
+PLAN_FLAGS = ["plan", "--seq", "1,3,8"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        DESIGN_FLAGS + ["--min-tolerance", "x:2"],
+        DESIGN_FLAGS + ["--max-ratio", "abc"],
+        DESIGN_FLAGS + ["--max-ratio", "0/0"],
+        PLAN_FLAGS + ["--freq", "1e10", "--volts", "nan"],
+        PLAN_FLAGS + ["--freq", "1e10", "--volts", "inf"],
+        PLAN_FLAGS + ["--freq", "inf", "--volts", "0.001"],
+        PLAN_FLAGS + ["--freq", "nan", "--volts", "0.001"],
+        ["plan", "--device", str(DEVICE_CSV), "--freq", "inf", "--volts", "1.0"],
+    ],
+    ids=[
+        "min-tolerance", "max-ratio-abc", "max-ratio-0-0",
+        "volts-nan", "volts-inf", "freq-inf", "freq-nan", "device-freq-inf",
+    ],
+)
+def test_malformed_values_exit_3_with_json_document(argv, capsys):
+    code = main(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in captured.out + captured.err
+    doc = json.loads(captured.out)
+    assert doc["error"]["type"] == "InvalidInput"
+    assert doc["error"]["exit_code"] == 3
+
+
 class TestMainEntry:
     def test_main_prints_to_stdout_and_returns_code(self, capsys):
         code = main(["represent", "--seq", "1,3,8", "--m", "7", "--format", "json"])

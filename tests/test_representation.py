@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nims.representation
 from nims import (
     InvalidInput,
     InvalidSequence,
@@ -18,8 +20,9 @@ from nims import (
     represent,
     represent_range_check,
 )
+from nims.sequence import PrefixSums
 
-from .conftest import capable_bits
+from .conftest import capable_bits, lean_range_check
 
 REFERENCE = Sequence((1, 3, 8))
 
@@ -225,3 +228,57 @@ class TestRangeCheck:
     @settings(max_examples=60)
     def test_every_capable_sequence_sweeps_clean(self, seq):
         assert represent_range_check(seq).passed
+
+    def test_cap_boundary(self):
+        assert represent_range_check(REFERENCE, cap=12).passed
+        with pytest.raises(RangeError):
+            represent_range_check(REFERENCE, cap=11)
+
+    def test_thousands_of_bits_do_not_recurse(self):
+        chk = represent_range_check(Sequence((1,) * 3000))
+        assert chk.checked == 6001
+        assert chk.passed
+
+
+def sweep_with_thresholds(seq, thresholds):
+    sums = prefix_sums(seq)
+    with patch.object(nims.representation, "prefix_sums", lambda _: PrefixSums(sums.totals, thresholds)):
+        return represent_range_check(seq)
+
+
+class TestSweepMatchesReference:
+    @given(capable_bits(max_total=3000))
+    @settings(max_examples=150)
+    def test_capable_sequences(self, seq):
+        chk = represent_range_check(seq)
+        assert (chk.checked, chk.failures) == lean_range_check(seq.bits, prefix_sums(seq).thresholds)
+
+    @given(capable_bits(max_total=1500), st.data())
+    @settings(max_examples=300)
+    def test_one_corrupted_threshold(self, seq, data):
+        thresholds = list(prefix_sums(seq).thresholds)
+        reach = seq.total + seq.bits[0] + 2
+        i = data.draw(st.integers(0, len(thresholds) - 2))
+        thresholds[i] = data.draw(st.one_of(st.integers(-3, 1), st.integers(-reach, reach)))
+        chk = sweep_with_thresholds(seq, tuple(thresholds))
+        assert (chk.checked, chk.failures) == lean_range_check(seq.bits, tuple(thresholds))
+
+    @pytest.mark.parametrize("threshold", [-5, 0, 2, 5])
+    def test_corrupted_threshold_fails_like_reference(self, threshold):
+        # (1, 3, 8) has thresholds 2, 5, 13; at t <= 0 both branches match r = 0 and r >= t wins
+        thresholds = (2, threshold, 13)
+        chk = sweep_with_thresholds(REFERENCE, thresholds)
+        checked, failures = lean_range_check(REFERENCE.bits, thresholds)
+        assert chk.checked == checked == 25
+        assert chk.failures == failures
+        assert chk.passed == (threshold == 5)
+
+
+class TestSweepMatchesRepresent:
+    @given(capable_bits(max_total=300, max_len=6))
+    @settings(max_examples=60)
+    def test_failure_exactly_when_residual_too_large(self, seq):
+        failed = {m for m, _ in represent_range_check(seq).failures}
+        bound = seq.total + seq.bits[0] - 1
+        for m in range(-bound, bound + 1):
+            assert (abs(represent(m, seq).beta) < seq.bits[0]) == (m not in failed)

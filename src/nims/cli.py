@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from . import bias, designer, device, fault_tolerance, representation, sequence
@@ -52,6 +53,31 @@ class CommandResult:
     text: str
 
 
+@dataclass(frozen=True)
+class Output:
+    """One command's result in every format; `run` picks the one shown.
+
+    `doc` is the JSON document, or its text where the command fixes the
+    notation. A (key, value) pair in `table` is printed aligned, a string as is.
+    """
+
+    doc: dict | str
+    csv: str
+    table: list[tuple[str, object] | str]
+    exit_code: int = EXIT_OK
+
+    def render(self, fmt: str) -> str:
+        if fmt == "json":
+            return (self.doc if isinstance(self.doc, str) else json.dumps(self.doc)) + "\n"
+        if fmt == "csv":
+            return self.csv
+        width = max((len(line[0]) for line in self.table if isinstance(line, tuple)), default=0)
+        return "".join(
+            (f"{line[0].ljust(width)}  {line[1]}" if isinstance(line, tuple) else line) + "\n"
+            for line in self.table
+        )
+
+
 def _load_seq(value: str) -> sequence.Sequence:
     if Path(value).exists():
         return sequence.sequence_from_file(value)
@@ -77,7 +103,7 @@ def _load_defects(value: str) -> fault_tolerance.DefectMap:
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return args.cap
     env = os.environ.get(ENV_CAP)
     if env:
@@ -95,90 +121,70 @@ def _csv_rows(rows: list[list[object]]) -> str:
     return buf.getvalue()
 
 
-def _kv_text(pairs: list[tuple[str, object]]) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs) + "\n"
+def _entry_row(entry: fault_tolerance.BitTolerance | fault_tolerance.ScanEntry, rest: str) -> str:
+    """Table line of a tolerance or scan entry, `rest` after the shared columns."""
+    tol = "range only" if entry.tolerance is None else str(entry.tolerance)
+    return f"{entry.index:<4d} {entry.nominal:<8d} {tol:<10s} {rest}"
 
 
-def _render(fmt: str, doc: dict, csv_text: str | None, table_text: str | None) -> str:
-    if fmt == "json":
-        return json.dumps(doc) + "\n"
-    if fmt == "csv":
-        if csv_text is not None:
-            return csv_text
-        return _csv_rows([["key", "value"]] + [[k, json.dumps(v)] for k, v in doc.items()])
-    if table_text is not None:
-        return table_text
-    return _kv_text([(k, v) for k, v in doc.items()])
-
-
-def _cmd_validate(args) -> CommandResult:
+def _cmd_validate(args) -> Output:
     seq = _load_seq(args.seq)
     report = sequence.validate(seq)
     sums = sequence.prefix_sums(seq)
-    doc = {"bits": list(seq.bits), **report.to_doc(), "totals": list(sums.totals)}
-    csv_text = _csv_rows(
-        [["constraint", "bit", "message"]]
-        + [[v.constraint, v.index, v.message] for v in report.violations]
+    return Output(
+        {"bits": list(seq.bits), **report.to_doc(), "totals": list(sums.totals)},
+        _csv_rows(
+            [["constraint", "bit", "message"]]
+            + [[v.constraint, v.index, v.message] for v in report.violations]
+        ),
+        [
+            ("bits", ",".join(map(str, seq.bits))),
+            ("strict_valid", report.strict_valid),
+            ("complete_capable", report.complete_capable),
+            ("total", sums.totals[-1]),
+        ]
+        + [f"{v.constraint} at bit {v.index}: {v.message}" for v in report.violations],
+        EXIT_OK if report.strict_valid else EXIT_VALIDATION,
     )
-    pairs = [
-        ("bits", ",".join(map(str, seq.bits))),
-        ("strict_valid", report.strict_valid),
-        ("complete_capable", report.complete_capable),
-        ("total", sums.totals[-1]),
-    ]
-    table = _kv_text(pairs)
-    for v in report.violations:
-        table += f"{v.constraint} at bit {v.index}: {v.message}\n"
-    code = EXIT_OK if report.strict_valid else EXIT_VALIDATION
-    return CommandResult(code, _render(args.format, doc, csv_text, table))
 
 
-def _cmd_represent(args) -> CommandResult:
-    seq = _load_seq(args.seq)
-    rep = representation.represent(args.m, seq)
-    doc = rep.to_doc()
-    csv_text = _csv_rows(
-        [["m", "beta", "signs"], [rep.target_m, rep.beta, " ".join(map(str, rep.signs))]]
-    )
-    table = _kv_text(
+def _cmd_represent(args) -> Output:
+    rep = representation.represent(args.m, _load_seq(args.seq))
+    return Output(
+        rep.to_doc(),
+        _csv_rows(
+            [["m", "beta", "signs"], [rep.target_m, rep.beta, " ".join(map(str, rep.signs))]]
+        ),
         [
             ("m", rep.target_m),
             ("signs", " ".join(f"{s:+d}" if s else "0" for s in rep.signs)),
             ("beta", rep.beta),
             ("expressed", rep.expressed_m),
-        ]
+        ],
     )
-    return CommandResult(EXIT_OK, _render(args.format, doc, csv_text, table))
 
 
-def _cmd_tolerance(args) -> CommandResult:
+def _cmd_tolerance(args) -> Output:
     seq = _load_seq(args.seq)
     report = fault_tolerance.tolerance_report(seq)
-    doc = {"bits": list(seq.bits), **report.to_doc()}
-    table_lines = ["bit  nominal  tolerance  proportion"]
-    for e in report.entries:
-        tol = "range only" if e.tolerance is None else str(e.tolerance)
-        prop = "" if e.proportion is None else str(e.proportion)
-        table_lines.append(f"{e.index:<4d} {e.nominal:<8d} {tol:<10s} {prop}")
-    return CommandResult(
-        EXIT_OK, _render(args.format, doc, report.to_csv(), "\n".join(table_lines) + "\n")
+    rows = [_entry_row(e, "" if e.proportion is None else str(e.proportion)) for e in report.entries]
+    return Output(
+        {"bits": list(seq.bits), **report.to_doc()},
+        report.to_csv(),
+        ["bit  nominal  tolerance  proportion"] + rows,
     )
 
 
-def _cmd_defects(args) -> CommandResult:
+def _cmd_defects(args) -> Output:
     seq = _load_seq(args.seq)
     cap = _resolve_cap(args)
     if args.scan_budget is not None:
         scan = fault_tolerance.worst_case_scan(seq, args.scan_budget, cap=cap)
-        table_lines = [f"budget {scan.budget}", "bit  nominal  tolerance  safe_up_to  status"]
-        for e in scan.entries:
-            tol = "range only" if e.tolerance is None else str(e.tolerance)
-            table_lines.append(
-                f"{e.index:<4d} {e.nominal:<8d} {tol:<10s} {e.safe_up_to:<11d} {e.status}"
-            )
-        return CommandResult(
-            EXIT_OK, _render(args.format, scan.to_doc(), scan.to_csv(), "\n".join(table_lines) + "\n")
+        return Output(
+            scan.to_doc(),
+            scan.to_csv(),
+            [f"budget {scan.budget}", "bit  nominal  tolerance  safe_up_to  status"]
+            + [_entry_row(e, f"{e.safe_up_to:<11d} {e.status}") for e in scan.entries],
         )
 
     if args.defects is None:
@@ -189,33 +195,32 @@ def _cmd_defects(args) -> CommandResult:
     oracle_ok = None
     gaps: list[list[int]] = []
     if defective.total <= cap:
-        sums, gap_list = fault_tolerance.oracle_gaps(defective, cap=cap)
+        _, gap_list = fault_tolerance.oracle_gaps(defective, cap=cap)
         oracle_ok = not gap_list
         gaps = [list(g) for g in gap_list[:20]]
-    doc = {
-        "bits": list(seq.bits),
-        "defects": defects.to_doc()["defects"],
-        "defective_bits": list(defective.bits),
-        "strict_valid": report.strict_valid,
-        "complete_capable": report.complete_capable,
-        "within_tolerance": tolerated,
-        "oracle_complete": oracle_ok,
-        "gaps_sample": gaps,
-    }
-    csv_text = _csv_rows(
-        [["bit", "nominal", "defective"]]
-        + [[n, a, b] for n, (a, b) in enumerate(zip(seq.bits, defective.bits))]
-    )
-    table = _kv_text(
+    return Output(
+        {
+            "bits": list(seq.bits),
+            "defects": defects.to_doc()["defects"],
+            "defective_bits": list(defective.bits),
+            "strict_valid": report.strict_valid,
+            "complete_capable": report.complete_capable,
+            "within_tolerance": tolerated,
+            "oracle_complete": oracle_ok,
+            "gaps_sample": gaps,
+        },
+        _csv_rows(
+            [["bit", "nominal", "defective"]]
+            + [[n, a, b] for n, (a, b) in enumerate(zip(seq.bits, defective.bits))]
+        ),
         [
             ("defective_bits", ",".join(map(str, defective.bits))),
             ("within_tolerance", tolerated),
             ("complete_capable", report.complete_capable),
             ("oracle_complete", oracle_ok),
-        ]
+        ],
+        EXIT_OK if report.complete_capable else EXIT_VALIDATION,
     )
-    code = EXIT_OK if report.complete_capable else EXIT_VALIDATION
-    return CommandResult(code, _render(args.format, doc, csv_text, table))
 
 
 def _design_spec_from_args(args) -> designer.DesignSpec:
@@ -232,8 +237,6 @@ def _design_spec_from_args(args) -> designer.DesignSpec:
             rules.append(designer.ToleranceRule(int(at_least), int(tol)))
         except ValueError as exc:
             raise InvalidInput(f"bad min tolerance {raw!r}: {exc}") from exc
-    from fractions import Fraction
-
     try:
         ratio = Fraction(args.max_ratio) if args.max_ratio else Fraction(3)
     except (ValueError, ZeroDivisionError) as exc:
@@ -247,21 +250,17 @@ def _design_spec_from_args(args) -> designer.DesignSpec:
     )
 
 
-def _cmd_design(args) -> CommandResult:
-    spec = _design_spec_from_args(args)
-    result = designer.design(spec)
-    doc = result.to_doc()
-    csv_text = _csv_rows(
-        [["bit", "junctions"]] + [[n, a] for n, a in enumerate(result.sequence.bits)]
+def _cmd_design(args) -> Output:
+    result = designer.design(_design_spec_from_args(args))
+    bits = result.sequence.bits
+    return Output(
+        result.to_doc(),
+        _csv_rows([["bit", "junctions"]] + [[n, a] for n, a in enumerate(bits)]),
+        [("bits", ",".join(map(str, bits)))] + list(result.metadata.items()),
     )
-    table = _kv_text(
-        [("bits", ",".join(map(str, result.sequence.bits)))]
-        + [(k, v) for k, v in result.metadata.items()]
-    )
-    return CommandResult(EXIT_OK, _render(args.format, doc, csv_text, table))
 
 
-def _cmd_plan(args) -> CommandResult:
+def _cmd_plan(args) -> Output:
     if args.device:
         rec = device.load_device(args.device)
         seq = rec.sequence()
@@ -281,175 +280,151 @@ def _cmd_plan(args) -> CommandResult:
         except ValueError as exc:
             raise InvalidInput(f"bad band {args.band!r}: {exc}") from exc
     result = bias.plan(args.volts, freq, seq, band)
-    doc = result.to_doc()
-    csv_text = _csv_rows(
-        [
-            ["V", "f", "m", "beta", "f_adjusted", "in_band"],
-            [
-                bias.fixed_decimal(result.target_voltage),
-                bias.fixed_decimal(result.base_frequency_hz),
-                result.m_target,
-                result.representation.beta,
-                bias.fixed_decimal(result.adjusted_frequency_hz),
-                result.in_band,
-            ],
-        ]
-    )
-    table = _kv_text(
-        [
-            ("V", bias.fixed_decimal(result.target_voltage)),
-            ("f", bias.fixed_decimal(result.base_frequency_hz)),
-            ("m", result.m_target),
-            ("beta", result.representation.beta),
-            ("f_adjusted", bias.fixed_decimal(result.adjusted_frequency_hz)),
-            ("shift", f"{result.frequency_shift:.3e}"),
-            ("in_band", result.in_band),
-        ]
-    )
-    if args.format == "json":
-        return CommandResult(EXIT_OK, result.to_json() + "\n")
-    return CommandResult(EXIT_OK, _render(args.format, doc, csv_text, table))
+    pairs = [
+        ("V", bias.fixed_decimal(result.target_voltage)),
+        ("f", bias.fixed_decimal(result.base_frequency_hz)),
+        ("m", result.m_target),
+        ("beta", result.representation.beta),
+        ("f_adjusted", bias.fixed_decimal(result.adjusted_frequency_hz)),
+        ("in_band", result.in_band),
+    ]
+    # the table alone also shows the relative frequency shift
+    table = pairs[:5] + [("shift", f"{result.frequency_shift:.3e}")] + pairs[5:]
+    return Output(result.to_json(), _csv_rows(list(zip(*pairs))), table)
 
 
-def _cmd_compare(args) -> CommandResult:
-    candidates: list[tuple[str, sequence.Sequence]] = []
-    if args.standards:
-        for kind in ("binary", "ternary"):
-            candidates.append(
-                (kind, designer.standard_column(kind, args.msb_size, args.lsb_count))
-            )
+def _cmd_compare(args) -> Output:
+    kinds = sequence.STANDARD_RATIOS if args.standards else ()
+    candidates = [(k, designer.standard_column(k, args.msb_size, args.lsb_count)) for k in kinds]
     for raw in args.candidate or []:
         if "=" not in raw:
             raise InvalidInput(f"candidate {raw!r} must be NAME=BITS")
         name, _, bits = raw.partition("=")
         candidates.append((name, _load_seq(bits)))
     table = designer.compare_logics(args.lsb_count, args.msb_size, candidates)
-    lines = []
-    for c in table.candidates:
-        lines.append(
+    csv_text = table.to_csv()
+    return Output(
+        table.to_doc(),
+        csv_text,
+        [
             f"{c.name}: {len(c.bits)} bits, {c.bits_to_msb} below bank size, "
             f"efficiency min {c.min_efficiency} mean {c.mean_efficiency}"
-        )
-    text = "\n".join(lines) + "\n" + table.to_csv()
-    return CommandResult(EXIT_OK, _render(args.format, table.to_doc(), table.to_csv(), text))
+            for c in table.candidates
+        ]
+        + csv_text.splitlines(),
+    )
 
 
-def _cmd_report(args) -> CommandResult:
-    rec = device.load_device(args.device)
-    doc = device.build_report(rec, args.min_margin)
+def _cmd_report(args) -> Output:
+    doc = device.build_report(device.load_device(args.device), args.min_margin)
+    margins = doc["margins"]
+    violations = margins["violations"]
     rows = [["key", "value"]] + [
         [k, json.dumps(v)] for k, v in doc.items() if k not in ("margins", "tolerances", "lints", "notes")
     ]
-    rows += [["margin_" + k, json.dumps(v)] for k, v in doc["margins"].items() if k != "violations"]
-    rows += [
-        ["margin_violation", f"bit {v['bit']} {v['side']} {v['width_ma']}"]
-        for v in doc["margins"]["violations"]
-    ]
+    rows += [["margin_" + k, json.dumps(v)] for k, v in margins.items() if k != "violations"]
+    rows += [["margin_violation", f"bit {v['bit']} {v['side']} {v['width_ma']}"] for v in violations]
     rows += [["lint", s] for s in doc["lints"]]
     rows += [["note", s] for s in doc["notes"]]
-    csv_text = _csv_rows(rows)
-    pairs = [
-        ("total_junctions", doc["total_junctions"]),
-        ("bit_count", doc["bit_count"]),
-        ("complete_capable", doc["complete_capable"]),
-        ("frequency_hz", bias.fixed_decimal(doc["frequency_hz"])),
-        ("max_voltage_v", f"{doc['max_voltage_v']:.4f}"),
-        ("resolution_v", f"{doc['resolution_v']:.3e}"),
-        ("retuned_resolution_v", f"{doc['retuned_resolution_v']:.3e}"),
-        ("margin threshold", doc["margins"]["threshold_ma"]),
-        ("min positive step", doc["margins"]["min_positive_ma"]),
-        ("min negative step", doc["margins"]["min_negative_ma"]),
-        ("margin violations", len(doc["margins"]["violations"])),
-    ]
-    table = _kv_text(pairs)
-    for v in doc["margins"]["violations"]:
-        table += f"violation: bit {v['bit']} {v['side']} step {v['width_ma']} mA\n"
-    for s in doc["lints"]:
-        table += f"lint: {s}\n"
-    for s in doc["notes"]:
-        table += f"note: {s}\n"
-    code = EXIT_OK if not doc["margins"]["violations"] else EXIT_VALIDATION
-    return CommandResult(code, _render(args.format, doc, csv_text, table))
+    return Output(
+        doc,
+        _csv_rows(rows),
+        [
+            ("total_junctions", doc["total_junctions"]),
+            ("bit_count", doc["bit_count"]),
+            ("complete_capable", doc["complete_capable"]),
+            ("frequency_hz", bias.fixed_decimal(doc["frequency_hz"])),
+            ("max_voltage_v", f"{doc['max_voltage_v']:.4f}"),
+            ("resolution_v", f"{doc['resolution_v']:.3e}"),
+            ("retuned_resolution_v", f"{doc['retuned_resolution_v']:.3e}"),
+            ("margin threshold", margins["threshold_ma"]),
+            ("min positive step", margins["min_positive_ma"]),
+            ("min negative step", margins["min_negative_ma"]),
+            ("margin violations", len(violations)),
+        ]
+        + [f"violation: bit {v['bit']} {v['side']} step {v['width_ma']} mA" for v in violations]
+        + [f"lint: {s}" for s in doc["lints"]]
+        + [f"note: {s}" for s in doc["notes"]],
+        EXIT_OK if not violations else EXIT_VALIDATION,
+    )
 
 
-def _cmd_enumerate(args) -> CommandResult:
+def _cmd_enumerate(args) -> Output:
     seqs = sequence.enumerate_nims(args.a0, args.depth, args.max_bit, max_results=args.limit)
-    doc = {
-        "a0": args.a0,
-        "depth": args.depth,
-        "max_bit": args.max_bit,
-        "count": len(seqs),
-        "sequences": [list(s.bits) for s in seqs],
-    }
-    csv_text = _csv_rows([["sequence"]] + [[",".join(map(str, s.bits))] for s in seqs])
-    table = "\n".join(",".join(map(str, s.bits)) for s in seqs) + ("\n" if seqs else "")
-    return CommandResult(EXIT_OK, _render(args.format, doc, csv_text, table))
+    lines = [",".join(map(str, s.bits)) for s in seqs]
+    return Output(
+        {
+            "a0": args.a0,
+            "depth": args.depth,
+            "max_bit": args.max_bit,
+            "count": len(seqs),
+            "sequences": [list(s.bits) for s in seqs],
+        },
+        _csv_rows([["sequence"]] + [[line] for line in lines]),
+        lines,
+    )
 
 
-def _cmd_oracle(args) -> CommandResult:
+def _cmd_oracle(args) -> Output:
     seq = _load_seq(args.seq)
     cap = _resolve_cap(args)
-    sums = sequence.reachable_sums(seq, a0_offset=args.a0_offset, cap=cap)
-    radius_sums = (
-        sums
-        if args.a0_offset
-        else sequence.reachable_sums(seq, a0_offset=seq.bits[0] >= 2, cap=cap)
-    )
-    gaps = radius_sums.gaps(-radius_sums.span, radius_sums.span)
-    complete = not gaps
+    widened, gaps = fault_tolerance.oracle_gaps(seq, cap=cap)
+    sums = widened
+    if widened.beta_radius and not args.a0_offset:
+        # widened only when a_0 >= 2; the intervals shown then come from the plain set
+        sums = sequence.reachable_sums(seq, cap=cap)
     doc = {
         "bits": list(seq.bits),
         "total": sums.span,
         "a0_offset": args.a0_offset,
-        "complete": complete,
+        "complete": not gaps,
         "interval_count": len(sums.intervals),
         "intervals": [list(iv) for iv in sums.intervals[:200]],
         "gap_count": sum(hi - lo + 1 for lo, hi in gaps),
         "gaps": [list(g) for g in gaps[:50]],
     }
-    if args.sweep:
-        check = representation.represent_range_check(seq, cap=cap)
-        doc["sweep_checked"] = check.checked
-        doc["sweep_failures"] = [list(f) for f in check.failures]
-    csv_text = _csv_rows([["lo", "hi"]] + [[lo, hi] for lo, hi in sums.intervals[:200]])
-    pairs = [
+    table = [
         ("total", sums.span),
-        ("complete", complete),
+        ("complete", not gaps),
         ("intervals", len(sums.intervals)),
         ("gap_count", doc["gap_count"]),
     ]
     if args.sweep:
-        pairs.append(("sweep_checked", doc["sweep_checked"]))
-        pairs.append(("sweep_failures", len(doc["sweep_failures"])))
-    return CommandResult(EXIT_OK, _render(args.format, doc, csv_text, _kv_text(pairs)))
+        check = representation.represent_range_check(seq, cap=cap)
+        doc["sweep_checked"] = check.checked
+        doc["sweep_failures"] = [list(f) for f in check.failures]
+        table += [("sweep_checked", check.checked), ("sweep_failures", len(check.failures))]
+    csv_text = _csv_rows([["lo", "hi"]] + [[lo, hi] for lo, hi in sums.intervals[:200]])
+    return Output(doc, csv_text, table)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nims", description="Junction array sequence toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.add_argument("--cap", type=int, default=None, help="oracle size cap")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("validate", "check chain constraints")
+    p = add("validate", _cmd_validate, "check chain constraints")
     p.add_argument("--seq", required=True)
 
-    p = add("represent", "signed-digit decomposition of an integer")
+    p = add("represent", _cmd_represent, "signed-digit decomposition of an integer")
     p.add_argument("--seq", required=True)
     p.add_argument("--m", type=int, required=True)
 
-    p = add("tolerance", "per-bit fault tolerance")
+    p = add("tolerance", _cmd_tolerance, "per-bit fault tolerance")
     p.add_argument("--seq", required=True)
 
-    p = add("defects", "apply a defect map or scan placements")
+    p = add("defects", _cmd_defects, "apply a defect map or scan placements")
     p.add_argument("--seq", required=True)
     p.add_argument("--defects", default=None, help="JSON file or inline BIT:COUNT list")
     p.add_argument("--scan-budget", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help="oracle size cap")
 
-    p = add("design", "lay out an array for a junction budget")
+    p = add("design", _cmd_design, "lay out an array for a junction budget")
     p.add_argument("--spec", default=None, help="design spec JSON file")
     p.add_argument("--a0", type=int, default=None)
     p.add_argument("--msb-size", type=int, default=None)
@@ -457,51 +432,40 @@ def build_parser() -> _Parser:
     p.add_argument("--min-tolerance", action="append", default=None, metavar="AT_LEAST:TOL")
     p.add_argument("--max-ratio", default=None, metavar="P/Q")
 
-    p = add("plan", "voltage bias plan")
+    p = add("plan", _cmd_plan, "voltage bias plan")
     p.add_argument("--device", default=None)
     p.add_argument("--seq", default=None)
     p.add_argument("--volts", type=float, required=True)
     p.add_argument("--freq", type=float, default=None)
     p.add_argument("--band", default=None, metavar="LO:HI")
 
-    p = add("compare", "tabulate candidate sequences")
+    p = add("compare", _cmd_compare, "tabulate candidate sequences")
     p.add_argument("--msb-size", type=int, required=True)
     p.add_argument("--lsb-count", type=int, default=14)
     p.add_argument("--candidate", action="append", default=None, metavar="NAME=BITS")
     p.add_argument("--standards", action="store_true", help="include binary and ternary columns")
 
-    p = add("report", "summarize a measured device")
+    p = add("report", _cmd_report, "summarize a measured device")
     p.add_argument("--device", required=True)
     p.add_argument("--min-margin", type=float, default=1.0)
 
-    p = add("enumerate", "list strictly valid sequences")
+    p = add("enumerate", _cmd_enumerate, "list strictly valid sequences")
     p.add_argument("--a0", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--max-bit", type=int, required=True)
     p.add_argument("--limit", type=int, default=1_000_000)
 
-    p = add("oracle", "exact reachable-sum intervals")
+    p = add("oracle", _cmd_oracle, "exact reachable-sum intervals")
     p.add_argument("--seq", required=True)
     p.add_argument("--a0-offset", action="store_true")
     p.add_argument("--sweep", action="store_true", help="also round-trip every target")
+    p.add_argument("--cap", type=int, default=None, help="oracle size cap")
 
     return parser
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "represent": _cmd_represent,
-    "tolerance": _cmd_tolerance,
-    "defects": _cmd_defects,
-    "design": _cmd_design,
-    "plan": _cmd_plan,
-    "compare": _cmd_compare,
-    "report": _cmd_report,
-    "enumerate": _cmd_enumerate,
-    "oracle": _cmd_oracle,
-}
-
 _EXIT_BY_ERROR = (
+    (OSError, EXIT_PARSE),
     (CliUsageError, EXIT_PARSE),
     (ParseError, EXIT_PARSE),
     (InvalidInput, EXIT_PARSE),
@@ -513,23 +477,17 @@ _EXIT_BY_ERROR = (
 )
 
 
-def _error_result(exc: Exception, fmt: str) -> CommandResult:
-    code = EXIT_PARSE if isinstance(exc, OSError) else None
-    if code is None:
-        for klass, mapped in _EXIT_BY_ERROR:
-            if isinstance(exc, klass):
-                code = mapped
-                break
+def _error_output(exc: Exception) -> Output:
+    code = next((mapped for klass, mapped in _EXIT_BY_ERROR if isinstance(exc, klass)), None)
     if code is None:
         raise exc
-    doc = {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}
-    if fmt == "json":
-        text = json.dumps(doc) + "\n"
-    elif fmt == "csv":
-        text = _csv_rows([["error", "message"], [type(exc).__name__, str(exc)]])
-    else:
-        text = f"error: {exc}\n"
-    return CommandResult(code, text)
+    name = type(exc).__name__
+    return Output(
+        {"error": {"type": name, "message": str(exc), "exit_code": code}},
+        _csv_rows([["error", "message"], [name, str(exc)]]),
+        [f"error: {exc}"],
+        code,
+    )
 
 
 def _requested_format(argv: list[str]) -> str:
@@ -545,9 +503,11 @@ def run(argv: list[str]) -> CommandResult:
     fmt = _requested_format(argv)
     try:
         args = build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        out = args.handler(args)
+        fmt = args.format
     except (NimsError, OSError) as exc:
-        return _error_result(exc, fmt)
+        out = _error_output(exc)
+    return CommandResult(out.exit_code, out.render(fmt))
 
 
 def main(argv: list[str] | None = None) -> int:

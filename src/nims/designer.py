@@ -11,7 +11,6 @@ a full bank, and trails otherwise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from .errors import Infeasible, InvalidInput
 from .fault_tolerance import tolerance_report
-from .sequence import Sequence, segmentation_efficiency, validate
+from .sequence import Sequence, read_json, segmentation_efficiency, standard_ratio, validate
 
 BRANCH_COUNT = 16
 
@@ -59,6 +58,8 @@ class DesignSpec:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "DesignSpec":
+        if not isinstance(doc, dict):
+            raise InvalidInput("design spec document must be a JSON object")
         try:
             rules = tuple(
                 ToleranceRule(int(r["at_least"]), int(r["tolerance"]))
@@ -74,16 +75,12 @@ class DesignSpec:
                 min_tolerance=rules,
                 max_ratio=Fraction(ratio),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"bad design spec document: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DesignSpec":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
-        return cls.from_doc(doc)
+        return cls.from_doc(read_json(path))
 
     def required_tolerance(self, size: int) -> int:
         return max((r.tolerance for r in self.min_tolerance if size >= r.at_least), default=0)
@@ -258,12 +255,7 @@ def compare_logics(
 
 def standard_column(kind: str, msb_size: int, length: int) -> Sequence:
     """Reference layout: geometric growth below the bank size, then banks."""
-    if kind == "binary":
-        ratio = 2
-    elif kind == "ternary":
-        ratio = 3
-    else:
-        raise InvalidInput(f"unknown standard kind {kind!r}")
+    ratio = standard_ratio(kind)
     bits = [1]
     while bits[-1] * ratio < msb_size and len(bits) < length:
         bits.append(bits[-1] * ratio)

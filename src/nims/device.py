@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,6 +78,8 @@ def _meta_float(key: str, raw: str) -> float:
         value = float(raw)
     except ValueError as exc:
         raise ParseError(f"metadata {key} is not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"metadata {key} must be finite, got {raw}")
     if value < 0:
         raise ParseError(f"metadata {key} must not be negative, got {raw}")
     return value
@@ -172,6 +175,8 @@ def load_device(source: str | Path) -> DeviceRecord:
                 w = float(values[name])
             except ValueError as exc:
                 raise ParseError(f"not a number: {values[name]!r}", row=rownum, field=name) from exc
+            if not math.isfinite(w):
+                raise ParseError("step width must be finite", row=rownum, field=name)
             if w < 0:
                 raise ParseError("step width must not be negative", row=rownum, field=name)
             widths[name] = w
@@ -325,21 +330,16 @@ def build_report(
     retuned = step / seq.bits[0]
 
     notes: list[str] = []
-    rating = rec.metadata.extra("nameplate_max_v")
-    if rating is not None:
-        nameplate = float(rating)
-        if abs(vmax - nameplate) > 0.005 * max(abs(nameplate), 1e-12):
-            notes.append(
-                f"nameplate maximum {nameplate} V unreconciled with computed {vmax:.4f} V"
-            )
-    rating = rec.metadata.extra("nameplate_min_v")
-    if rating is not None:
-        nameplate = float(rating)
-        if abs(step - nameplate) > 0.005 * max(abs(nameplate), 1e-12):
-            notes.append(
-                f"nameplate minimum {nameplate} V unreconciled with computed step "
-                f"{step:.3e} V ({retuned:.3e} V after retuning)"
-            )
+    for key, computed, bound, shown in (
+        ("nameplate_max_v", vmax, "maximum", f"{vmax:.4f} V"),
+        ("nameplate_min_v", step, "minimum", f"step {step:.3e} V ({retuned:.3e} V after retuning)"),
+    ):
+        rating = rec.metadata.extra(key)
+        if rating is None:
+            continue
+        nameplate = _meta_float(key, rating)
+        if abs(computed - nameplate) > 0.005 * max(abs(nameplate), 1e-12):
+            notes.append(f"nameplate {bound} {nameplate} V unreconciled with computed {shown}")
 
     return {
         "total_junctions": rec.total_junctions,

@@ -9,7 +9,6 @@ has no chain successor, so junctions lost there only shrink the range.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +22,7 @@ from .sequence import (
     ValidationReport,
     is_complete,
     reachable_sums,
+    read_json,
     validate,
 )
 
@@ -112,15 +112,15 @@ class DefectMap:
     def from_doc(cls, doc: dict) -> "DefectMap":
         if not isinstance(doc, dict) or "defects" not in doc or not isinstance(doc["defects"], dict):
             raise InvalidInput("defect document must be an object with a 'defects' mapping")
-        return cls({int(k): int(v) for k, v in doc["defects"].items()})
+        try:
+            missing = {int(k): int(v) for k, v in doc["defects"].items()}
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"defect bits and counts must be integers: {exc}") from exc
+        return cls(missing)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DefectMap":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
-        return cls.from_doc(doc)
+        return cls.from_doc(read_json(path))
 
     def to_doc(self) -> dict:
         return {"defects": {str(k): v for k, v in self.missing.items()}}
@@ -254,5 +254,5 @@ def worst_case_scan(
 
 def oracle_gaps(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> tuple[SumSet, tuple[tuple[int, int], ...]]:
     """Reachable sums plus the uncovered intervals inside [-A_N, A_N]."""
-    sums = reachable_sums(seq, a0_offset=seq.bits[0] >= 2, cap=cap)
+    sums = reachable_sums(seq, a0_offset=True, cap=cap)
     return sums, sums.gaps(-sums.span, sums.span)

@@ -286,7 +286,7 @@ def is_complete(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     Coverage is exact for a_0 = 1 and up to a residual below a_0 otherwise.
     Computed from reachable_sums alone, independent of the chain predicate.
     """
-    sums = reachable_sums(seq, a0_offset=seq.bits[0] >= 2, cap=cap)
+    sums = reachable_sums(seq, a0_offset=True, cap=cap)
     return sums.covers(-sums.span, sums.span)
 
 
@@ -330,16 +330,21 @@ def enumerate_nims(
     return out
 
 
+STANDARD_RATIOS = {"binary": 2, "ternary": 3}
+
+
+def standard_ratio(kind: str) -> int:
+    """Growth ratio of a standard reference kind."""
+    if kind not in STANDARD_RATIOS:
+        raise InvalidInput(f"unknown standard kind {kind!r}")
+    return STANDARD_RATIOS[kind]
+
+
 def make_standard(kind: str, lsb_count: int) -> Sequence:
     """Plain doubling or tripling reference sequence with lsb_count bits."""
     if lsb_count < 1:
         raise InvalidInput("lsb_count must be positive")
-    if kind == "binary":
-        ratio = 2
-    elif kind == "ternary":
-        ratio = 3
-    else:
-        raise InvalidInput(f"unknown standard kind {kind!r}")
+    ratio = standard_ratio(kind)
     return Sequence(tuple(ratio**n for n in range(lsb_count)))
 
 
@@ -354,13 +359,18 @@ def parse_bits(text: str) -> Sequence:
     return Sequence(bits)
 
 
-def sequence_from_file(path: str | Path) -> Sequence:
-    """Load a sequence document: {"bits": [integers]}."""
+def read_json(path: str | Path) -> object:
+    """Parse a JSON file; text that is not JSON raises InvalidInput."""
     raw = Path(path).read_text()
     try:
-        doc = json.loads(raw)
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
+
+
+def sequence_from_file(path: str | Path) -> Sequence:
+    """Load a sequence document: {"bits": [integers]}."""
+    doc = read_json(path)
     if not isinstance(doc, dict) or "bits" not in doc:
         raise InvalidInput(f"{path}: expected an object with a 'bits' list")
     bits = doc["bits"]

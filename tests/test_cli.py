@@ -7,22 +7,48 @@ from pathlib import Path
 
 import pytest
 
-from nims import Sequence, tolerance_report
+from nims import Sequence, fault_tolerance, sequence, tolerance_report
 from nims.cli import main, run
 
 from .conftest import DEVICE_CSV, NIMS1_BITS
 
 NIMS1_ARG = ",".join(map(str, NIMS1_BITS))
 
-# Outputs captured from the interval-merge oracle before it became a bitset.
+# Byte-exact CLI output, pinned so that rendering changes cannot drift. The
+# oracle and defects files were captured from the interval-merge oracle
+# before it became a bitset, the rest before the CLI got one render path.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEVICE = "<device bits>"
 GOLDEN_CASES = {
     "oracle_device": (["oracle", "--seq", DEVICE], 0),
     "oracle_device_a0": (["oracle", "--seq", DEVICE, "--a0-offset"], 0),
     "oracle_1_2_7": (["oracle", "--seq", "1,2,7"], 0),
+    "oracle_sweep": (["oracle", "--seq", "2,6,17", "--sweep"], 0),
     "defects_within": (["defects", "--seq", DEVICE, "--defects", "6:200,9:1000"], 0),
     "defects_past": (["defects", "--seq", DEVICE, "--defects", "4:40"], 1),
+    "defects_scan": (["defects", "--seq", NIMS1_ARG, "--scan-budget", "3"], 0),
+    "validate_device": (["validate", "--seq", DEVICE], 1),
+    "validate_1_3_8": (["validate", "--seq", "1,3,8"], 0),
+    "validate_1_2_7": (["validate", "--seq", "1,2,7"], 1),
+    "represent": (["represent", "--seq", "1,3,8", "--m", "7"], 0),
+    "tolerance": (["tolerance", "--seq", NIMS1_ARG], 0),
+    "design": (
+        ["design", "--a0", "2", "--msb-size", "5760", "--target-total", "92098",
+         "--min-tolerance", "100:2"],
+        0,
+    ),
+    "plan_device": (["plan", "--device", str(DEVICE_CSV), "--volts", "1.0"], 0),
+    "plan_seq": (["plan", "--seq", "1,3,8", "--freq", "1e10", "--volts", "0.0001"], 0),
+    "compare": (
+        ["compare", "--msb-size", "8000", "--standards", "--candidate", f"nims1={NIMS1_ARG}"],
+        0,
+    ),
+    "report": (["report", "--device", str(DEVICE_CSV)], 0),
+    "report_margin": (["report", "--device", str(DEVICE_CSV), "--min-margin", "2.0"], 1),
+    "enumerate": (["enumerate", "--a0", "1", "--depth", "3", "--max-bit", "9"], 0),
+    "enumerate_none": (["enumerate", "--a0", "5", "--depth", "2", "--max-bit", "3"], 0),
+    "error_out_of_range": (["represent", "--seq", "1,3,8", "--m", "13"], 2),
+    "error_bad_bits": (["validate", "--seq", "1,two,8"], 3),
 }
 
 
@@ -259,7 +285,43 @@ def test_oracle_output_is_unchanged(case, fmt, measured):
     assert res.text.encode() == (GOLDEN / f"{case}.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["oracle", "--seq", "1,3,8"], 1),
+        (["oracle", "--seq", "1,3,8", "--sweep"], 1),
+        (["oracle", "--seq", "2,6,18", "--a0-offset"], 1),
+        (["oracle", "--seq", "2,6,18"], 2),
+    ],
+)
+def test_oracle_builds_the_plain_set_only_when_it_differs(argv, calls, monkeypatch):
+    real = sequence.reachable_sums
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(kwargs.get("a0_offset"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sequence, "reachable_sums", counting)
+    monkeypatch.setattr(fault_tolerance, "reachable_sums", counting)
+    assert run(argv).exit_code == 0
+    assert len(seen) == calls
+
+
 class TestCapControls:
+    @pytest.mark.parametrize(
+        "case", sorted(c for c, (argv, _) in GOLDEN_CASES.items() if argv[0] not in ("oracle", "defects"))
+    )
+    def test_cap_is_a_usage_error_where_no_oracle_runs(self, case):
+        code, doc = run_json(GOLDEN_CASES[case][0] + ["--cap", "5"])
+        assert code == 3
+        assert doc["error"]["type"] == "CliUsageError"
+
+    def test_flag_caps_defects(self):
+        code, doc = run_json(["defects", "--seq", "1,3,8", "--defects", "2:1", "--cap", "5"])
+        assert code == 0
+        assert doc["oracle_complete"] is None
+
     def test_flag_caps_oracle(self):
         code, doc = run_json(["oracle", "--seq", "1,3,9", "--cap", "5"])
         assert code == 2
@@ -316,6 +378,10 @@ DESIGN_FLAGS = ["design", "--a0", "2", "--msb-size", "5760", "--target-total", "
 PLAN_FLAGS = ["plan", "--seq", "1,3,8"]
 
 
+class JsonFile(str):
+    """An argv slot the test fills with the path of a file holding this text."""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -327,13 +393,23 @@ PLAN_FLAGS = ["plan", "--seq", "1,3,8"]
         PLAN_FLAGS + ["--freq", "inf", "--volts", "0.001"],
         PLAN_FLAGS + ["--freq", "nan", "--volts", "0.001"],
         ["plan", "--device", str(DEVICE_CSV), "--freq", "inf", "--volts", "1.0"],
+        ["design", "--spec", JsonFile("[1, 2]")],
+        ["design", "--spec", JsonFile('{"a0": 2, "msb_size": 5760, "target_total": 92098, "max_ratio": "0/0"}')],
+        ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"x": 3}}')],
+        ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"1": null}}')],
     ],
     ids=[
         "min-tolerance", "max-ratio-abc", "max-ratio-0-0",
         "volts-nan", "volts-inf", "freq-inf", "freq-nan", "device-freq-inf",
+        "spec-not-object", "spec-ratio-0-0", "defect-bit-not-int", "defect-count-null",
     ],
 )
-def test_malformed_values_exit_3_with_json_document(argv, capsys):
+def test_malformed_values_exit_3_with_json_document(argv, capsys, tmp_path):
+    for i, arg in enumerate(argv):
+        if isinstance(arg, JsonFile):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(arg)
+            argv = argv[:i] + [str(path)] + argv[i + 1:]
     code = main(argv + ["--format", "json"])
     captured = capsys.readouterr()
     assert code == 3
@@ -341,6 +417,18 @@ def test_malformed_values_exit_3_with_json_document(argv, capsys):
     doc = json.loads(captured.out)
     assert doc["error"]["type"] == "InvalidInput"
     assert doc["error"]["exit_code"] == 3
+
+
+def test_report_bad_nameplate_exits_3_naming_the_key(tmp_path, capsys):
+    path = tmp_path / "device.csv"
+    path.write_text(DEVICE_CSV.read_text().replace("nameplate_max_v=3.2", "nameplate_max_v=abc"))
+    code = main(["report", "--device", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in captured.out + captured.err
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ParseError"
+    assert "nameplate_max_v" in error["message"]
 
 
 class TestMainEntry:

@@ -117,6 +117,17 @@ class TestLoader:
         with pytest.raises(ParseError, match="header"):
             load_device(minimal_text("0,2,1.0,1.0,1.0\n", header="bit,junctions,width"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_metadata_rejected(self, value):
+        text = minimal_text("0,2,1.0,1.0,1.0\n").replace("frequency_hz=1.8e10", f"frequency_hz={value}")
+        with pytest.raises(ParseError, match="frequency_hz must be finite"):
+            load_device(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_step_width_rejected(self, value):
+        with pytest.raises(ParseError, match=r"row 8, field 'step_zero_mA': step width must be finite"):
+            load_device(minimal_text(f"0,2,1.0,{value},1.0\n"))
+
 
 class TestMargins:
     def test_one_milliamp_passes(self, device_record):
@@ -194,6 +205,12 @@ class TestBuildReport:
         assert "unreconciled" in notes
         assert "3.2" in notes and "3.4299" in notes
         assert "0.0025" in notes
+
+    @pytest.mark.parametrize("key", ["nameplate_max_v", "nameplate_min_v"])
+    def test_bad_nameplate_names_the_key(self, key):
+        rec = load_device(f"{key}=abc\n" + minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0,1.0\n"))
+        with pytest.raises(ParseError, match=f"metadata {key} is not a number"):
+            build_report(rec)
 
     def test_margins_embedded(self, device_record):
         doc = build_report(device_record, 2.0)

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .errors import DegenerateTarget, InvalidInput, InvalidSequence, OutOfRange
-from .representation import Representation, represent
-from .sequence import Sequence, validate
+from .errors import DegenerateTarget, InvalidInput, OutOfRange
+from .representation import Representation, _descend, _require_capable
+from .sequence import Sequence
 
 # Exact SI defining constants.
 ELEMENTARY_CHARGE_C = 1.602176634e-19
@@ -26,15 +26,6 @@ PLANCK_JS = 6.62607015e-34
 JOSEPHSON_HZ_PER_VOLT = 483597848416983.6
 
 DEFAULT_BAND_HALF_WIDTH = 0.005
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    josephson_hz_per_volt: float = JOSEPHSON_HZ_PER_VOLT
-
-    def __post_init__(self) -> None:
-        if not self.josephson_hz_per_volt > 0:
-            raise InvalidInput("voltage-to-frequency constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -101,71 +92,61 @@ def _resolve_band(freq_hz: float, band: tuple[float, float] | None) -> tuple[flo
     return lo, hi
 
 
-def plan(
-    volts: float,
-    freq_hz: float,
-    seq: Sequence,
-    band: tuple[float, float] | None = None,
-    *,
-    constants: PhysicalConstants | None = None,
-) -> BiasPlan:
+def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] | None = None) -> BiasPlan:
     """Plan a bias point for the requested voltage.
 
     The adjusted frequency may fall outside the band; the plan is still
     returned, flagged in_band=False. Raises OutOfRange when the voltage
     needs a larger multiple than the array expresses even at the band
     top, DegenerateTarget when a nonzero voltage rounds to an expressed
-    multiple of zero (no frequency shift can reach it), and InvalidInput
-    when the voltage, frequency or band is NaN or infinite.
+    multiple of zero (no frequency shift can reach it), InvalidInput
+    when the voltage, frequency or band is NaN or infinite, and
+    InvalidSequence when seq is not completeness capable.
     """
     _require_finite("voltage", volts)
     _require_finite("drive frequency", freq_hz)
-    kj = (constants or PhysicalConstants()).josephson_hz_per_volt
     lo, hi = _resolve_band(freq_hz, band)
-    vr = validate(seq)
-    if not vr.complete_capable:
-        raise InvalidSequence("sequence is not completeness capable")
+    _require_capable(seq)
 
     a0 = seq.bits[0]
     headroom = seq.total + a0 - 1
-    if abs(volts) * kj > headroom * hi:
+    if abs(volts) * JOSEPHSON_HZ_PER_VOLT > headroom * hi:
         raise OutOfRange(
-            f"{volts} V needs multiple {abs(volts) * kj / freq_hz:.1f}, "
+            f"{volts} V needs multiple {abs(volts) * JOSEPHSON_HZ_PER_VOLT / freq_hz:.1f}, "
             f"beyond {headroom} even at the band top"
         )
 
     if volts == 0:
-        rep = represent(0, seq)
+        rep = _descend(0, seq)
         return BiasPlan(volts, freq_hz, 0, rep, freq_hz, 0.0, 0.0, True)
 
-    m_target = _round_half_away(volts * kj / freq_hz)
+    m_target = _round_half_away(volts * JOSEPHSON_HZ_PER_VOLT / freq_hz)
     if abs(m_target) > headroom:
         raise OutOfRange(f"multiple {m_target} outside representable range {headroom}")
-    rep = represent(m_target, seq)
+    rep = _descend(m_target, seq)
     if rep.expressed_m == 0:
         raise DegenerateTarget(
             f"{volts} V rounds to expressed multiple 0; retuning cannot reach it"
         )
-    adjusted = volts * kj / rep.expressed_m
+    adjusted = volts * JOSEPHSON_HZ_PER_VOLT / rep.expressed_m
     if adjusted <= 0:
         raise DegenerateTarget("expressed multiple opposes the requested voltage")
-    achieved = rep.expressed_m * adjusted / kj
+    achieved = rep.expressed_m * adjusted / JOSEPHSON_HZ_PER_VOLT
     shift = abs(adjusted - freq_hz) / freq_hz
     return BiasPlan(
         volts, freq_hz, m_target, rep, adjusted, achieved, shift, lo <= adjusted <= hi
     )
 
 
-def max_voltage(seq: Sequence, freq_hz: float, *, constants: PhysicalConstants | None = None) -> float:
+def max_voltage(seq: Sequence, freq_hz: float) -> float:
     """Largest voltage the array expresses at the given frequency."""
     if not freq_hz > 0:
         raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
     _require_finite("drive frequency", freq_hz)
-    kj = (constants or PhysicalConstants()).josephson_hz_per_volt
-    return seq.total * freq_hz / kj
+    return seq.total * freq_hz / JOSEPHSON_HZ_PER_VOLT
 
 
-def resolution(seq: Sequence, freq_hz: float, *, constants: PhysicalConstants | None = None) -> float:
+def resolution(seq: Sequence, freq_hz: float) -> float:
     """Voltage step between adjacent first-bit multiples, a_0 * f / K_J.
 
     Frequency retuning against the residual refines the effective step
@@ -174,5 +155,4 @@ def resolution(seq: Sequence, freq_hz: float, *, constants: PhysicalConstants | 
     if not freq_hz > 0:
         raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
     _require_finite("drive frequency", freq_hz)
-    kj = (constants or PhysicalConstants()).josephson_hz_per_volt
-    return seq.bits[0] * freq_hz / kj
+    return seq.bits[0] * freq_hz / JOSEPHSON_HZ_PER_VOLT

@@ -9,8 +9,6 @@ command fails (an error document is emitted instead of partial output).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -51,6 +49,7 @@ class _Parser(argparse.ArgumentParser):
 class CommandResult:
     exit_code: int
     text: str
+    format: str  # noqa: A003 - the --format the text is rendered in
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,7 @@ def _load_defects(value: str) -> fault_tolerance.DefectMap:
         if ":" not in part:
             raise InvalidInput(f"inline defect {part!r} must be BIT:COUNT")
         bit, _, count = part.partition(":")
-        try:
-            missing[int(bit)] = int(count)
-        except ValueError as exc:
-            raise InvalidInput(f"bad defect entry {part!r}: {exc}") from exc
+        missing[bit] = count
     return fault_tolerance.DefectMap(missing)
 
 
@@ -114,13 +110,6 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     return sequence.DEFAULT_ORACLE_CAP
 
 
-def _csv_rows(rows: list[list[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _entry_row(entry: fault_tolerance.BitTolerance | fault_tolerance.ScanEntry, rest: str) -> str:
     """Table line of a tolerance or scan entry, `rest` after the shared columns."""
     tol = "range only" if entry.tolerance is None else str(entry.tolerance)
@@ -133,7 +122,7 @@ def _cmd_validate(args) -> Output:
     sums = sequence.prefix_sums(seq)
     return Output(
         {"bits": list(seq.bits), **report.to_doc(), "totals": list(sums.totals)},
-        _csv_rows(
+        sequence.csv_rows(
             [["constraint", "bit", "message"]]
             + [[v.constraint, v.index, v.message] for v in report.violations]
         ),
@@ -152,7 +141,7 @@ def _cmd_represent(args) -> Output:
     rep = representation.represent(args.m, _load_seq(args.seq))
     return Output(
         rep.to_doc(),
-        _csv_rows(
+        sequence.csv_rows(
             [["m", "beta", "signs"], [rep.target_m, rep.beta, " ".join(map(str, rep.signs))]]
         ),
         [
@@ -209,7 +198,7 @@ def _cmd_defects(args) -> Output:
             "oracle_complete": oracle_ok,
             "gaps_sample": gaps,
         },
-        _csv_rows(
+        sequence.csv_rows(
             [["bit", "nominal", "defective"]]
             + [[n, a, b] for n, (a, b) in enumerate(zip(seq.bits, defective.bits))]
         ),
@@ -255,7 +244,7 @@ def _cmd_design(args) -> Output:
     bits = result.sequence.bits
     return Output(
         result.to_doc(),
-        _csv_rows([["bit", "junctions"]] + [[n, a] for n, a in enumerate(bits)]),
+        sequence.csv_rows([["bit", "junctions"]] + [[n, a] for n, a in enumerate(bits)]),
         [("bits", ",".join(map(str, bits)))] + list(result.metadata.items()),
     )
 
@@ -290,7 +279,7 @@ def _cmd_plan(args) -> Output:
     ]
     # the table alone also shows the relative frequency shift
     table = pairs[:5] + [("shift", f"{result.frequency_shift:.3e}")] + pairs[5:]
-    return Output(result.to_json(), _csv_rows(list(zip(*pairs))), table)
+    return Output(result.to_json(), sequence.csv_rows(list(zip(*pairs))), table)
 
 
 def _cmd_compare(args) -> Output:
@@ -328,7 +317,7 @@ def _cmd_report(args) -> Output:
     rows += [["note", s] for s in doc["notes"]]
     return Output(
         doc,
-        _csv_rows(rows),
+        sequence.csv_rows(rows),
         [
             ("total_junctions", doc["total_junctions"]),
             ("bit_count", doc["bit_count"]),
@@ -360,7 +349,7 @@ def _cmd_enumerate(args) -> Output:
             "count": len(seqs),
             "sequences": [list(s.bits) for s in seqs],
         },
-        _csv_rows([["sequence"]] + [[line] for line in lines]),
+        sequence.csv_rows([["sequence"]] + [[line] for line in lines]),
         lines,
     )
 
@@ -394,7 +383,7 @@ def _cmd_oracle(args) -> Output:
         doc["sweep_checked"] = check.checked
         doc["sweep_failures"] = [list(f) for f in check.failures]
         table += [("sweep_checked", check.checked), ("sweep_failures", len(check.failures))]
-    csv_text = _csv_rows([["lo", "hi"]] + [[lo, hi] for lo, hi in sums.intervals[:200]])
+    csv_text = sequence.csv_rows([["lo", "hi"]] + [[lo, hi] for lo, hi in sums.intervals[:200]])
     return Output(doc, csv_text, table)
 
 
@@ -484,7 +473,7 @@ def _error_output(exc: Exception) -> Output:
     name = type(exc).__name__
     return Output(
         {"error": {"type": name, "message": str(exc), "exit_code": code}},
-        _csv_rows([["error", "message"], [name, str(exc)]]),
+        sequence.csv_rows([["error", "message"], [name, str(exc)]]),
         [f"error: {exc}"],
         code,
     )
@@ -500,21 +489,24 @@ def _requested_format(argv: list[str]) -> str:
 
 
 def run(argv: list[str]) -> CommandResult:
-    fmt = _requested_format(argv)
     try:
         args = build_parser().parse_args(argv)
-        out = args.handler(args)
+    except CliUsageError as exc:
+        # argparse rejected argv, so the format is read off argv as written
+        fmt, out = _requested_format(argv), _error_output(exc)
+    else:
         fmt = args.format
-    except (NimsError, OSError) as exc:
-        out = _error_output(exc)
-    return CommandResult(out.exit_code, out.render(fmt))
+        try:
+            out = args.handler(args)
+        except (NimsError, OSError) as exc:
+            out = _error_output(exc)
+    return CommandResult(out.exit_code, out.render(fmt), fmt)
 
 
 def main(argv: list[str] | None = None) -> int:
-    raw = sys.argv[1:] if argv is None else list(argv)
-    result = run(raw)
+    result = run(sys.argv[1:] if argv is None else list(argv))
     # machine formats keep stdout parseable even on failure; table errors go to stderr
-    machine = _requested_format(raw) in ("csv", "json")
+    machine = result.format in ("csv", "json")
     stream = sys.stdout if (result.exit_code == EXIT_OK or machine) else sys.stderr
     stream.write(result.text)
     return result.exit_code

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import Infeasible, InvalidInput
 from .fault_tolerance import tolerance_report
-from .sequence import Sequence, read_json, segmentation_efficiency, standard_ratio, validate
+from .sequence import Sequence, csv_rows, read_json, segmentation_efficiency, standard_ratio, validate
 
 BRANCH_COUNT = 16
 
@@ -181,20 +181,13 @@ class ComparisonTable:
     candidates: tuple[CandidateColumn, ...]
 
     def to_csv(self) -> str:
-        header = ["bit"]
-        for c in self.candidates:
-            header += [f"{c.name} junctions", f"{c.name} tolerance"]
-        lines = [",".join(header)]
+        rows = [["bit"] + [f"{c.name} {col}" for c in self.candidates for col in ("junctions", "tolerance")]]
         for n in range(self.lsb_count):
-            row = [str(n)]
+            row: list[object] = [n]
             for c in self.candidates:
-                if n < len(c.bits):
-                    tol = c.tolerances[n]
-                    row += [str(c.bits[n]), "" if tol is None else str(tol)]
-                else:
-                    row += ["", ""]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+                row += [c.bits[n], c.tolerances[n]] if n < len(c.bits) else [None, None]
+            rows.append(row)
+        return csv_rows(rows)
 
     def to_doc(self) -> dict:
         return {

@@ -313,20 +313,15 @@ def plausibility_lints(rec: DeviceRecord) -> tuple[str, ...]:
     return tuple(lints)
 
 
-def build_report(
-    rec: DeviceRecord,
-    min_margin_ma: float = 1.0,
-    *,
-    constants: bias.PhysicalConstants | None = None,
-) -> dict:
+def build_report(rec: DeviceRecord, min_margin_ma: float = 1.0) -> dict:
     """Combined device summary used by the CLI report command."""
     seq = rec.sequence()
     vr = validate(seq)
     margins = margin_report(rec, min_margin_ma)
     tr = tolerance_report(seq)
     freq = rec.metadata.frequency_hz
-    vmax = bias.max_voltage(seq, freq, constants=constants)
-    step = bias.resolution(seq, freq, constants=constants)
+    vmax = bias.max_voltage(seq, freq)
+    step = bias.resolution(seq, freq)
     retuned = step / seq.bits[0]
 
     notes: list[str] = []

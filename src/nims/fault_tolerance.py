@@ -20,11 +20,15 @@ from .sequence import (
     Sequence,
     SumSet,
     ValidationReport,
+    csv_rows,
     is_complete,
     reachable_sums,
     read_json,
     validate,
 )
+
+# single-bit placements the worst-case scan cross-checks with the oracle
+ORACLE_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -44,12 +48,10 @@ class ToleranceReport:
         return self.entries[index].tolerance
 
     def to_csv(self) -> str:
-        lines = ["bit,nominal,tolerance,proportion"]
-        for e in self.entries:
-            tol = "" if e.tolerance is None else str(e.tolerance)
-            prop = "" if e.proportion is None else str(e.proportion)
-            lines.append(f"{e.index},{e.nominal},{tol},{prop}")
-        return "\n".join(lines) + "\n"
+        return csv_rows(
+            [["bit", "nominal", "tolerance", "proportion"]]
+            + [[e.index, e.nominal, e.tolerance, e.proportion] for e in self.entries]
+        )
 
     def to_doc(self) -> dict:
         return {
@@ -92,31 +94,37 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
 
 @dataclass(frozen=True)
 class DefectMap:
-    """Missing-junction counts keyed by bit index."""
+    """Missing-junction counts keyed by bit index.
+
+    Each bit and count is an int (not a bool) or a string that int()
+    parses; this is the one place defect entries are converted.
+    """
 
     missing: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        clean = {}
+        converted = {}
         for k, v in self.missing.items():
-            idx, cnt = int(k), int(v)
+            for x in (k, v):
+                if isinstance(x, bool) or not isinstance(x, (int, str)):
+                    raise InvalidInput(f"defect bits and counts must be integers: {x!r}")
+            try:
+                converted[int(k)] = int(v)
+            except ValueError as exc:
+                raise InvalidInput(f"defect bits and counts must be integers: {exc}") from exc
+        for idx, cnt in converted.items():
             if idx < 0:
                 raise InvalidInput(f"defect bit index {idx} is negative")
             if cnt < 0:
                 raise InvalidInput(f"defect count for bit {idx} is negative")
-            if cnt:
-                clean[idx] = cnt
-        object.__setattr__(self, "missing", dict(sorted(clean.items())))
+        clean = {idx: cnt for idx, cnt in sorted(converted.items()) if cnt}
+        object.__setattr__(self, "missing", clean)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "DefectMap":
         if not isinstance(doc, dict) or "defects" not in doc or not isinstance(doc["defects"], dict):
             raise InvalidInput("defect document must be an object with a 'defects' mapping")
-        try:
-            missing = {int(k): int(v) for k, v in doc["defects"].items()}
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"defect bits and counts must be integers: {exc}") from exc
-        return cls(missing)
+        return cls(doc["defects"])
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DefectMap":
@@ -167,11 +175,10 @@ class ScanReport:
     oracle_checked: int
 
     def to_csv(self) -> str:
-        lines = ["bit,nominal,tolerance,safe_up_to,status"]
-        for e in self.entries:
-            tol = "" if e.tolerance is None else str(e.tolerance)
-            lines.append(f"{e.index},{e.nominal},{tol},{e.safe_up_to},{e.status}")
-        return "\n".join(lines) + "\n"
+        return csv_rows(
+            [["bit", "nominal", "tolerance", "safe_up_to", "status"]]
+            + [[e.index, e.nominal, e.tolerance, e.safe_up_to, e.status] for e in self.entries]
+        )
 
     def to_doc(self) -> dict:
         return {
@@ -190,13 +197,7 @@ class ScanReport:
         }
 
 
-def worst_case_scan(
-    seq: Sequence,
-    budget: int,
-    *,
-    cap: int = DEFAULT_ORACLE_CAP,
-    oracle_samples: int = 8,
-) -> ScanReport:
+def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP) -> ScanReport:
     """Classify single-bit defect placements up to `budget` as SAFE or UNSAFE.
 
     SAFE means every placement of 1..budget missing junctions on that bit
@@ -226,7 +227,7 @@ def worst_case_scan(
 
     checked = 0
     for e in entries:
-        if checked >= oracle_samples:
+        if checked >= ORACLE_SAMPLES:
             break
         if e.safe_up_to < 1:
             continue

@@ -49,6 +49,11 @@ def represent(m: int, seq: Sequence, *, audit: list | None = None) -> Representa
     OutOfRange when |m| exceeds A_N + a_0 - 1.
     """
     _require_capable(seq)
+    return _descend(m, seq, audit)
+
+
+def _descend(m: int, seq: Sequence, audit: list | None = None) -> Representation:
+    """The greedy descent of `represent`, on a sequence already through `_require_capable`."""
     bits = seq.bits
     sums = prefix_sums(seq)
     a0 = bits[0]

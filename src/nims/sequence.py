@@ -11,7 +11,9 @@ thirds are done by cross multiplication, never division.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -360,12 +362,20 @@ def parse_bits(text: str) -> Sequence:
 
 
 def read_json(path: str | Path) -> object:
-    """Parse a JSON file; text that is not JSON raises InvalidInput."""
-    raw = Path(path).read_text()
+    """Parse a JSON file; bytes that are not UTF-8 JSON text raise InvalidInput."""
     try:
-        return json.loads(raw)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
+
+
+def csv_rows(rows: list[list[object]]) -> str:
+    """CSV text of the rows, one per line; None is written as an empty field."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def sequence_from_file(path: str | Path) -> Sequence:

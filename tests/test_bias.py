@@ -7,17 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nims.bias
+import nims.representation
+import nims.sequence
 from nims import (
     DegenerateTarget,
     InvalidInput,
     InvalidSequence,
     JOSEPHSON_HZ_PER_VOLT,
     OutOfRange,
-    PhysicalConstants,
     Sequence,
     max_voltage,
     plan,
     resolution,
+    validate,
 )
 from nims.bias import ELEMENTARY_CHARGE_C, PLANCK_JS, fixed_decimal
 
@@ -26,9 +29,6 @@ class TestConstants:
     def test_josephson_constant_from_si_definitions(self):
         assert JOSEPHSON_HZ_PER_VOLT == 2 * ELEMENTARY_CHARGE_C / PLANCK_JS
         assert JOSEPHSON_HZ_PER_VOLT == pytest.approx(483597.848416984e9, abs=1.0)
-
-    def test_defaults(self):
-        assert PhysicalConstants().josephson_hz_per_volt == JOSEPHSON_HZ_PER_VOLT
 
 
 class TestMaxVoltageAndResolution:
@@ -119,10 +119,18 @@ class TestPlan:
         with pytest.raises(InvalidSequence):
             plan(0.1, 18.01e9, Sequence((1, 2, 7)))
 
-    def test_custom_constants(self, measured):
-        doubled = PhysicalConstants(josephson_hz_per_volt=2 * JOSEPHSON_HZ_PER_VOLT)
-        p = plan(1.0, 18.01e9, measured, constants=doubled)
-        assert p.m_target == 2 * 26852 or abs(p.m_target - 2 * 26852) <= 1
+    @pytest.mark.parametrize("volts", [1.0, 0.0])
+    def test_validates_once_per_call(self, measured, monkeypatch, volts):
+        calls = []
+
+        def counting(seq):
+            calls.append(seq)
+            return validate(seq)
+
+        for module in (nims.sequence, nims.representation, nims.bias):
+            monkeypatch.setattr(module, "validate", counting, raising=False)
+        plan(volts, 18.01e9, measured)
+        assert calls == [measured]
 
     @given(st.floats(min_value=0.001, max_value=3.42, allow_nan=False))
     @settings(max_examples=300)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -232,6 +234,17 @@ class TestCompare:
         assert doc["candidates"][0]["name"] == "nims1"
         assert doc["candidates"][0]["bits_to_msb"] == 9
 
+    @pytest.mark.parametrize("name", ["a,b", 'say "hi"'])
+    def test_csv_quotes_candidate_names(self, name):
+        res = run(
+            ["compare", "--msb-size", "100", "--lsb-count", "3", "--candidate", f"{name}=1,3,8",
+             "--format", "csv"]
+        )
+        assert res.exit_code == 0
+        rows = list(csv.reader(io.StringIO(res.text)))
+        assert rows[0] == ["bit", f"{name} junctions", f"{name} tolerance"]
+        assert rows[1:] == [["0", "1", "0"], ["1", "3", "0"], ["2", "8", ""]]
+
     def test_requires_candidates(self):
         code, doc = run_json(["compare", "--msb-size", "8000"])
         assert code == 3
@@ -382,6 +395,10 @@ class JsonFile(str):
     """An argv slot the test fills with the path of a file holding this text."""
 
 
+class RawFile(bytes):
+    """An argv slot the test fills with the path of a file holding these bytes."""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -397,18 +414,22 @@ class JsonFile(str):
         ["design", "--spec", JsonFile('{"a0": 2, "msb_size": 5760, "target_total": 92098, "max_ratio": "0/0"}')],
         ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"x": 3}}')],
         ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"1": null}}')],
+        ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"2": 1.9}}')],
+        ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"2": true}}')],
+        ["validate", "--seq", RawFile(b'\xff\xfe{"bits": [1, 3, 8]}')],
     ],
     ids=[
         "min-tolerance", "max-ratio-abc", "max-ratio-0-0",
         "volts-nan", "volts-inf", "freq-inf", "freq-nan", "device-freq-inf",
         "spec-not-object", "spec-ratio-0-0", "defect-bit-not-int", "defect-count-null",
+        "defect-count-float", "defect-count-bool", "seq-not-utf8",
     ],
 )
 def test_malformed_values_exit_3_with_json_document(argv, capsys, tmp_path):
     for i, arg in enumerate(argv):
-        if isinstance(arg, JsonFile):
+        if isinstance(arg, (JsonFile, RawFile)):
             path = tmp_path / f"arg{i}.json"
-            path.write_text(arg)
+            path.write_bytes(arg if isinstance(arg, bytes) else arg.encode())
             argv = argv[:i] + [str(path)] + argv[i + 1:]
     code = main(argv + ["--format", "json"])
     captured = capsys.readouterr()
@@ -450,6 +471,13 @@ class TestMainEntry:
         assert code == 3
         captured = capsys.readouterr()
         assert json.loads(captured.out)["error"]["exit_code"] == 3
+
+    def test_main_errors_follow_an_abbreviated_format_flag(self, capsys):
+        code = main(["validate", "--seq", "1,two", "--form", "json"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["exit_code"] == 3
+        assert captured.err == ""
 
     def test_console_script(self):
         proc = subprocess.run(

@@ -41,6 +41,8 @@ class CliUsageError(NimsError):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # the subcommand parsers, by name
+
     def error(self, message: str):  # noqa: A003 - argparse API
         raise CliUsageError(message)
 
@@ -390,6 +392,7 @@ def _cmd_oracle(args) -> Output:
 def build_parser() -> _Parser:
     parser = _Parser(prog="nims", description="Junction array sequence toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
@@ -479,21 +482,35 @@ def _error_output(exc: Exception) -> Output:
     )
 
 
-def _requested_format(argv: list[str]) -> str:
+def _requested_format(parser: _Parser, argv: list[str]) -> str:
+    """The --format value argv asks for, read off argv as written.
+
+    As in argparse, a token names --format when it is --format or a prefix
+    of it that no other option of the subcommand shares, and no token after
+    "--" is an option.
+    """
+    command = parser.commands.get(next((arg for arg in argv if not arg.startswith("-")), ""))
+    options = command._option_string_actions if command else {}
     for i, arg in enumerate(argv):
-        if arg == "--format" and i + 1 < len(argv):
-            return argv[i + 1]
-        if arg.startswith("--format="):
-            return arg.split("=", 1)[1]
+        if arg == "--":
+            break
+        name, eq, value = arg.partition("=")
+        named = [option for option in options if option.startswith(name)] if name.startswith("--") else []
+        if name == "--format" or named == ["--format"]:
+            if eq:
+                return value
+            if i + 1 < len(argv):
+                return argv[i + 1]
     return "table"
 
 
 def run(argv: list[str]) -> CommandResult:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except CliUsageError as exc:
         # argparse rejected argv, so the format is read off argv as written
-        fmt, out = _requested_format(argv), _error_output(exc)
+        fmt, out = _requested_format(parser, argv), _error_output(exc)
     else:
         fmt = args.format
         try:

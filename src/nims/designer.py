@@ -18,7 +18,15 @@ from pathlib import Path
 
 from .errors import Infeasible, InvalidInput
 from .fault_tolerance import tolerance_report
-from .sequence import Sequence, csv_rows, read_json, segmentation_efficiency, standard_ratio, validate
+from .sequence import (
+    Sequence,
+    _chain_capable,
+    csv_rows,
+    read_json,
+    segmentation_efficiency,
+    standard_ratio,
+    validate,
+)
 
 BRANCH_COUNT = 16
 
@@ -135,10 +143,9 @@ def design(spec: DesignSpec) -> DesignResult:
 
     # Post-verification: the greedy construction is supposed to guarantee
     # all of this; failing any check means the spec is infeasible for it.
-    vr = validate(seq)
-    if not vr.complete_capable:
+    if not _chain_capable(seq.bits):
         raise Infeasible("constructed layout is not completeness capable: "
-                         + "; ".join(v.message for v in vr.violations))
+                         + "; ".join(v.message for v in validate(seq).violations))
     if seq.total != spec.target_total:
         raise Infeasible(f"layout total {seq.total} misses target {spec.target_total}")
     tr = tolerance_report(seq)
@@ -224,8 +231,7 @@ def compare_logics(
         raise InvalidInput("need at least one candidate")
     columns: list[CandidateColumn] = []
     for name, seq in candidates:
-        vr = validate(seq)
-        if not vr.complete_capable:
+        if not _chain_capable(seq.bits):
             raise InvalidInput(f"candidate {name!r} is not completeness capable")
         leading = 0
         for a in seq.bits:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInput, InvalidSequence, OutOfRange, RangeError
-from .sequence import DEFAULT_ORACLE_CAP, Sequence, prefix_sums, validate
+from .sequence import DEFAULT_ORACLE_CAP, Sequence, _chain_capable, prefix_sums, validate
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,10 @@ class Representation:
 
 
 def _require_capable(seq: Sequence) -> None:
-    report = validate(seq)
-    if not report.complete_capable:
+    if not _chain_capable(seq.bits):
         raise InvalidSequence(
             "sequence is not completeness capable: "
-            + "; ".join(v.message for v in report.violations)
+            + "; ".join(v.message for v in validate(seq).violations)
         )
 
 

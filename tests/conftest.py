@@ -18,6 +18,16 @@ NIMS2_BITS = (2, 6, 18, 48, 132, 378, 1116, 3312, 8800, 8800, 8800, 8800, 8800, 
 BINARY14_BITS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8000)
 TERNARY14_BITS = (1, 3, 9, 27, 81, 243, 729, 2187, 6561, 8000, 8000, 8000, 8000, 8000)
 
+# Sequences no capability gate lets through (an upper-chain jump, a dead bit),
+# each with the violation list that every gate's error message carries.
+INCAPABLE_MESSAGES = {
+    (1, 2, 7): "bit 2 is 7, above three times bit 1 (2)",
+    (1, 0, 3): (
+        "bit 1 must hold at least one junction, got 0; bit 2 is 3, above three times bit 1 (0); "
+        "bit 2 is 3, not above three times bit 0 (1)"
+    ),
+}
+
 
 @pytest.fixture(scope="session")
 def device_record():

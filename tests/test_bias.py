@@ -24,6 +24,8 @@ from nims import (
 )
 from nims.bias import ELEMENTARY_CHARGE_C, PLANCK_JS, fixed_decimal
 
+from .conftest import INCAPABLE_MESSAGES
+
 
 class TestConstants:
     def test_josephson_constant_from_si_definitions(self):
@@ -116,11 +118,13 @@ class TestPlan:
             plan(1.0, 18.01e9, measured, (17.9e9, math.inf))
 
     def test_incapable_sequence(self):
-        with pytest.raises(InvalidSequence):
-            plan(0.1, 18.01e9, Sequence((1, 2, 7)))
+        for bits, violations in INCAPABLE_MESSAGES.items():
+            with pytest.raises(InvalidSequence) as excinfo:
+                plan(0.1, 18.01e9, Sequence(bits))
+            assert str(excinfo.value) == "sequence is not completeness capable: " + violations
 
     @pytest.mark.parametrize("volts", [1.0, 0.0])
-    def test_validates_once_per_call(self, measured, monkeypatch, volts):
+    def test_validates_zero_times_on_a_capable_sequence(self, measured, monkeypatch, volts):
         calls = []
 
         def counting(seq):
@@ -130,7 +134,12 @@ class TestPlan:
         for module in (nims.sequence, nims.representation, nims.bias):
             monkeypatch.setattr(module, "validate", counting, raising=False)
         plan(volts, 18.01e9, measured)
-        assert calls == [measured]
+        assert calls == []
+        # a refusal validates once, to list the violations in its message
+        incapable = Sequence((1, 2, 7))
+        with pytest.raises(InvalidSequence):
+            plan(volts, 18.01e9, incapable)
+        assert calls == [incapable]
 
     @given(st.floats(min_value=0.001, max_value=3.42, allow_nan=False))
     @settings(max_examples=300)

@@ -417,12 +417,13 @@ class RawFile(bytes):
         ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"2": 1.9}}')],
         ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"2": true}}')],
         ["validate", "--seq", RawFile(b'\xff\xfe{"bits": [1, 3, 8]}')],
+        ["validate", "--seq", JsonFile("[" * 200_000)],
     ],
     ids=[
         "min-tolerance", "max-ratio-abc", "max-ratio-0-0",
         "volts-nan", "volts-inf", "freq-inf", "freq-nan", "device-freq-inf",
         "spec-not-object", "spec-ratio-0-0", "defect-bit-not-int", "defect-count-null",
-        "defect-count-float", "defect-count-bool", "seq-not-utf8",
+        "defect-count-float", "defect-count-bool", "seq-not-utf8", "seq-nested-too-deeply",
     ],
 )
 def test_malformed_values_exit_3_with_json_document(argv, capsys, tmp_path):
@@ -478,6 +479,31 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["error"]["exit_code"] == 3
         assert captured.err == ""
+
+    @pytest.mark.parametrize("flag", [["--form", "json"], ["--form=json"]])
+    def test_rejected_argv_follows_an_abbreviated_format_flag(self, capsys, flag):
+        code = main(["validate"] + flag)
+        assert code == 3
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "CliUsageError"
+        assert error["message"] == "the following arguments are required: --seq"
+        assert captured.err == ""
+
+    def test_rejected_argv_ignores_an_ambiguous_prefix(self, capsys):
+        # in plan, --f could be --format or --freq, so argparse takes neither
+        code = main(["plan", "--f", "json"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ambiguous option: --f could match --format, --freq\n"
+
+    def test_rejected_argv_reads_no_format_after_double_dash(self, capsys):
+        code = main(["validate", "--", "--format", "json"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_console_script(self):
         proc = subprocess.run(

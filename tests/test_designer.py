@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nims.designer
 from nims import (
     DesignSpec,
     Infeasible,
@@ -20,7 +21,7 @@ from nims import (
     validate,
 )
 
-from .conftest import NIMS1_BITS
+from .conftest import INCAPABLE_MESSAGES, NIMS1_BITS
 
 
 class TestDesignSpec:
@@ -137,6 +138,14 @@ class TestDesign:
         with pytest.raises(Infeasible):
             design(DesignSpec(a0=1, msb_size=8000, target_total=8000))
 
+    def test_post_check_names_the_violations(self, monkeypatch):
+        # the construction never yields an incapable layout, so substitute one
+        for bits, violations in INCAPABLE_MESSAGES.items():
+            monkeypatch.setattr(nims.designer, "Sequence", lambda _, bits=bits: Sequence(bits))
+            with pytest.raises(Infeasible) as excinfo:
+                design(DesignSpec(a0=1, msb_size=3, target_total=6))
+            assert str(excinfo.value) == "constructed layout is not completeness capable: " + violations
+
     def test_infeasible_when_tolerance_stalls_growth(self):
         with pytest.raises(Infeasible):
             design(
@@ -229,6 +238,12 @@ class TestCompare:
     def test_rejects_empty(self):
         with pytest.raises(InvalidInput):
             compare_logics(14, 8000, [])
+
+    def test_rejects_incapable_candidate(self, nims1):
+        for bits in INCAPABLE_MESSAGES:
+            with pytest.raises(InvalidInput) as excinfo:
+                compare_logics(14, 8000, [("nims1", nims1), ("broken", Sequence(bits))])
+            assert str(excinfo.value) == "candidate 'broken' is not completeness capable"
 
     def test_standard_column_rejects_unknown(self):
         with pytest.raises(InvalidInput):

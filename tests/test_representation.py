@@ -22,7 +22,7 @@ from nims import (
 )
 from nims.sequence import PrefixSums
 
-from .conftest import capable_bits, lean_range_check
+from .conftest import INCAPABLE_MESSAGES, capable_bits, lean_range_check
 
 REFERENCE = Sequence((1, 3, 8))
 
@@ -92,8 +92,10 @@ class TestBounds:
             represent(28, seq)
 
     def test_incapable_sequence_rejected(self):
-        with pytest.raises(InvalidSequence):
-            represent(3, Sequence((1, 2, 7)))
+        for bits, violations in INCAPABLE_MESSAGES.items():
+            with pytest.raises(InvalidSequence) as excinfo:
+                represent(3, Sequence(bits))
+            assert str(excinfo.value) == "sequence is not completeness capable: " + violations
 
 
 class TestEvaluate:
@@ -221,8 +223,10 @@ class TestRangeCheck:
             represent_range_check(REFERENCE, cap=5)
 
     def test_rejects_incapable(self):
-        with pytest.raises(InvalidSequence):
-            represent_range_check(Sequence((1, 2, 7)))
+        for bits, violations in INCAPABLE_MESSAGES.items():
+            with pytest.raises(InvalidSequence) as excinfo:
+                represent_range_check(Sequence(bits))
+            assert str(excinfo.value) == "sequence is not completeness capable: " + violations
 
     @given(capable_bits(max_total=400, max_len=6))
     @settings(max_examples=60)

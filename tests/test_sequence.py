@@ -22,7 +22,7 @@ from nims import (
     sequence_from_file,
     validate,
 )
-from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT
+from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable
 
 from .conftest import any_bits, brute_sums, capable_bits, interval_dp_sums, strict_bits
 
@@ -105,6 +105,13 @@ class TestValidate:
     @given(capable_bits())
     def test_generated_capable_sequences_validate(self, seq):
         assert validate(seq).complete_capable
+
+    @given(any_bits())
+    @settings(max_examples=300)
+    def test_chain_predicate_matches_the_violation_list(self, seq):
+        # compared with the violations, not complete_capable, which is the predicate itself
+        violations = validate(seq).violations
+        assert _chain_capable(seq.bits) == (not any(v.constraint in (UPPER, POSITIVITY) for v in violations))
 
 
 class TestPrefixSums:

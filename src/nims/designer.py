@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import Infeasible, InvalidInput
-from .fault_tolerance import tolerance_report
+from .fault_tolerance import _tolerances
 from .sequence import (
     Sequence,
     _chain_capable,
@@ -148,15 +148,10 @@ def design(spec: DesignSpec) -> DesignResult:
                          + "; ".join(v.message for v in validate(seq).violations))
     if seq.total != spec.target_total:
         raise Infeasible(f"layout total {seq.total} misses target {spec.target_total}")
-    tr = tolerance_report(seq)
-    for e in tr.entries:
-        if e.last_bit:
-            continue
-        need = spec.required_tolerance(e.nominal)
-        if e.tolerance is not None and e.tolerance < need:
-            raise Infeasible(
-                f"bit {e.index} (size {e.nominal}) tolerates {e.tolerance}, needs {need}"
-            )
+    for n, (a, t) in enumerate(zip(bits, _tolerances(bits))):
+        need = spec.required_tolerance(a)
+        if t is not None and t < need:
+            raise Infeasible(f"bit {n} (size {a}) tolerates {t}, needs {need}")
 
     metadata = {
         "branches": BRANCH_COUNT,
@@ -245,7 +240,7 @@ def compare_logics(
             mean_eff = sum(ratios, Fraction(0)) / len(ratios)
         else:
             min_eff = mean_eff = None
-        tolerances = tuple(e.tolerance for e in tolerance_report(seq).entries)
+        tolerances = tuple(_tolerances(seq.bits))
         columns.append(
             CandidateColumn(name, seq.bits, leading, min_eff, mean_eff, tolerances)
         )

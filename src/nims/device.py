@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import bias
 from .errors import InvalidInput, ParseError
-from .fault_tolerance import DefectMap, tolerance_report
+from .fault_tolerance import DefectMap, _tolerances
 from .sequence import Sequence, validate
 
 REQUIRED_METADATA = (
@@ -318,7 +318,6 @@ def build_report(rec: DeviceRecord, min_margin_ma: float = 1.0) -> dict:
     seq = rec.sequence()
     vr = validate(seq)
     margins = margin_report(rec, min_margin_ma)
-    tr = tolerance_report(seq)
     freq = rec.metadata.frequency_hz
     vmax = bias.max_voltage(seq, freq)
     step = bias.resolution(seq, freq)
@@ -347,7 +346,8 @@ def build_report(rec: DeviceRecord, min_margin_ma: float = 1.0) -> dict:
         "retuned_resolution_v": retuned,
         "margins": margins.to_doc(),
         "tolerances": [
-            {"bit": e.index, "nominal": e.nominal, "tolerance": e.tolerance} for e in tr.entries
+            {"bit": n, "nominal": a, "tolerance": t}
+            for n, (a, t) in enumerate(zip(seq.bits, _tolerances(seq.bits)))
         ],
         "lints": list(plausibility_lints(rec)),
         "notes": notes,

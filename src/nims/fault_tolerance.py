@@ -20,6 +20,7 @@ from .sequence import (
     Sequence,
     SumSet,
     ValidationReport,
+    _chain_capable,
     csv_rows,
     is_complete,
     reachable_sums,
@@ -68,8 +69,13 @@ class ToleranceReport:
         }
 
 
-def _ceil_third(x: int) -> int:
-    return (x + 2) // 3
+def _tolerances(bits: tuple[int, ...]) -> list[int | None]:
+    """t_n = max(0, a_n - ceil(a_{n+1}/3)) for every bit, None for the last.
+
+    The one statement of the tolerance rule, in integers. Callers that need
+    only the counts read this instead of building a tolerance_report.
+    """
+    return [max(0, a - (b + 2) // 3) for a, b in zip(bits, bits[1:])] + [None]
 
 
 def tolerance_report(seq: Sequence) -> ToleranceReport:
@@ -81,14 +87,11 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
     never completeness of what remains.
     """
     bits = seq.bits
-    entries: list[BitTolerance] = []
-    for n, a in enumerate(bits):
-        if n == seq.last_index:
-            entries.append(BitTolerance(n, a, None, None, True))
-            continue
-        t = max(0, a - _ceil_third(bits[n + 1]))
-        prop = max(Fraction(0), Fraction(1) - Fraction(bits[n + 1], 3 * a)) if a > 0 else Fraction(0)
-        entries.append(BitTolerance(n, a, t, prop, False))
+    entries = [
+        BitTolerance(n, a, t, Fraction(max(0, 3 * a - b), 3 * a) if a else Fraction(0), False)
+        for n, (a, b, t) in enumerate(zip(bits, bits[1:], _tolerances(bits)))
+    ]
+    entries.append(BitTolerance(seq.last_index, bits[-1], None, None, True))
     return ToleranceReport(tuple(entries))
 
 
@@ -149,14 +152,15 @@ def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, Validati
 
 def within_tolerance(seq: Sequence, defects: DefectMap) -> bool:
     """True when every non-last bit loses at most its tolerance."""
-    report = tolerance_report(seq)
+    last = seq.last_index
+    tolerances = _tolerances(seq.bits)
+    within = True
     for idx, cnt in defects.missing.items():
-        entry = report.entries[idx]
-        if entry.last_bit:
-            continue
-        if entry.tolerance is not None and cnt > entry.tolerance:
-            return False
-    return True
+        if idx > last:
+            raise InvalidInput(f"defect bit index {idx} beyond last bit {last}")
+        if idx < last and cnt > tolerances[idx]:
+            within = False
+    return within
 
 
 @dataclass(frozen=True)
@@ -212,18 +216,18 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     total = sum(seq.bits)
     if total > cap:
         raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
-    report = tolerance_report(seq)
+    bits = seq.bits
+
+    def without(index: int, count: int) -> tuple[int, ...]:
+        return bits[:index] + (bits[index] - count,) + bits[index + 1 :]
 
     entries: list[ScanEntry] = []
-    for e in report.entries:
-        max_d = min(budget, e.nominal)
-        if e.last_bit:
-            # Full removal of the last bit zeroes it, which fails positivity.
-            safe = min(max_d, e.nominal - 1)
-        else:
-            safe = min(max_d, e.tolerance or 0)
+    for n, (a, t) in enumerate(zip(bits, _tolerances(bits))):
+        max_d = min(budget, a)
+        # Full removal of the last bit zeroes it, which fails positivity.
+        safe = min(max_d, a - 1 if t is None else t)
         status = "SAFE" if safe == max_d else "UNSAFE"
-        entries.append(ScanEntry(e.index, e.nominal, e.tolerance, safe, status))
+        entries.append(ScanEntry(n, a, t, safe, status))
 
     checked = 0
     for e in entries:
@@ -231,8 +235,7 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
             break
         if e.safe_up_to < 1:
             continue
-        defective, _ = apply_defects(seq, DefectMap({e.index: e.safe_up_to}))
-        if not is_complete(defective, cap=cap):
+        if not is_complete(Sequence(without(e.index, e.safe_up_to)), cap=cap):
             raise AssertionError(
                 f"scan certified bit {e.index} safe at {e.safe_up_to} but the oracle found a gap"
             )
@@ -243,12 +246,10 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
         if e.tolerance is None:
             continue
         d = e.tolerance + 1
-        if d <= min(budget, e.nominal):
-            _, vr = apply_defects(seq, DefectMap({e.index: d}))
-            if vr.complete_capable:
-                raise AssertionError(
-                    f"bit {e.index} survived {d} missing junctions, above its tolerance"
-                )
+        if d <= min(budget, e.nominal) and _chain_capable(without(e.index, d)):
+            raise AssertionError(
+                f"bit {e.index} survived {d} missing junctions, above its tolerance"
+            )
 
     return ScanReport(budget, tuple(entries), checked)
 

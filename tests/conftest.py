@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -85,6 +87,39 @@ def interval_dp_sums(bits, radius: int = 0) -> tuple[tuple[int, int], ...]:
     if radius:
         intervals = _coalesce([(lo - radius, hi + radius) for lo, hi in intervals])
     return tuple(intervals)
+
+
+def full_width_sums(bits, a0_offset: bool = False) -> tuple[int, int, int]:
+    """Reference bitset oracle that keeps the full width from the start.
+
+    The loop the library used before the bitset grew with the running
+    total: one int of width 2*(total + radius) from the first bit, grown by
+    S |= (S << a) | (S >> a), then widened and recentred by the residual
+    radius. Returns (mask, span, beta_radius).
+    """
+    total = sum(bits)
+    radius = max(bits[0] - 1, 0) if a0_offset else 0
+    reach = 1 << (total + radius)
+    for a in bits:
+        reach |= (reach << a) | (reach >> a)
+    if radius:
+        width, need = 1, 2 * radius + 1
+        while width < need:
+            step = min(width, need - width)
+            reach |= reach << step
+            width += step
+        reach >>= radius
+    return reach, total, radius
+
+
+def regex_runs(x: int) -> list[tuple[int, int]]:
+    """Reference run extraction: a regex over the reversed binary digits."""
+    return [(m.start(), m.end() - 1) for m in re.finditer("1+", format(x, "b")[::-1])]
+
+
+def fraction_proportion(a: int, b: int) -> Fraction:
+    """Reference fault proportion of a bit a followed by b, in four Fraction steps."""
+    return max(Fraction(0), Fraction(1) - Fraction(b, 3 * a)) if a > 0 else Fraction(0)
 
 
 def lean_range_check(bits, thresholds) -> tuple[int, tuple[tuple[int, str], ...]]:

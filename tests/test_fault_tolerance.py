@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nims
 from nims import (
     DefectMap,
     InvalidInput,
@@ -19,9 +21,10 @@ from nims import (
     within_tolerance,
     worst_case_scan,
 )
+from nims.fault_tolerance import _tolerances
 from nims.sequence import UPPER
 
-from .conftest import capable_bits
+from .conftest import any_bits, capable_bits, fraction_proportion
 
 NIMS1_TOLERANCES = (0, 0, 1, 1, 1, 2, 4, 6, 303, 5333, 5333, 5333, 5333, None)
 NIMS2_TOLERANCES = (0, 0, 2, 4, 6, 6, 12, 378, 5866, 5866, 5866, 5866, 5866, None)
@@ -54,6 +57,19 @@ class TestToleranceReport:
         assert entries[2].proportion == Fraction(2, 9)
         assert entries[0].proportion == Fraction(1, 3)
         assert entries[-1].proportion is None
+
+    @given(any_bits(max_len=10, max_bit=400))
+    @settings(max_examples=300)
+    def test_kernel_matches_report_and_closed_form(self, seq):
+        bits = seq.bits
+        tolerances = _tolerances(bits)
+        entries = tolerance_report(seq).entries
+        assert tolerances == [e.tolerance for e in entries]
+        assert tolerances[-1] is None and entries[-1].proportion is None and entries[-1].last_bit
+        for n, (a, b) in enumerate(zip(bits, bits[1:])):
+            assert tolerances[n] == max(0, a - math.ceil(Fraction(b, 3)))
+            assert entries[n].proportion == fraction_proportion(a, b)
+            assert not entries[n].last_bit
 
     def test_proportion_clamped_at_zero(self):
         entries = tolerance_report(Sequence((1, 3, 9))).entries
@@ -126,6 +142,18 @@ class TestApplyDefects:
         with pytest.raises(InvalidInput):
             apply_defects(nims1, DefectMap({14: 1}))
 
+    def test_within_tolerance_rejects_index_beyond_last_bit(self):
+        seq = Sequence((1, 3, 8))
+        message = "defect bit index 5 beyond last bit 2"
+        with pytest.raises(InvalidInput) as excinfo:
+            apply_defects(seq, DefectMap({5: 1}))
+        assert str(excinfo.value) == message
+        # bit 1 is past its tolerance of 0, which must not hide the bad index
+        for missing in ({5: 1}, {1: 3, 5: 1}):
+            with pytest.raises(InvalidInput) as excinfo:
+                within_tolerance(seq, DefectMap(missing))
+            assert str(excinfo.value) == message
+
     def test_count_exceeds_bit(self):
         with pytest.raises(InvalidInput):
             apply_defects(Sequence((1, 3, 8)), DefectMap({1: 4}))
@@ -192,6 +220,19 @@ class TestWorstCaseScan:
         scan = worst_case_scan(measured, 100)
         safe = [e.index for e in scan.entries if e.status == "SAFE"]
         assert safe == list(range(6, 23))
+
+    def test_device_scan_builds_no_validation_report(self, measured, monkeypatch):
+        calls = []
+
+        def counting(seq):
+            calls.append(seq)
+            return validate(seq)
+
+        for module in (nims.sequence, nims.fault_tolerance):
+            monkeypatch.setattr(module, "validate", counting)
+        scan = worst_case_scan(measured, 100)
+        assert calls == []
+        assert scan.oracle_checked == 8
 
     def test_budget_zero_everything_safe(self, nims1):
         scan = worst_case_scan(nims1, 0)

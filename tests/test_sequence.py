@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nims import (
@@ -22,9 +22,17 @@ from nims import (
     sequence_from_file,
     validate,
 )
-from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable
+from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _runs
 
-from .conftest import any_bits, brute_sums, capable_bits, interval_dp_sums, strict_bits
+from .conftest import (
+    any_bits,
+    brute_sums,
+    capable_bits,
+    full_width_sums,
+    interval_dp_sums,
+    regex_runs,
+    strict_bits,
+)
 
 
 def _as_intervals(values) -> tuple[tuple[int, int], ...]:
@@ -211,6 +219,23 @@ class TestReachableSums:
             assert sums.covers(wlo, whi) == (not missing)
             assert sums.gaps(wlo, whi) == _as_intervals(missing)
 
+    @given(any_bits(max_len=8, max_bit=300), st.booleans())
+    @example(Sequence((0,)), False)
+    @example(Sequence((0,)), True)
+    @example(Sequence((0, 0, 0)), True)
+    @example(Sequence((1,)), False)
+    @example(Sequence((9,)), True)
+    @example(Sequence((5, 0, 2)), True)
+    @settings(max_examples=300)
+    def test_growing_width_matches_full_width(self, seq, a0_offset):
+        sums = reachable_sums(seq, a0_offset=a0_offset)
+        assert (sums.mask, sums.span, sums.beta_radius) == full_width_sums(seq.bits, a0_offset)
+
+    @pytest.mark.parametrize("a0_offset", [False, True])
+    def test_device_matches_full_width(self, measured, a0_offset):
+        sums = reachable_sums(measured, a0_offset=a0_offset)
+        assert (sums.mask, sums.span, sums.beta_radius) == full_width_sums(measured.bits, a0_offset)
+
     def test_large_residual_radius(self):
         sums = reachable_sums(Sequence((1000, 1500)), a0_offset=True)
         assert sums.beta_radius == 999
@@ -254,6 +279,35 @@ class TestReachableSums:
         for oracle in (reachable_sums, is_complete, oracle_gaps):
             with pytest.raises(RangeError, match=f"total {DEFAULT_ORACLE_CAP + 1} exceeds"):
                 oracle(over)
+
+
+def _from_run_lengths(lengths: list[int]) -> int:
+    """Alternating runs of ones and zeros, lowest first, starting with ones."""
+    x, pos = 0, 0
+    for i, n in enumerate(lengths):
+        if i % 2 == 0:
+            x |= ((1 << n) - 1) << pos
+        pos += n
+    return x
+
+
+class TestRuns:
+    @given(
+        st.one_of(
+            st.integers(0, 2**300),
+            st.integers(0, 300).map(lambda n: (1 << n) - 1),
+            st.integers(0, 300).map(lambda n: 1 << n),
+            st.lists(st.integers(1, 400), max_size=12).map(_from_run_lengths),
+        )
+    )
+    @example(0)
+    @example(1)
+    @example(2**64 - 1)
+    @example(2**64)
+    @example(0b1010)
+    @settings(max_examples=300)
+    def test_matches_regex(self, x):
+        assert _runs(x) == regex_runs(x)
 
 
 class TestIsComplete:

@@ -21,7 +21,6 @@ from nims import (
     load_device,
     max_voltage,
     standard_column,
-    tolerance_report,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -30,7 +29,7 @@ DEFAULT_DEVICE = REPO / "data" / "nims23_device.csv"
 
 def summarize(name: str, seq: Sequence, msb_size: int, freq_hz: float) -> dict:
     col = compare_logics(len(seq), msb_size, [(name, seq)]).candidates[0]
-    tols = [e.tolerance for e in tolerance_report(seq).entries if e.tolerance]
+    tols = [t for t in col.tolerances if t]
     return {
         "name": name,
         "bits": len(seq),

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-from fractions import Fraction
 
 from nims import (
     DEFAULT_ORACLE_CAP,
     DesignSpec,
+    InvalidInput,
     ToleranceRule,
     design,
     is_complete,
@@ -28,11 +28,6 @@ from nims import (
 )
 
 
-def parse_rule(text: str) -> ToleranceRule:
-    at_least, tolerance = text.split(":", 1)
-    return ToleranceRule(int(at_least), int(tolerance))
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--a0", type=int, default=2, help="junctions in the least significant bit")
@@ -40,25 +35,26 @@ def main() -> int:
     ap.add_argument("--total", type=int, default=92098, help="junction budget")
     ap.add_argument(
         "--min-tolerance",
-        type=parse_rule,
         action="append",
         default=None,
         metavar="AT_LEAST:TOL",
         help="bits of at least AT_LEAST junctions must tolerate TOL losses (repeatable)",
     )
-    ap.add_argument("--max-ratio", type=Fraction, default=Fraction(3), help="growth cap, e.g. 2 or 5/2")
+    ap.add_argument("--max-ratio", default="3", help="growth cap, e.g. 2 or 5/2")
     ap.add_argument("--freq", type=float, default=18.01e9, help="drive frequency in Hz")
     ap.add_argument("--json", action="store_true", help="emit the design document instead of tables")
     args = ap.parse_args()
 
-    rules = tuple(args.min_tolerance) if args.min_tolerance else (ToleranceRule(100, 2),)
-    spec = DesignSpec(
-        a0=args.a0,
-        msb_size=args.msb_size,
-        target_total=args.total,
-        min_tolerance=rules,
-        max_ratio=args.max_ratio,
-    )
+    try:
+        spec = DesignSpec(
+            a0=args.a0,
+            msb_size=args.msb_size,
+            target_total=args.total,
+            min_tolerance=tuple(ToleranceRule.from_text(rule) for rule in args.min_tolerance or ["100:2"]),
+            max_ratio=args.max_ratio,
+        )
+    except InvalidInput as exc:
+        ap.error(str(exc))
     result = design(spec)
     seq = result.sequence
 

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import bias, designer, device, fault_tolerance, representation, sequence
@@ -101,15 +100,13 @@ def _load_defects(value: str) -> fault_tolerance.DefectMap:
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get(ENV_CAP)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidInput(f"{ENV_CAP} must be an integer, got {env!r}") from exc
-    return sequence.DEFAULT_ORACLE_CAP
+    cap = args.cap
+    if cap is None:
+        env = os.environ.get(ENV_CAP)
+        cap = sequence._integer(ENV_CAP, env) if env else sequence.DEFAULT_ORACLE_CAP
+    if cap < 0:
+        raise InvalidInput(f"oracle cap must not be negative, got {cap}")
+    return cap
 
 
 def _entry_row(entry: fault_tolerance.BitTolerance | fault_tolerance.ScanEntry, rest: str) -> str:
@@ -219,25 +216,12 @@ def _design_spec_from_args(args) -> designer.DesignSpec:
         return designer.DesignSpec.from_file(args.spec)
     if args.a0 is None or args.msb_size is None or args.target_total is None:
         raise InvalidInput("pass --spec or all of --a0/--msb-size/--target-total")
-    rules = []
-    for raw in args.min_tolerance or []:
-        if ":" not in raw:
-            raise InvalidInput(f"min tolerance {raw!r} must be AT_LEAST:TOLERANCE")
-        at_least, _, tol = raw.partition(":")
-        try:
-            rules.append(designer.ToleranceRule(int(at_least), int(tol)))
-        except ValueError as exc:
-            raise InvalidInput(f"bad min tolerance {raw!r}: {exc}") from exc
-    try:
-        ratio = Fraction(args.max_ratio) if args.max_ratio else Fraction(3)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInput(f"bad max ratio {args.max_ratio!r}: {exc}") from exc
     return designer.DesignSpec(
         a0=args.a0,
         msb_size=args.msb_size,
         target_total=args.target_total,
-        min_tolerance=tuple(rules),
-        max_ratio=ratio,
+        min_tolerance=tuple(designer.ToleranceRule.from_text(raw) for raw in args.min_tolerance or ()),
+        max_ratio=args.max_ratio or 3,
     )
 
 

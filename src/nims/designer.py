@@ -21,6 +21,7 @@ from .fault_tolerance import _tolerances
 from .sequence import (
     Sequence,
     _chain_capable,
+    _integer,
     csv_rows,
     read_json,
     segmentation_efficiency,
@@ -39,8 +40,18 @@ class ToleranceRule:
     tolerance: int
 
     def __post_init__(self) -> None:
+        for name in ("at_least", "tolerance"):
+            object.__setattr__(self, name, _integer(f"tolerance rule {name}", getattr(self, name)))
         if self.at_least < 1 or self.tolerance < 0:
             raise InvalidInput("tolerance rule needs at_least >= 1 and tolerance >= 0")
+
+    @classmethod
+    def from_text(cls, text: str) -> "ToleranceRule":
+        """Parse 'AT_LEAST:TOL', as the CLI and the design script take it."""
+        at_least, colon, tolerance = text.partition(":")
+        if not colon:
+            raise InvalidInput(f"min tolerance {text!r} must be AT_LEAST:TOLERANCE")
+        return cls(at_least, tolerance)
 
 
 @dataclass(frozen=True)
@@ -52,13 +63,18 @@ class DesignSpec:
     max_ratio: Fraction = Fraction(3)
 
     def __post_init__(self) -> None:
+        for name in ("a0", "msb_size", "target_total"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        try:
+            ratio = Fraction(self.max_ratio)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise InvalidInput(f"bad max ratio {self.max_ratio!r}: {exc}") from exc
         if not 1 <= self.a0 <= 3:
             raise InvalidInput(f"a0 must be 1..3, got {self.a0}")
         if self.msb_size < 3 * self.a0:
             raise InvalidInput(f"msb_size must be at least 3*a0 = {3 * self.a0}")
         if self.target_total < self.msb_size:
             raise InvalidInput("target_total must be at least msb_size")
-        ratio = Fraction(self.max_ratio)
         if not 1 < ratio <= 3:
             raise InvalidInput("max_ratio must lie in (1, 3]")
         object.__setattr__(self, "max_ratio", ratio)
@@ -69,21 +85,16 @@ class DesignSpec:
         if not isinstance(doc, dict):
             raise InvalidInput("design spec document must be a JSON object")
         try:
-            rules = tuple(
-                ToleranceRule(int(r["at_least"]), int(r["tolerance"]))
-                for r in doc.get("min_tolerance", [])
-            )
-            ratio = doc.get("max_ratio", "3")
-            if isinstance(ratio, str):
-                ratio = Fraction(ratio)
             return cls(
-                a0=int(doc["a0"]),
-                msb_size=int(doc["msb_size"]),
-                target_total=int(doc["target_total"]),
-                min_tolerance=rules,
-                max_ratio=Fraction(ratio),
+                a0=doc["a0"],
+                msb_size=doc["msb_size"],
+                target_total=doc["target_total"],
+                min_tolerance=tuple(
+                    ToleranceRule(r["at_least"], r["tolerance"]) for r in doc.get("min_tolerance", [])
+                ),
+                max_ratio=doc.get("max_ratio", 3),
             )
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidInput(f"bad design spec document: {exc}") from exc
 
     @classmethod

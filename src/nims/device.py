@@ -85,16 +85,17 @@ def _meta_float(key: str, raw: str) -> float:
     return value
 
 
-def load_device(source: str | Path) -> DeviceRecord:
-    """Parse a device CSV from a path or raw text."""
-    if isinstance(source, Path) or "\n" not in str(source):
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read {source}: {exc}") from exc
-    else:
-        text = str(source)
+def load_device(path: str | Path) -> DeviceRecord:
+    """Read a device CSV file (UTF-8) and parse it with parse_device."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return parse_device(text)
 
+
+def parse_device(text: str) -> DeviceRecord:
+    """Parse device CSV text: the key=value preamble, the header, one row per bit."""
     lines = text.splitlines()
     meta_raw: dict[str, str] = {}
     extras: list[tuple[str, str]] = []
@@ -136,7 +137,10 @@ def load_device(source: str | Path) -> DeviceRecord:
         extras=tuple(extras),
     )
 
-    rows = list(csv.reader(lines[header_at:]))
+    try:
+        rows = list(csv.reader(lines[header_at:]))
+    except csv.Error as exc:  # a NUL byte before Python 3.11, or a field over the csv module's size limit
+        raise ParseError(f"unreadable CSV: {exc}") from exc
     header = tuple(c.strip() for c in rows[0])
     if header != HEADER and header != HEADER + (NOTE_COLUMN,):
         raise ParseError(f"unexpected header {','.join(header)!r}", row=header_at + 1)
@@ -155,21 +159,18 @@ def load_device(source: str | Path) -> DeviceRecord:
             if not cell:
                 raise ParseError("missing value", row=rownum, field=name)
             values[name] = cell
-        try:
-            idx = int(values["bit"])
-        except ValueError as exc:
-            raise ParseError(f"not an integer: {values['bit']!r}", row=rownum, field="bit") from exc
-        try:
-            junctions = int(values["junctions"])
-        except ValueError as exc:
-            raise ParseError(
-                f"not an integer: {values['junctions']!r}", row=rownum, field="junctions"
-            ) from exc
+        counts = []
+        for name in HEADER[:2]:
+            try:
+                counts.append(int(values[name]))
+            except ValueError as exc:
+                raise ParseError(f"not an integer: {values[name]!r}", row=rownum, field=name) from exc
+        idx, junctions = counts
         if idx != len(bits):
             raise ParseError(f"bit index {idx}, expected {len(bits)}", row=rownum, field="bit")
         if junctions < 0:
             raise ParseError("junction count must not be negative", row=rownum, field="junctions")
-        widths = {}
+        widths = []
         for name in HEADER[2:]:
             try:
                 w = float(values[name])
@@ -179,18 +180,9 @@ def load_device(source: str | Path) -> DeviceRecord:
                 raise ParseError("step width must be finite", row=rownum, field=name)
             if w < 0:
                 raise ParseError("step width must not be negative", row=rownum, field=name)
-            widths[name] = w
+            widths.append(w)
         note = row[len(HEADER)].strip() if len(row) > len(HEADER) else ""
-        bits.append(
-            DeviceBit(
-                idx,
-                junctions,
-                widths["step_pos_mA"],
-                widths["step_zero_mA"],
-                widths["step_neg_mA"],
-                note,
-            )
-        )
+        bits.append(DeviceBit(idx, junctions, *widths, note))
     if not bits:
         raise ParseError("device file lists no bits")
     return DeviceRecord(tuple(bits), metadata)
@@ -252,6 +244,8 @@ class MarginReport:
 
 def margin_report(rec: DeviceRecord, min_margin_ma: float) -> MarginReport:
     """Operating-margin summary over the signed step widths."""
+    if not math.isfinite(min_margin_ma):
+        raise InvalidInput(f"margin threshold must be finite, got {min_margin_ma}")
     pos = [b.step_pos_ma for b in rec.bits]
     neg = [b.step_neg_ma for b in rec.bits]
     violations = []

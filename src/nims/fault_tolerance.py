@@ -21,6 +21,7 @@ from .sequence import (
     SumSet,
     ValidationReport,
     _chain_capable,
+    _integer,
     csv_rows,
     is_complete,
     reachable_sums,
@@ -44,9 +45,6 @@ class BitTolerance:
 @dataclass(frozen=True)
 class ToleranceReport:
     entries: tuple[BitTolerance, ...]
-
-    def tolerance(self, index: int) -> int | None:
-        return self.entries[index].tolerance
 
     def to_csv(self) -> str:
         return csv_rows(
@@ -99,22 +97,13 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
 class DefectMap:
     """Missing-junction counts keyed by bit index.
 
-    Each bit and count is an int (not a bool) or a string that int()
-    parses; this is the one place defect entries are converted.
+    Bits and counts are converted by the one integer rule, sequence._integer.
     """
 
     missing: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        converted = {}
-        for k, v in self.missing.items():
-            for x in (k, v):
-                if isinstance(x, bool) or not isinstance(x, (int, str)):
-                    raise InvalidInput(f"defect bits and counts must be integers: {x!r}")
-            try:
-                converted[int(k)] = int(v)
-            except ValueError as exc:
-                raise InvalidInput(f"defect bits and counts must be integers: {exc}") from exc
+        converted = {_integer("defect bit", k): _integer("defect count", v) for k, v in self.missing.items()}
         for idx, cnt in converted.items():
             if idx < 0:
                 raise InvalidInput(f"defect bit index {idx} is negative")

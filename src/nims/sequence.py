@@ -337,6 +337,8 @@ def enumerate_nims(
     """
     if a0 < 1 or depth < 1 or max_bit < 1:
         raise InvalidInput("a0, depth, and max_bit must all be positive")
+    if max_results < 0:
+        raise InvalidInput(f"max_results must not be negative, got {max_results}")
     out: list[Sequence] = []
     if a0 > max_bit:
         return out
@@ -402,6 +404,16 @@ def read_json(path: str | Path) -> object:
         raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InvalidInput(f"{path}: JSON nested too deeply to parse") from exc
+
+
+def _integer(what: str, value: object) -> int:
+    """The one rule for outside integers: a non-bool int or a string int() parses, else InvalidInput."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InvalidInput(f"{what} must be an integer, got {value!r}")
 
 
 def csv_rows(rows: list[list[object]]) -> str:

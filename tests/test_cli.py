@@ -418,12 +418,29 @@ class RawFile(bytes):
         ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"2": true}}')],
         ["validate", "--seq", RawFile(b'\xff\xfe{"bits": [1, 3, 8]}')],
         ["validate", "--seq", JsonFile("[" * 200_000)],
+        ["report", "--device", str(DEVICE_CSV), "--min-margin", "nan"],
+        ["report", "--device", str(DEVICE_CSV), "--min-margin", "inf"],
+        ["design", "--spec", JsonFile(
+            '{"a0": 2.9, "msb_size": 5760.7, "target_total": 92098,'
+            ' "min_tolerance": [{"at_least": 100.5, "tolerance": true}]}'
+        )],
+        ["design", "--spec", JsonFile('{"a0": 2.0, "msb_size": 5760, "target_total": 92098}')],
+        ["design", "--spec", JsonFile(
+            '{"a0": 2, "msb_size": 5760, "target_total": 92098, "min_tolerance": [{"at_least": 100, "tolerance": true}]}'
+        )],
+        ["design", "--spec", JsonFile('{"a0": 2, "msb_size": 5760, "target_total": 92098, "max_ratio": Infinity}')],
+        ["enumerate", "--a0", "1", "--depth", "3", "--max-bit", "9", "--limit", "-1"],
+        ["oracle", "--seq", "1,3,8", "--cap", "-5"],
+        ["defects", "--seq", "1,3,8", "--defects", "2:1", "--cap", "-5"],
     ],
     ids=[
         "min-tolerance", "max-ratio-abc", "max-ratio-0-0",
         "volts-nan", "volts-inf", "freq-inf", "freq-nan", "device-freq-inf",
         "spec-not-object", "spec-ratio-0-0", "defect-bit-not-int", "defect-count-null",
         "defect-count-float", "defect-count-bool", "seq-not-utf8", "seq-nested-too-deeply",
+        "min-margin-nan", "min-margin-inf", "spec-floats-and-bool", "spec-integral-float",
+        "spec-rule-bool", "spec-ratio-infinity", "enumerate-negative-limit", "oracle-negative-cap",
+        "defects-negative-cap",
     ],
 )
 def test_malformed_values_exit_3_with_json_document(argv, capsys, tmp_path):
@@ -436,9 +453,67 @@ def test_malformed_values_exit_3_with_json_document(argv, capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 3
     assert "Traceback" not in captured.out + captured.err
-    doc = json.loads(captured.out)
+    doc = strict_json(captured.out)
     assert doc["error"]["type"] == "InvalidInput"
     assert doc["error"]["exit_code"] == 3
+
+
+def strict_json(text: str) -> object:
+    """json.loads that rejects NaN and Infinity, which RFC 8259 JSON does not have."""
+
+    def reject(constant):
+        raise ValueError(f"not RFC 8259 JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_negative_env_cap_exits_3(monkeypatch):
+    monkeypatch.setenv("NIMS_ORACLE_CAP", "-5")
+    code, doc = run_json(["oracle", "--seq", "1,3,9"])
+    assert code == 3
+    assert doc["error"]["type"] == "InvalidInput"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--a0", "1", "--depth", "2", "--max-bit", "3", "--limit", "0"],
+        ["oracle", "--seq", "1,3,8", "--cap", "0"],
+    ],
+    ids=["limit-0", "cap-0"],
+)
+def test_zero_limits_still_bound_the_result(argv):
+    code, doc = run_json(argv)
+    assert code == 2
+    assert doc["error"]["type"] == "RangeError"
+
+
+@pytest.mark.parametrize("command", [["report"], ["plan", "--volts", "1.0"]])
+@pytest.mark.parametrize(
+    "device_file, message",
+    [
+        (RawFile(b"\xff\xfe" + DEVICE_CSV.read_bytes()), "cannot read"),
+        (
+            RawFile(DEVICE_CSV.read_bytes().replace(b"4.01,0", b"4.01," + b"x" * 200_000)),
+            "unreadable CSV: field larger than field limit",
+        ),
+        # a path is opened, never parsed as CSV text, whatever characters it holds
+        ("a\nb", "cannot read a\nb"),
+    ],
+    ids=["not-utf8", "field-over-csv-limit", "newline-in-path"],
+)
+def test_unreadable_device_exits_3_with_parse_error(command, device_file, message, capsys, tmp_path):
+    path = device_file
+    if isinstance(device_file, RawFile):
+        path = tmp_path / "device.csv"
+        path.write_bytes(device_file)
+    code = main(command + ["--device", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in captured.out + captured.err
+    error = strict_json(captured.out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(message)
 
 
 def test_report_bad_nameplate_exits_3_naming_the_key(tmp_path, capsys):

@@ -48,6 +48,41 @@ class TestDesignSpec:
         assert spec.min_tolerance == (ToleranceRule(100, 2),)
         assert spec.max_ratio == Fraction(3)
 
+    def test_doc_takes_integer_strings(self):
+        doc = {"a0": "2", "msb_size": "5760", "target_total": "92098",
+               "min_tolerance": [{"at_least": "100", "tolerance": "2"}]}
+        spec = DesignSpec.from_doc(doc)
+        assert (spec.a0, spec.msb_size, spec.target_total) == (2, 5760, 92098)
+        assert spec.min_tolerance == (ToleranceRule(100, 2),)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"a0": 2.0}, {"a0": True}, {"msb_size": 5760.7}, {"target_total": None},
+         {"min_tolerance": [{"at_least": 100.5, "tolerance": 2}]},
+         {"min_tolerance": [{"at_least": 100, "tolerance": True}]}],
+    )
+    def test_doc_rejects_non_integers(self, change):
+        doc = {"a0": 2, "msb_size": 5760, "target_total": 92098, **change}
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            DesignSpec.from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"a0": 2, "msb_size": 5760}, {"a0": 2, "msb_size": 5760, "target_total": 92098, "min_tolerance": 5},
+         {"a0": 2, "msb_size": 5760, "target_total": 92098, "min_tolerance": [{"at_least": 100}]}],
+    )
+    def test_doc_missing_or_misshapen_fields(self, doc):
+        with pytest.raises(InvalidInput, match="bad design spec document"):
+            DesignSpec.from_doc(doc)
+
+    @pytest.mark.parametrize("ratio", ["0/0", "abc", float("inf"), float("nan"), None, [2]])
+    def test_bad_max_ratio(self, ratio):
+        with pytest.raises(InvalidInput, match="bad max ratio"):
+            DesignSpec(a0=2, msb_size=5760, target_total=92098, max_ratio=ratio)
+
+    def test_max_ratio_text(self):
+        assert DesignSpec(a0=1, msb_size=64, target_total=300, max_ratio="5/2").max_ratio == Fraction(5, 2)
+
     def test_from_file(self, tmp_path):
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({"a0": 1, "msb_size": 3, "target_total": 6}))
@@ -63,6 +98,22 @@ class TestDesignSpec:
         assert spec.required_tolerance(5) == 0
         assert spec.required_tolerance(10) == 1
         assert spec.required_tolerance(100) == 5
+
+
+class TestToleranceRule:
+    def test_from_text(self):
+        assert ToleranceRule.from_text("100:2") == ToleranceRule(100, 2)
+        assert ToleranceRule.from_text(" 100 : 2 ") == ToleranceRule(100, 2)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("100", "must be AT_LEAST:TOLERANCE"), ("x:2", "at_least must be an integer"),
+         ("100:2:3", "tolerance must be an integer"), ("100:2.5", "tolerance must be an integer"),
+         ("0:2", "needs at_least >= 1"), ("100:-1", "needs at_least >= 1 and tolerance >= 0")],
+    )
+    def test_from_text_rejects(self, text, message):
+        with pytest.raises(InvalidInput, match=message):
+            ToleranceRule.from_text(text)
 
 
 class TestDesign:

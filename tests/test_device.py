@@ -13,6 +13,7 @@ from nims import (
     infer_defects,
     load_device,
     margin_report,
+    parse_device,
     plausibility_lints,
     serialize_device,
 )
@@ -73,60 +74,82 @@ class TestFixture:
 class TestLoader:
     def test_accepts_path_or_text(self, device_record):
         text = DEVICE_CSV.read_text()
-        rec = load_device(text)
+        rec = parse_device(text)
         assert rec.total_junctions == device_record.total_junctions
 
     def test_five_column_form(self):
-        rec = load_device(minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0,1.0\n"))
+        rec = parse_device(minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0,1.0\n"))
         assert rec.sequence().bits == (2, 6)
         assert rec.bits[0].tolerance_note == ""
 
     def test_canonicalization_is_idempotent(self):
-        rec = load_device(minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0,1.0\n"))
+        rec = parse_device(minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0,1.0\n"))
         once = serialize_device(rec)
-        again = serialize_device(load_device(once))
+        again = serialize_device(parse_device(once))
         assert once == again
 
     def test_missing_metadata_key(self):
         text = minimal_text("0,2,1.0,1.0,1.0\n").replace("temperature_k=4.2\n", "")
         with pytest.raises(ParseError, match="temperature_k"):
-            load_device(text)
+            parse_device(text)
 
     def test_empty_bit_list(self):
         with pytest.raises(ParseError):
-            load_device(minimal_text(""))
+            parse_device(minimal_text(""))
 
     def test_short_row_names_row_and_field(self):
         # preamble is six lines, header the seventh; second data row is row 9
         with pytest.raises(ParseError, match=r"row 9.*step_neg_mA"):
-            load_device(minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0\n"))
+            parse_device(minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0\n"))
 
     def test_bad_number_names_field(self):
         with pytest.raises(ParseError, match="junctions"):
-            load_device(minimal_text("0,x,1.0,1.0,1.0\n"))
+            parse_device(minimal_text("0,x,1.0,1.0,1.0\n"))
 
     def test_nonconsecutive_bits_rejected(self):
         with pytest.raises(ParseError, match="expected 1"):
-            load_device(minimal_text("0,2,1.0,1.0,1.0\n2,6,1.0,1.0,1.0\n"))
+            parse_device(minimal_text("0,2,1.0,1.0,1.0\n2,6,1.0,1.0,1.0\n"))
 
     def test_negative_junctions_rejected(self):
         with pytest.raises(ParseError):
-            load_device(minimal_text("0,-2,1.0,1.0,1.0\n"))
+            parse_device(minimal_text("0,-2,1.0,1.0,1.0\n"))
 
     def test_unknown_header_rejected(self):
         with pytest.raises(ParseError, match="header"):
-            load_device(minimal_text("0,2,1.0,1.0,1.0\n", header="bit,junctions,width"))
+            parse_device(minimal_text("0,2,1.0,1.0,1.0\n", header="bit,junctions,width"))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_metadata_rejected(self, value):
         text = minimal_text("0,2,1.0,1.0,1.0\n").replace("frequency_hz=1.8e10", f"frequency_hz={value}")
         with pytest.raises(ParseError, match="frequency_hz must be finite"):
-            load_device(text)
+            parse_device(text)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_step_width_rejected(self, value):
         with pytest.raises(ParseError, match=r"row 8, field 'step_zero_mA': step width must be finite"):
-            load_device(minimal_text(f"0,2,1.0,{value},1.0\n"))
+            parse_device(minimal_text(f"0,2,1.0,{value},1.0\n"))
+
+
+class TestReadingFiles:
+    def test_text_is_not_a_path(self):
+        with pytest.raises(ParseError, match="cannot read"):
+            load_device(DEVICE_CSV.read_text())
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "device.csv"
+        path.write_bytes(b"\xff\xfe" + DEVICE_CSV.read_bytes())
+        with pytest.raises(ParseError, match="cannot read .*utf-8"):
+            load_device(path)
+
+    @pytest.mark.parametrize("name", ["missing.csv", "a\nb", "a\x00b", "."])
+    def test_unopenable_path(self, tmp_path, name):
+        with pytest.raises(ParseError, match="cannot read"):
+            load_device(tmp_path / name)
+
+    def test_field_over_the_csv_limit(self):
+        text = minimal_text("0,2,1.0,1.0,1.0," + "x" * 200_000 + "\n")
+        with pytest.raises(ParseError, match="unreadable CSV"):
+            parse_device(text)
 
 
 class TestMargins:
@@ -149,6 +172,11 @@ class TestMargins:
 
     def test_zero_threshold_always_passes(self, device_record):
         assert margin_report(device_record, 0.0).passed
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, device_record, threshold):
+        with pytest.raises(InvalidInput, match="margin threshold must be finite"):
+            margin_report(device_record, threshold)
 
     def test_doc(self, device_record):
         doc = margin_report(device_record, 1.0).to_doc()
@@ -184,7 +212,7 @@ class TestLints:
         assert "bit 15" in lints[0]
 
     def test_zero_step_flagged(self):
-        rec = load_device(minimal_text("0,2,1.0,1.0,0.0\n1,6,1.0,1.0,1.0\n"))
+        rec = parse_device(minimal_text("0,2,1.0,1.0,0.0\n1,6,1.0,1.0,1.0\n"))
         assert any("bit 0" in lint for lint in plausibility_lints(rec))
 
 
@@ -208,7 +236,7 @@ class TestBuildReport:
 
     @pytest.mark.parametrize("key", ["nameplate_max_v", "nameplate_min_v"])
     def test_bad_nameplate_names_the_key(self, key):
-        rec = load_device(f"{key}=abc\n" + minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0,1.0\n"))
+        rec = parse_device(f"{key}=abc\n" + minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0,1.0\n"))
         with pytest.raises(ParseError, match=f"metadata {key} is not a number"):
             build_report(rec)
 

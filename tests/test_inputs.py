@@ -1,0 +1,216 @@
+"""The input boundary: one integer rule, and a CLI that turns any argv into an exit code.
+
+Every integer read from outside (defect maps, tolerance rules, design specs)
+goes through one rule; the argv-grammar test drives cli.run with drawn
+flags, spec and defect files and damaged device files.
+"""
+
+from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from nims import DefectMap, DesignSpec, InvalidInput, ToleranceRule
+from nims.cli import run
+
+from .conftest import DEVICE_CSV
+
+SMALL_INTS = st.integers(-10**6, 10**6)
+
+# Values a JSON file or an argv slot can carry where an integer is expected.
+OUTSIDE_VALUES = st.one_of(
+    SMALL_INTS,
+    st.booleans(),
+    SMALL_INTS.map(float),
+    st.floats(),
+    SMALL_INTS.map(str),
+    SMALL_INTS.map(lambda i: f" {i:+d} "),
+    st.text(max_size=6),
+    st.none(),
+    st.lists(SMALL_INTS, max_size=2),
+)
+
+
+def is_outside_integer(value: object) -> bool:
+    """The rule as stated: an int that is not a bool, or a string int() parses."""
+    if type(value) is int:
+        return True
+    if isinstance(value, str):
+        try:
+            int(value)
+        except ValueError:
+            return False
+        return True
+    return False
+
+
+def passes_the_integer_rule(build, value) -> bool:
+    """Whether build(value) got past conversion; range refusals come after it."""
+    try:
+        build(value)
+    except InvalidInput as exc:
+        return "must be an integer" not in str(exc)
+    return True
+
+
+CONSTRUCTORS = {
+    "defect bit": lambda v: DefectMap({v: 1}),
+    "defect count": lambda v: DefectMap({0: v}),
+    "rule at_least": lambda v: ToleranceRule(v, 0),
+    "rule tolerance": lambda v: ToleranceRule(1, v),
+    "a0": lambda v: DesignSpec(a0=v, msb_size=9, target_total=20),
+    "msb_size": lambda v: DesignSpec(a0=1, msb_size=v, target_total=10**7),
+    "target_total": lambda v: DesignSpec(a0=1, msb_size=3, target_total=v),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=OUTSIDE_VALUES, field=st.sampled_from(sorted(CONSTRUCTORS)))
+@example(value=2.0, field="defect count")
+@example(value=2.0, field="a0")
+@example(value=True, field="rule tolerance")
+@example(value=" +3 ", field="defect bit")
+@example(value="x", field="target_total")
+def test_one_integer_rule_everywhere(value, field):
+    assume(field != "defect bit" or not isinstance(value, list))  # a dict key must hash
+    assert passes_the_integer_rule(CONSTRUCTORS[field], value) == is_outside_integer(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.one_of(SMALL_INTS, SMALL_INTS.map(str)).filter(lambda v: int(v) > 0))
+def test_the_rule_keeps_the_value(value):
+    assert DefectMap({value: value}).missing == {int(value): int(value)}
+    assert ToleranceRule(value, value) == ToleranceRule(int(value), int(value))
+    spec = DesignSpec(a0=1, msb_size=3 + int(value), target_total=str(3 + 2 * int(value)))
+    assert (spec.msb_size, spec.target_total) == (3 + int(value), 3 + 2 * int(value))
+
+
+# --- argv grammar -----------------------------------------------------------
+
+# Numbers stay at or below 10^6: design lays out one list entry per bank.
+NUMBERS = st.sampled_from(["-5", "-1", "0", "1", "2", "3", "4", "6", "100", "5760", "92098", "1000000"])
+JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "2.5", "0/0", "5/2", "x:1", "100:2", "1:2:3", ":"])
+VALUES = st.one_of(NUMBERS, JUNK)
+JSON_VALUES = st.sampled_from(
+    [-1, 0, 1, 2, 3, 6, 100, 5760, 92098, 10**6, 2.0, 2.5, True, None, "2", "x", [], {}, float("nan"), float("inf")]
+)
+FORMATS = st.sampled_from(["table", "csv", "json"])
+
+# Well-formed values per flag or spec key, so that drawn argv also get past
+# the parsers and reach design, its refusals and its infeasible cases.
+GOOD = {
+    "a0": st.sampled_from([1, 2, 3]),
+    "msb_size": st.sampled_from([6, 100, 5760]),
+    "target_total": st.sampled_from([5760, 92098, 10**6]),
+    "at_least": st.sampled_from([1, 10, 100]),
+    "tolerance": st.sampled_from([0, 1, 2]),
+    "max_ratio": st.sampled_from(["3", "5/2", "2", 2, 2.5]),
+}
+
+
+def pick(draw, good, bad):
+    """Mostly a well-formed value, one time in four a drawn malformed one."""
+    return draw(bad if draw(st.integers(0, 3)) == 0 else good)
+
+
+class File(bytes):
+    """An argv slot the test fills with the path of a file holding these bytes."""
+
+
+def json_file(doc) -> File:
+    return File(json.dumps(doc).encode())
+
+
+@st.composite
+def spec_files(draw) -> File:
+    keys = ("a0", "msb_size", "target_total")
+    doc = {key: pick(draw, GOOD[key], JSON_VALUES) for key in keys if draw(st.integers(0, 9))}
+    if draw(st.booleans()):
+        doc["min_tolerance"] = [
+            {key: pick(draw, GOOD[key], JSON_VALUES) for key in ("at_least", "tolerance") if draw(st.integers(0, 9))}
+        ]
+    if draw(st.booleans()):
+        doc["max_ratio"] = pick(draw, GOOD["max_ratio"], st.one_of(JSON_VALUES, VALUES))
+    return json_file(pick(draw, st.just(doc), st.sampled_from([[doc], "spec", {"spec": doc}])))
+
+
+def design_argv(draw) -> list:
+    if draw(st.booleans()):
+        return ["design", "--spec", draw(spec_files())]
+    argv = ["design"]
+    for key in ("a0", "msb_size", "target_total"):
+        if draw(st.integers(0, 9)):
+            argv += ["--" + key.replace("_", "-"), pick(draw, GOOD[key].map(str), VALUES)]
+    for _ in range(draw(st.integers(0, 2))):
+        rule = st.tuples(GOOD["at_least"], GOOD["tolerance"]).map(lambda r: f"{r[0]}:{r[1]}")
+        argv += ["--min-tolerance", pick(draw, rule, VALUES)]
+    if draw(st.booleans()):
+        argv += ["--max-ratio", pick(draw, GOOD["max_ratio"].map(str), VALUES)]
+    return argv
+
+
+@st.composite
+def defect_files(draw) -> File:
+    bits = st.one_of(st.sampled_from(["1", "2"]), VALUES)
+    counts = st.one_of(st.sampled_from([0, 1, 2]), JSON_VALUES)
+    entries = draw(st.dictionaries(bits, counts, max_size=3))
+    return json_file(pick(draw, st.just({"defects": entries}), st.sampled_from([entries, {"defects": [1]}])))
+
+
+@st.composite
+def device_files(draw) -> File | str:
+    data = DEVICE_CSV.read_bytes()
+    kind = draw(st.sampled_from(["truncated", "mutated", "not-utf8", "newline-path", "intact"]))
+    if kind == "truncated":
+        return File(data[: draw(st.integers(0, len(data)))])
+    if kind == "mutated":
+        at = draw(st.integers(0, len(data) - 1))
+        return File(data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1 :])
+    if kind == "not-utf8":
+        return File(b"\xff\xfe" + data)
+    if kind == "newline-path":
+        return "a\nb"
+    return File(data)
+
+
+@st.composite
+def argvs(draw) -> list:
+    command = draw(st.sampled_from(["design", "defects", "report", "plan"]))
+    if command == "design":
+        return design_argv(draw)
+    if command == "defects":
+        inline = st.sampled_from(["2:1", "1:1,2:1", "2:9"])
+        return ["defects", "--seq", "1,3,8", "--defects", pick(draw, st.one_of(defect_files(), inline), VALUES)]
+    argv = [command, "--device", draw(device_files())]
+    if command == "report" and draw(st.booleans()):
+        argv += ["--min-margin", pick(draw, st.sampled_from(["0", "1.0", "2.0"]), VALUES)]
+    if command == "plan":
+        argv += ["--volts", draw(st.sampled_from(["1.0", "-1.0", "0", "nan", "100"]))]
+    return argv
+
+
+def strict_json(text: str) -> object:
+    def reject(constant):
+        raise ValueError(f"not RFC 8259 JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs(), fmt=FORMATS)
+def test_any_argv_gets_an_exit_code(argv, fmt):
+    argv = list(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, arg in enumerate(argv):
+            if isinstance(arg, File):
+                path = Path(tmp) / f"arg{i}"
+                path.write_bytes(arg)
+                argv[i] = str(path)
+        result = run(argv + ["--format", fmt])
+    assert result.exit_code in (0, 1, 2, 3)
+    if fmt == "json":
+        strict_json(result.text)

@@ -19,16 +19,36 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCRIPTS))
-def test_script_output_is_unchanged(name):
-    script, *args = SCRIPTS[name]
+def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(REPO / "scripts" / script), *args],
         capture_output=True,
         env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_script_output_is_unchanged(name):
+    proc = run_script(*SCRIPTS[name])
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / f"script_{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--min-tolerance", "x:1"], "tolerance rule at_least must be an integer, got 'x'"),
+        (["--min-tolerance", "100"], "min tolerance '100' must be AT_LEAST:TOLERANCE"),
+        (["--max-ratio", "0/0"], "bad max ratio '0/0'"),
+        (["--max-ratio", "4"], "max_ratio must lie in (1, 3]"),
+    ],
+)
+def test_design_script_bad_spec_is_a_usage_error(args, message):
+    proc = run_script("design_3v_array.py", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.decode().splitlines()[-1].startswith(f"design_3v_array.py: error: {message}")

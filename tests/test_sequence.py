@@ -375,6 +375,10 @@ class TestEnumerate:
         with pytest.raises(RangeError):
             enumerate_nims(1, 4, 27, max_results=5)
 
+    def test_negative_result_cap_is_bad_input(self):
+        with pytest.raises(InvalidInput, match="max_results must not be negative"):
+            enumerate_nims(1, 2, 3, max_results=-1)
+
 
 class TestStandardsAndParsing:
     def test_make_standard(self):

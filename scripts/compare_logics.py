@@ -14,6 +14,7 @@ from pathlib import Path
 
 from nims import (
     DesignSpec,
+    NimsError,
     Sequence,
     ToleranceRule,
     compare_logics,
@@ -51,23 +52,26 @@ def main() -> int:
     ap.add_argument("--device", type=Path, default=DEFAULT_DEVICE, help="measured device CSV, '' to skip")
     args = ap.parse_args()
 
-    columns: list[tuple[str, Sequence]] = [
-        ("binary", standard_column("binary", args.msb_size, args.length)),
-        ("ternary", standard_column("ternary", args.msb_size, args.length)),
-    ]
-    designed = design(
-        DesignSpec(
-            a0=2,
-            msb_size=args.msb_size,
-            target_total=args.total,
-            min_tolerance=(ToleranceRule(100, 2),),
+    try:
+        columns: list[tuple[str, Sequence]] = [
+            ("binary", standard_column("binary", args.msb_size, args.length)),
+            ("ternary", standard_column("ternary", args.msb_size, args.length)),
+        ]
+        designed = design(
+            DesignSpec(
+                a0=2,
+                msb_size=args.msb_size,
+                target_total=args.total,
+                min_tolerance=(ToleranceRule(100, 2),),
+            )
         )
-    )
-    columns.append(("designed", designed.sequence))
-    if args.device and str(args.device):
-        columns.append(("measured", load_device(args.device).sequence()))
-
-    rows = [summarize(name, seq, args.msb_size, args.freq) for name, seq in columns]
+        columns.append(("designed", designed.sequence))
+        if args.device and str(args.device):
+            columns.append(("measured", load_device(args.device).sequence()))
+        rows = [summarize(name, seq, args.msb_size, args.freq) for name, seq in columns]
+        table = compare_logics(max(len(s) for _, s in columns), args.msb_size, columns)
+    except NimsError as exc:
+        ap.error(str(exc))
 
     header = f"{'column':<10}{'bits':>6}{'total':>9}{'to-msb':>8}{'min r':>8}{'mean r':>8}{'min tol':>9}{'Vmax':>9}"
     print(header)
@@ -82,7 +86,6 @@ def main() -> int:
 
     print()
     print("bit-by-bit junction counts and tolerances:")
-    table = compare_logics(max(len(s) for _, s in columns), args.msb_size, columns)
     print(table.to_csv())
     return 0
 

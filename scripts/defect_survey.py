@@ -15,6 +15,7 @@ from pathlib import Path
 
 from nims import (
     DefectMap,
+    NimsError,
     apply_defects,
     is_complete,
     load_device,
@@ -35,30 +36,33 @@ def main() -> int:
     ap.add_argument("--budget", type=int, default=100, help="defects per bit for the worst-case scan")
     args = ap.parse_args()
 
-    rec = load_device(args.device)
-    seq = rec.sequence()
-    entries = tolerance_report(seq).entries
-    print(f"device: {len(seq)} bits, {seq.total} junctions")
+    try:
+        seq = load_device(args.device).sequence()
+        entries = tolerance_report(seq).entries
+        rng = random.Random(args.seed)
+        capable = 0
+        complete = 0
+        drawn = 0
+        for _ in range(args.trials):
+            missing = {}
+            for e in entries[:-1]:
+                if e.tolerance and rng.random() < 0.5:
+                    d = rng.randint(1, e.tolerance)
+                    missing[e.index] = d
+                    drawn += d
+            defects = DefectMap(missing)
+            if not within_tolerance(seq, defects):
+                raise AssertionError(f"drawn defect map {missing} exceeds the published tolerances")
+            damaged, report = apply_defects(seq, defects)
+            if report.complete_capable:
+                capable += 1
+                if is_complete(damaged):
+                    complete += 1
+        scan = worst_case_scan(seq, args.budget)
+    except NimsError as exc:
+        ap.error(str(exc))
 
-    rng = random.Random(args.seed)
-    capable = 0
-    complete = 0
-    drawn = 0
-    for _ in range(args.trials):
-        missing = {}
-        for e in entries[:-1]:
-            if e.tolerance and rng.random() < 0.5:
-                d = rng.randint(1, e.tolerance)
-                missing[e.index] = d
-                drawn += d
-        defects = DefectMap(missing)
-        if not within_tolerance(seq, defects):
-            raise AssertionError(f"drawn defect map {missing} exceeds the published tolerances")
-        damaged, report = apply_defects(seq, defects)
-        if report.complete_capable:
-            capable += 1
-            if is_complete(damaged):
-                complete += 1
+    print(f"device: {len(seq)} bits, {seq.total} junctions")
     print(
         f"{args.trials} random within-tolerance maps ({drawn} defects drawn): "
         f"{capable} stay capable, {complete} certified complete"
@@ -66,7 +70,7 @@ def main() -> int:
 
     print()
     print(f"worst-case scan, {args.budget} concentrated defects per bit:")
-    print(worst_case_scan(seq, args.budget).to_csv(), end="")
+    print(scan.to_csv(), end="")
     return 0
 
 

@@ -17,7 +17,7 @@ import json
 from nims import (
     DEFAULT_ORACLE_CAP,
     DesignSpec,
-    InvalidInput,
+    NimsError,
     ToleranceRule,
     design,
     is_complete,
@@ -53,9 +53,9 @@ def main() -> int:
             min_tolerance=tuple(ToleranceRule.from_text(rule) for rule in args.min_tolerance or ["100:2"]),
             max_ratio=args.max_ratio,
         )
-    except InvalidInput as exc:
+        result = design(spec)
+    except NimsError as exc:
         ap.error(str(exc))
-    result = design(spec)
     seq = result.sequence
 
     if args.json:

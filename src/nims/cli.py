@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation failure, 2 out of range or infeasible,
-3 I/O or parse trouble. Output defaults to a human table; --format json or
+Exit codes: 0 success; 1 when a command's check fails (validate, defects,
+report); on an error, the `exit_code` of its type, as the `nims.errors`
+docstring states. Output defaults to a human table; --format json or
 --format csv switch to machine forms, which stay well formed even when a
 command fails (an error document is emitted instead of partial output).
 """
@@ -13,30 +14,19 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import bias, designer, device, fault_tolerance, representation, sequence
-from .errors import (
-    DegenerateTarget,
-    Infeasible,
-    InvalidInput,
-    InvalidSequence,
-    NimsError,
-    OutOfRange,
-    ParseError,
-    RangeError,
-)
+from .errors import InvalidInput, NimsError
 
 ENV_CAP = "NIMS_ORACLE_CAP"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
-EXIT_RANGE = 2
-EXIT_PARSE = 3
 
 
 class CliUsageError(NimsError):
-    pass
+    """argparse rejected the command line."""
+    exit_code = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,23 +68,19 @@ class Output:
         )
 
 
+# os.path.exists never raises, so a value that is not an existing path is parsed inline, however long
 def _load_seq(value: str) -> sequence.Sequence:
-    if Path(value).exists():
-        return sequence.sequence_from_file(value)
-    return sequence.parse_bits(value)
+    return sequence.sequence_from_file(value) if os.path.exists(value) else sequence.parse_bits(value)
 
 
 def _load_defects(value: str) -> fault_tolerance.DefectMap:
-    if Path(value).exists():
+    if os.path.exists(value):
         return fault_tolerance.DefectMap.from_file(value)
     missing = {}
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" not in part:
+    for part in filter(None, map(str.strip, value.split(","))):
+        bit, colon, count = part.partition(":")
+        if not colon:
             raise InvalidInput(f"inline defect {part!r} must be BIT:COUNT")
-        bit, _, count = part.partition(":")
         missing[bit] = count
     return fault_tolerance.DefectMap(missing)
 
@@ -440,29 +426,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-_EXIT_BY_ERROR = (
-    (OSError, EXIT_PARSE),
-    (CliUsageError, EXIT_PARSE),
-    (ParseError, EXIT_PARSE),
-    (InvalidInput, EXIT_PARSE),
-    (OutOfRange, EXIT_RANGE),
-    (RangeError, EXIT_RANGE),
-    (Infeasible, EXIT_RANGE),
-    (DegenerateTarget, EXIT_RANGE),
-    (InvalidSequence, EXIT_VALIDATION),
-)
-
-
-def _error_output(exc: Exception) -> Output:
-    code = next((mapped for klass, mapped in _EXIT_BY_ERROR if isinstance(exc, klass)), None)
-    if code is None:
-        raise exc
+def _error_output(exc: NimsError) -> Output:
     name = type(exc).__name__
     return Output(
-        {"error": {"type": name, "message": str(exc), "exit_code": code}},
+        {"error": {"type": name, "message": str(exc), "exit_code": exc.exit_code}},
         sequence.csv_rows([["error", "message"], [name, str(exc)]]),
         [f"error: {exc}"],
-        code,
+        exc.exit_code,
     )
 
 
@@ -499,7 +469,7 @@ def run(argv: list[str]) -> CommandResult:
         fmt = args.format
         try:
             out = args.handler(args)
-        except (NimsError, OSError) as exc:
+        except NimsError as exc:
             out = _error_output(exc)
     return CommandResult(out.exit_code, out.render(fmt), fmt)
 

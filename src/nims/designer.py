@@ -54,6 +54,16 @@ class ToleranceRule:
         return cls(at_least, tolerance)
 
 
+def _decimal_exponent(text: str) -> int:
+    """Decimal(text).adjusted(), 0 for every ratio in (1, 3] and for text that is not decimal."""
+    from decimal import Decimal, InvalidOperation
+
+    try:
+        return Decimal(text).adjusted()
+    except InvalidOperation:
+        return 0
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     a0: int
@@ -65,6 +75,8 @@ class DesignSpec:
     def __post_init__(self) -> None:
         for name in ("a0", "msb_size", "target_total"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if isinstance(self.max_ratio, str) and _decimal_exponent(self.max_ratio):
+            raise InvalidInput("max_ratio must lie in (1, 3]")  # before Fraction builds 10**exponent
         try:
             ratio = Fraction(self.max_ratio)
         except (TypeError, ValueError, ArithmeticError) as exc:

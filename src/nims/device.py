@@ -18,7 +18,7 @@ from pathlib import Path
 from . import bias
 from .errors import InvalidInput, ParseError
 from .fault_tolerance import DefectMap, _tolerances
-from .sequence import Sequence, validate
+from .sequence import Sequence, _read_text, validate
 
 REQUIRED_METADATA = (
     "frequency_hz",
@@ -86,12 +86,8 @@ def _meta_float(key: str, raw: str) -> float:
 
 
 def load_device(path: str | Path) -> DeviceRecord:
-    """Read a device CSV file (UTF-8) and parse it with parse_device."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_device(text)
+    """Read a device CSV file (UTF-8, through sequence._read_text) and parse it with parse_device."""
+    return parse_device(_read_text(path))
 
 
 def parse_device(text: str) -> DeviceRecord:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import InvalidInput, RangeError
+from .errors import InvalidInput, ParseError, RangeError
 
 DEFAULT_ORACLE_CAP = 10**7
 TOTAL_LIMIT = 2**62
@@ -394,12 +394,19 @@ def parse_bits(text: str) -> Sequence:
     return Sequence(bits)
 
 
-def read_json(path: str | Path) -> object:
-    """Parse a JSON file; bytes that are not UTF-8 JSON text, or nest too deeply to parse, raise InvalidInput."""
+def _read_text(path: str | Path) -> str:
+    """The one file reader: UTF-8 text, or ParseError "cannot read <path>: ..." for any failure."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise InvalidInput(f"{path}: not UTF-8 text: {exc}") from exc
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path: str | Path) -> object:
+    """Parse a JSON file read by _read_text; text that is not JSON, or nests too deeply, raises InvalidInput."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:

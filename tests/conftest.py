@@ -8,10 +8,21 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from nims import Sequence, load_device
+from nims import Sequence, errors, load_device
+from nims.cli import CliUsageError
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 DEVICE_CSV = DATA / "nims23_device.csv"
+
+# Every concrete error type: the classes of nims.errors below NimsError, and the CLI's own.
+ERROR_TYPES = [
+    klass
+    for klass in [*vars(errors).values(), CliUsageError]
+    if isinstance(klass, type) and issubclass(klass, errors.NimsError) and klass is not errors.NimsError
+]
+
+# argv slots a test fills with a path that does not exist, or with a directory
+MISSING, DIRECTORY = "<missing file>", "<directory>"
 
 # Layouts used across the suite: two published example columns plus the
 # standard binary and ternary columns they are compared against.

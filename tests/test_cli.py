@@ -3,23 +3,25 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from nims import Sequence, fault_tolerance, sequence, tolerance_report
+from nims import Sequence, cli, fault_tolerance, sequence, tolerance_report
 from nims.cli import main, run
 
-from .conftest import DEVICE_CSV, NIMS1_BITS
+from .conftest import DEVICE_CSV, DIRECTORY, ERROR_TYPES, MISSING, NIMS1_BITS
 
 NIMS1_ARG = ",".join(map(str, NIMS1_BITS))
 
 # Byte-exact CLI output, pinned so that rendering changes cannot drift. The
 # oracle and defects files were captured from the interval-merge oracle
 # before it became a bitset, the rest before the CLI got one render path.
-GOLDEN = Path(__file__).resolve().parent / "golden"
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
 DEVICE = "<device bits>"
 GOLDEN_CASES = {
     "oracle_device": (["oracle", "--seq", DEVICE], 0),
@@ -399,6 +401,23 @@ class RawFile(bytes):
     """An argv slot the test fills with the path of a file holding these bytes."""
 
 
+
+def with_files(argv: list, tmp_path: Path) -> list[str]:
+    """argv with each JsonFile, RawFile, MISSING or DIRECTORY slot replaced by a path."""
+    out = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, (JsonFile, RawFile)):
+            path = tmp_path / f"arg{i}.json"
+            path.write_bytes(arg if isinstance(arg, bytes) else arg.encode())
+            arg = str(path)
+        elif arg == MISSING:
+            arg = str(tmp_path / "missing.json")
+        elif arg == DIRECTORY:
+            arg = str(tmp_path)
+        out.append(arg)
+    return out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -416,7 +435,6 @@ class RawFile(bytes):
         ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"1": null}}')],
         ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"2": 1.9}}')],
         ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"2": true}}')],
-        ["validate", "--seq", RawFile(b'\xff\xfe{"bits": [1, 3, 8]}')],
         ["validate", "--seq", JsonFile("[" * 200_000)],
         ["report", "--device", str(DEVICE_CSV), "--min-margin", "nan"],
         ["report", "--device", str(DEVICE_CSV), "--min-margin", "inf"],
@@ -437,19 +455,14 @@ class RawFile(bytes):
         "min-tolerance", "max-ratio-abc", "max-ratio-0-0",
         "volts-nan", "volts-inf", "freq-inf", "freq-nan", "device-freq-inf",
         "spec-not-object", "spec-ratio-0-0", "defect-bit-not-int", "defect-count-null",
-        "defect-count-float", "defect-count-bool", "seq-not-utf8", "seq-nested-too-deeply",
+        "defect-count-float", "defect-count-bool", "seq-nested-too-deeply",
         "min-margin-nan", "min-margin-inf", "spec-floats-and-bool", "spec-integral-float",
         "spec-rule-bool", "spec-ratio-infinity", "enumerate-negative-limit", "oracle-negative-cap",
         "defects-negative-cap",
     ],
 )
 def test_malformed_values_exit_3_with_json_document(argv, capsys, tmp_path):
-    for i, arg in enumerate(argv):
-        if isinstance(arg, (JsonFile, RawFile)):
-            path = tmp_path / f"arg{i}.json"
-            path.write_bytes(arg if isinstance(arg, bytes) else arg.encode())
-            argv = argv[:i] + [str(path)] + argv[i + 1:]
-    code = main(argv + ["--format", "json"])
+    code = main(with_files(argv, tmp_path) + ["--format", "json"])
     captured = capsys.readouterr()
     assert code == 3
     assert "Traceback" not in captured.out + captured.err
@@ -465,6 +478,113 @@ def strict_json(text: str) -> object:
         raise ValueError(f"not RFC 8259 JSON: {constant}")
 
     return json.loads(text, parse_constant=reject)
+
+
+NOT_UTF8 = RawFile(b'\xff\xfe{"bits": [1, 3, 8]}')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--spec", MISSING],
+        ["design", "--spec", DIRECTORY],
+        ["design", "--spec", NOT_UTF8],
+        ["validate", "--seq", DIRECTORY],
+        ["validate", "--seq", NOT_UTF8],
+        ["defects", "--seq", "1,3,8", "--defects", DIRECTORY],
+        ["defects", "--seq", "1,3,8", "--defects", NOT_UTF8],
+        ["design", "--spec", "a\x00b"],
+        ["report", "--device", "a\x00b"],
+    ],
+    ids=[
+        "spec-missing", "spec-directory", "spec-not-utf8", "seq-directory", "seq-not-utf8",
+        "defects-directory", "defects-not-utf8", "spec-nul-in-path", "device-nul-in-path",
+    ],
+)
+def test_unreadable_file_exits_3_with_parse_error(argv, capsys, tmp_path):
+    # a missing --seq or --defects path is no file, so it is parsed inline instead
+    argv = with_files(argv, tmp_path)
+    code = main(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in captured.out + captured.err
+    error = strict_json(captured.out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"cannot read {argv[-1]}: ")
+
+
+# The exit-code contract of the nims.errors docstring, one row per error type.
+EXIT_CODES = {
+    "InvalidSequence": 1,
+    "OutOfRange": 2,
+    "RangeError": 2,
+    "Infeasible": 2,
+    "DegenerateTarget": 2,
+    "InvalidInput": 3,
+    "ParseError": 3,
+    "CliUsageError": 3,
+}
+
+
+def test_every_error_type_declares_the_documented_exit_code():
+    assert {klass.__name__: vars(klass).get("exit_code") for klass in ERROR_TYPES} == EXIT_CODES
+
+
+@pytest.mark.parametrize("error_type", ERROR_TYPES, ids=lambda klass: klass.__name__)
+def test_error_document_reports_the_exit_code_of_its_type(error_type, monkeypatch):
+    def fail(args):
+        raise error_type("boom")
+
+    monkeypatch.setattr(cli, "_cmd_validate", fail)
+    code, doc = run_json(["validate", "--seq", "1,3,8"])
+    assert code == doc["error"]["exit_code"] == error_type.exit_code
+    assert doc["error"] == {"type": error_type.__name__, "message": "boom", "exit_code": code}
+
+
+LONG_BITS = ",".join(["1000"] * 60)  # 299 characters, past the 255-byte limit of a file name
+LONG_DEFECTS = ",".join(f"{n}:1" for n in range(60))
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--seq", "{bits}"],
+        ["defects", "--seq", LONG_BITS, "--defects", "{defects}"],
+        ["compare", "--msb-size", "8000", "--candidate", "long={bits}"],
+    ],
+    ids=["seq", "defects", "candidate"],
+)
+def test_long_inline_values_read_like_their_files(argv, fmt, tmp_path):
+    bits = tmp_path / "bits.json"
+    bits.write_text(json.dumps({"bits": [1000] * 60}))
+    defects = tmp_path / "defects.json"
+    defects.write_text(json.dumps({"defects": {n: 1 for n in range(60)}}))
+    inline = run([arg.format(bits=LONG_BITS, defects=LONG_DEFECTS) for arg in argv] + ["--format", fmt])
+    stored = run([arg.format(bits=bits, defects=defects) for arg in argv] + ["--format", fmt])
+    assert inline.exit_code in (0, 1)
+    assert (inline.exit_code, inline.text) == (stored.exit_code, stored.text)
+
+
+@pytest.mark.parametrize("ratio", ["1e100000000", "-1e100000000", "1e-100000000"])
+@pytest.mark.parametrize("source", ["flag", "spec"])
+def test_ratio_with_a_huge_exponent_is_refused_at_once(ratio, source, tmp_path):
+    # Fraction would build 10**100000000 first; a subprocess bounds the wait if that returns
+    if source == "flag":
+        argv = DESIGN_FLAGS + [f"--max-ratio={ratio}"]  # "=": argparse takes a lone -1e... for an option
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"a0": 2, "msb_size": 5760, "target_total": 92098, "max_ratio": ratio}))
+        argv = ["design", "--spec", str(spec)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nims.cli", *argv, "--format", "json"], capture_output=True, env=env, timeout=10
+    )
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"] == {
+        "type": "InvalidInput", "message": "max_ratio must lie in (1, 3]", "exit_code": 3
+    }
 
 
 def test_negative_env_cap_exits_3(monkeypatch):

@@ -83,6 +83,20 @@ class TestDesignSpec:
     def test_max_ratio_text(self):
         assert DesignSpec(a0=1, msb_size=64, target_total=300, max_ratio="5/2").max_ratio == Fraction(5, 2)
 
+    @pytest.mark.parametrize("text", ["2.5", "25e-1", "3", "3e0", "30e-1", "1.000001"])
+    def test_max_ratio_decimal_text(self, text):
+        assert DesignSpec(a0=1, msb_size=64, target_total=300, max_ratio=text).max_ratio == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["4", "10", "1e1", "0.5", "0e5", "-2.5"])
+    def test_max_ratio_decimal_text_out_of_range(self, text):
+        with pytest.raises(InvalidInput, match=r"max_ratio must lie in \(1, 3\]"):
+            DesignSpec(a0=1, msb_size=64, target_total=300, max_ratio=text)
+
+    @pytest.mark.parametrize("text", ["nan", "Infinity", "-inf"])
+    def test_max_ratio_non_finite_text(self, text):
+        with pytest.raises(InvalidInput, match=f"bad max ratio '{text}'"):
+            DesignSpec(a0=1, msb_size=64, target_total=300, max_ratio=text)
+
     def test_from_file(self, tmp_path):
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({"a0": 1, "msb_size": 3, "target_total": 6}))

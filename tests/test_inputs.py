@@ -1,8 +1,9 @@
-"""The input boundary: one integer rule, and a CLI that turns any argv into an exit code.
+"""The input boundary: one integer rule, one file reader, and a CLI that turns any argv into an exit code.
 
 Every integer read from outside (defect maps, tolerance rules, design specs)
-goes through one rule; the argv-grammar test drives cli.run with drawn
-flags, spec and defect files and damaged device files.
+goes through one rule, and every file through one reader; the argv-grammar
+test drives cli.run with drawn flags, long inline values, spec and defect
+files, missing paths, directories and damaged device files.
 """
 
 from __future__ import annotations
@@ -11,13 +12,14 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from nims import DefectMap, DesignSpec, InvalidInput, ToleranceRule
+from nims import DefectMap, DesignSpec, InvalidInput, ParseError, ToleranceRule, load_device, sequence_from_file
 from nims.cli import run
 
-from .conftest import DEVICE_CSV
+from .conftest import DEVICE_CSV, DIRECTORY, ERROR_TYPES, MISSING
 
 SMALL_INTS = st.integers(-10**6, 10**6)
 
@@ -89,6 +91,18 @@ def test_the_rule_keeps_the_value(value):
     assert (spec.msb_size, spec.target_total) == (3 + int(value), 3 + 2 * int(value))
 
 
+# --- the file reader --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "read", [sequence_from_file, DefectMap.from_file, DesignSpec.from_file, load_device],
+    ids=["sequence", "defects", "spec", "device"],
+)
+def test_a_path_holding_a_nul_cannot_be_read(read):
+    with pytest.raises(ParseError, match="^cannot read a\x00b: "):
+        read("a\x00b")
+
+
 # --- argv grammar -----------------------------------------------------------
 
 # Numbers stay at or below 10^6: design lays out one list entry per bank.
@@ -121,6 +135,15 @@ class File(bytes):
     """An argv slot the test fills with the path of a file holding these bytes."""
 
 
+PATHS = st.sampled_from([MISSING, DIRECTORY])
+
+# Inline lists up to 100 bits or defects long, past the 255-byte limit of a file name.
+LONG_BITS = st.lists(st.integers(-1, 10**4), min_size=1, max_size=100).map(lambda bits: ",".join(map(str, bits)))
+LONG_DEFECTS = st.lists(st.tuples(st.integers(0, 99), st.integers(-1, 10)), min_size=1, max_size=100).map(
+    lambda entries: ",".join(f"{bit}:{count}" for bit, count in entries)
+)
+
+
 def json_file(doc) -> File:
     return File(json.dumps(doc).encode())
 
@@ -140,7 +163,7 @@ def spec_files(draw) -> File:
 
 def design_argv(draw) -> list:
     if draw(st.booleans()):
-        return ["design", "--spec", draw(spec_files())]
+        return ["design", "--spec", draw(st.one_of(spec_files(), PATHS))]
     argv = ["design"]
     for key in ("a0", "msb_size", "target_total"):
         if draw(st.integers(0, 9)):
@@ -164,7 +187,7 @@ def defect_files(draw) -> File:
 @st.composite
 def device_files(draw) -> File | str:
     data = DEVICE_CSV.read_bytes()
-    kind = draw(st.sampled_from(["truncated", "mutated", "not-utf8", "newline-path", "intact"]))
+    kind = draw(st.sampled_from(["truncated", "mutated", "not-utf8", "newline-path", "intact", "path"]))
     if kind == "truncated":
         return File(data[: draw(st.integers(0, len(data)))])
     if kind == "mutated":
@@ -174,23 +197,31 @@ def device_files(draw) -> File | str:
         return File(b"\xff\xfe" + data)
     if kind == "newline-path":
         return "a\nb"
+    if kind == "path":
+        return draw(PATHS)
     return File(data)
 
 
 @st.composite
 def argvs(draw) -> list:
-    command = draw(st.sampled_from(["design", "defects", "report", "plan"]))
+    command = draw(st.sampled_from(["design", "defects", "validate", "report", "plan"]))
     if command == "design":
         return design_argv(draw)
     if command == "defects":
         inline = st.sampled_from(["2:1", "1:1,2:1", "2:9"])
-        return ["defects", "--seq", "1,3,8", "--defects", pick(draw, st.one_of(defect_files(), inline), VALUES)]
+        defects = pick(draw, st.one_of(defect_files(), inline), st.one_of(VALUES, LONG_DEFECTS, PATHS))
+        return ["defects", "--seq", pick(draw, st.just("1,3,8"), LONG_BITS), "--defects", defects]
+    if command == "validate":
+        return ["validate", "--seq", draw(st.one_of(LONG_BITS, PATHS))]
     argv = [command, "--device", draw(device_files())]
     if command == "report" and draw(st.booleans()):
         argv += ["--min-margin", pick(draw, st.sampled_from(["0", "1.0", "2.0"]), VALUES)]
     if command == "plan":
         argv += ["--volts", draw(st.sampled_from(["1.0", "-1.0", "0", "nan", "100"]))]
     return argv
+
+
+ERROR_NAMES = {klass.__name__ for klass in ERROR_TYPES}
 
 
 def strict_json(text: str) -> object:
@@ -210,7 +241,13 @@ def test_any_argv_gets_an_exit_code(argv, fmt):
                 path = Path(tmp) / f"arg{i}"
                 path.write_bytes(arg)
                 argv[i] = str(path)
+            elif arg == MISSING:
+                argv[i] = str(Path(tmp) / "missing")
+            elif arg == DIRECTORY:
+                argv[i] = tmp
         result = run(argv + ["--format", fmt])
     assert result.exit_code in (0, 1, 2, 3)
     if fmt == "json":
-        strict_json(result.text)
+        doc = strict_json(result.text)
+        if isinstance(doc, dict) and "error" in doc:
+            assert doc["error"]["type"] in ERROR_NAMES

@@ -52,3 +52,24 @@ def test_design_script_bad_spec_is_a_usage_error(args, message):
     assert proc.stdout == b""
     assert b"Traceback" not in proc.stderr
     assert proc.stderr.decode().splitlines()[-1].startswith(f"design_3v_array.py: error: {message}")
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        (
+            "design_3v_array.py",
+            ["--a0", "1", "--msb-size", "8000", "--total", "8000"],
+            "LSB chain alone needs 9733 junctions, above the target 8000",
+        ),
+        ("compare_logics.py", ["--device", "/nonexistent"], "cannot read /nonexistent: "),
+        ("defect_survey.py", ["--device", "/nonexistent"], "cannot read /nonexistent: "),
+    ],
+    ids=["design-infeasible", "compare-missing-device", "survey-missing-device"],
+)
+def test_script_library_error_is_a_usage_error(script, args, message):
+    proc = run_script(script, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.decode().splitlines()[-1].startswith(f"{script}: error: {message}")

@@ -68,13 +68,23 @@ class Output:
         )
 
 
-# os.path.exists never raises, so a value that is not an existing path is parsed inline, however long
+def _names_file(value: str) -> bool:
+    """Whether a --seq or --defects value is read as a file rather than parsed inline.
+
+    A value holding "/" or ending in ".json" names a file even when none
+    exists, so a mistyped path fails as "cannot read <path>"; inline bit
+    and BIT:COUNT lists hold neither. os.path.exists never raises, so any
+    other value that is not an existing path is parsed inline, however long.
+    """
+    return "/" in value or value.endswith(".json") or os.path.exists(value)
+
+
 def _load_seq(value: str) -> sequence.Sequence:
-    return sequence.sequence_from_file(value) if os.path.exists(value) else sequence.parse_bits(value)
+    return sequence.sequence_from_file(value) if _names_file(value) else sequence.parse_bits(value)
 
 
 def _load_defects(value: str) -> fault_tolerance.DefectMap:
-    if os.path.exists(value):
+    if _names_file(value):
         return fault_tolerance.DefectMap.from_file(value)
     missing = {}
     for part in filter(None, map(str.strip, value.split(","))):

@@ -250,7 +250,10 @@ class SumSet:
         last = min(hi + offset, self.mask.bit_length() - 1)
         if first > last:
             return ((lo, hi),)
-        missing = ~(self.mask >> first) & ((1 << (last - first + 1)) - 1)
+        full = (1 << (last - first + 1)) - 1
+        # the complement within the window: XOR with full costs less than
+        # ~, which builds a negative int of the whole shifted mask first
+        missing = (self.mask >> first) & full ^ full
         out = [(glo + first - offset, ghi + first - offset) for glo, ghi in _runs(missing)]
         if lo + offset < first:
             out.insert(0, (lo, first - 1 - offset))
@@ -283,13 +286,20 @@ def _runs(x: int) -> list[tuple[int, int]]:
 def reachable_sums(seq: Sequence, a0_offset: bool = False, *, cap: int = DEFAULT_ORACLE_CAP) -> SumSet:
     """Bitset oracle over the digit set {-1, 0, +1}.
 
-    Grows the exact set of expressible sums one bit at a time as one Python
-    int instead of enumerating all 3^(N+1) digit vectors. Bit v + t stands
-    for the sum v, where t is the total of the bits added so far, so adding
-    bit a is S | S << a | S << 2a: the int is only as wide as the prefix
-    total and no bit ever shifts right. With a0_offset the set is widened
-    by the residual radius a_0 - 1, modelling the fine adjustment available
-    below the first bit. The final set takes about 2*(total + a_0) bits.
+    Grows the exact set of expressible sums one bit at a time instead of
+    enumerating all 3^(N+1) digit vectors. With a0_offset the sums are
+    widened by the residual radius r = a_0 - 1, the fine adjustment
+    available below the first bit; widening commutes with the digit sums,
+    so it is applied first: the set starts as the run -r..r.
+
+    While the set is one run of width ones, adding bit a keeps it one run
+    exactly when a <= width, and then only the width grows, by 2a. This is
+    a property of the set itself, not the chain rule (2, 7 with the
+    residual is one run although 7 > 3*2). From the first bit that opens a
+    gap, the set is one Python int: bit v + t stands for the sum v, where t
+    is the radius plus the bits added so far, so adding bit a is
+    S | S << a | S << 2a: the int is only as wide as the sums it holds and
+    nothing shifts right. The final set takes about 2*(total + a_0) bits.
 
     Raises RangeError when the sequence total exceeds the cap.
     """
@@ -297,19 +307,18 @@ def reachable_sums(seq: Sequence, a0_offset: bool = False, *, cap: int = DEFAULT
     if total > cap:
         raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
 
-    reach = 1
-    for a in seq.bits:
-        reach |= (reach | (reach << a)) << a
-
     radius = max(seq.bits[0] - 1, 0) if a0_offset else 0
-    if radius:
-        # OR of reach << d for d in [0, 2*radius], by doubling the width
-        # already covered; the offset grows from total to total + radius.
-        width, need = 1, 2 * radius + 1
-        while width < need:
-            step = min(width, need - width)
-            reach |= reach << step
-            width += step
+    width = 2 * radius + 1
+    for n, a in enumerate(seq.bits):
+        if a > width:
+            break
+        width += 2 * a
+    else:
+        return SumSet((1 << width) - 1, total, radius)
+
+    reach = (1 << width) - 1
+    for a in seq.bits[n:]:
+        reach |= (reach | (reach << a)) << a
     return SumSet(reach, total, radius)
 
 

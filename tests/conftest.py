@@ -123,6 +123,28 @@ def full_width_sums(bits, a0_offset: bool = False) -> tuple[int, int, int]:
     return reach, total, radius
 
 
+def growing_width_sums(bits, a0_offset: bool = False) -> tuple[int, int, int]:
+    """Reference bitset oracle that shifts every bit in and widens last.
+
+    The loop the library used before it applied the residual first and
+    tracked a single run by its width: S |= (S | S << a) << a for every bit
+    on an int as wide as the running total, then the residual radius
+    ORed in by doubling. Returns (mask, span, beta_radius).
+    """
+    total = sum(bits)
+    reach = 1
+    for a in bits:
+        reach |= (reach | (reach << a)) << a
+    radius = max(bits[0] - 1, 0) if a0_offset else 0
+    if radius:
+        width, need = 1, 2 * radius + 1
+        while width < need:
+            step = min(width, need - width)
+            reach |= reach << step
+            width += step
+    return reach, total, radius
+
+
 def regex_runs(x: int) -> list[tuple[int, int]]:
     """Reference run extraction: a regex over the reversed binary digits."""
     return [(m.start(), m.end() - 1) for m in re.finditer("1+", format(x, "b")[::-1])]
@@ -182,6 +204,24 @@ def capable_bits(draw, max_total: int = 10_000, max_len: int = 9):
         bits.append(nxt)
     if len(bits) == 1:
         bits.append(draw(st.integers(1, 3 * a0)))
+    return Sequence(tuple(bits))
+
+
+@st.composite
+def perturbed_capable_bits(draw):
+    """A capable sequence, as drawn or with one bit moved to 0 or above three times its predecessor.
+
+    Covers sets that stay one run, that break at bit 0 (a_0 >= 2 without
+    the residual), that break mid-sequence, and dead bits.
+    """
+    bits = list(draw(capable_bits(max_total=3000)))
+    n = draw(st.integers(0, len(bits) - 1))
+    move = draw(st.sampled_from(["none", "dead", "jump"]))
+    if move == "dead":
+        bits[n] = 0
+    elif move == "jump":
+        below = bits[n - 1] if n else 1
+        bits[n] = draw(st.integers(3 * below + 1, 3 * below + 50))
     return Sequence(tuple(bits))
 
 

@@ -489,20 +489,24 @@ NOT_UTF8 = RawFile(b'\xff\xfe{"bits": [1, 3, 8]}')
         ["design", "--spec", MISSING],
         ["design", "--spec", DIRECTORY],
         ["design", "--spec", NOT_UTF8],
+        ["validate", "--seq", MISSING],
+        ["validate", "--seq", "data/no_such_bits"],
         ["validate", "--seq", DIRECTORY],
         ["validate", "--seq", NOT_UTF8],
+        ["defects", "--seq", "1,3,8", "--defects", MISSING],
+        ["defects", "--seq", "1,3,8", "--defects", "no_such_defects.json"],
         ["defects", "--seq", "1,3,8", "--defects", DIRECTORY],
         ["defects", "--seq", "1,3,8", "--defects", NOT_UTF8],
         ["design", "--spec", "a\x00b"],
         ["report", "--device", "a\x00b"],
     ],
     ids=[
-        "spec-missing", "spec-directory", "spec-not-utf8", "seq-directory", "seq-not-utf8",
-        "defects-directory", "defects-not-utf8", "spec-nul-in-path", "device-nul-in-path",
+        "spec-missing", "spec-directory", "spec-not-utf8", "seq-missing", "seq-missing-slash",
+        "seq-directory", "seq-not-utf8", "defects-missing", "defects-missing-json", "defects-directory",
+        "defects-not-utf8", "spec-nul-in-path", "device-nul-in-path",
     ],
 )
 def test_unreadable_file_exits_3_with_parse_error(argv, capsys, tmp_path):
-    # a missing --seq or --defects path is no file, so it is parsed inline instead
     argv = with_files(argv, tmp_path)
     code = main(argv + ["--format", "json"])
     captured = capsys.readouterr()

@@ -3,12 +3,13 @@
 Every integer read from outside (defect maps, tolerance rules, design specs)
 goes through one rule, and every file through one reader; the argv-grammar
 test drives cli.run with drawn flags, long inline values, spec and defect
-files, missing paths, directories and damaged device files.
+files, missing and mistyped paths, directories and damaged device files.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -137,6 +138,14 @@ class File(bytes):
 
 PATHS = st.sampled_from([MISSING, DIRECTORY])
 
+# Mistyped --seq and --defects paths, relative to the working directory: a "/"
+# or a ".json" suffix marks a file, so these are read, never parsed inline.
+MISTYPED = st.tuples(
+    st.text("0123456789,:ab_", min_size=1, max_size=10),
+    st.sampled_from(["no_such_dir/{}", "{}.json", "{}/bits.json"]),
+).map(lambda parts: parts[1].format(parts[0]))
+INPUT_PATHS = st.one_of(PATHS, MISTYPED)
+
 # Inline lists up to 100 bits or defects long, past the 255-byte limit of a file name.
 LONG_BITS = st.lists(st.integers(-1, 10**4), min_size=1, max_size=100).map(lambda bits: ",".join(map(str, bits)))
 LONG_DEFECTS = st.lists(st.tuples(st.integers(0, 99), st.integers(-1, 10)), min_size=1, max_size=100).map(
@@ -209,10 +218,10 @@ def argvs(draw) -> list:
         return design_argv(draw)
     if command == "defects":
         inline = st.sampled_from(["2:1", "1:1,2:1", "2:9"])
-        defects = pick(draw, st.one_of(defect_files(), inline), st.one_of(VALUES, LONG_DEFECTS, PATHS))
+        defects = pick(draw, st.one_of(defect_files(), inline), st.one_of(VALUES, LONG_DEFECTS, INPUT_PATHS))
         return ["defects", "--seq", pick(draw, st.just("1,3,8"), LONG_BITS), "--defects", defects]
     if command == "validate":
-        return ["validate", "--seq", draw(st.one_of(LONG_BITS, PATHS))]
+        return ["validate", "--seq", draw(st.one_of(LONG_BITS, INPUT_PATHS))]
     argv = [command, "--device", draw(device_files())]
     if command == "report" and draw(st.booleans()):
         argv += ["--min-margin", pick(draw, st.sampled_from(["0", "1.0", "2.0"]), VALUES)]
@@ -251,3 +260,17 @@ def test_any_argv_gets_an_exit_code(argv, fmt):
         doc = strict_json(result.text)
         if isinstance(doc, dict) and "error" in doc:
             assert doc["error"]["type"] in ERROR_NAMES
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=MISTYPED, flag=st.sampled_from(["--seq", "--defects"]))
+@example(path="data/no_such_bits.json", flag="--seq")
+@example(path="1,3,8.json", flag="--defects")
+def test_a_mistyped_path_is_unreadable_not_bad_inline_data(path, flag):
+    assume(not os.path.exists(path))
+    argv = ["validate", "--seq", path] if flag == "--seq" else ["defects", "--seq", "1,3,8", "--defects", path]
+    result = run(argv + ["--format", "json"])
+    assert result.exit_code == 3
+    error = strict_json(result.text)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"cannot read {path}: ")

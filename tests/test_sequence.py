@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 
 import pytest
@@ -11,6 +13,7 @@ from nims import (
     InvalidInput,
     RangeError,
     Sequence,
+    SumSet,
     enumerate_nims,
     is_complete,
     make_standard,
@@ -29,7 +32,9 @@ from .conftest import (
     brute_sums,
     capable_bits,
     full_width_sums,
+    growing_width_sums,
     interval_dp_sums,
+    perturbed_capable_bits,
     regex_runs,
     strict_bits,
 )
@@ -231,10 +236,37 @@ class TestReachableSums:
         sums = reachable_sums(seq, a0_offset=a0_offset)
         assert (sums.mask, sums.span, sums.beta_radius) == full_width_sums(seq.bits, a0_offset)
 
+    @given(perturbed_capable_bits(), st.booleans())
+    @settings(max_examples=300)
+    def test_run_first_matches_both_bitset_references(self, seq, a0_offset):
+        sums = reachable_sums(seq, a0_offset=a0_offset)
+        expected = growing_width_sums(seq.bits, a0_offset)
+        assert (sums.mask, sums.span, sums.beta_radius) == expected == full_width_sums(seq.bits, a0_offset)
+
     @pytest.mark.parametrize("a0_offset", [False, True])
     def test_device_matches_full_width(self, measured, a0_offset):
         sums = reachable_sums(measured, a0_offset=a0_offset)
-        assert (sums.mask, sums.span, sums.beta_radius) == full_width_sums(measured.bits, a0_offset)
+        expected = growing_width_sums(measured.bits, a0_offset)
+        assert (sums.mask, sums.span, sums.beta_radius) == expected == full_width_sums(measured.bits, a0_offset)
+
+    def test_one_run_that_breaks_the_chain(self):
+        # with the residual, 2 then 7 stays one run (-10..10) although 7 > 3*2
+        seq = Sequence((2, 7))
+        assert not _chain_capable(seq.bits)
+        sums = reachable_sums(seq, a0_offset=True)
+        assert sums.intervals == ((-10, 10),)
+        expected = growing_width_sums(seq.bits, True)
+        assert (sums.mask, sums.span, sums.beta_radius) == expected == full_width_sums(seq.bits, True)
+
+    def test_oracle_names_no_chain_certificate(self):
+        # the oracle stays independent of the chain certificate, though its
+        # one-run shortcut looks like a chain test
+        banned = {"_chain_capable", "validate", "_tolerances"}
+        for oracle in (reachable_sums, is_complete, oracle_gaps, SumSet):
+            nodes = list(ast.walk(ast.parse(inspect.getsource(oracle))))
+            names = {node.id for node in nodes if isinstance(node, ast.Name)}
+            names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            assert not names & banned, oracle.__name__
 
     def test_large_residual_radius(self):
         sums = reachable_sums(Sequence((1000, 1500)), a0_offset=True)

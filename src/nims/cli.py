@@ -265,7 +265,7 @@ def _cmd_plan(args) -> Output:
 
 
 def _cmd_compare(args) -> Output:
-    kinds = sequence.STANDARD_RATIOS if args.standards else ()
+    kinds = designer.STANDARD_RATIOS if args.standards else ()
     candidates = [(k, designer.standard_column(k, args.msb_size, args.lsb_count)) for k in kinds]
     for raw in args.candidate or []:
         if "=" not in raw:

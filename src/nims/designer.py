@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import Infeasible, InvalidInput
+from .errors import Infeasible, InvalidInput, RangeError
 from .fault_tolerance import _tolerances
 from .sequence import (
     Sequence,
@@ -25,11 +25,20 @@ from .sequence import (
     csv_rows,
     read_json,
     segmentation_efficiency,
-    standard_ratio,
     validate,
 )
 
 BRANCH_COUNT = 16
+STANDARD_RATIOS = {"binary": 2, "ternary": 3}
+# The most bits a designed, standard or compared layout may have. The measured
+# device has 23; the limit stops a huge target total or column count from
+# laying out millions of banks, one list entry each.
+MAX_LAYOUT_BITS = 10_000
+
+
+def _within_limit(bits: int) -> None:
+    if bits > MAX_LAYOUT_BITS:
+        raise RangeError(f"layout of {bits} bits exceeds the limit of {MAX_LAYOUT_BITS}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +148,7 @@ def design(spec: DesignSpec) -> DesignResult:
             raise Infeasible(
                 f"tolerance/ratio constraints stall the chain at bit size {cur}"
             )
+        _within_limit(len(chain) + 1)
         chain.append(nxt)
 
     remaining = spec.target_total - sum(chain)
@@ -148,6 +158,7 @@ def design(spec: DesignSpec) -> DesignResult:
         )
 
     full_banks, trim = divmod(remaining, spec.msb_size)
+    _within_limit(len(chain) + full_banks + (trim > 0))
     banks: list[int] = [spec.msb_size] * full_banks
     if trim:
         lead_tolerance = trim - (spec.msb_size + 2) // 3
@@ -245,6 +256,7 @@ def compare_logics(
     """
     if lsb_count < 1 or msb_size < 1:
         raise InvalidInput("lsb_count and msb_size must be positive")
+    _within_limit(lsb_count)
     if not candidates:
         raise InvalidInput("need at least one candidate")
     columns: list[CandidateColumn] = []
@@ -271,8 +283,11 @@ def compare_logics(
 
 
 def standard_column(kind: str, msb_size: int, length: int) -> Sequence:
-    """Reference layout: geometric growth below the bank size, then banks."""
-    ratio = standard_ratio(kind)
+    """Reference layout: geometric growth below the bank size, then banks; the one standard builder."""
+    if kind not in STANDARD_RATIOS:
+        raise InvalidInput(f"unknown standard kind {kind!r}")
+    _within_limit(length)
+    ratio = STANDARD_RATIOS[kind]
     bits = [1]
     while bits[-1] * ratio < msb_size and len(bits) < length:
         bits.append(bits[-1] * ratio)

@@ -3,14 +3,14 @@
 The on-disk form is a CSV with a key=value metadata preamble ahead of the
 header row. Canonical serialization always writes the optional
 tolerance_note column, required metadata keys in a fixed order, and any
-extra keys verbatim in sorted order, so loading a canonical file and
-re-serializing it is byte identical.
+extra keys verbatim in sorted order, and quotes a note only where it holds
+a comma or a quote, so loading a canonical file and re-serializing it is
+byte identical.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,18 +18,31 @@ from pathlib import Path
 from . import bias
 from .errors import InvalidInput, ParseError
 from .fault_tolerance import DefectMap, _tolerances
-from .sequence import Sequence, _read_text, validate
+from .sequence import Sequence, _read_text, csv_rows, validate
 
-REQUIRED_METADATA = (
-    "frequency_hz",
-    "temperature_k",
-    "critical_current_ma",
-    "normal_resistance_mohm",
-    "junction_um",
-    "current_density_ka_cm2",
+# The preamble in file order: each key with the DeviceMetadata fields its value
+# fills. A key that fills two fields holds them as LENGTHxWIDTH.
+METADATA_KEYS = (
+    ("frequency_hz", ("frequency_hz",)),
+    ("temperature_k", ("temperature_k",)),
+    ("critical_current_ma", ("critical_current_ma",)),
+    ("normal_resistance_mohm", ("normal_resistance_mohm",)),
+    ("junction_um", ("junction_length_um", "junction_width_um")),
+    ("current_density_ka_cm2", ("current_density_ka_cm2",)),
 )
-HEADER = ("bit", "junctions", "step_pos_mA", "step_zero_mA", "step_neg_mA")
+# The data columns in file order: each header name with the DeviceBit field
+# it fills and the type of its cells. The note column may follow them.
+COLUMNS = (
+    ("bit", "index", int),
+    ("junctions", "junctions", int),
+    ("step_pos_mA", "step_pos_ma", float),
+    ("step_zero_mA", "step_zero_ma", float),
+    ("step_neg_mA", "step_neg_ma", float),
+)
+HEADER = tuple(name for name, _, _ in COLUMNS)
 NOTE_COLUMN = "tolerance_note"
+# The signed steps of a bit: each side of the zero step with its DeviceBit field.
+SIDES = (("positive", "step_pos_ma"), ("negative", "step_neg_ma"))
 
 
 @dataclass(frozen=True)
@@ -90,11 +103,31 @@ def load_device(path: str | Path) -> DeviceRecord:
     return parse_device(_read_text(path))
 
 
+def _cell(row: int, name: str, kind: type, text: str) -> int | float:
+    """One data cell: present, and an integer or a finite, non-negative float."""
+    if not text:
+        raise ParseError("missing value", row=row, field=name)
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        raise ParseError(f"not {'an integer' if kind is int else 'a number'}: {text!r}", row=row, field=name) from exc
+    if kind is float:
+        if not math.isfinite(value):
+            raise ParseError("step width must be finite", row=row, field=name)
+        if value < 0:
+            raise ParseError("step width must not be negative", row=row, field=name)
+    return value
+
+
 def parse_device(text: str) -> DeviceRecord:
-    """Parse device CSV text: the key=value preamble, the header, one row per bit."""
+    """Parse device CSV text: the key=value preamble, the header, one row per bit.
+
+    Each key appears once, and a data row holds at most the five columns
+    and the note. Where the text breaks several rules, the first broken in
+    file order is reported: a key, then a row's leftmost cell.
+    """
     lines = text.splitlines()
-    meta_raw: dict[str, str] = {}
-    extras: list[tuple[str, str]] = []
+    raw: dict[str, str] = {}
     header_at = None
     for i, line in enumerate(lines):
         stripped = line.strip()
@@ -106,32 +139,24 @@ def parse_device(text: str) -> DeviceRecord:
         if "=" not in stripped:
             raise ParseError(f"expected key=value before the header, got {stripped!r}", row=i + 1)
         key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in REQUIRED_METADATA:
-            meta_raw[key] = value
-        else:
-            extras.append((key, value))
+        key = key.strip()
+        if key in raw:
+            raise ParseError(f"metadata {key} given twice", row=i + 1)
+        raw[key] = value.strip()
     if header_at is None:
         raise ParseError("no header row found")
 
-    missing = [k for k in REQUIRED_METADATA if k not in meta_raw]
+    missing = [key for key, _ in METADATA_KEYS if key not in raw]
     if missing:
         raise ParseError(f"missing metadata keys: {', '.join(missing)}")
-
-    junction = meta_raw["junction_um"]
-    if "x" not in junction:
-        raise ParseError(f"junction_um must be LENGTHxWIDTH, got {junction!r}")
-    jl, _, jw = junction.partition("x")
-    metadata = DeviceMetadata(
-        frequency_hz=_meta_float("frequency_hz", meta_raw["frequency_hz"]),
-        temperature_k=_meta_float("temperature_k", meta_raw["temperature_k"]),
-        critical_current_ma=_meta_float("critical_current_ma", meta_raw["critical_current_ma"]),
-        normal_resistance_mohm=_meta_float("normal_resistance_mohm", meta_raw["normal_resistance_mohm"]),
-        junction_length_um=_meta_float("junction_um", jl),
-        junction_width_um=_meta_float("junction_um", jw),
-        current_density_ka_cm2=_meta_float("current_density_ka_cm2", meta_raw["current_density_ka_cm2"]),
-        extras=tuple(extras),
-    )
+    values: dict[str, float] = {}
+    for key, fields in METADATA_KEYS:
+        value = raw.pop(key)
+        if len(fields) > 1 and "x" not in value:
+            raise ParseError(f"{key} must be LENGTHxWIDTH, got {value!r}")
+        parts = value.partition("x")[::2] if len(fields) > 1 else (value,)
+        values.update((field, _meta_float(key, part)) for field, part in zip(fields, parts))
+    metadata = DeviceMetadata(**values, extras=tuple(raw.items()))
 
     try:
         rows = list(csv.reader(lines[header_at:]))
@@ -142,43 +167,19 @@ def parse_device(text: str) -> DeviceRecord:
         raise ParseError(f"unexpected header {','.join(header)!r}", row=header_at + 1)
 
     bits: list[DeviceBit] = []
-    for offset, row in enumerate(rows[1:], start=1):
-        if not row or not any(cell.strip() for cell in row):
+    for rownum, row in enumerate(rows[1:], start=header_at + 2):
+        texts = [cell.strip() for cell in row]
+        if not any(texts):
             continue
-        rownum = header_at + offset + 1
-        if len(row) < len(HEADER):
-            missing_field = HEADER[len(row)]
-            raise ParseError("missing value", row=rownum, field=missing_field)
-        values = {}
-        for name, cell in zip(HEADER, row):
-            cell = cell.strip()
-            if not cell:
-                raise ParseError("missing value", row=rownum, field=name)
-            values[name] = cell
-        counts = []
-        for name in HEADER[:2]:
-            try:
-                counts.append(int(values[name]))
-            except ValueError as exc:
-                raise ParseError(f"not an integer: {values[name]!r}", row=rownum, field=name) from exc
-        idx, junctions = counts
-        if idx != len(bits):
-            raise ParseError(f"bit index {idx}, expected {len(bits)}", row=rownum, field="bit")
-        if junctions < 0:
+        if len(texts) > len(COLUMNS) + 1:
+            raise ParseError(f"{len(texts)} fields, at most {len(COLUMNS) + 1} allowed", row=rownum)
+        texts += [""] * (len(COLUMNS) + 1 - len(texts))
+        cells = {field: _cell(rownum, name, kind, text) for (name, field, kind), text in zip(COLUMNS, texts)}
+        if cells["index"] != len(bits):
+            raise ParseError(f"bit index {cells['index']}, expected {len(bits)}", row=rownum, field="bit")
+        if cells["junctions"] < 0:
             raise ParseError("junction count must not be negative", row=rownum, field="junctions")
-        widths = []
-        for name in HEADER[2:]:
-            try:
-                w = float(values[name])
-            except ValueError as exc:
-                raise ParseError(f"not a number: {values[name]!r}", row=rownum, field=name) from exc
-            if not math.isfinite(w):
-                raise ParseError("step width must be finite", row=rownum, field=name)
-            if w < 0:
-                raise ParseError("step width must not be negative", row=rownum, field=name)
-            widths.append(w)
-        note = row[len(HEADER)].strip() if len(row) > len(HEADER) else ""
-        bits.append(DeviceBit(idx, junctions, *widths, note))
+        bits.append(DeviceBit(**cells, tolerance_note=texts[-1]))
     if not bits:
         raise ParseError("device file lists no bits")
     return DeviceRecord(tuple(bits), metadata)
@@ -187,22 +188,10 @@ def parse_device(text: str) -> DeviceRecord:
 def serialize_device(rec: DeviceRecord) -> str:
     """Canonical text form; see module docstring."""
     m = rec.metadata
-    out = io.StringIO()
-    out.write(f"frequency_hz={m.frequency_hz!r}\n")
-    out.write(f"temperature_k={m.temperature_k!r}\n")
-    out.write(f"critical_current_ma={m.critical_current_ma!r}\n")
-    out.write(f"normal_resistance_mohm={m.normal_resistance_mohm!r}\n")
-    out.write(f"junction_um={m.junction_length_um!r}x{m.junction_width_um!r}\n")
-    out.write(f"current_density_ka_cm2={m.current_density_ka_cm2!r}\n")
-    for key, value in sorted(m.extras):
-        out.write(f"{key}={value}\n")
-    out.write(",".join(HEADER + (NOTE_COLUMN,)) + "\n")
-    for b in rec.bits:
-        out.write(
-            f"{b.index},{b.junctions},{b.step_pos_ma!r},{b.step_zero_ma!r},"
-            f"{b.step_neg_ma!r},{b.tolerance_note}\n"
-        )
-    return out.getvalue()
+    preamble = [f"{key}={'x'.join(repr(getattr(m, field)) for field in fields)}\n" for key, fields in METADATA_KEYS]
+    preamble += [f"{key}={value}\n" for key, value in sorted(m.extras)]
+    rows = [[*HEADER, NOTE_COLUMN]] + [[*(getattr(b, f) for _, f, _ in COLUMNS), b.tolerance_note] for b in rec.bits]
+    return "".join(preamble) + csv_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -238,26 +227,24 @@ class MarginReport:
         }
 
 
+def _side_widths(rec: DeviceRecord) -> list[tuple[str, list[float]]]:
+    """Each side of SIDES with the bits' step widths on it, in bit order."""
+    return [(side, [getattr(b, field) for b in rec.bits]) for side, field in SIDES]
+
+
 def margin_report(rec: DeviceRecord, min_margin_ma: float) -> MarginReport:
     """Operating-margin summary over the signed step widths."""
     if not math.isfinite(min_margin_ma):
         raise InvalidInput(f"margin threshold must be finite, got {min_margin_ma}")
-    pos = [b.step_pos_ma for b in rec.bits]
-    neg = [b.step_neg_ma for b in rec.bits]
-    violations = []
-    for b in rec.bits:
-        if b.step_pos_ma < min_margin_ma:
-            violations.append(MarginViolation(b.index, "positive", b.step_pos_ma))
-        if b.step_neg_ma < min_margin_ma:
-            violations.append(MarginViolation(b.index, "negative", b.step_neg_ma))
-    return MarginReport(
-        min_margin_ma,
-        min(pos),
-        sum(pos) / len(pos),
-        min(neg),
-        sum(neg) / len(neg),
-        tuple(violations),
+    sides = _side_widths(rec)
+    stats = [stat for _, widths in sides for stat in (min(widths), sum(widths) / len(widths))]
+    violations = tuple(
+        MarginViolation(b.index, side, widths[i])
+        for i, b in enumerate(rec.bits)
+        for side, widths in sides
+        if widths[i] < min_margin_ma
     )
+    return MarginReport(min_margin_ma, *stats, violations)
 
 
 def infer_defects(rec: DeviceRecord, nominal: Sequence) -> DefectMap:
@@ -283,20 +270,17 @@ def plausibility_lints(rec: DeviceRecord) -> tuple[str, ...]:
     A signed step equal to the bit's zero step, or towering over both
     neighbours, is reported verbatim rather than corrected.
     """
+    sides = _side_widths(rec)
+    last = len(rec.bits) - 1
     lints: list[str] = []
     for i, b in enumerate(rec.bits):
-        for side, width in (("positive", b.step_pos_ma), ("negative", b.step_neg_ma)):
+        for side, widths in sides:
+            width = widths[i]
             reasons = []
             if width == b.step_zero_ma:
                 reasons.append("equals the zero-step width")
-            neighbours = []
-            if i > 0:
-                prev = rec.bits[i - 1]
-                neighbours.append(prev.step_pos_ma if side == "positive" else prev.step_neg_ma)
-            if i + 1 < len(rec.bits):
-                nxt = rec.bits[i + 1]
-                neighbours.append(nxt.step_pos_ma if side == "positive" else nxt.step_neg_ma)
-            if neighbours and width > 2 * max(neighbours):
+            # an end bit's one neighbour stands in for the one it lacks
+            if last and width > 2 * max(widths[i - 1 if i else 1], widths[i + 1 if i < last else i - 1]):
                 reasons.append("more than twice both neighbours")
             if reasons:
                 lints.append(f"bit {b.index}: {side} step width {width} mA {'; '.join(reasons)}")

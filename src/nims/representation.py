@@ -36,22 +36,22 @@ def _require_capable(seq: Sequence) -> None:
         )
 
 
-def represent(m: int, seq: Sequence, *, audit: list | None = None) -> Representation:
+def represent(m: int, seq: Sequence) -> Representation:
     """Greedy signed-digit decomposition of m over seq.
 
     Ties at the residual level prefer beta over activating the first bit,
-    which keeps junction usage minimal. Pass an `audit` list to capture
-    (bit, remainder) after every step; the remainder magnitude never
-    exceeds the running total below the bit plus a_0 - 1.
+    which keeps junction usage minimal. After bit n the remainder,
+    m minus the digits from bit n up, never exceeds the running total
+    below the bit plus a_0 - 1.
 
     Raises InvalidSequence when seq is not completeness capable and
     OutOfRange when |m| exceeds A_N + a_0 - 1.
     """
     _require_capable(seq)
-    return _descend(m, seq, audit)
+    return _descend(m, seq)
 
 
-def _descend(m: int, seq: Sequence, audit: list | None = None) -> Representation:
+def _descend(m: int, seq: Sequence) -> Representation:
     """The greedy descent of `represent`, on a sequence already through `_require_capable`."""
     bits = seq.bits
     sums = prefix_sums(seq)
@@ -70,14 +70,10 @@ def _descend(m: int, seq: Sequence, audit: list | None = None) -> Representation
         slack = sums.totals[n - 1] + a0 - 1
         if abs(r) > slack:
             raise AssertionError(f"remainder {r} broke the descent bound at bit {n}")
-        if audit is not None:
-            audit.append((n, r))
     if abs(r) >= a0:
         s = 1 if r > 0 else -1
         signs[0] = s
         r -= s * a0
-    if audit is not None:
-        audit.append((0, r))
 
     beta = r
     expressed = sum(s * a for s, a in zip(signs, bits))

@@ -342,7 +342,11 @@ def enumerate_nims(
     """All strictly valid sequences of the given depth, lexicographically.
 
     Bits are bounded by max_bit. Raises RangeError when the enumeration
-    would exceed max_results sequences.
+    would exceed max_results sequences. A bit joins a prefix only when the
+    prefix can still be completed within max_bit, so every prefix the
+    search visits leads to a result and the time is bounded by the results
+    (at most max_results + 1) times the depth. The search keeps its own
+    stack, so a deep enumeration does not recurse.
     """
     if a0 < 1 or depth < 1 or max_bit < 1:
         raise InvalidInput("a0, depth, and max_bit must all be positive")
@@ -351,45 +355,45 @@ def enumerate_nims(
     out: list[Sequence] = []
     if a0 > max_bit:
         return out
+    # The smallest strict completion of a prefix takes 3 * (the bit two places
+    # back) + 1 at each later bit. With r bits still to come after a new bit b
+    # whose predecessor is p, its last bit is x -> 3x + 1 applied r/2 times to b
+    # (r even) or (r + 1)/2 times to p (r odd). fits[h] is the largest bit that
+    # h such steps keep within max_bit; below 1 no bit fits, nor with more steps.
+    fits = [max_bit]
+    while fits[-1] >= 1 and len(fits) <= depth // 2:
+        fits.append((fits[-1] - 1) // 3)
 
     prefix = [a0]
-
-    def grow() -> None:
+    choices: list = []  # choices[j]: the bits still to try at position j + 1
+    while True:
         if len(prefix) == depth:
             if len(out) >= max_results:
                 raise RangeError(f"enumeration exceeds {max_results} sequences")
             out.append(Sequence(tuple(prefix)))
-            return
-        k = len(prefix)
-        # Lower bound: above 3*a_{k-2} for interior bits, simple growth for
-        # the second bit. Upper bound: the upper chain and max_bit.
-        low = 3 * prefix[k - 2] + 1 if k >= 2 else prefix[-1] + 1
-        high = min(3 * prefix[-1], max_bit)
-        for nxt in range(low, high + 1):
-            prefix.append(nxt)
-            grow()
             prefix.pop()
-
-    grow()
-    return out
-
-
-STANDARD_RATIOS = {"binary": 2, "ternary": 3}
-
-
-def standard_ratio(kind: str) -> int:
-    """Growth ratio of a standard reference kind."""
-    if kind not in STANDARD_RATIOS:
-        raise InvalidInput(f"unknown standard kind {kind!r}")
-    return STANDARD_RATIOS[kind]
-
-
-def make_standard(kind: str, lsb_count: int) -> Sequence:
-    """Plain doubling or tripling reference sequence with lsb_count bits."""
-    if lsb_count < 1:
-        raise InvalidInput("lsb_count must be positive")
-    ratio = standard_ratio(kind)
-    return Sequence(tuple(ratio**n for n in range(lsb_count)))
+        else:
+            # Lower bound: above 3*a_{k-2} for interior bits, simple growth for
+            # the second bit. Upper bound: the upper chain, max_bit and a
+            # completion within max_bit.
+            k, p = len(prefix), prefix[-1]
+            low = 3 * prefix[k - 2] + 1 if k >= 2 else p + 1
+            after = depth - 1 - k
+            fit = fits[min((after + 1) // 2, len(fits) - 1)]
+            if after % 2 == 0:
+                high = min(3 * p, fit)
+            else:
+                high = min(3 * p, max_bit) if p <= fit else 0
+            choices.append(iter(range(low, high + 1)))
+        while choices:
+            nxt = next(choices[-1], None)
+            if nxt is not None:
+                prefix.append(nxt)
+                break
+            choices.pop()
+            prefix.pop()
+        else:
+            return out
 
 
 def parse_bits(text: str) -> Sequence:

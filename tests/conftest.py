@@ -145,6 +145,49 @@ def growing_width_sums(bits, a0_offset: bool = False) -> tuple[int, int, int]:
     return reach, total, radius
 
 
+def descent_rows(rep, seq) -> list[tuple[int, int]]:
+    """(bit, remainder) after each step of the greedy, from the top bit down to bit 0.
+
+    Rebuilt from the digits: the remainder after bit n is m minus the sum
+    of s_k * a_k over the bits k >= n.
+    """
+    rows = []
+    r = rep.target_m
+    for n in range(len(seq.bits) - 1, -1, -1):
+        r -= rep.signs[n] * seq.bits[n]
+        rows.append((n, r))
+    return rows
+
+
+def recursive_enumerate(a0: int, depth: int, max_bit: int, max_results: int) -> list[tuple[int, ...]]:
+    """Reference enumerator: a recursive search over every strict prefix under max_bit.
+
+    Lists the strictly valid sequences of the given depth in lexicographic
+    order, or raises RangeError past max_results, without pruning the
+    prefixes that cannot be completed.
+    """
+    out: list[tuple[int, ...]] = []
+    if a0 > max_bit:
+        return out
+    prefix = [a0]
+
+    def grow() -> None:
+        if len(prefix) == depth:
+            if len(out) >= max_results:
+                raise errors.RangeError(f"enumeration exceeds {max_results} sequences")
+            out.append(tuple(prefix))
+            return
+        k = len(prefix)
+        low = 3 * prefix[k - 2] + 1 if k >= 2 else prefix[-1] + 1
+        for nxt in range(low, min(3 * prefix[-1], max_bit) + 1):
+            prefix.append(nxt)
+            grow()
+            prefix.pop()
+
+    grow()
+    return out
+
+
 def regex_runs(x: int) -> list[tuple[int, int]]:
     """Reference run extraction: a regex over the reversed binary digits."""
     return [(m.start(), m.end() - 1) for m in re.finditer("1+", format(x, "b")[::-1])]

@@ -32,7 +32,7 @@ from nims import (
     within_tolerance,
 )
 
-from .conftest import DEVICE_CSV, NIMS1_BITS, NIMS2_BITS
+from .conftest import DEVICE_CSV, NIMS1_BITS, NIMS2_BITS, descent_rows
 
 REFERENCE = Sequence((1, 3, 8))
 
@@ -255,9 +255,7 @@ def test_criterion_8_proof_inequalities():
         a0 = seq.bits[0]
         bound = seq.total + a0 - 1
         for m in {rng.randint(-bound, bound) for _ in range(40)}:
-            audit = []
-            represent(m, seq, audit=audit)
-            for n, r in audit:
+            for n, r in descent_rows(represent(m, seq), seq):
                 audit_rows += 1
                 limit = totals[n - 1] + a0 - 1 if n >= 1 else a0 - 1
                 if abs(r) > limit:

@@ -591,6 +591,34 @@ def test_ratio_with_a_huge_exponent_is_refused_at_once(ratio, source, tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["enumerate", "--a0", "1", "--depth", "30", "--max-bit", "3000", "--limit", "5"], 0),
+        (["enumerate", "--a0", "1", "--depth", "2000", "--max-bit", "9" * 1000, "--limit", "1"], 2),
+        (["compare", "--msb-size", "5760", "--lsb-count", "1000000", "--standards"], 2),
+        (["compare", "--msb-size", "5760", "--lsb-count", "1000000", "--candidate", "mine=1,3,9"], 2),
+        (["design", "--a0", "1", "--msb-size", "3", "--target-total", "3000000"], 2),
+        (["design", "--a0", "1", "--msb-size", "3", "--target-total", str(10**12)], 2),
+    ],
+    ids=["enumerate_depth_30", "enumerate_depth_2000", "compare_standards", "compare_candidate", "design", "design_1e12"],
+)
+def test_huge_searches_and_layouts_end_at_once(argv, code):
+    # a subprocess bounds the wait: these searched every dead prefix, recursed past
+    # the interpreter's limit, or laid out one list entry per bank
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nims.cli", *argv, "--format", "json"], capture_output=True, env=env, timeout=10
+    )
+    assert proc.returncode == code
+    doc = json.loads(proc.stdout)
+    if code == 0:
+        assert doc["count"] == 0
+    else:
+        assert doc["error"]["type"] == "RangeError"
+
+
 def test_negative_env_cap_exits_3(monkeypatch):
     monkeypatch.setenv("NIMS_ORACLE_CAP", "-5")
     code, doc = run_json(["oracle", "--seq", "1,3,9"])

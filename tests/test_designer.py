@@ -12,6 +12,7 @@ from nims import (
     DesignSpec,
     Infeasible,
     InvalidInput,
+    RangeError,
     Sequence,
     ToleranceRule,
     compare_logics,
@@ -22,6 +23,8 @@ from nims import (
 )
 
 from .conftest import INCAPABLE_MESSAGES, NIMS1_BITS
+
+LIMIT = nims.designer.MAX_LAYOUT_BITS
 
 
 class TestDesignSpec:
@@ -313,3 +316,23 @@ class TestCompare:
     def test_standard_column_rejects_unknown(self):
         with pytest.raises(InvalidInput):
             standard_column("octal", 8000, 14)
+
+
+class TestLayoutLimit:
+    REFUSED = f"layout of {LIMIT + 1} bits exceeds the limit of {LIMIT}"
+
+    def test_design(self):
+        # a0 = 1 and banks of 3: the chain is one bit, then one bank per 3 junctions
+        assert len(design(DesignSpec(a0=1, msb_size=3, target_total=1 + 3 * (LIMIT - 1))).sequence) == LIMIT
+        with pytest.raises(RangeError, match=f"^{self.REFUSED}$"):
+            design(DesignSpec(a0=1, msb_size=3, target_total=2 + 3 * (LIMIT - 1)))
+
+    def test_standard_column(self):
+        assert len(standard_column("binary", 8000, LIMIT)) == LIMIT
+        with pytest.raises(RangeError, match=f"^{self.REFUSED}$"):
+            standard_column("binary", 8000, LIMIT + 1)
+
+    def test_compare_logics(self, nims1):
+        assert compare_logics(LIMIT, 8000, [("nims1", nims1)]).lsb_count == LIMIT
+        with pytest.raises(RangeError, match=f"^{self.REFUSED}$"):
+            compare_logics(LIMIT + 1, 8000, [("nims1", nims1)])

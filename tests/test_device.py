@@ -82,6 +82,11 @@ class TestLoader:
         assert rec.sequence().bits == (2, 6)
         assert rec.bits[0].tolerance_note == ""
 
+    def test_note_holding_a_comma_round_trips(self):
+        rec = parse_device(minimal_text('0,2,1.0,1.0,1.0,"past 100, see log"\n'))
+        assert rec.bits[0].tolerance_note == "past 100, see log"
+        assert parse_device(serialize_device(rec)) == rec
+
     def test_canonicalization_is_idempotent(self):
         rec = parse_device(minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0,1.0\n"))
         once = serialize_device(rec)
@@ -117,6 +122,26 @@ class TestLoader:
     def test_unknown_header_rejected(self):
         with pytest.raises(ParseError, match="header"):
             parse_device(minimal_text("0,2,1.0,1.0,1.0\n", header="bit,junctions,width"))
+
+    @pytest.mark.parametrize(
+        "lines,row,key",
+        [("frequency_hz=2e9\n", 7, "frequency_hz"), ("nameplate_max_v=3.2\nnameplate_max_v=3.3\n", 8, "nameplate_max_v")],
+        ids=["required", "extra"],
+    )
+    def test_repeated_key_rejected(self, lines, row, key):
+        # a second frequency_hz used to replace the first
+        text = minimal_text("0,2,1.0,1.0,1.0\n").replace("bit,", lines + "bit,")
+        with pytest.raises(ParseError, match=rf"^row {row}: metadata {key} given twice$"):
+            parse_device(text)
+
+    def test_wide_row_rejected(self):
+        # the extra fields used to vanish when the record was written back out
+        with pytest.raises(ParseError, match=r"^row 8: 8 fields, at most 6 allowed$"):
+            parse_device(minimal_text("0,2,1,1,1,note,junk,more\n"))
+
+    def test_six_fields_under_a_five_column_header(self):
+        rec = parse_device(minimal_text("0,2,1.0,1.0,1.0,note\n"))
+        assert rec.bits[0].tolerance_note == "note"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_metadata_rejected(self, value):

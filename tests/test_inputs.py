@@ -2,8 +2,9 @@
 
 Every integer read from outside (defect maps, tolerance rules, design specs)
 goes through one rule, and every file through one reader; the argv-grammar
-test drives cli.run with drawn flags, long inline values, spec and defect
-files, missing and mistyped paths, directories and damaged device files.
+test drives cli.run with drawn flags, long inline values, huge totals and
+column counts, spec and defect files, missing and mistyped paths,
+directories and damaged device files.
 """
 
 from __future__ import annotations
@@ -106,12 +107,12 @@ def test_a_path_holding_a_nul_cannot_be_read(read):
 
 # --- argv grammar -----------------------------------------------------------
 
-# Numbers stay at or below 10^6: design lays out one list entry per bank.
-NUMBERS = st.sampled_from(["-5", "-1", "0", "1", "2", "3", "4", "6", "100", "5760", "92098", "1000000"])
+# Up to 10^12: a layout past designer.MAX_LAYOUT_BITS is refused before it is built.
+NUMBERS = st.sampled_from(["-5", "-1", "0", "1", "2", "3", "4", "6", "100", "5760", "92098", "1000000", "1000000000000"])
 JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "2.5", "0/0", "5/2", "x:1", "100:2", "1:2:3", ":"])
 VALUES = st.one_of(NUMBERS, JUNK)
 JSON_VALUES = st.sampled_from(
-    [-1, 0, 1, 2, 3, 6, 100, 5760, 92098, 10**6, 2.0, 2.5, True, None, "2", "x", [], {}, float("nan"), float("inf")]
+    [-1, 0, 1, 2, 3, 6, 100, 5760, 92098, 10**6, 10**12, 2.0, 2.5, True, None, "2", "x", [], {}, float("nan"), float("inf")]
 )
 FORMATS = st.sampled_from(["table", "csv", "json"])
 
@@ -120,7 +121,7 @@ FORMATS = st.sampled_from(["table", "csv", "json"])
 GOOD = {
     "a0": st.sampled_from([1, 2, 3]),
     "msb_size": st.sampled_from([6, 100, 5760]),
-    "target_total": st.sampled_from([5760, 92098, 10**6]),
+    "target_total": st.sampled_from([5760, 92098, 10**6, 10**12]),
     "at_least": st.sampled_from([1, 10, 100]),
     "tolerance": st.sampled_from([0, 1, 2]),
     "max_ratio": st.sampled_from(["3", "5/2", "2", 2, 2.5]),
@@ -211,11 +212,24 @@ def device_files(draw) -> File | str:
     return File(data)
 
 
+def compare_argv(draw) -> list:
+    argv = ["compare", "--msb-size", pick(draw, st.sampled_from(["6", "5760"]), VALUES)]
+    if draw(st.booleans()):
+        argv += ["--lsb-count", pick(draw, st.sampled_from(["14", "10000", "10001", "1000000"]), NUMBERS)]
+    if draw(st.booleans()):
+        argv.append("--standards")
+    if draw(st.booleans()):
+        argv += ["--candidate", "mine=" + pick(draw, st.just("1,3,9"), LONG_BITS)]
+    return argv
+
+
 @st.composite
 def argvs(draw) -> list:
-    command = draw(st.sampled_from(["design", "defects", "validate", "report", "plan"]))
+    command = draw(st.sampled_from(["design", "compare", "defects", "validate", "report", "plan"]))
     if command == "design":
         return design_argv(draw)
+    if command == "compare":
+        return compare_argv(draw)
     if command == "defects":
         inline = st.sampled_from(["2:1", "1:1,2:1", "2:9"])
         defects = pick(draw, st.one_of(defect_files(), inline), st.one_of(VALUES, LONG_DEFECTS, INPUT_PATHS))

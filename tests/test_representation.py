@@ -22,7 +22,7 @@ from nims import (
 )
 from nims.sequence import PrefixSums
 
-from .conftest import INCAPABLE_MESSAGES, capable_bits, lean_range_check
+from .conftest import INCAPABLE_MESSAGES, capable_bits, descent_rows, lean_range_check
 
 REFERENCE = Sequence((1, 3, 8))
 
@@ -118,10 +118,8 @@ class TestEvaluate:
 
 class TestAudit:
     def test_remainder_descent_bound(self):
-        audit = []
-        represent(11, REFERENCE, audit=audit)
         sums = prefix_sums(REFERENCE)
-        for n, r in audit:
+        for n, r in descent_rows(represent(11, REFERENCE), REFERENCE):
             if n >= 1:
                 assert abs(r) <= sums.totals[n - 1] + REFERENCE.bits[0] - 1
 
@@ -130,11 +128,9 @@ class TestAudit:
     def test_descent_bound_everywhere(self, seq, data):
         bound = seq.total + seq.bits[0] - 1
         m = data.draw(st.integers(-bound, bound))
-        audit = []
-        represent(m, seq, audit=audit)
         sums = prefix_sums(seq)
         a0 = seq.bits[0]
-        for n, r in audit:
+        for n, r in descent_rows(represent(m, seq), seq):
             if n >= 1:
                 assert abs(r) <= sums.totals[n - 1] + a0 - 1
             else:

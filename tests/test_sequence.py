@@ -16,13 +16,13 @@ from nims import (
     SumSet,
     enumerate_nims,
     is_complete,
-    make_standard,
     oracle_gaps,
     parse_bits,
     prefix_sums,
     reachable_sums,
     segmentation_efficiency,
     sequence_from_file,
+    standard_column,
     validate,
 )
 from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _runs
@@ -35,6 +35,7 @@ from .conftest import (
     growing_width_sums,
     interval_dp_sums,
     perturbed_capable_bits,
+    recursive_enumerate,
     regex_runs,
     strict_bits,
 )
@@ -407,6 +408,18 @@ class TestEnumerate:
         with pytest.raises(RangeError):
             enumerate_nims(1, 4, 27, max_results=5)
 
+    @given(st.integers(1, 3), st.integers(1, 7), st.integers(1, 60), st.integers(0, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_recursive_reference(self, a0, depth, max_bit, max_results):
+        def outcome(search):
+            try:
+                return search()
+            except RangeError as exc:
+                return str(exc)
+
+        pruned = outcome(lambda: [s.bits for s in enumerate_nims(a0, depth, max_bit, max_results=max_results)])
+        assert pruned == outcome(lambda: recursive_enumerate(a0, depth, max_bit, max_results))
+
     def test_negative_result_cap_is_bad_input(self):
         with pytest.raises(InvalidInput, match="max_results must not be negative"):
             enumerate_nims(1, 2, 3, max_results=-1)
@@ -414,12 +427,9 @@ class TestEnumerate:
 
 class TestStandardsAndParsing:
     def test_make_standard(self):
-        assert make_standard("binary", 5).bits == (1, 2, 4, 8, 16)
-        assert make_standard("ternary", 4).bits == (1, 3, 9, 27)
-
-    def test_make_standard_rejects_unknown(self):
-        with pytest.raises(InvalidInput):
-            make_standard("decimal", 4)
+        # plain doubling or tripling: a bank size above the top bit never caps the growth
+        assert standard_column("binary", 2**4 + 1, 5).bits == (1, 2, 4, 8, 16)
+        assert standard_column("ternary", 3**3 + 1, 4).bits == (1, 3, 9, 27)
 
     def test_parse_bits(self):
         assert parse_bits("1,3,8").bits == (1, 3, 8)

@@ -158,16 +158,22 @@ def parse_device(text: str) -> DeviceRecord:
         values.update((field, _meta_float(key, part)) for field, part in zip(fields, parts))
     metadata = DeviceMetadata(**values, extras=tuple(raw.items()))
 
+    # a quoted note may span lines, so each row is numbered by the file line it starts on
+    reader = csv.reader(lines[header_at:])
+    rows: list[tuple[int, list[str]]] = []
+    start = header_at + 1
     try:
-        rows = list(csv.reader(lines[header_at:]))
+        for row in reader:
+            rows.append((start, row))
+            start = header_at + reader.line_num + 1
     except csv.Error as exc:  # a NUL byte before Python 3.11, or a field over the csv module's size limit
         raise ParseError(f"unreadable CSV: {exc}") from exc
-    header = tuple(c.strip() for c in rows[0])
+    header = tuple(c.strip() for c in rows[0][1])
     if header != HEADER and header != HEADER + (NOTE_COLUMN,):
         raise ParseError(f"unexpected header {','.join(header)!r}", row=header_at + 1)
 
     bits: list[DeviceBit] = []
-    for rownum, row in enumerate(rows[1:], start=header_at + 2):
+    for rownum, row in rows[1:]:
         texts = [cell.strip() for cell in row]
         if not any(texts):
             continue

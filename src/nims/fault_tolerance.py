@@ -127,7 +127,11 @@ class DefectMap:
 
 
 def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, ValidationReport]:
-    """Subtract missing junctions and revalidate what is left."""
+    """Subtract missing junctions and revalidate what is left.
+
+    The report's verdicts are set at once; its violations are worded only
+    if something reads them.
+    """
     bits = list(seq.bits)
     for idx, cnt in defects.missing.items():
         if idx > seq.last_index:
@@ -243,7 +247,27 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     return ScanReport(budget, tuple(entries), checked)
 
 
+def _window_gaps(sums: SumSet) -> tuple[tuple[int, int], ...]:
+    """The uncovered intervals inside [-span, span], listed from [1, span] and mirrored.
+
+    Exact for any reachable set: it is symmetric about 0 (negating every
+    digit negates the sum, and the residual widens both ways alike) and it
+    holds 0 (all digits zero), so the gaps below 0 are the negated gaps
+    above it and no gap crosses 0. A mask that is one run from bit 0 has
+    no gaps at all.
+    """
+    mask = sums.mask
+    if mask & (mask + 1) == 0:
+        return ()
+    upper = sums.gaps(1, sums.span)
+    return tuple((-hi, -lo) for lo, hi in reversed(upper)) + upper
+
+
 def oracle_gaps(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> tuple[SumSet, tuple[tuple[int, int], ...]]:
-    """Reachable sums plus the uncovered intervals inside [-A_N, A_N]."""
+    """Reachable sums plus the uncovered intervals inside [-A_N, A_N].
+
+    The gaps are listed from half the window by _window_gaps, which reads
+    only the set, never the chain.
+    """
     sums = reachable_sums(seq, a0_offset=True, cap=cap)
-    return sums, sums.gaps(-sums.span, sums.span)
+    return sums, _window_gaps(sums)

@@ -36,13 +36,18 @@ class Sequence:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.bits:
+        # one tuple first: the checks below must not use up a generator
+        bits = tuple(self.bits or ())
+        if not bits:
             raise InvalidInput("sequence must contain at least one bit")
-        if any(not isinstance(b, int) or isinstance(b, bool) for b in self.bits):
-            raise InvalidInput("bits must be integers")
-        if any(b < 0 for b in self.bits):
+        types = set(map(type, bits))
+        if types != {int}:
+            if any(not issubclass(t, int) or issubclass(t, bool) for t in types):
+                raise InvalidInput("bits must be integers")
+            bits = tuple(map(int, bits))  # int subclasses are stored as plain ints
+        if min(bits) < 0:
             raise InvalidInput("bits must be nonnegative (zero models a dead bit)")
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        object.__setattr__(self, "bits", bits)
 
     @property
     def last_index(self) -> int:
@@ -69,11 +74,41 @@ class Violation:
     observed: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ValidationReport:
+    """The two verdicts of validate, and the violations behind them.
+
+    The verdicts are set when the report is made. The violation list is
+    worded from the judged bits by _violations when first read: most
+    callers read only a verdict. Equality, hash, repr and to_doc are those
+    of a plain frozen dataclass of strict_valid, complete_capable and
+    violations, so they read the list.
+    """
+
     strict_valid: bool
     complete_capable: bool
-    violations: tuple[Violation, ...]
+    _bits: tuple[int, ...] = field(repr=False)
+
+    @functools.cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        return _violations(self._bits)
+
+    def _key(self) -> tuple:
+        return (self.strict_valid, self.complete_capable, self.violations)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(strict_valid={self.strict_valid!r}, "
+            f"complete_capable={self.complete_capable!r}, violations={self.violations!r})"
+        )
 
     def to_doc(self) -> dict:
         return {
@@ -122,15 +157,36 @@ def _chain_capable(bits: tuple[int, ...]) -> bool:
     return True
 
 
+def _strict_valid(bits: tuple[int, ...]) -> bool:
+    """Positivity, both chains and growth of the final pair: strict validity.
+
+    The predicate form of validate's rules, true exactly when _violations
+    finds none.
+    """
+    if not _chain_capable(bits) or (len(bits) > 1 and bits[-1] <= bits[-2]):
+        return False
+    for below, a in zip(bits, bits[2:]):
+        if a <= 3 * below:
+            return False
+    return True
+
+
 def validate(seq: Sequence) -> ValidationReport:
-    """Check positivity plus both chain constraints, listing every violation.
+    """Check positivity plus both chain constraints; the report lists every violation.
 
     complete_capable needs positivity and the upper chain only, so a
     defective array that lost junctions can still be certified. The lower
     chain (including growth of the final pair) is what strictness adds.
+    The verdicts come from _strict_valid and _chain_capable; the violation
+    list is worded by _violations when something first reads it.
     """
     bits = seq.bits
-    last = seq.last_index
+    return ValidationReport(_strict_valid(bits), _chain_capable(bits), bits)
+
+
+def _violations(bits: tuple[int, ...]) -> tuple[Violation, ...]:
+    """Every rule validate checks that the bits break, worded: the one place a violation is worded."""
+    last = len(bits) - 1
     violations: list[Violation] = []
 
     for n, a in enumerate(bits):
@@ -171,12 +227,7 @@ def validate(seq: Sequence) -> ValidationReport:
                 (bits[last], bits[last - 1]),
             )
         )
-
-    return ValidationReport(
-        strict_valid=not violations,
-        complete_capable=_chain_capable(bits),
-        violations=tuple(violations),
-    )
+    return tuple(violations)
 
 
 def prefix_sums(seq: Sequence) -> PrefixSums:

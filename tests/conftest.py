@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from nims import Sequence, errors, load_device
 from nims.cli import CliUsageError
+from nims.sequence import LOWER, POSITIVITY, UPPER, Violation
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 DEVICE_CSV = DATA / "nims23_device.csv"
@@ -143,6 +145,70 @@ def growing_width_sums(bits, a0_offset: bool = False) -> tuple[int, int, int]:
             reach |= reach << step
             width += step
     return reach, total, radius
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Reference report: the plain frozen dataclass validate returned while it built every violation.
+
+    It shares the library class's name, so its generated repr is the one
+    the library's report must keep.
+    """
+
+    strict_valid: bool
+    complete_capable: bool
+    violations: tuple[Violation, ...]
+
+    def to_doc(self) -> dict:
+        return {
+            "strict_valid": self.strict_valid,
+            "complete_capable": self.complete_capable,
+            "violations": [
+                {"constraint": v.constraint, "index": v.index, "message": v.message, "observed": list(v.observed)}
+                for v in self.violations
+            ],
+        }
+
+
+def eager_validate(seq: Sequence) -> ValidationReport:
+    """Reference validate: words every violation up front and reads both verdicts off the list."""
+    bits = seq.bits
+    last = seq.last_index
+    violations: list[Violation] = []
+    for n, a in enumerate(bits):
+        if a < 1:
+            violations.append(Violation(POSITIVITY, n, f"bit {n} must hold at least one junction, got {a}", (a,)))
+    for n in range(1, last + 1):
+        if bits[n] > 3 * bits[n - 1]:
+            violations.append(
+                Violation(
+                    UPPER,
+                    n,
+                    f"bit {n} is {bits[n]}, above three times bit {n - 1} ({bits[n - 1]})",
+                    (bits[n], bits[n - 1]),
+                )
+            )
+    for n in range(1, last):
+        if bits[n + 1] <= 3 * bits[n - 1]:
+            violations.append(
+                Violation(
+                    LOWER,
+                    n + 1,
+                    f"bit {n + 1} is {bits[n + 1]}, not above three times bit {n - 1} ({bits[n - 1]})",
+                    (bits[n + 1], bits[n - 1]),
+                )
+            )
+    if last >= 1 and bits[last] <= bits[last - 1]:
+        violations.append(
+            Violation(
+                LOWER,
+                last,
+                f"bit {last} is {bits[last]}, not above bit {last - 1} ({bits[last - 1]})",
+                (bits[last], bits[last - 1]),
+            )
+        )
+    capable = not any(v.constraint in (UPPER, POSITIVITY) for v in violations)
+    return ValidationReport(not violations, capable, tuple(violations))
 
 
 def descent_rows(rep, seq) -> list[tuple[int, int]]:

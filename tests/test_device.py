@@ -107,6 +107,16 @@ class TestLoader:
         with pytest.raises(ParseError, match=r"row 9.*step_neg_mA"):
             parse_device(minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0\n"))
 
+    def test_rows_after_a_multi_line_note_keep_their_file_lines(self):
+        # a note spanning lines 9-10 used to make every later row read one line early
+        rows = '0,2,1.0,1.0,1.0\n1,6,1.0,1.0,1.0,"a\nb"\n2,18,1.0,1.0,1.0\n3,54,1.0,1.0,1.0\n4,162,1.0,x,1.0\n'
+        with pytest.raises(ParseError, match=r"^row 13, field 'step_zero_mA': not a number: 'x'$"):
+            parse_device(minimal_text(rows))
+        # a row that holds the note is numbered by the line it starts on
+        with pytest.raises(ParseError, match=r"^row 9, field 'step_zero_mA'"):
+            parse_device(minimal_text('0,2,1.0,1.0,1.0\n1,6,1.0,x,1.0,"a\nb"\n'))
+        assert len(parse_device(minimal_text(rows.replace(",x,", ",1.0,"))).bits) == 5
+
     def test_bad_number_names_field(self):
         with pytest.raises(ParseError, match="junctions"):
             parse_device(minimal_text("0,x,1.0,1.0,1.0\n"))

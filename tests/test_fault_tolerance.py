@@ -256,3 +256,10 @@ class TestOracleGaps:
     def test_complete_sequence_has_none(self):
         _, gaps = oracle_gaps(Sequence((1, 2, 6)))
         assert gaps == ()
+
+    @pytest.mark.parametrize("missing", [{}, {1: 3}, {5: 200}, {7: 2000, 8: 3000}, {0: 2, 3: 40}])
+    def test_device_maps_match_the_full_window(self, measured, missing):
+        defective, _ = apply_defects(measured, DefectMap(missing))
+        sums, gaps = oracle_gaps(defective)
+        assert gaps == sums.gaps(-sums.span, sums.span)
+        assert (not gaps) == is_complete(defective)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,12 +26,16 @@ from nims import (
     standard_column,
     validate,
 )
-from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _runs
+from nims.fault_tolerance import _window_gaps
+from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _runs, _strict_valid
 
 from .conftest import (
+    INCAPABLE_MESSAGES,
+    NIMS1_BITS,
     any_bits,
     brute_sums,
     capable_bits,
+    eager_validate,
     full_width_sums,
     growing_width_sums,
     interval_dp_sums,
@@ -66,6 +71,32 @@ class TestSequenceType:
     def test_rejects_negative(self):
         with pytest.raises(InvalidInput):
             Sequence((1, -2, 4))
+
+    def test_bits_from_a_generator(self):
+        # the type check used to use up a generator, leaving a sequence with no bits
+        assert Sequence(b for b in (1, 3, 8)).bits == (1, 3, 8)
+        assert validate(Sequence(b for b in (1, 3, 8))).strict_valid
+        with pytest.raises(InvalidInput, match="^sequence must contain at least one bit$"):
+            Sequence(b for b in ())
+
+    def test_bit_rules_in_order(self):
+        for bits, message in [
+            ((), "sequence must contain at least one bit"),
+            ((1.5, -1), "bits must be integers"),
+            ((-1, True), "bits must be integers"),
+            ((1, "3"), "bits must be integers"),
+            ((3, -1), "bits must be nonnegative (zero models a dead bit)"),
+        ]:
+            with pytest.raises(InvalidInput) as excinfo:
+                Sequence(bits)
+            assert str(excinfo.value) == message
+
+    def test_int_subclasses_are_stored_as_int(self):
+        class Count(int):
+            pass
+
+        bits = Sequence((Count(1), 3, Count(8))).bits
+        assert bits == (1, 3, 8) and set(map(type, bits)) == {int}
 
     def test_zero_allowed_for_defect_modelling(self):
         s = Sequence((1, 0, 4))
@@ -106,6 +137,25 @@ class TestValidate:
             assert not r.strict_valid
             assert all(v.constraint == LOWER for v in r.violations)
 
+    def test_report_views_pinned(self, measured):
+        # equality, hash, repr and to_doc, whether or not the violations were read first
+        for bits in (*INCAPABLE_MESSAGES, NIMS1_BITS, measured.bits):
+            report, unread, eager = validate(Sequence(bits)), validate(Sequence(bits)), eager_validate(Sequence(bits))
+            assert report.violations == eager.violations
+            assert hash(unread) == hash(eager) == hash((eager.strict_valid, eager.complete_capable, eager.violations))
+            assert unread == report and report != validate(Sequence((1, 3, 8)))
+            assert pickle.loads(pickle.dumps(validate(Sequence(bits)))) == report
+            assert repr(validate(Sequence(bits))) == repr(eager)
+            assert validate(Sequence(bits)).to_doc() == eager.to_doc()
+            assert (report.strict_valid, report.complete_capable) == (eager.strict_valid, eager.complete_capable)
+        assert repr(validate(Sequence((1, 2, 7)))) == (
+            "ValidationReport(strict_valid=False, complete_capable=False, violations=(Violation(constraint='UPPER', "
+            "index=2, message='bit 2 is 7, above three times bit 1 (2)', observed=(7, 2)),))"
+        )
+        assert repr(validate(Sequence((1, 3, 8)))) == (
+            "ValidationReport(strict_valid=True, complete_capable=True, violations=())"
+        )
+
     def test_to_doc_round_trip(self):
         doc = validate(Sequence((1, 2, 7))).to_doc()
         assert doc["strict_valid"] is False
@@ -126,6 +176,22 @@ class TestValidate:
         # compared with the violations, not complete_capable, which is the predicate itself
         violations = validate(seq).violations
         assert _chain_capable(seq.bits) == (not any(v.constraint in (UPPER, POSITIVITY) for v in violations))
+
+    @given(any_bits())
+    @settings(max_examples=300)
+    def test_report_matches_the_eager_reference(self, seq):
+        eager = eager_validate(seq)
+        assert _strict_valid(seq.bits) == (not eager.violations)
+        report = validate(seq)
+        assert hash(report) == hash(eager)
+        assert repr(validate(seq)) == repr(eager)
+        assert validate(seq).to_doc() == eager.to_doc()
+        assert report == validate(seq)
+        assert (report.strict_valid, report.complete_capable, report.violations) == (
+            eager.strict_valid,
+            eager.complete_capable,
+            eager.violations,
+        )
 
 
 class TestPrefixSums:
@@ -262,12 +328,20 @@ class TestReachableSums:
     def test_oracle_names_no_chain_certificate(self):
         # the oracle stays independent of the chain certificate, though its
         # one-run shortcut looks like a chain test
-        banned = {"_chain_capable", "validate", "_tolerances"}
-        for oracle in (reachable_sums, is_complete, oracle_gaps, SumSet):
+        banned = {"_chain_capable", "_strict_valid", "validate", "_tolerances"}
+        for oracle in (reachable_sums, is_complete, oracle_gaps, _window_gaps, SumSet):
             nodes = list(ast.walk(ast.parse(inspect.getsource(oracle))))
             names = {node.id for node in nodes if isinstance(node, ast.Name)}
             names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
             assert not names & banned, oracle.__name__
+
+    @given(st.one_of(any_bits(), perturbed_capable_bits()), st.booleans())
+    @example(Sequence((0, 0, 0)), True)
+    @example(Sequence((5,)), False)
+    @settings(max_examples=300)
+    def test_mirrored_gaps_match_the_full_window(self, seq, a0_offset):
+        sums = reachable_sums(seq, a0_offset=a0_offset)
+        assert _window_gaps(sums) == sums.gaps(-sums.span, sums.span)
 
     def test_large_residual_radius(self):
         sums = reachable_sums(Sequence((1000, 1500)), a0_offset=True)

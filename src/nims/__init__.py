@@ -3,142 +3,114 @@
 Covers chain validation, exact reachable-sum oracles, signed-digit
 representation, fault tolerance, array layout, voltage bias planning,
 and measured-device ingestion.
+
+Submodules load on first use: `import nims` imports none of them, and
+the first read of an exported name imports the one submodule that
+defines it and keeps the value in this module's globals, so every later
+read is a plain attribute lookup.
 """
 
 from __future__ import annotations
 
-from .bias import (
-    DEFAULT_BAND_HALF_WIDTH,
-    JOSEPHSON_HZ_PER_VOLT,
-    BiasPlan,
-    max_voltage,
-    plan,
-    resolution,
-)
-from .designer import (
-    ComparisonTable,
-    DesignResult,
-    DesignSpec,
-    ToleranceRule,
-    compare_logics,
-    design,
-    standard_column,
-)
-from .device import (
-    DeviceBit,
-    DeviceMetadata,
-    DeviceRecord,
-    MarginReport,
-    build_report,
-    infer_defects,
-    load_device,
-    margin_report,
-    parse_device,
-    plausibility_lints,
-    serialize_device,
-)
-from .errors import (
-    DegenerateTarget,
-    Infeasible,
-    InvalidInput,
-    InvalidSequence,
-    NimsError,
-    OutOfRange,
-    ParseError,
-    RangeError,
-)
-from .fault_tolerance import (
-    DefectMap,
-    ScanReport,
-    ToleranceReport,
-    apply_defects,
-    oracle_gaps,
-    tolerance_report,
-    within_tolerance,
-    worst_case_scan,
-)
-from .representation import (
-    RangeCheckReport,
-    Representation,
-    evaluate,
-    represent,
-    represent_range_check,
-)
-from .sequence import (
-    DEFAULT_ORACLE_CAP,
-    PrefixSums,
-    Sequence,
-    SumSet,
-    ValidationReport,
-    enumerate_nims,
-    is_complete,
-    parse_bits,
-    prefix_sums,
-    reachable_sums,
-    segmentation_efficiency,
-    sequence_from_file,
-    validate,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiasPlan",
-    "ComparisonTable",
-    "DEFAULT_BAND_HALF_WIDTH",
-    "DEFAULT_ORACLE_CAP",
-    "DefectMap",
-    "DegenerateTarget",
-    "DesignResult",
-    "DesignSpec",
-    "DeviceBit",
-    "DeviceMetadata",
-    "DeviceRecord",
-    "Infeasible",
-    "InvalidInput",
-    "InvalidSequence",
-    "JOSEPHSON_HZ_PER_VOLT",
-    "MarginReport",
-    "NimsError",
-    "OutOfRange",
-    "ParseError",
-    "PrefixSums",
-    "RangeCheckReport",
-    "RangeError",
-    "Representation",
-    "ScanReport",
-    "Sequence",
-    "SumSet",
-    "ToleranceReport",
-    "ToleranceRule",
-    "ValidationReport",
-    "apply_defects",
-    "build_report",
-    "compare_logics",
-    "design",
-    "enumerate_nims",
-    "evaluate",
-    "infer_defects",
-    "is_complete",
-    "load_device",
-    "margin_report",
-    "max_voltage",
-    "oracle_gaps",
-    "parse_bits",
-    "parse_device",
-    "plan",
-    "plausibility_lints",
-    "prefix_sums",
-    "reachable_sums",
-    "represent",
-    "represent_range_check",
-    "resolution",
-    "segmentation_efficiency",
-    "sequence_from_file",
-    "serialize_device",
-    "standard_column",
-    "tolerance_report",
-    "validate",
-    "within_tolerance",
-    "worst_case_scan",
-]
+# Each exported name with the submodule that defines it.
+_SOURCES = {
+    **dict.fromkeys(
+        ("BiasPlan", "DEFAULT_BAND_HALF_WIDTH", "JOSEPHSON_HZ_PER_VOLT", "max_voltage", "plan", "resolution"),
+        "bias",
+    ),
+    **dict.fromkeys(
+        (
+            "ComparisonTable",
+            "DesignResult",
+            "DesignSpec",
+            "ToleranceRule",
+            "compare_logics",
+            "design",
+            "standard_column",
+        ),
+        "designer",
+    ),
+    **dict.fromkeys(
+        (
+            "DeviceBit",
+            "DeviceMetadata",
+            "DeviceRecord",
+            "MarginReport",
+            "build_report",
+            "infer_defects",
+            "load_device",
+            "margin_report",
+            "parse_device",
+            "plausibility_lints",
+            "serialize_device",
+        ),
+        "device",
+    ),
+    **dict.fromkeys(
+        (
+            "DegenerateTarget",
+            "Infeasible",
+            "InvalidInput",
+            "InvalidSequence",
+            "NimsError",
+            "OutOfRange",
+            "ParseError",
+            "RangeError",
+        ),
+        "errors",
+    ),
+    **dict.fromkeys(
+        (
+            "DefectMap",
+            "ScanReport",
+            "ToleranceReport",
+            "apply_defects",
+            "oracle_gaps",
+            "tolerance_report",
+            "within_tolerance",
+            "worst_case_scan",
+        ),
+        "fault_tolerance",
+    ),
+    **dict.fromkeys(
+        ("RangeCheckReport", "Representation", "evaluate", "represent", "represent_range_check"),
+        "representation",
+    ),
+    **dict.fromkeys(
+        (
+            "DEFAULT_ORACLE_CAP",
+            "PrefixSums",
+            "Sequence",
+            "SumSet",
+            "ValidationReport",
+            "enumerate_nims",
+            "is_complete",
+            "parse_bits",
+            "prefix_sums",
+            "reachable_sums",
+            "segmentation_efficiency",
+            "sequence_from_file",
+            "validate",
+        ),
+        "sequence",
+    ),
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str) -> object:
+    """Import the submodule that defines an exported name, and keep the value (PEP 562)."""
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

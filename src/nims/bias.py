@@ -30,6 +30,11 @@ DEFAULT_BAND_HALF_WIDTH = 0.005
 
 @dataclass(frozen=True)
 class BiasPlan:
+    """One planned bias point: the multiple, its digits and the retuned frequency.
+
+    Still a frozen dataclass: callers rebuild it with dataclasses.replace.
+    """
+
     target_voltage: float
     base_frequency_hz: float
     m_target: int

@@ -13,10 +13,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import bias, designer, device, fault_tolerance, representation, sequence
+from . import sequence
 from .errors import InvalidInput, NimsError
+
+if TYPE_CHECKING:
+    from . import designer, fault_tolerance
 
 ENV_CAP = "NIMS_ORACLE_CAP"
 
@@ -36,16 +39,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
+    """What run returns: the exit code, the rendered text and its format. A NamedTuple."""
+
     exit_code: int
     text: str
     format: str  # noqa: A003 - the --format the text is rendered in
 
 
-@dataclass(frozen=True)
-class Output:
-    """One command's result in every format; `run` picks the one shown.
+class Output(NamedTuple):
+    """One command's result in every format; `run` picks the one shown. A NamedTuple.
 
     `doc` is the JSON document, or its text where the command fixes the
     notation. A (key, value) pair in `table` is printed aligned, a string as is.
@@ -84,6 +87,8 @@ def _load_seq(value: str) -> sequence.Sequence:
 
 
 def _load_defects(value: str) -> fault_tolerance.DefectMap:
+    from . import fault_tolerance
+
     if _names_file(value):
         return fault_tolerance.DefectMap.from_file(value)
     missing = {}
@@ -133,6 +138,8 @@ def _cmd_validate(args) -> Output:
 
 
 def _cmd_represent(args) -> Output:
+    from . import representation
+
     rep = representation.represent(args.m, _load_seq(args.seq))
     return Output(
         rep.to_doc(),
@@ -149,6 +156,8 @@ def _cmd_represent(args) -> Output:
 
 
 def _cmd_tolerance(args) -> Output:
+    from . import fault_tolerance
+
     seq = _load_seq(args.seq)
     report = fault_tolerance.tolerance_report(seq)
     rows = [_entry_row(e, "" if e.proportion is None else str(e.proportion)) for e in report.entries]
@@ -160,6 +169,8 @@ def _cmd_tolerance(args) -> Output:
 
 
 def _cmd_defects(args) -> Output:
+    from . import fault_tolerance
+
     seq = _load_seq(args.seq)
     cap = _resolve_cap(args)
     if args.scan_budget is not None:
@@ -208,6 +219,8 @@ def _cmd_defects(args) -> Output:
 
 
 def _design_spec_from_args(args) -> designer.DesignSpec:
+    from . import designer
+
     if args.spec:
         return designer.DesignSpec.from_file(args.spec)
     if args.a0 is None or args.msb_size is None or args.target_total is None:
@@ -222,6 +235,8 @@ def _design_spec_from_args(args) -> designer.DesignSpec:
 
 
 def _cmd_design(args) -> Output:
+    from . import designer
+
     result = designer.design(_design_spec_from_args(args))
     bits = result.sequence.bits
     return Output(
@@ -232,7 +247,11 @@ def _cmd_design(args) -> Output:
 
 
 def _cmd_plan(args) -> Output:
+    from . import bias
+
     if args.device:
+        from . import device
+
         rec = device.load_device(args.device)
         seq = rec.sequence()
         freq = args.freq if args.freq is not None else rec.metadata.frequency_hz
@@ -265,6 +284,8 @@ def _cmd_plan(args) -> Output:
 
 
 def _cmd_compare(args) -> Output:
+    from . import designer
+
     kinds = designer.STANDARD_RATIOS if args.standards else ()
     candidates = [(k, designer.standard_column(k, args.msb_size, args.lsb_count)) for k in kinds]
     for raw in args.candidate or []:
@@ -287,6 +308,8 @@ def _cmd_compare(args) -> Output:
 
 
 def _cmd_report(args) -> Output:
+    from . import bias, device
+
     doc = device.build_report(device.load_device(args.device), args.min_margin)
     margins = doc["margins"]
     violations = margins["violations"]
@@ -337,6 +360,8 @@ def _cmd_enumerate(args) -> Output:
 
 
 def _cmd_oracle(args) -> Output:
+    from . import fault_tolerance
+
     seq = _load_seq(args.seq)
     cap = _resolve_cap(args)
     widened, gaps = fault_tolerance.oracle_gaps(seq, cap=cap)
@@ -361,6 +386,8 @@ def _cmd_oracle(args) -> Output:
         ("gap_count", doc["gap_count"]),
     ]
     if args.sweep:
+        from . import representation
+
         check = representation.represent_range_check(seq, cap=cap)
         doc["sweep_checked"] = check.checked
         doc["sweep_failures"] = [list(f) for f in check.failures]

@@ -12,21 +12,24 @@ a full bank, and trails otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import Infeasible, InvalidInput, RangeError
 from .fault_tolerance import _tolerances
 from .sequence import (
     Sequence,
     _chain_capable,
+    _Frozen,
     _integer,
     csv_rows,
     read_json,
     segmentation_efficiency,
     validate,
 )
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 BRANCH_COUNT = 16
 STANDARD_RATIOS = {"binary": 2, "ternary": 3}
@@ -41,18 +44,25 @@ def _within_limit(bits: int) -> None:
         raise RangeError(f"layout of {bits} bits exceeds the limit of {MAX_LAYOUT_BITS}")
 
 
-@dataclass(frozen=True)
-class ToleranceRule:
-    """Bits holding at_least junctions must tolerate `tolerance` losses."""
+class ToleranceRule(_Frozen):
+    """Bits holding at_least junctions must tolerate `tolerance` losses.
 
+    Both are converted by sequence._integer, and at_least >= 1 and
+    tolerance >= 0 are checked: a class that checks its input when built.
+    """
+
+    __slots__ = ("at_least", "tolerance")
+    _fields = ("at_least", "tolerance")
     at_least: int
     tolerance: int
 
-    def __post_init__(self) -> None:
-        for name in ("at_least", "tolerance"):
-            object.__setattr__(self, name, _integer(f"tolerance rule {name}", getattr(self, name)))
-        if self.at_least < 1 or self.tolerance < 0:
+    def __init__(self, at_least: int, tolerance: int) -> None:
+        at_least = _integer("tolerance rule at_least", at_least)
+        tolerance = _integer("tolerance rule tolerance", tolerance)
+        if at_least < 1 or tolerance < 0:
             raise InvalidInput("tolerance rule needs at_least >= 1 and tolerance >= 0")
+        object.__setattr__(self, "at_least", at_least)
+        object.__setattr__(self, "tolerance", tolerance)
 
     @classmethod
     def from_text(cls, text: str) -> "ToleranceRule":
@@ -73,33 +83,48 @@ def _decimal_exponent(text: str) -> int:
         return 0
 
 
-@dataclass(frozen=True)
-class DesignSpec:
+class DesignSpec(_Frozen):
+    """What design lays out: first bit, bank size, junction total, tolerance rules, ratio cap.
+
+    The three sizes are converted by sequence._integer and max_ratio by
+    Fraction, then range-checked: a class that checks its input when built.
+    """
+
+    __slots__ = ("a0", "msb_size", "target_total", "min_tolerance", "max_ratio")
+    _fields = __slots__
     a0: int
     msb_size: int
     target_total: int
-    min_tolerance: tuple[ToleranceRule, ...] = ()
-    max_ratio: Fraction = Fraction(3)
+    min_tolerance: tuple[ToleranceRule, ...]
+    max_ratio: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("a0", "msb_size", "target_total"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if isinstance(self.max_ratio, str) and _decimal_exponent(self.max_ratio):
+    def __init__(
+        self,
+        a0: int,
+        msb_size: int,
+        target_total: int,
+        min_tolerance: tuple[ToleranceRule, ...] = (),
+        max_ratio: Fraction | int | str = Fraction(3),
+    ) -> None:
+        a0 = _integer("a0", a0)
+        msb_size = _integer("msb_size", msb_size)
+        target_total = _integer("target_total", target_total)
+        if isinstance(max_ratio, str) and _decimal_exponent(max_ratio):
             raise InvalidInput("max_ratio must lie in (1, 3]")  # before Fraction builds 10**exponent
         try:
-            ratio = Fraction(self.max_ratio)
+            ratio = Fraction(max_ratio)
         except (TypeError, ValueError, ArithmeticError) as exc:
-            raise InvalidInput(f"bad max ratio {self.max_ratio!r}: {exc}") from exc
-        if not 1 <= self.a0 <= 3:
-            raise InvalidInput(f"a0 must be 1..3, got {self.a0}")
-        if self.msb_size < 3 * self.a0:
-            raise InvalidInput(f"msb_size must be at least 3*a0 = {3 * self.a0}")
-        if self.target_total < self.msb_size:
+            raise InvalidInput(f"bad max ratio {max_ratio!r}: {exc}") from exc
+        if not 1 <= a0 <= 3:
+            raise InvalidInput(f"a0 must be 1..3, got {a0}")
+        if msb_size < 3 * a0:
+            raise InvalidInput(f"msb_size must be at least 3*a0 = {3 * a0}")
+        if target_total < msb_size:
             raise InvalidInput("target_total must be at least msb_size")
         if not 1 < ratio <= 3:
             raise InvalidInput("max_ratio must lie in (1, 3]")
-        object.__setattr__(self, "max_ratio", ratio)
-        object.__setattr__(self, "min_tolerance", tuple(self.min_tolerance))
+        for name, value in zip(self._fields, (a0, msb_size, target_total, tuple(min_tolerance), ratio)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "DesignSpec":
@@ -126,10 +151,23 @@ class DesignSpec:
         return max((r.tolerance for r in self.min_tolerance if size >= r.at_least), default=0)
 
 
-@dataclass(frozen=True)
-class DesignResult:
+class DesignResult(_Frozen):
+    """A designed layout and the facts about it; equality and hash read the layout alone.
+
+    A class, since a NamedTuple would compare the metadata too.
+    """
+
+    __slots__ = ("sequence", "metadata")
+    _fields = __slots__
     sequence: Sequence
-    metadata: dict = field(compare=False)
+    metadata: dict
+
+    def __init__(self, sequence: Sequence, metadata: dict) -> None:
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "metadata", metadata)
+
+    def _key(self) -> tuple:
+        return (self.sequence,)
 
     def to_doc(self) -> dict:
         return {"bits": list(self.sequence.bits), "metadata": dict(self.metadata)}
@@ -200,8 +238,9 @@ def design(spec: DesignSpec) -> DesignResult:
     return DesignResult(seq, metadata)
 
 
-@dataclass(frozen=True)
-class CandidateColumn:
+class CandidateColumn(NamedTuple):
+    """One candidate's column of a comparison table. A NamedTuple."""
+
     name: str
     bits: tuple[int, ...]
     bits_to_msb: int
@@ -210,8 +249,9 @@ class CandidateColumn:
     tolerances: tuple[int | None, ...]
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
+    """Candidate layouts side by side, as compare_logics tabulates them. A NamedTuple."""
+
     lsb_count: int
     msb_size: int
     candidates: tuple[CandidateColumn, ...]

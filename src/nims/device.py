@@ -4,21 +4,25 @@ The on-disk form is a CSV with a key=value metadata preamble ahead of the
 header row. Canonical serialization always writes the optional
 tolerance_note column, required metadata keys in a fixed order, and any
 extra keys verbatim in sorted order, and quotes a note only where it holds
-a comma or a quote, so loading a canonical file and re-serializing it is
-byte identical.
+a comma, a quote or a line break, so loading a canonical file and
+re-serializing it is byte identical.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import bias
 from .errors import InvalidInput, ParseError
 from .fault_tolerance import DefectMap, _tolerances
-from .sequence import Sequence, _read_text, csv_rows, validate
+from .sequence import Sequence, _read_text, validate
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 # The preamble in file order: each key with the DeviceMetadata fields its value
 # fills. A key that fills two fields holds them as LENGTHxWIDTH.
@@ -45,8 +49,9 @@ NOTE_COLUMN = "tolerance_note"
 SIDES = (("positive", "step_pos_ma"), ("negative", "step_neg_ma"))
 
 
-@dataclass(frozen=True)
-class DeviceBit:
+class DeviceBit(NamedTuple):
+    """One data row of a device file. A NamedTuple."""
+
     index: int
     junctions: int
     step_pos_ma: float
@@ -55,8 +60,9 @@ class DeviceBit:
     tolerance_note: str = ""
 
 
-@dataclass(frozen=True)
-class DeviceMetadata:
+class DeviceMetadata(NamedTuple):
+    """The preamble of a device file; extras holds the keys beyond METADATA_KEYS. A NamedTuple."""
+
     frequency_hz: float
     temperature_k: float
     critical_current_ma: float
@@ -73,8 +79,9 @@ class DeviceMetadata:
         return None
 
 
-@dataclass(frozen=True)
-class DeviceRecord:
+class DeviceRecord(NamedTuple):
+    """A parsed device file: its bits in order and its metadata. A NamedTuple."""
+
     bits: tuple[DeviceBit, ...]
     metadata: DeviceMetadata
 
@@ -120,13 +127,15 @@ def _cell(row: int, name: str, kind: type, text: str) -> int | float:
 
 
 def parse_device(text: str) -> DeviceRecord:
-    """Parse device CSV text: the key=value preamble, the header, one row per bit.
+    r"""Parse device CSV text: the key=value preamble, the header, one row per bit.
 
     Each key appears once, and a data row holds at most the five columns
     and the note. Where the text breaks several rules, the first broken in
-    file order is reported: a key, then a row's leftmost cell.
+    file order is reported: a key, then a row's leftmost cell. Lines end at
+    \n, \r or \r\n alone, as csv reads them, so a quoted note keeps any
+    other character, a line break included.
     """
-    lines = text.splitlines()
+    lines = io.StringIO(text, newline="")
     raw: dict[str, str] = {}
     header_at = None
     for i, line in enumerate(lines):
@@ -158,8 +167,9 @@ def parse_device(text: str) -> DeviceRecord:
         values.update((field, _meta_float(key, part)) for field, part in zip(fields, parts))
     metadata = DeviceMetadata(**values, extras=tuple(raw.items()))
 
-    # a quoted note may span lines, so each row is numbered by the file line it starts on
-    reader = csv.reader(lines[header_at:])
+    # csv reads on from the header line, in the same stream; a quoted note
+    # may span lines, so each row is numbered by the file line it starts on
+    reader = csv.reader(itertools.chain((line,), lines))
     rows: list[tuple[int, list[str]]] = []
     start = header_at + 1
     try:
@@ -197,18 +207,39 @@ def serialize_device(rec: DeviceRecord) -> str:
     preamble = [f"{key}={'x'.join(repr(getattr(m, field)) for field in fields)}\n" for key, fields in METADATA_KEYS]
     preamble += [f"{key}={value}\n" for key, value in sorted(m.extras)]
     rows = [[*HEADER, NOTE_COLUMN]] + [[*(getattr(b, f) for _, f, _ in COLUMNS), b.tolerance_note] for b in rec.bits]
-    return "".join(preamble) + csv_rows(rows)
+    return "".join(preamble) + _csv_lines(rows)
 
 
-@dataclass(frozen=True)
-class MarginViolation:
+def _csv_lines(rows: list[list[object]]) -> str:
+    r"""CSV text of the rows, each ended by \n, quoting a field that holds \r or \n.
+
+    csv.writer is sure to quote a field only for the characters of its own
+    line terminator (with \n as the terminator, Python 3.11 leaves a field
+    holding \r bare), so each row is written with \r\n and ended with \n
+    instead: a note holding \r then reads back whole.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    lines = []
+    for row in rows:
+        writer.writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+        buf.seek(0)
+        buf.truncate()
+    return "".join(lines)
+
+
+class MarginViolation(NamedTuple):
+    """One signed step narrower than the margin threshold. A NamedTuple."""
+
     bit: int
     side: str
     width_ma: float
 
 
-@dataclass(frozen=True)
-class MarginReport:
+class MarginReport(NamedTuple):
+    """Operating-margin statistics of both signed sides, and every violation. A NamedTuple."""
+
     threshold_ma: float
     min_positive_ma: float
     mean_positive_ma: float

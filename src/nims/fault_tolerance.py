@@ -9,10 +9,8 @@ has no chain successor, so junctions lost there only shrink the range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInput, RangeError
 from .sequence import (
@@ -21,6 +19,7 @@ from .sequence import (
     SumSet,
     ValidationReport,
     _chain_capable,
+    _Frozen,
     _integer,
     csv_rows,
     is_complete,
@@ -29,12 +28,17 @@ from .sequence import (
     validate,
 )
 
+if TYPE_CHECKING:
+    from collections.abc import Mapping
+    from pathlib import Path
+
 # single-bit placements the worst-case scan cross-checks with the oracle
 ORACLE_SAMPLES = 8
 
 
-@dataclass(frozen=True)
-class BitTolerance:
+class BitTolerance(NamedTuple):
+    """One bit's row of a tolerance report. A NamedTuple."""
+
     index: int
     nominal: int
     tolerance: int | None
@@ -42,8 +46,9 @@ class BitTolerance:
     last_bit: bool
 
 
-@dataclass(frozen=True)
-class ToleranceReport:
+class ToleranceReport(NamedTuple):
+    """Every bit's tolerance, least significant first. A NamedTuple."""
+
     entries: tuple[BitTolerance, ...]
 
     def to_csv(self) -> str:
@@ -93,17 +98,21 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
     return ToleranceReport(tuple(entries))
 
 
-@dataclass(frozen=True)
-class DefectMap:
+class DefectMap(_Frozen):
     """Missing-junction counts keyed by bit index.
 
-    Bits and counts are converted by the one integer rule, sequence._integer.
+    Bits and counts are converted by the one integer rule, sequence._integer;
+    a negative bit or count raises InvalidInput, and zero counts are dropped.
+    A class that checks its input when built; it does not hash, since
+    missing is a dict.
     """
 
+    __slots__ = ("missing",)
+    _fields = ("missing",)
     missing: Mapping[int, int]
 
-    def __post_init__(self) -> None:
-        converted = {_integer("defect bit", k): _integer("defect count", v) for k, v in self.missing.items()}
+    def __init__(self, missing: Mapping[int, int]) -> None:
+        converted = {_integer("defect bit", k): _integer("defect count", v) for k, v in missing.items()}
         for idx, cnt in converted.items():
             if idx < 0:
                 raise InvalidInput(f"defect bit index {idx} is negative")
@@ -156,8 +165,9 @@ def within_tolerance(seq: Sequence, defects: DefectMap) -> bool:
     return within
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
+    """One bit's row of a worst-case scan. A NamedTuple."""
+
     index: int
     nominal: int
     tolerance: int | None
@@ -165,8 +175,9 @@ class ScanEntry:
     status: str
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
+    """A worst-case scan: its budget, a row per bit and the oracle checks made. A NamedTuple."""
+
     budget: int
     entries: tuple[ScanEntry, ...]
     oracle_checked: int

@@ -10,6 +10,7 @@ overshoots, so the walk always lands with a residual smaller than a_0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInput, InvalidSequence, OutOfRange, RangeError
 from .sequence import DEFAULT_ORACLE_CAP, Sequence, _chain_capable, prefix_sums, validate
@@ -17,7 +18,10 @@ from .sequence import DEFAULT_ORACLE_CAP, Sequence, _chain_capable, prefix_sums,
 
 @dataclass(frozen=True)
 class Representation:
-    """Digits in {-1, 0, +1} per bit plus the residual beta."""
+    """Digits in {-1, 0, +1} per bit plus the residual beta.
+
+    Still a frozen dataclass: callers rebuild it with dataclasses.replace.
+    """
 
     signs: tuple[int, ...]
     beta: int
@@ -93,8 +97,9 @@ def evaluate(rep: Representation, seq: Sequence) -> int:
     return sum(s * a for s, a in zip(rep.signs, seq.bits)) + rep.beta
 
 
-@dataclass(frozen=True)
-class RangeCheckReport:
+class RangeCheckReport(NamedTuple):
+    """A full-range sweep: how many targets it round-tripped and each failure. A NamedTuple."""
+
     checked: int
     failures: tuple[tuple[int, str], ...]
 

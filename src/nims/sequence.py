@@ -15,11 +15,13 @@ import csv
 import functools
 import io
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
-from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInput, ParseError, RangeError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from pathlib import Path
 
 DEFAULT_ORACLE_CAP = 10**7
 TOTAL_LIMIT = 2**62
@@ -29,15 +31,63 @@ LOWER = "LOWER"
 POSITIVITY = "POSITIVITY"
 
 
-@dataclass(frozen=True)
-class Sequence:
-    """Ordered junction counts, least significant bit first."""
+class _Frozen:
+    """The value semantics of a frozen dataclass, for a record that is not a tuple.
 
+    A record is a small class of its own where a NamedTuple would do harm:
+    it checks its input, caches a property, or leaves a field out of
+    equality. _fields names the constructor's arguments in order. Equality
+    (with a record of the same class only) and hash read _key, the fields
+    unless a class leaves some out; the repr shows _shown, all fields
+    unless a class names fewer. Every assignment and deletion is refused,
+    so __init__ stores through object.__setattr__, and a pickled record is
+    rebuilt by its constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _shown: tuple[str, ...] | None = None
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown or self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+class Sequence(_Frozen):
+    """Ordered junction counts, least significant bit first.
+
+    Built from any iterable of non-bool integers, at least one, none
+    negative; int subclasses are stored as plain ints. Not a tuple: len()
+    and iteration give the bits.
+    """
+
+    __slots__ = ("bits",)
+    _fields = ("bits",)
     bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, bits: tuple[int, ...]) -> None:
         # one tuple first: the checks below must not use up a generator
-        bits = tuple(self.bits or ())
+        bits = tuple(bits or ())
         if not bits:
             raise InvalidInput("sequence must contain at least one bit")
         types = set(map(type, bits))
@@ -64,9 +114,8 @@ class Sequence:
         return iter(self.bits)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One broken constraint: which rule, which bit, and the values seen."""
+class Violation(NamedTuple):
+    """One broken constraint: which rule, which bit, and the values seen. A NamedTuple."""
 
     constraint: str
     index: int
@@ -74,20 +123,26 @@ class Violation:
     observed: tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class ValidationReport:
+class ValidationReport(_Frozen):
     """The two verdicts of validate, and the violations behind them.
 
     The verdicts are set when the report is made. The violation list is
     worded from the judged bits by _violations when first read: most
     callers read only a verdict. Equality, hash, repr and to_doc are those
     of a plain frozen dataclass of strict_valid, complete_capable and
-    violations, so they read the list.
+    violations, so they read the list. A class with an instance __dict__,
+    which the cached list needs.
     """
 
+    _fields = ("strict_valid", "complete_capable", "_bits")
+    _shown = ("strict_valid", "complete_capable", "violations")
     strict_valid: bool
     complete_capable: bool
-    _bits: tuple[int, ...] = field(repr=False)
+
+    def __init__(self, strict_valid: bool, complete_capable: bool, bits: tuple[int, ...]) -> None:
+        object.__setattr__(self, "strict_valid", strict_valid)
+        object.__setattr__(self, "complete_capable", complete_capable)
+        object.__setattr__(self, "_bits", bits)
 
     @functools.cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -95,20 +150,6 @@ class ValidationReport:
 
     def _key(self) -> tuple:
         return (self.strict_valid, self.complete_capable, self.violations)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"{self.__class__.__qualname__}(strict_valid={self.strict_valid!r}, "
-            f"complete_capable={self.complete_capable!r}, violations={self.violations!r})"
-        )
 
     def to_doc(self) -> dict:
         return {
@@ -126,9 +167,8 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
-class PrefixSums:
-    """Running totals and the digit-selection thresholds derived from them.
+class PrefixSums(NamedTuple):
+    """Running totals and the digit-selection thresholds derived from them. A NamedTuple.
 
     totals[n] is the largest magnitude expressible by bits 0..n.
     thresholds[n] adds the first bit on top: the magnitude at which the
@@ -244,6 +284,8 @@ def prefix_sums(seq: Sequence) -> PrefixSums:
 
 def segmentation_efficiency(seq: Sequence) -> tuple[Fraction, ...]:
     """Exact consecutive-bit ratios a_{n+1}/a_n."""
+    from fractions import Fraction
+
     if len(seq) < 2:
         raise InvalidInput("efficiency needs at least two bits")
     if any(a < 1 for a in seq.bits):
@@ -251,20 +293,27 @@ def segmentation_efficiency(seq: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(seq.bits[n + 1], seq.bits[n]) for n in range(len(seq) - 1))
 
 
-@dataclass(frozen=True)
-class SumSet:
+class SumSet(_Frozen):
     """Exact reachable-sum set, stored as one Python int used as a bitset.
 
     Bit v + span + beta_radius of mask is set exactly when the sum v is
     reachable: the lowest set bit is the sum -(span + beta_radius), so the
     set takes about 2*(span + a_0) bits. Membership, counting, coverage
     and gaps are shift-and-mask tests on mask; the sorted disjoint closed
-    intervals are built only when first read.
+    intervals are built only when first read. A class with an instance
+    __dict__, which the cached intervals need; the repr leaves out mask.
     """
 
-    mask: int = field(repr=False)
+    _fields = ("mask", "span", "beta_radius")
+    _shown = ("span", "beta_radius")
+    mask: int
     span: int
     beta_radius: int
+
+    def __init__(self, mask: int, span: int, beta_radius: int) -> None:
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "beta_radius", beta_radius)
 
     def __contains__(self, value: int) -> bool:
         i = value + self.span + self.beta_radius
@@ -461,7 +510,8 @@ def parse_bits(text: str) -> Sequence:
 def _read_text(path: str | Path) -> str:
     """The one file reader: UTF-8 text, or ParseError "cannot read <path>: ..." for any failure."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ParseError(f"cannot read {path}: {exc}") from exc
 

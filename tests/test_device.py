@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nims import (
     InvalidInput,
@@ -86,6 +88,18 @@ class TestLoader:
         rec = parse_device(minimal_text('0,2,1.0,1.0,1.0,"past 100, see log"\n'))
         assert rec.bits[0].tolerance_note == "past 100, see log"
         assert parse_device(serialize_device(rec)) == rec
+
+    # every line boundary str.splitlines knows, plus the characters csv quotes for
+    notes = st.text(st.sampled_from('ab ,"\n\r\x0b\x0c\x1c\x85\u2028\u2029'), max_size=8)
+
+    @given(notes.filter(lambda note: note == note.strip()), notes.filter(lambda note: note == note.strip()))
+    def test_note_holding_a_line_break_round_trips(self, first, second):
+        # parse_device strips each cell, so a note is drawn as its own strip
+        metadata = parse_device(minimal_text("0,2,1.0,1.0,1.0\n")).metadata
+        rec = DeviceRecord((DeviceBit(0, 2, 1.0, 1.0, 1.0, first), DeviceBit(1, 6, 1.0, 1.0, 1.0, second)), metadata)
+        text = serialize_device(rec)
+        assert parse_device(text) == rec
+        assert serialize_device(parse_device(text)) == text
 
     def test_canonicalization_is_idempotent(self):
         rec = parse_device(minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0,1.0\n"))

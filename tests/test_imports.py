@@ -1,0 +1,95 @@
+"""`import nims` loads submodules on first use, and each CLI subcommand loads only what it runs."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nims
+
+from .conftest import DEVICE_CSV
+
+SRC = str(Path(nims.__file__).resolve().parent.parent)
+
+# Runs argv through `python -m nims.cli` in this fresh interpreter, then prints
+# the nims submodules and heavy standard modules that running it loaded.
+PROBE = """
+import json, runpy, sys
+before = set(sys.modules)
+sys.argv = ["nims", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("nims.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = set(sys.modules) - before
+print(json.dumps({"exit": code, "loaded": sorted(loaded)}), file=sys.stderr)
+"""
+
+FIRST = ["errors", "sequence"]
+MODULES = {
+    "validate": (["validate", "--seq", "1,3,8"], FIRST),
+    "tolerance": (["tolerance", "--seq", "1,3,8"], FIRST + ["fault_tolerance"]),
+    "defects": (["defects", "--seq", "1,3,8", "--defects", "2:1"], FIRST + ["fault_tolerance"]),
+    "design": (["design", "--a0", "1", "--msb-size", "9", "--target-total", "13"], FIRST + ["designer", "fault_tolerance"]),
+    "compare": (["compare", "--msb-size", "9", "--lsb-count", "3", "--standards"], FIRST + ["designer", "fault_tolerance"]),
+    "represent": (["represent", "--seq", "1,3,8", "--m", "5"], FIRST + ["representation"]),
+    "plan": (
+        ["plan", "--device", str(DEVICE_CSV), "--volts", "1.0"],
+        FIRST + ["bias", "device", "fault_tolerance", "representation"],
+    ),
+    "report": (["report", "--device", str(DEVICE_CSV)], FIRST + ["bias", "device", "fault_tolerance", "representation"]),
+}
+# the two dataclasses left, Representation and BiasPlan, load dataclasses where representation loads
+WITHOUT_DATACLASSES = ("validate", "tolerance", "defects", "design", "compare")
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("NIMS_ORACLE_CAP", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_every_export_is_its_submodules_object():
+    for name in nims.__all__:
+        module = importlib.import_module(f"nims.{nims._SOURCES[name]}")
+        assert getattr(nims, name) is getattr(module, name)
+        assert nims.__dict__[name] is getattr(module, name)  # kept: later reads are plain lookups
+
+
+def test_dir_and_star_import_cover_all():
+    assert set(nims.__all__) <= set(dir(nims))
+    namespace: dict = {}
+    exec("from nims import *", namespace)
+    assert set(nims.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(nims, name) for name in nims.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'nims' has no attribute 'x'$"):
+        nims.x  # noqa: B018
+    assert not hasattr(nims, "_x")
+
+
+def test_import_nims_loads_no_submodule():
+    proc = _fresh("-c", "import sys, nims; print(sorted(m for m in sys.modules if m.startswith('nims')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['nims']"
+
+
+@pytest.mark.parametrize("command", MODULES)
+def test_subcommand_loads_only_its_modules(command):
+    argv, modules = MODULES[command]
+    proc = _fresh("-c", PROBE, json.dumps([*argv, "--format", "json"]))
+    probe = json.loads(proc.stderr.splitlines()[-1])
+    assert probe["exit"] == 0, proc.stdout
+    json.loads(proc.stdout)
+    loaded = set(probe["loaded"])
+    assert sorted(m[len("nims.") :] for m in loaded if m.startswith("nims.")) == sorted(modules)
+    if command in WITHOUT_DATACLASSES:
+        assert not loaded & {"dataclasses", "inspect"}

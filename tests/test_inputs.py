@@ -105,6 +105,25 @@ def test_a_path_holding_a_nul_cannot_be_read(read):
         read("a\x00b")
 
 
+@pytest.mark.parametrize(
+    "path,message",
+    [
+        ("missing.json", "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+        ("dir", "cannot read dir: [Errno 21] Is a directory: 'dir'"),
+        ("latin1.json", "cannot read latin1.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("a\x00b", "cannot read a\x00b: embedded null byte"),
+    ],
+    ids=["missing", "directory", "not-utf8", "nul"],
+)
+def test_the_reader_words_each_failure(tmp_path, monkeypatch, path, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.json").write_bytes(b"\xff{}")
+    with pytest.raises(ParseError) as caught:
+        sequence_from_file(path)
+    assert str(caught.value) == message
+
+
 # --- argv grammar -----------------------------------------------------------
 
 # Up to 10^12: a layout past designer.MAX_LAYOUT_BITS is refused before it is built.

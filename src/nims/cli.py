@@ -52,6 +52,10 @@ class Output(NamedTuple):
 
     `doc` is the JSON document, or its text where the command fixes the
     notation. A (key, value) pair in `table` is printed aligned, a string as is.
+
+    A command whose output grows with its input (enumerate, up to a
+    hundred thousand rows) builds only the format asked for and leaves the
+    other fields empty.
     """
 
     doc: dict | str
@@ -345,18 +349,19 @@ def _cmd_report(args) -> Output:
 
 def _cmd_enumerate(args) -> Output:
     seqs = sequence.enumerate_nims(args.a0, args.depth, args.max_bit, max_results=args.limit)
-    lines = [",".join(map(str, s.bits)) for s in seqs]
-    return Output(
-        {
+    if args.format == "json":
+        doc = {
             "a0": args.a0,
             "depth": args.depth,
             "max_bit": args.max_bit,
             "count": len(seqs),
             "sequences": [list(s.bits) for s in seqs],
-        },
-        sequence.csv_rows([["sequence"]] + [[line] for line in lines]),
-        lines,
-    )
+        }
+        return Output(doc, "", [])
+    lines = [",".join(map(str, s.bits)) for s in seqs]
+    if args.format == "csv":
+        return Output({}, sequence.csv_rows([["sequence"]] + [[line] for line in lines]), [])
+    return Output({}, "", lines)
 
 
 def _cmd_oracle(args) -> Output:

@@ -114,6 +114,17 @@ class Sequence(_Frozen):
         return iter(self.bits)
 
 
+def _unchecked_sequence(bits: tuple[int, ...]) -> Sequence:
+    """A Sequence of bits stored as given, without the constructor's checks.
+
+    Only for a tuple of plain nonnegative ints, at least one, that the
+    caller formed itself: enumerate_nims, which makes thousands.
+    """
+    seq = object.__new__(Sequence)
+    object.__setattr__(seq, "bits", bits)
+    return seq
+
+
 class Violation(NamedTuple):
     """One broken constraint: which rule, which bit, and the values seen. A NamedTuple."""
 
@@ -197,13 +208,13 @@ def _chain_capable(bits: tuple[int, ...]) -> bool:
     return True
 
 
-def _strict_valid(bits: tuple[int, ...]) -> bool:
-    """Positivity, both chains and growth of the final pair: strict validity.
+def _lower_chain(bits: tuple[int, ...]) -> bool:
+    """The lower chain a_{n+1} > 3*a_{n-1} and growth of the final pair: what strictness adds.
 
-    The predicate form of validate's rules, true exactly when _violations
-    finds none.
+    Read only on top of _chain_capable: strict validity is the two
+    together, true exactly when _violations finds none.
     """
-    if not _chain_capable(bits) or (len(bits) > 1 and bits[-1] <= bits[-2]):
+    if len(bits) > 1 and bits[-1] <= bits[-2]:
         return False
     for below, a in zip(bits, bits[2:]):
         if a <= 3 * below:
@@ -217,11 +228,14 @@ def validate(seq: Sequence) -> ValidationReport:
     complete_capable needs positivity and the upper chain only, so a
     defective array that lost junctions can still be certified. The lower
     chain (including growth of the final pair) is what strictness adds.
-    The verdicts come from _strict_valid and _chain_capable; the violation
-    list is worded by _violations when something first reads it.
+    The chain is walked once: _chain_capable gives complete_capable, and
+    only a capable sequence has its lower chain tested by _lower_chain.
+    The violation list is worded by _violations when something first
+    reads it.
     """
     bits = seq.bits
-    return ValidationReport(_strict_valid(bits), _chain_capable(bits), bits)
+    capable = _chain_capable(bits)
+    return ValidationReport(capable and _lower_chain(bits), capable, bits)
 
 
 def _violations(bits: tuple[int, ...]) -> tuple[Violation, ...]:
@@ -383,6 +397,31 @@ def _runs(x: int) -> list[tuple[int, int]]:
     return out
 
 
+def _reach(bits: tuple[int, ...], a0_offset: bool, cap: int) -> tuple[int | None, int, int]:
+    """The oracle kernel: (mask, total, radius) of the reachable sums, mask None while one run.
+
+    Raises RangeError when the total exceeds the cap. mask is the bitset
+    SumSet holds; None stands for the one run of all 2*(total + radius) + 1
+    sums from -(total + radius) up, which is never built.
+    """
+    total = sum(bits)
+    if total > cap:
+        raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
+    radius = max(bits[0] - 1, 0) if a0_offset else 0
+    width = 2 * radius + 1
+    for n, a in enumerate(bits):
+        if a > width:
+            break
+        width += 2 * a
+    else:
+        return None, total, radius
+
+    reach = (1 << width) - 1
+    for a in bits[n:]:
+        reach |= (reach | (reach << a)) << a
+    return reach, total, radius
+
+
 def reachable_sums(seq: Sequence, a0_offset: bool = False, *, cap: int = DEFAULT_ORACLE_CAP) -> SumSet:
     """Bitset oracle over the digit set {-1, 0, +1}.
 
@@ -400,36 +439,32 @@ def reachable_sums(seq: Sequence, a0_offset: bool = False, *, cap: int = DEFAULT
     is the radius plus the bits added so far, so adding bit a is
     S | S << a | S << 2a: the int is only as wide as the sums it holds and
     nothing shifts right. The final set takes about 2*(total + a_0) bits.
+    The loop is _reach, the kernel is_complete shares.
 
     Raises RangeError when the sequence total exceeds the cap.
     """
-    total = sum(seq.bits)
-    if total > cap:
-        raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
-
-    radius = max(seq.bits[0] - 1, 0) if a0_offset else 0
-    width = 2 * radius + 1
-    for n, a in enumerate(seq.bits):
-        if a > width:
-            break
-        width += 2 * a
-    else:
-        return SumSet((1 << width) - 1, total, radius)
-
-    reach = (1 << width) - 1
-    for a in seq.bits[n:]:
-        reach |= (reach | (reach << a)) << a
-    return SumSet(reach, total, radius)
+    mask, total, radius = _reach(seq.bits, a0_offset, cap)
+    if mask is None:
+        mask = (1 << 2 * (total + radius) + 1) - 1
+    return SumSet(mask, total, radius)
 
 
 def is_complete(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     """Oracle verdict: does the sequence cover every target in [-A_N, A_N]?
 
     Coverage is exact for a_0 = 1 and up to a residual below a_0 otherwise.
-    Computed from reachable_sums alone, independent of the chain predicate.
+    The same as reachable_sums(seq, a0_offset=True, cap=cap).covers(-A_N,
+    A_N), read off the oracle kernel _reach without building a SumSet:
+    while the set is one run it is complete, and no int is built; otherwise
+    one window test reads the 2*A_N + 1 bits above the radius (the mask's
+    lowest bit is the sum -(A_N + radius)). Independent of the chain
+    predicate.
     """
-    sums = reachable_sums(seq, a0_offset=True, cap=cap)
-    return sums.covers(-sums.span, sums.span)
+    mask, total, radius = _reach(seq.bits, True, cap)
+    if mask is None:
+        return True
+    full = (1 << 2 * total + 1) - 1
+    return (mask >> radius) & full == full
 
 
 def enumerate_nims(
@@ -447,7 +482,15 @@ def enumerate_nims(
     search visits leads to a result and the time is bounded by the results
     (at most max_results + 1) times the depth. The search keeps its own
     stack, so a deep enumeration does not recurse.
+
+    Every argument must be a non-bool int (else InvalidInput), checked once
+    here: the search then forms only plain positive ints, so each result is
+    built by _unchecked_sequence, without Sequence's per-bit checks.
     """
+    for name, value in (("a0", a0), ("depth", depth), ("max_bit", max_bit), ("max_results", max_results)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    a0 = int(a0)  # an int subclass is stored as a plain int, as Sequence does
     if a0 < 1 or depth < 1 or max_bit < 1:
         raise InvalidInput("a0, depth, and max_bit must all be positive")
     if max_results < 0:
@@ -470,7 +513,7 @@ def enumerate_nims(
         if len(prefix) == depth:
             if len(out) >= max_results:
                 raise RangeError(f"enumeration exceeds {max_results} sequences")
-            out.append(Sequence(tuple(prefix)))
+            out.append(_unchecked_sequence(tuple(prefix)))
             prefix.pop()
         else:
             # Lower bound: above 3*a_{k-2} for interior bits, simple growth for

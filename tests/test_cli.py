@@ -271,6 +271,14 @@ class TestEnumerateOracle:
         assert code == 0
         assert doc["sequences"] == [[1, 2], [1, 3]]
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_enumerate_builds_only_the_requested_format(self, fmt):
+        argv = ["enumerate", "--a0", "1", "--depth", "3", "--max-bit", "9", "--format", fmt]
+        args = cli.build_parser().parse_args(argv)
+        out = args.handler(args)
+        built = {"json": bool(out.doc), "csv": bool(out.csv), "table": bool(out.table)}
+        assert built == {name: name == fmt for name in built}
+
     def test_oracle_complete_despite_broken_chain(self):
         code, doc = run_json(["oracle", "--seq", "1,2,7"])
         assert code == 0

@@ -27,7 +27,7 @@ from nims import (
     validate,
 )
 from nims.fault_tolerance import _window_gaps
-from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _runs, _strict_valid
+from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _lower_chain, _reach, _runs
 
 from .conftest import (
     INCAPABLE_MESSAGES,
@@ -44,6 +44,10 @@ from .conftest import (
     regex_runs,
     strict_bits,
 )
+
+
+class _Int(int):
+    """An int subclass, which a Sequence stores as a plain int."""
 
 
 def _as_intervals(values) -> tuple[tuple[int, int], ...]:
@@ -177,11 +181,12 @@ class TestValidate:
         violations = validate(seq).violations
         assert _chain_capable(seq.bits) == (not any(v.constraint in (UPPER, POSITIVITY) for v in violations))
 
-    @given(any_bits())
+    @given(st.one_of(any_bits(), perturbed_capable_bits(), strict_bits()))
     @settings(max_examples=300)
     def test_report_matches_the_eager_reference(self, seq):
+        # strict_bits reaches the lower-chain walk, which runs only on capable bits
         eager = eager_validate(seq)
-        assert _strict_valid(seq.bits) == (not eager.violations)
+        assert (_chain_capable(seq.bits) and _lower_chain(seq.bits)) == (not eager.violations)
         report = validate(seq)
         assert hash(report) == hash(eager)
         assert repr(validate(seq)) == repr(eager)
@@ -328,8 +333,8 @@ class TestReachableSums:
     def test_oracle_names_no_chain_certificate(self):
         # the oracle stays independent of the chain certificate, though its
         # one-run shortcut looks like a chain test
-        banned = {"_chain_capable", "_strict_valid", "validate", "_tolerances"}
-        for oracle in (reachable_sums, is_complete, oracle_gaps, _window_gaps, SumSet):
+        banned = {"_chain_capable", "_lower_chain", "_strict_valid", "validate", "_tolerances"}
+        for oracle in (_reach, reachable_sums, is_complete, oracle_gaps, _window_gaps, SumSet):
             nodes = list(ast.walk(ast.parse(inspect.getsource(oracle))))
             names = {node.id for node in nodes if isinstance(node, ast.Name)}
             names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
@@ -422,6 +427,38 @@ class TestIsComplete:
         assert is_complete(Sequence((1, 3, 8)))
         assert is_complete(Sequence((1, 2, 6)))
 
+    @given(st.one_of(any_bits(), perturbed_capable_bits()), st.integers(-1, 1))
+    @example(Sequence((1, 3, 9)), 0)  # one run from the first bit to the last
+    @example(Sequence((3, 10)), 0)  # one run only with the residual
+    @example(Sequence((1, 5, 3)), 0)  # a gap that a later bit closes
+    @example(Sequence((1, 3, 10)), 0)  # a gap that stays, at +-5
+    @example(Sequence((0, 0, 0)), 0)
+    @example(Sequence((2, 6, 18)), -1)  # one below the total: over the cap
+    @settings(max_examples=300)
+    def test_matches_the_sum_set_and_brute_force(self, seq, slack):
+        cap = seq.total + slack
+
+        def outcome(check):
+            try:
+                return check()
+            except RangeError as exc:
+                return str(exc)
+
+        def covers():
+            sums = reachable_sums(seq, a0_offset=True, cap=cap)
+            return sums.covers(-sums.span, sums.span)
+
+        verdict = outcome(lambda: is_complete(seq, cap=cap))
+        assert verdict == outcome(covers)
+        if slack < 0:
+            assert verdict == f"sequence total {seq.total} exceeds oracle cap {cap}"
+            return
+        # every target lies within the residual radius of a sum exactly when
+        # no two neighbouring sums are more than 2 * radius + 1 apart
+        radius = max(seq.bits[0] - 1, 0)
+        sums = sorted(brute_sums(seq.bits))
+        assert verdict == all(hi - lo <= 2 * radius + 1 for lo, hi in zip(sums, sums[1:]))
+
     def test_chain_is_sufficient_not_necessary(self):
         # breaks the triple bound at the last bit yet covers every target
         assert not validate(Sequence((1, 2, 7))).complete_capable
@@ -497,6 +534,36 @@ class TestEnumerate:
     def test_negative_result_cap_is_bad_input(self):
         with pytest.raises(InvalidInput, match="max_results must not be negative"):
             enumerate_nims(1, 2, 3, max_results=-1)
+
+    @pytest.mark.parametrize(
+        "args,max_results",
+        [
+            ((1.5, 3, 10), 5),
+            (("1", 3, 10), 5),
+            ((True, 3, 10), 5),
+            ((None, 3, 10), 5),
+            ((1, 3.0, 10), 5),
+            ((1, False, 10), 5),
+            ((1, 3, 10.5), 5),
+            ((1, 3, True), 5),
+            ((1, 3, 10), 5.0),
+            ((1, 3, 10), True),
+        ],
+        ids=["a0-float", "a0-str", "a0-bool", "a0-none", "depth-float", "depth-bool",
+             "max_bit-float", "max_bit-bool", "max_results-float", "max_results-bool"],
+    )
+    def test_non_integer_arguments_are_bad_input(self, args, max_results):
+        with pytest.raises(InvalidInput, match=r"^(a0|depth|max_bit|max_results) must be an integer, got "):
+            enumerate_nims(*args, max_results=max_results)
+
+    @given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 60), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_results_are_checked_sequences_of_plain_ints(self, a0, depth, max_bit, subclass):
+        # the results skip Sequence's checks, so each must be what they would give
+        for s in enumerate_nims(_Int(a0) if subclass else a0, depth, max_bit):
+            assert s == Sequence(s.bits)
+            assert type(s.bits) is tuple
+            assert all(type(b) is int for b in s.bits)
 
 
 class TestStandardsAndParsing:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import DegenerateTarget, InvalidInput, OutOfRange
-from .representation import Representation, _descend, _require_capable
+from .representation import Representation, _descend, _descent
 from .sequence import Sequence
 
 # Exact SI defining constants.
@@ -75,7 +75,14 @@ def fixed_decimal(x: float) -> str:
 
 
 def _round_half_away(x: float) -> int:
-    return int(math.floor(abs(x) + 0.5)) * (1 if x >= 0 else -1)
+    """Round to the nearest integer, halves away from zero.
+
+    abs(x) - floor(abs(x)) is exact in floats, where abs(x) + 0.5 can
+    round up: 0.49999999999999994 and the odd integers in [2**52, 2**53).
+    """
+    a = abs(x)
+    f = math.floor(a)
+    return (f + (a - f >= 0.5)) * (1 if x >= 0 else -1)
 
 
 def _require_finite(what: str, x: float) -> None:
@@ -105,16 +112,18 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     needs a larger multiple than the array expresses even at the band
     top, DegenerateTarget when a nonzero voltage rounds to an expressed
     multiple of zero (no frequency shift can reach it), InvalidInput
-    when the voltage, frequency or band is NaN or infinite, and
-    InvalidSequence when seq is not completeness capable.
+    when the voltage, frequency or band is NaN or infinite,
+    InvalidSequence when seq is not completeness capable, and RangeError
+    when its total exceeds TOTAL_LIMIT. The capability gate and the
+    headroom read the table representation._descent keeps on seq, built
+    by the first plan or represent on that object.
     """
     _require_finite("voltage", volts)
     _require_finite("drive frequency", freq_hz)
     lo, hi = _resolve_band(freq_hz, band)
-    _require_capable(seq)
+    table = _descent(seq)
 
-    a0 = seq.bits[0]
-    headroom = seq.total + a0 - 1
+    headroom = table[0]
     if abs(volts) * JOSEPHSON_HZ_PER_VOLT > headroom * hi:
         raise OutOfRange(
             f"{volts} V needs multiple {abs(volts) * JOSEPHSON_HZ_PER_VOLT / freq_hz:.1f}, "
@@ -122,13 +131,13 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
         )
 
     if volts == 0:
-        rep = _descend(0, seq)
+        rep = _descend(0, seq, table)
         return BiasPlan(volts, freq_hz, 0, rep, freq_hz, 0.0, 0.0, True)
 
     m_target = _round_half_away(volts * JOSEPHSON_HZ_PER_VOLT / freq_hz)
     if abs(m_target) > headroom:
         raise OutOfRange(f"multiple {m_target} outside representable range {headroom}")
-    rep = _descend(m_target, seq)
+    rep = _descend(m_target, seq, table)
     if rep.expressed_m == 0:
         raise DegenerateTarget(
             f"{volts} V rounds to expressed multiple 0; retuning cannot reach it"

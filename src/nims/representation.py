@@ -9,11 +9,12 @@ overshoots, so the walk always lands with a residual smaller than a_0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidInput, InvalidSequence, OutOfRange, RangeError
-from .sequence import DEFAULT_ORACLE_CAP, Sequence, _chain_capable, prefix_sums, validate
+from .sequence import DEFAULT_ORACLE_CAP, TOTAL_LIMIT, Sequence, _chain_capable, prefix_sums, validate
 
 
 @dataclass(frozen=True)
@@ -40,38 +41,78 @@ def _require_capable(seq: Sequence) -> None:
         )
 
 
+def _descent(seq: Sequence) -> tuple:
+    """The greedy's table for seq, built and stored on seq the first time: (bound, a0, steps).
+
+    The one place the table is built. Building applies the chain gate:
+    an incapable sequence is refused here, with validate's violations, on
+    every call, since a refusal stores nothing. bound is A_N + a_0 - 1.
+    steps holds (n, a_n, threshold_{n-1}, slack_{n-1}) for each bit from
+    the top down to bit 1, the slack being the running total below bit n
+    plus a_0 - 1. A capable sequence whose total passes TOTAL_LIMIT keeps
+    steps None, so that plan can still refuse an out-of-range voltage
+    first; _descend then raises prefix_sums' RangeError on every call.
+    """
+    try:
+        return seq._descent
+    except AttributeError:  # an unset slot: not built yet
+        pass
+    _require_capable(seq)
+    bits = seq.bits
+    a0 = bits[0]
+    try:
+        totals, thresholds = prefix_sums(seq)
+    except RangeError:
+        table = (sum(bits) + a0 - 1, a0, None)
+    else:
+        steps = tuple(
+            (n, bits[n], thresholds[n - 1], totals[n - 1] + a0 - 1) for n in range(len(bits) - 1, 0, -1)
+        )
+        table = (totals[-1] + a0 - 1, a0, steps)
+    object.__setattr__(seq, "_descent", table)
+    return table
+
+
 def represent(m: int, seq: Sequence) -> Representation:
     """Greedy signed-digit decomposition of m over seq.
 
     Ties at the residual level prefer beta over activating the first bit,
     which keeps junction usage minimal. After bit n the remainder,
     m minus the digits from bit n up, never exceeds the running total
-    below the bit plus a_0 - 1.
+    below the bit plus a_0 - 1. The gate and the per-bit thresholds come
+    from the table _descent keeps on seq, so only the first call on a
+    sequence walks its chain.
 
-    Raises InvalidSequence when seq is not completeness capable and
-    OutOfRange when |m| exceeds A_N + a_0 - 1.
+    Raises InvalidSequence when seq is not completeness capable,
+    RangeError when its total exceeds TOTAL_LIMIT and OutOfRange when |m|
+    exceeds A_N + a_0 - 1.
     """
-    _require_capable(seq)
-    return _descend(m, seq)
+    return _descend(m, seq, _descent(seq))
 
 
-def _descend(m: int, seq: Sequence) -> Representation:
-    """The greedy descent of `represent`, on a sequence already through `_require_capable`."""
-    bits = seq.bits
-    sums = prefix_sums(seq)
-    a0 = bits[0]
-    bound = sums.totals[-1] + a0 - 1
+def _descend(m: int, seq: Sequence, table: tuple) -> Representation:
+    """The greedy descent of `represent` over the table `_descent` built for seq.
+
+    Runs only the loop: each step activates bit n when the remainder's
+    magnitude reaches its threshold. Two invariants are checked with
+    explicit raises, so they hold under python -O as well: the remainder
+    after each bit stays within its slack, and the digits, re-summed over
+    seq's own bits, plus the residual give back m.
+    """
+    bound, a0, steps = table
+    if steps is None:
+        raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")
     if abs(m) > bound:
         raise OutOfRange(f"target {m} outside [-{bound}, {bound}]")
 
+    bits = seq.bits
     signs = [0] * len(bits)
     r = m
-    for n in range(seq.last_index, 0, -1):
-        if abs(r) >= sums.thresholds[n - 1]:
+    for n, a, threshold, slack in steps:
+        if abs(r) >= threshold:
             s = 1 if r > 0 else -1
             signs[n] = s
-            r -= s * bits[n]
-        slack = sums.totals[n - 1] + a0 - 1
+            r -= s * a
         if abs(r) > slack:
             raise AssertionError(f"remainder {r} broke the descent bound at bit {n}")
     if abs(r) >= a0:
@@ -80,7 +121,7 @@ def _descend(m: int, seq: Sequence) -> Representation:
         r -= s * a0
 
     beta = r
-    expressed = sum(s * a for s, a in zip(signs, bits))
+    expressed = sum(map(operator.mul, signs, bits))
     if expressed + beta != m or abs(beta) >= max(a0, 1):
         raise AssertionError(f"digits sum to {expressed} with residual {beta}: not target {m} with |beta| < a_0")
     return Representation(tuple(signs), beta, m, expressed)

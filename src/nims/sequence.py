@@ -78,10 +78,13 @@ class Sequence(_Frozen):
 
     Built from any iterable of non-bool integers, at least one, none
     negative; int subclasses are stored as plain ints. Not a tuple: len()
-    and iteration give the bits.
+    and iteration give the bits. The private slot _descent holds the
+    greedy's per-bit table once representation._descent has built it;
+    it is not a field, so equality, hash, repr and pickling leave it out
+    and a copy starts without it.
     """
 
-    __slots__ = ("bits",)
+    __slots__ = ("bits", "_descent")
     _fields = ("bits",)
     bits: tuple[int, ...]
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from nims import Sequence, errors, load_device
+from nims import Representation, Sequence, errors, load_device, prefix_sums
 from nims.cli import CliUsageError
 from nims.sequence import LOWER, POSITIVITY, UPPER, Violation
 
@@ -225,6 +226,31 @@ def descent_rows(rep, seq) -> list[tuple[int, int]]:
     return rows
 
 
+def percall_descend(m: int, seq: Sequence) -> Representation:
+    """Reference represent of a target within range on a capable sequence: prefix sums rebuilt on every call.
+
+    The loop the library ran before it kept one table per Sequence: the
+    running totals and thresholds are computed afresh, then the bits are
+    walked from the top down, each activated when the remainder's
+    magnitude reaches its threshold, and bit 0 when it reaches a_0.
+    """
+    bits = seq.bits
+    sums = prefix_sums(seq)
+    a0 = bits[0]
+    signs = [0] * len(bits)
+    r = m
+    for n in range(len(bits) - 1, 0, -1):
+        if abs(r) >= sums.thresholds[n - 1]:
+            s = 1 if r > 0 else -1
+            signs[n] = s
+            r -= s * bits[n]
+    if abs(r) >= a0:
+        s = 1 if r > 0 else -1
+        signs[0] = s
+        r -= s * a0
+    return Representation(tuple(signs), r, m, m - r)
+
+
 def recursive_enumerate(a0: int, depth: int, max_bit: int, max_results: int) -> list[tuple[int, ...]]:
     """Reference enumerator: a recursive search over every strict prefix under max_bit.
 
@@ -262,6 +288,12 @@ def regex_runs(x: int) -> list[tuple[int, int]]:
 def fraction_proportion(a: int, b: int) -> Fraction:
     """Reference fault proportion of a bit a followed by b, in four Fraction steps."""
     return max(Fraction(0), Fraction(1) - Fraction(b, 3 * a)) if a > 0 else Fraction(0)
+
+
+def fraction_round_half_away(x: float) -> int:
+    """Reference rounding of a float to the nearest integer, halves away from zero: floor(|x| + 1/2) in Fractions."""
+    n = math.floor(abs(Fraction(x)) + Fraction(1, 2))
+    return n if x >= 0 else -n
 
 
 def lean_range_check(bits, thresholds) -> tuple[int, tuple[tuple[int, str], ...]]:

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nims.bias
@@ -16,15 +16,17 @@ from nims import (
     InvalidSequence,
     JOSEPHSON_HZ_PER_VOLT,
     OutOfRange,
+    RangeError,
     Sequence,
     max_voltage,
     plan,
+    represent,
     resolution,
     validate,
 )
-from nims.bias import ELEMENTARY_CHARGE_C, PLANCK_JS, fixed_decimal
+from nims.bias import ELEMENTARY_CHARGE_C, PLANCK_JS, _round_half_away, fixed_decimal
 
-from .conftest import INCAPABLE_MESSAGES
+from .conftest import INCAPABLE_MESSAGES, NIMS1_BITS, fraction_round_half_away
 
 
 class TestConstants:
@@ -118,10 +120,13 @@ class TestPlan:
             plan(1.0, 18.01e9, measured, (17.9e9, math.inf))
 
     def test_incapable_sequence(self):
+        # alike on every call: a refusal leaves no table on the sequence
         for bits, violations in INCAPABLE_MESSAGES.items():
-            with pytest.raises(InvalidSequence) as excinfo:
-                plan(0.1, 18.01e9, Sequence(bits))
-            assert str(excinfo.value) == "sequence is not completeness capable: " + violations
+            seq = Sequence(bits)
+            for volts in (0.1, 0.0, 0.1):
+                with pytest.raises(InvalidSequence) as excinfo:
+                    plan(volts, 18.01e9, seq)
+                assert str(excinfo.value) == "sequence is not completeness capable: " + violations
 
     @pytest.mark.parametrize("volts", [1.0, 0.0])
     def test_validates_zero_times_on_a_capable_sequence(self, measured, monkeypatch, volts):
@@ -141,6 +146,23 @@ class TestPlan:
             plan(volts, 18.01e9, incapable)
         assert calls == [incapable]
 
+    def test_builds_the_table_once_per_sequence(self, monkeypatch):
+        calls = {"_chain_capable": 0, "prefix_sums": 0}
+
+        def counting(name, fn):
+            def wrapper(arg):
+                calls[name] += 1
+                return fn(arg)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nims.representation, name, counting(name, getattr(nims.representation, name)))
+        seq = Sequence(NIMS1_BITS)
+        for k in range(100):
+            plan(0.01 * k, 18.01e9, seq)
+        assert calls == {"_chain_capable": 1, "prefix_sums": 1}
+
     @given(st.floats(min_value=0.001, max_value=3.42, allow_nan=False))
     @settings(max_examples=300)
     def test_round_trip_and_shift_bound(self, measured, volts):
@@ -149,6 +171,48 @@ class TestPlan:
         beta = abs(p.representation.beta)
         expressed = abs(p.representation.expressed_m)
         assert p.frequency_shift <= (0.5 + beta) / expressed + 1e-12
+
+
+class TestErrorOrder:
+    """A capable sequence whose total passes TOTAL_LIMIT: headroom first, then the limit, on every call."""
+
+    OVER_LIMIT = "sequence total exceeds 4611686018427387904"
+
+    def test_headroom_then_limit_on_every_call(self):
+        seq = Sequence((2**62, 2**62))
+        for _ in range(2):
+            with pytest.raises(OutOfRange):
+                plan(1e15, 1.8e10, seq)
+            for volts in (1.0, 0.0):
+                with pytest.raises(RangeError) as excinfo:
+                    plan(volts, 1.8e10, seq)
+                assert str(excinfo.value) == self.OVER_LIMIT
+            with pytest.raises(RangeError) as excinfo:
+                represent(0, seq)
+            assert str(excinfo.value) == self.OVER_LIMIT
+
+    def test_limit_first_on_a_fresh_sequence(self):
+        seq = Sequence((2**62, 2**62))
+        for _ in range(2):
+            with pytest.raises(RangeError) as excinfo:
+                represent(0, seq)
+            assert str(excinfo.value) == self.OVER_LIMIT
+        with pytest.raises(OutOfRange):
+            plan(1e15, 1.8e10, seq)
+
+
+class TestRoundHalfAway:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.49999999999999994)
+    @example(-0.49999999999999994)
+    @example(2.0**52 + 1)
+    @example(-(2.0**52 + 1))
+    @example(2.0**53 - 1)
+    @example(0.5)
+    @example(-2.5)
+    @settings(max_examples=300)
+    def test_matches_exact_rounding(self, x):
+        assert _round_half_away(x) == fraction_round_half_away(x)
 
 
 class TestSerialization:

@@ -9,6 +9,7 @@ or deleted.
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import pytest
@@ -352,6 +353,17 @@ def test_cached_intervals_survive_pickling():
     assert sums.intervals == ((-4, 4),)
     copy = pickle.loads(pickle.dumps(sums))
     assert copy == sums and copy.intervals == ((-4, 4),)
+
+
+def test_a_built_descent_table_stays_out_of_the_value():
+    built, fresh = Sequence((1, 3, 8)), Sequence((1, 3, 8))
+    represent(5, built)
+    assert hasattr(built, "_descent") and not hasattr(fresh, "_descent")
+    assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+    copies = [pickle.loads(pickle.dumps(built, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies + [copy.copy(built), copy.deepcopy(built)]:
+        assert type(other) is Sequence and other == built and hash(other) == hash(built)
+        assert not hasattr(other, "_descent")
 
 
 # the records bench/tests rebuild with dataclasses.replace

@@ -15,6 +15,7 @@ from nims import (
     OutOfRange,
     RangeError,
     Sequence,
+    enumerate_nims,
     evaluate,
     prefix_sums,
     represent,
@@ -22,7 +23,7 @@ from nims import (
 )
 from nims.sequence import PrefixSums
 
-from .conftest import INCAPABLE_MESSAGES, capable_bits, descent_rows, lean_range_check
+from .conftest import INCAPABLE_MESSAGES, capable_bits, descent_rows, lean_range_check, percall_descend
 
 REFERENCE = Sequence((1, 3, 8))
 
@@ -92,10 +93,13 @@ class TestBounds:
             represent(28, seq)
 
     def test_incapable_sequence_rejected(self):
+        # alike on every call: a refusal leaves no table on the sequence
         for bits, violations in INCAPABLE_MESSAGES.items():
-            with pytest.raises(InvalidSequence) as excinfo:
-                represent(3, Sequence(bits))
-            assert str(excinfo.value) == "sequence is not completeness capable: " + violations
+            seq = Sequence(bits)
+            for _ in range(3):
+                with pytest.raises(InvalidSequence) as excinfo:
+                    represent(3, seq)
+                assert str(excinfo.value) == "sequence is not completeness capable: " + violations
 
 
 class TestEvaluate:
@@ -160,6 +164,33 @@ class TestRoundTripProperty:
         bound = seq.total
         m = data.draw(st.integers(-bound, bound))
         assert represent(m, seq).beta == 0
+
+
+# 2,016 strict sequences; each object is kept across examples, so later draws reuse its table
+ENUMERATED = enumerate_nims(1, 5, 60)
+
+
+class TestDescentTable:
+    """represent reads a table built once per Sequence; every call must match the per-call descent."""
+
+    @given(capable_bits(max_total=3000), st.data())
+    @settings(max_examples=200)
+    def test_first_and_repeated_calls_match_the_per_call_descent(self, seq, data):
+        bound = seq.total + seq.bits[0] - 1
+        m = data.draw(st.integers(-bound, bound))
+        expected = percall_descend(m, seq)
+        assert represent(m, seq) == expected
+        assert represent(m, seq) == expected
+        assert represent(-m, seq) == percall_descend(-m, seq)
+        assert represent(m, Sequence(seq.bits)) == expected
+
+    @given(st.sampled_from(ENUMERATED), st.data())
+    @settings(max_examples=200)
+    def test_enumerated_sequences(self, seq, data):
+        bound = seq.total + seq.bits[0] - 1
+        m = data.draw(st.integers(-bound, bound))
+        assert represent(m, seq) == percall_descend(m, seq)
+        assert represent(m, seq) == percall_descend(m, seq)
 
 
 # Runs under python -O with prefix_sums corrupted; prints the invariant error.

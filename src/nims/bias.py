@@ -11,10 +11,11 @@ that same frequency shift.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .errors import DegenerateTarget, InvalidInput, OutOfRange
+from .errors import DegenerateTarget, InvalidInput, OutOfRange, RangeError
 from .representation import Representation, _descend, _descent
 from .sequence import Sequence
 
@@ -90,6 +91,14 @@ def _require_finite(what: str, x: float) -> None:
         raise InvalidInput(f"{what} must be finite, got {x}")
 
 
+def _as_float(what: str, n: int) -> float:
+    """n as a float, the value int * float multiplies by; RangeError past float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        raise RangeError(f"{what} exceeds the largest float, {sys.float_info.max:.4g}") from None
+
+
 def _resolve_band(freq_hz: float, band: tuple[float, float] | None) -> tuple[float, float]:
     if band is None:
         band = (freq_hz * (1 - DEFAULT_BAND_HALF_WIDTH), freq_hz * (1 + DEFAULT_BAND_HALF_WIDTH))
@@ -114,9 +123,10 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     multiple of zero (no frequency shift can reach it), InvalidInput
     when the voltage, frequency or band is NaN or infinite,
     InvalidSequence when seq is not completeness capable, and RangeError
-    when its total exceeds TOTAL_LIMIT. The capability gate and the
-    headroom read the table representation._descent keeps on seq, built
-    by the first plan or represent on that object.
+    when its total exceeds TOTAL_LIMIT or its headroom float range. The
+    capability gate and the headroom read the table
+    representation._descent keeps on seq, built by the first plan,
+    represent or represent_range_check on that object.
     """
     _require_finite("voltage", volts)
     _require_finite("drive frequency", freq_hz)
@@ -124,7 +134,7 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     table = _descent(seq)
 
     headroom = table[0]
-    if abs(volts) * JOSEPHSON_HZ_PER_VOLT > headroom * hi:
+    if abs(volts) * JOSEPHSON_HZ_PER_VOLT > _as_float("headroom", headroom) * hi:
         raise OutOfRange(
             f"{volts} V needs multiple {abs(volts) * JOSEPHSON_HZ_PER_VOLT / freq_hz:.1f}, "
             f"beyond {headroom} even at the band top"
@@ -153,20 +163,24 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
 
 
 def max_voltage(seq: Sequence, freq_hz: float) -> float:
-    """Largest voltage the array expresses at the given frequency."""
+    """Largest voltage the array expresses at the given frequency.
+
+    Raises RangeError when the total is beyond float range.
+    """
     if not freq_hz > 0:
         raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
     _require_finite("drive frequency", freq_hz)
-    return seq.total * freq_hz / JOSEPHSON_HZ_PER_VOLT
+    return _as_float("sequence total", seq.total) * freq_hz / JOSEPHSON_HZ_PER_VOLT
 
 
 def resolution(seq: Sequence, freq_hz: float) -> float:
     """Voltage step between adjacent first-bit multiples, a_0 * f / K_J.
 
     Frequency retuning against the residual refines the effective step
-    to a single junction's f/K_J.
+    to a single junction's f/K_J. Raises RangeError when a_0 is beyond
+    float range.
     """
     if not freq_hz > 0:
         raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
     _require_finite("drive frequency", freq_hz)
-    return seq.bits[0] * freq_hz / JOSEPHSON_HZ_PER_VOLT
+    return _as_float("first bit", seq.bits[0]) * freq_hz / JOSEPHSON_HZ_PER_VOLT

@@ -33,32 +33,30 @@ class Representation:
         return {"m": self.target_m, "signs": list(self.signs), "beta": self.beta}
 
 
-def _require_capable(seq: Sequence) -> None:
-    if not _chain_capable(seq.bits):
-        raise InvalidSequence(
-            "sequence is not completeness capable: "
-            + "; ".join(v.message for v in validate(seq).violations)
-        )
-
-
 def _descent(seq: Sequence) -> tuple:
     """The greedy's table for seq, built and stored on seq the first time: (bound, a0, steps).
 
-    The one place the table is built. Building applies the chain gate:
-    an incapable sequence is refused here, with validate's violations, on
-    every call, since a refusal stores nothing. bound is A_N + a_0 - 1.
-    steps holds (n, a_n, threshold_{n-1}, slack_{n-1}) for each bit from
-    the top down to bit 1, the slack being the running total below bit n
-    plus a_0 - 1. A capable sequence whose total passes TOTAL_LIMIT keeps
-    steps None, so that plan can still refuse an out-of-range voltage
-    first; _descend then raises prefix_sums' RangeError on every call.
+    The one place the table is built, read by represent, bias.plan and
+    represent_range_check. Building applies the chain gate, the one place
+    it is worded: an incapable sequence is refused here, with validate's
+    violations, on every call, since a refusal stores nothing. bound is
+    A_N + a_0 - 1. steps holds (n, a_n, threshold_{n-1}, slack_{n-1}) for
+    each bit from the top down to bit 1, the slack being the running total
+    below bit n plus a_0 - 1. A capable sequence whose total passes
+    TOTAL_LIMIT keeps steps None, so that plan can still refuse an
+    out-of-range voltage and the sweep an exceeded cap first; _descend
+    then raises prefix_sums' RangeError on every call.
     """
     try:
         return seq._descent
     except AttributeError:  # an unset slot: not built yet
         pass
-    _require_capable(seq)
     bits = seq.bits
+    if not _chain_capable(bits):
+        raise InvalidSequence(
+            "sequence is not completeness capable: "
+            + "; ".join(v.message for v in validate(seq).violations)
+        )
     a0 = bits[0]
     try:
         totals, thresholds = prefix_sums(seq)
@@ -164,22 +162,20 @@ def represent_range_check(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> Ra
     carries the final remainders not below a_0 up to the targets m that
     reach them, so failures come out as (m, message) in ascending m. The
     device's 184,199 targets share 190 windows; the loop is iterative, so
-    thousands of bits do not recurse.
+    thousands of bits do not recurse. The gate, the bound and the
+    thresholds come from the table _descent keeps on seq, as in represent.
     """
-    _require_capable(seq)
-    total = sum(seq.bits)
+    bound, a0, steps = _descent(seq)
+    total = bound - a0 + 1
     if total > cap:
         raise RangeError(f"sequence total {total} exceeds cap {cap}")
-    bits = seq.bits
-    thresholds = prefix_sums(seq).thresholds
-    a0 = bits[0]
-    bound = total + a0 - 1
-    steps = [(thresholds[n - 1], bits[n]) for n in range(seq.last_index, 0, -1)] + [(a0, a0)]
+    if steps is None:
+        raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")
 
     # levels[k] maps each window after step k to the (parent window, shift) pieces landing on it
     levels: list[dict] = []
     landed: dict = {(-bound, bound): []}
-    for t, a in steps:
+    for _, a, t, _ in (*steps, (0, a0, a0, a0 - 1)):  # the table's rows, then bit 0 at threshold a_0
         windows, landed = landed, {}
         for lo, hi in windows:
             for plo, phi, shift in (

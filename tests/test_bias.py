@@ -58,6 +58,16 @@ class TestMaxVoltageAndResolution:
             with pytest.raises(InvalidInput):
                 resolution(measured, freq)
 
+    def test_beyond_float_range_is_a_range_error(self):
+        beyond = Sequence((10**400,))
+        with pytest.raises(RangeError, match="^sequence total exceeds the largest float"):
+            max_voltage(beyond, 1e10)
+        with pytest.raises(RangeError, match="^first bit exceeds the largest float"):
+            resolution(beyond, 1e10)
+        within = Sequence((10**300,))
+        assert max_voltage(within, 1.0) == 10**300 * 1.0 / JOSEPHSON_HZ_PER_VOLT
+        assert resolution(within, 1.0) == 10**300 * 1.0 / JOSEPHSON_HZ_PER_VOLT
+
 
 class TestPlan:
     def test_one_volt_point(self, measured):
@@ -171,6 +181,13 @@ class TestPlan:
         beta = abs(p.representation.beta)
         expressed = abs(p.representation.expressed_m)
         assert p.frequency_shift <= (0.5 + beta) / expressed + 1e-12
+
+    def test_headroom_beyond_float_range(self):
+        seq = Sequence((10**400,))
+        for _ in range(2):
+            with pytest.raises(RangeError) as excinfo:
+                plan(1.0, 1e10, seq)
+            assert str(excinfo.value) == "headroom exceeds the largest float, 1.798e+308"
 
 
 class TestErrorOrder:

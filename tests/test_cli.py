@@ -218,6 +218,11 @@ class TestPlan:
         )
         assert code == 3
 
+    def test_headroom_beyond_float_range(self):
+        code, doc = run_json(["plan", "--seq", "1" + "0" * 400, "--volts", "1", "--freq", "1e10"])
+        assert code == 2
+        assert doc["error"]["type"] == "RangeError"
+
 
 class TestCompare:
     def test_standards(self):
@@ -263,6 +268,22 @@ class TestReport:
         code, doc = run_json(["report", "--device", str(DEVICE_CSV), "--min-margin", "2.0"])
         assert code == 1
         assert doc["margins"]["violations"]
+
+    def test_total_beyond_float_range(self, tmp_path):
+        lines = DEVICE_CSV.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("0,"))
+        row = lines[first].split(",")
+        row[1] = str(10**400)
+        lines[first] = ",".join(row)
+        device = tmp_path / "device.csv"
+        device.write_text("\n".join(lines) + "\n")
+        code, doc = run_json(["report", "--device", str(device)])
+        assert code == 2
+        assert doc["error"] == {
+            "type": "RangeError",
+            "message": "sequence total exceeds the largest float, 1.798e+308",
+            "exit_code": 2,
+        }
 
 
 class TestEnumerateOracle:

@@ -1,4 +1,5 @@
-"""`import nims` loads submodules on first use, and each CLI subcommand loads only what it runs."""
+"""`import nims` loads submodules on first use, each CLI subcommand loads only what it runs, and
+no submodule loads anything outside the standard library."""
 
 from __future__ import annotations
 
@@ -44,9 +45,28 @@ MODULES = {
         FIRST + ["bias", "device", "fault_tolerance", "representation"],
     ),
     "report": (["report", "--device", str(DEVICE_CSV)], FIRST + ["bias", "device", "fault_tolerance", "representation"]),
+    "enumerate": (["enumerate", "--a0", "1", "--depth", "3", "--max-bit", "9"], FIRST),
+    "oracle": (["oracle", "--seq", "1,3,8"], FIRST + ["fault_tolerance"]),
+    "oracle_sweep": (["oracle", "--seq", "1,3,8", "--sweep"], FIRST + ["fault_tolerance", "representation"]),
 }
 # the two dataclasses left, Representation and BiasPlan, load dataclasses where representation loads
-WITHOUT_DATACLASSES = ("validate", "tolerance", "defects", "design", "compare")
+WITHOUT_DATACLASSES = ("validate", "tolerance", "defects", "design", "compare", "enumerate", "oracle")
+
+# Imports every nims submodule in this fresh interpreter, then prints the
+# submodules and the top-level names of the modules that loaded and are not
+# in the standard library; what site loaded at start-up is left out.
+STDLIB_ONLY = """
+import importlib, json, pkgutil, sys
+before = set(sys.modules)
+import nims
+for info in pkgutil.iter_modules(nims.__path__):
+    importlib.import_module("nims." + info.name)
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps({
+    "submodules": sorted(name for name in sys.modules if name.startswith("nims.")),
+    "outside": sorted(loaded - set(sys.stdlib_module_names) - {"nims"}),
+}))
+"""
 
 
 def _fresh(*args: str) -> subprocess.CompletedProcess:
@@ -93,3 +113,12 @@ def test_subcommand_loads_only_its_modules(command):
     assert sorted(m[len("nims.") :] for m in loaded if m.startswith("nims.")) == sorted(modules)
     if command in WITHOUT_DATACLASSES:
         assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_every_submodule_loads_only_the_standard_library():
+    proc = _fresh("-c", STDLIB_ONLY)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    package = Path(nims.__file__).parent
+    assert doc["submodules"] == sorted(f"nims.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__")
+    assert doc["outside"] == []

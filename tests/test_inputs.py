@@ -242,13 +242,34 @@ def compare_argv(draw) -> list:
     return argv
 
 
+def represent_argv(draw) -> list:
+    seq = pick(draw, st.sampled_from(["1,3,8", "2,6,18", "1,2,7"]), st.one_of(LONG_BITS, INPUT_PATHS))
+    return ["represent", "--seq", seq, "--m", pick(draw, NUMBERS, VALUES)]
+
+
+def oracle_argv(draw) -> list:
+    """An oracle run, with a cap drawn from below zero up to past the sequence's total."""
+    bits = draw(
+        st.one_of(st.sampled_from([(1, 3, 8), (2, 6, 18), (1, 2, 8)]), st.lists(st.integers(-1, 10**4), min_size=1, max_size=100))
+    )
+    argv = ["oracle", "--seq", pick(draw, st.just(",".join(map(str, bits))), st.one_of(VALUES, INPUT_PATHS))]
+    argv += [flag for flag in ("--sweep", "--a0-offset") if draw(st.booleans())]
+    if draw(st.booleans()):
+        argv += ["--cap", pick(draw, st.integers(-2, max(sum(bits), 0) + 2).map(str), VALUES)]
+    return argv
+
+
 @st.composite
 def argvs(draw) -> list:
-    command = draw(st.sampled_from(["design", "compare", "defects", "validate", "report", "plan"]))
+    command = draw(st.sampled_from(["design", "compare", "defects", "validate", "report", "plan", "represent", "oracle"]))
     if command == "design":
         return design_argv(draw)
     if command == "compare":
         return compare_argv(draw)
+    if command == "represent":
+        return represent_argv(draw)
+    if command == "oracle":
+        return oracle_argv(draw)
     if command == "defects":
         inline = st.sampled_from(["2:1", "1:1,2:1", "2:9"])
         defects = pick(draw, st.one_of(defect_files(), inline), st.one_of(VALUES, LONG_DEFECTS, INPUT_PATHS))

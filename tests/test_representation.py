@@ -272,9 +272,14 @@ class TestRangeCheck:
 
 
 def sweep_with_thresholds(seq, thresholds):
+    """Sweep a fresh copy of seq, whose descent table is built from these thresholds.
+
+    A table already kept on seq itself would skip the patched prefix_sums,
+    and a table built under the patch must not stay on a shared sequence.
+    """
     sums = prefix_sums(seq)
     with patch.object(nims.representation, "prefix_sums", lambda _: PrefixSums(sums.totals, thresholds)):
-        return represent_range_check(seq)
+        return represent_range_check(Sequence(seq.bits))
 
 
 class TestSweepMatchesReference:
@@ -303,6 +308,43 @@ class TestSweepMatchesReference:
         assert chk.checked == checked == 25
         assert chk.failures == failures
         assert chk.passed == (threshold == 5)
+
+
+class TestSweepReadsTheDescentTable:
+    def test_patched_thresholds_reach_the_sweep_after_represent(self):
+        represent(0, REFERENCE)  # builds the table kept on the shared REFERENCE
+        chk = sweep_with_thresholds(REFERENCE, (2, 0, 13))
+        assert chk.failures == lean_range_check(REFERENCE.bits, (2, 0, 13))[1]
+        assert not chk.passed
+        assert represent_range_check(REFERENCE).passed
+
+    def test_builds_the_table_once_per_sequence(self, monkeypatch):
+        calls = {"_chain_capable": 0, "prefix_sums": 0}
+
+        def counting(name, fn):
+            def wrapper(arg):
+                calls[name] += 1
+                return fn(arg)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nims.representation, name, counting(name, getattr(nims.representation, name)))
+        seq = Sequence((1, 3, 8, 24, 70))
+        for _ in range(20):
+            assert represent_range_check(seq).passed
+        represent(5, seq)
+        assert calls == {"_chain_capable": 1, "prefix_sums": 1}
+
+    def test_total_limit_past_a_cap_above_it(self):
+        seq = Sequence((2**62, 2**62))
+        for _ in range(2):
+            with pytest.raises(RangeError) as excinfo:
+                represent_range_check(seq, cap=2**64)
+            assert str(excinfo.value) == "sequence total exceeds 4611686018427387904"
+        with pytest.raises(RangeError) as excinfo:
+            represent_range_check(seq)
+        assert str(excinfo.value) == f"sequence total {2**63} exceeds cap 10000000"
 
 
 class TestSweepMatchesRepresent:

@@ -162,25 +162,36 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     )
 
 
-def max_voltage(seq: Sequence, freq_hz: float) -> float:
-    """Largest voltage the array expresses at the given frequency.
+def _volts(what: str, n: int, freq_hz: float) -> float:
+    """n junction steps at freq_hz in volts, n * f / K_J: what max_voltage and resolution share.
 
-    Raises RangeError when the total is beyond float range.
+    Raises InvalidInput for a frequency that is not positive and finite,
+    and RangeError when n, or the voltage, is beyond float range.
     """
     if not freq_hz > 0:
         raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
     _require_finite("drive frequency", freq_hz)
-    return _as_float("sequence total", seq.total) * freq_hz / JOSEPHSON_HZ_PER_VOLT
+    volts = _as_float(what, n) * freq_hz / JOSEPHSON_HZ_PER_VOLT
+    if not math.isfinite(volts):
+        raise RangeError(
+            f"{what} times the drive frequency exceeds the largest float, {sys.float_info.max:.4g}"
+        )
+    return volts
+
+
+def max_voltage(seq: Sequence, freq_hz: float) -> float:
+    """Largest voltage the array expresses at the given frequency.
+
+    Raises RangeError when the total, or the voltage, is beyond float range.
+    """
+    return _volts("sequence total", seq.total, freq_hz)
 
 
 def resolution(seq: Sequence, freq_hz: float) -> float:
     """Voltage step between adjacent first-bit multiples, a_0 * f / K_J.
 
     Frequency retuning against the residual refines the effective step
-    to a single junction's f/K_J. Raises RangeError when a_0 is beyond
-    float range.
+    to a single junction's f/K_J. Raises RangeError when a_0, or the
+    step, is beyond float range.
     """
-    if not freq_hz > 0:
-        raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
-    _require_finite("drive frequency", freq_hz)
-    return _as_float("first bit", seq.bits[0]) * freq_hz / JOSEPHSON_HZ_PER_VOLT
+    return _volts("first bit", seq.bits[0], freq_hz)

@@ -153,9 +153,18 @@ def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, Validati
 
 
 def within_tolerance(seq: Sequence, defects: DefectMap) -> bool:
-    """True when every non-last bit loses at most its tolerance."""
+    """True when every non-last bit loses at most its tolerance.
+
+    The tolerances are _tolerances of the nominal bits, kept on seq in its
+    private _tolerances slot by the first call on that object, so a run of
+    defect maps against one array computes them once.
+    """
     last = seq.last_index
-    tolerances = _tolerances(seq.bits)
+    try:
+        tolerances = seq._tolerances
+    except AttributeError:  # an unset slot: not built yet
+        tolerances = tuple(_tolerances(seq.bits))
+        object.__setattr__(seq, "_tolerances", tolerances)
     within = True
     for idx, cnt in defects.missing.items():
         if idx > last:
@@ -264,11 +273,10 @@ def _window_gaps(sums: SumSet) -> tuple[tuple[int, int], ...]:
     Exact for any reachable set: it is symmetric about 0 (negating every
     digit negates the sum, and the residual widens both ways alike) and it
     holds 0 (all digits zero), so the gaps below 0 are the negated gaps
-    above it and no gap crosses 0. A mask that is one run from bit 0 has
-    no gaps at all.
+    above it and no gap crosses 0. A set held by its width is one run and
+    has no gaps: it is answered without building its mask.
     """
-    mask = sums.mask
-    if mask & (mask + 1) == 0:
+    if sums._one_run:
         return ()
     upper = sums.gaps(1, sums.span)
     return tuple((-hi, -lo) for lo, hi in reversed(upper)) + upper

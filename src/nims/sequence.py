@@ -78,13 +78,15 @@ class Sequence(_Frozen):
 
     Built from any iterable of non-bool integers, at least one, none
     negative; int subclasses are stored as plain ints. Not a tuple: len()
-    and iteration give the bits. The private slot _descent holds the
-    greedy's per-bit table once representation._descent has built it;
-    it is not a field, so equality, hash, repr and pickling leave it out
-    and a copy starts without it.
+    and iteration give the bits. Two private slots hold tables built on
+    first use: _descent the greedy's per-bit table, once
+    representation._descent has built it, and _tolerances every bit's
+    tolerance, once fault_tolerance.within_tolerance has read it. Neither
+    is a field, so equality, hash, repr and pickling leave them out and a
+    copy starts without them.
     """
 
-    __slots__ = ("bits", "_descent")
+    __slots__ = ("bits", "_descent", "_tolerances")
     _fields = ("bits",)
     bits: tuple[int, ...]
 
@@ -317,20 +319,36 @@ class SumSet(_Frozen):
     reachable: the lowest set bit is the sum -(span + beta_radius), so the
     set takes about 2*(span + a_0) bits. Membership, counting, coverage
     and gaps are shift-and-mask tests on mask; the sorted disjoint closed
-    intervals are built only when first read. A class with an instance
-    __dict__, which the cached intervals need; the repr leaves out mask.
+    intervals are built only when first read. Built with mask None, the set
+    is the one run of every sum from -(span + beta_radius) to span +
+    beta_radius, held by its width: mask is built the first time something
+    reads it, so equality, hash, repr and pickling are those of the set
+    built from the explicit mask. Only intervals and
+    fault_tolerance._window_gaps answer from the width without it. A class
+    with an instance __dict__, which the cached properties need; the repr
+    leaves out mask.
     """
 
     _fields = ("mask", "span", "beta_radius")
     _shown = ("span", "beta_radius")
-    mask: int
     span: int
     beta_radius: int
 
-    def __init__(self, mask: int, span: int, beta_radius: int) -> None:
-        object.__setattr__(self, "mask", mask)
+    def __init__(self, mask: int | None, span: int, beta_radius: int) -> None:
+        if mask is not None:
+            object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "span", span)
         object.__setattr__(self, "beta_radius", beta_radius)
+
+    @functools.cached_property
+    def mask(self) -> int:
+        """The bitset; for a set held by its width, its one run of ones, built on first read."""
+        return (1 << 2 * (self.span + self.beta_radius) + 1) - 1
+
+    @property
+    def _one_run(self) -> bool:
+        """True while the set is held by its width: one run whose mask is not built yet."""
+        return "mask" not in self.__dict__
 
     def __contains__(self, value: int) -> bool:
         i = value + self.span + self.beta_radius
@@ -344,6 +362,8 @@ class SumSet(_Frozen):
     def intervals(self) -> tuple[tuple[int, int], ...]:
         """The set as sorted disjoint closed intervals."""
         offset = self.span + self.beta_radius
+        if self._one_run:
+            return ((-offset, offset),)
         return tuple((lo - offset, hi - offset) for lo, hi in _runs(self.mask))
 
     def covers(self, lo: int, hi: int) -> bool:
@@ -403,9 +423,10 @@ def _runs(x: int) -> list[tuple[int, int]]:
 def _reach(bits: tuple[int, ...], a0_offset: bool, cap: int) -> tuple[int | None, int, int]:
     """The oracle kernel: (mask, total, radius) of the reachable sums, mask None while one run.
 
-    Raises RangeError when the total exceeds the cap. mask is the bitset
-    SumSet holds; None stands for the one run of all 2*(total + radius) + 1
-    sums from -(total + radius) up, which is never built.
+    Raises RangeError when the total exceeds the cap. The three are a
+    SumSet's mask, span and beta_radius; None stands for the one run of all
+    2*(total + radius) + 1 sums from -(total + radius) up, which SumSet
+    holds by its width.
     """
     total = sum(bits)
     if total > cap:
@@ -442,14 +463,13 @@ def reachable_sums(seq: Sequence, a0_offset: bool = False, *, cap: int = DEFAULT
     is the radius plus the bits added so far, so adding bit a is
     S | S << a | S << 2a: the int is only as wide as the sums it holds and
     nothing shifts right. The final set takes about 2*(total + a_0) bits.
-    The loop is _reach, the kernel is_complete shares.
+    The loop is _reach, the kernel is_complete shares. A set that stays one
+    run is returned held by its width, with no int built until something
+    reads its mask.
 
     Raises RangeError when the sequence total exceeds the cap.
     """
-    mask, total, radius = _reach(seq.bits, a0_offset, cap)
-    if mask is None:
-        mask = (1 << 2 * (total + radius) + 1) - 1
-    return SumSet(mask, total, radius)
+    return SumSet(*_reach(seq.bits, a0_offset, cap))
 
 
 def is_complete(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> bool:

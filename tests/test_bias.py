@@ -68,6 +68,17 @@ class TestMaxVoltageAndResolution:
         assert max_voltage(within, 1.0) == 10**300 * 1.0 / JOSEPHSON_HZ_PER_VOLT
         assert resolution(within, 1.0) == 10**300 * 1.0 / JOSEPHSON_HZ_PER_VOLT
 
+    def test_a_voltage_beyond_float_range_is_a_range_error(self):
+        # 10**300 is a float, but 10**300 * 1e10 Hz is not: the voltage would be inf
+        within = Sequence((10**300,))
+        with pytest.raises(RangeError, match="^sequence total times the drive frequency exceeds the largest float"):
+            max_voltage(within, 1e10)
+        with pytest.raises(RangeError, match="^first bit times the drive frequency exceeds the largest float"):
+            resolution(within, 1e10)
+        # at 1e8 Hz the product, 1e308, is still a float and keeps its value
+        assert max_voltage(within, 1e8) == 10**300 * 1e8 / JOSEPHSON_HZ_PER_VOLT
+        assert resolution(within, 1e8) == 10**300 * 1e8 / JOSEPHSON_HZ_PER_VOLT
+
 
 class TestPlan:
     def test_one_volt_point(self, measured):

@@ -269,19 +269,33 @@ class TestReport:
         assert code == 1
         assert doc["margins"]["violations"]
 
-    def test_total_beyond_float_range(self, tmp_path):
+    @staticmethod
+    def _device_with_first_bit(tmp_path, first_bit):
         lines = DEVICE_CSV.read_text().splitlines()
         first = next(i for i, line in enumerate(lines) if line.startswith("0,"))
         row = lines[first].split(",")
-        row[1] = str(10**400)
+        row[1] = str(first_bit)
         lines[first] = ",".join(row)
         device = tmp_path / "device.csv"
         device.write_text("\n".join(lines) + "\n")
-        code, doc = run_json(["report", "--device", str(device)])
+        return str(device)
+
+    def test_total_beyond_float_range(self, tmp_path):
+        code, doc = run_json(["report", "--device", self._device_with_first_bit(tmp_path, 10**400)])
         assert code == 2
         assert doc["error"] == {
             "type": "RangeError",
             "message": "sequence total exceeds the largest float, 1.798e+308",
+            "exit_code": 2,
+        }
+
+    def test_voltage_beyond_float_range(self, tmp_path):
+        # the total is a float, but times the drive frequency it is not: no Infinity in the document
+        res = run(["report", "--device", self._device_with_first_bit(tmp_path, 10**300), "--format", "json"])
+        assert res.exit_code == 2
+        assert strict_json(res.text)["error"] == {
+            "type": "RangeError",
+            "message": "sequence total times the drive frequency exceeds the largest float, 1.798e+308",
             "exit_code": 2,
         }
 

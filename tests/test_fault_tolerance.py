@@ -263,3 +263,30 @@ class TestOracleGaps:
         sums, gaps = oracle_gaps(defective)
         assert gaps == sums.gaps(-sums.span, sums.span)
         assert (not gaps) == is_complete(defective)
+
+    def test_a_within_tolerance_map_builds_no_mask(self, measured):
+        # every bit below the last loses its whole tolerance, and the set stays one run
+        defects = DefectMap({n: t for n, t in enumerate(_tolerances(measured.bits)[:-1]) if t})
+        assert within_tolerance(measured, defects)
+        defective, _ = apply_defects(measured, defects)
+        sums, gaps = oracle_gaps(defective)
+        assert gaps == () and "mask" not in vars(sums)
+        reach = sums.span + sums.beta_radius
+        assert sums.intervals == ((-reach, reach),) and "mask" not in vars(sums)
+        assert sums.mask == (1 << 2 * reach + 1) - 1
+
+
+class TestWithinTolerance:
+    def test_a_sequence_computes_its_tolerances_once(self, measured, monkeypatch):
+        calls = []
+
+        def counting(bits):
+            calls.append(bits)
+            return _tolerances(bits)
+
+        monkeypatch.setattr(nims.fault_tolerance, "_tolerances", counting)
+        seq = Sequence(measured.bits)
+        within, past = DefectMap({6: 100, 22: 5}), DefectMap({0: 1})
+        assert all(within_tolerance(seq, within) for _ in range(50))
+        assert not any(within_tolerance(seq, past) for _ in range(50))
+        assert calls == [seq.bits]

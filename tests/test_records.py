@@ -32,6 +32,7 @@ from nims import (
     represent_range_check,
     tolerance_report,
     validate,
+    within_tolerance,
     worst_case_scan,
 )
 from nims.cli import CommandResult, Output
@@ -356,14 +357,17 @@ def test_cached_intervals_survive_pickling():
 
 
 def test_a_built_descent_table_stays_out_of_the_value():
+    # the descent table and the tolerance table, both kept in private slots
     built, fresh = Sequence((1, 3, 8)), Sequence((1, 3, 8))
     represent(5, built)
-    assert hasattr(built, "_descent") and not hasattr(fresh, "_descent")
+    within_tolerance(built, DefectMap({}))
+    for slot in ("_descent", "_tolerances"):
+        assert hasattr(built, slot) and not hasattr(fresh, slot)
     assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
     copies = [pickle.loads(pickle.dumps(built, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for other in copies + [copy.copy(built), copy.deepcopy(built)]:
         assert type(other) is Sequence and other == built and hash(other) == hash(built)
-        assert not hasattr(other, "_descent")
+        assert not hasattr(other, "_descent") and not hasattr(other, "_tolerances")
 
 
 # the records bench/tests rebuild with dataclasses.replace

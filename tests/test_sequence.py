@@ -348,6 +348,36 @@ class TestReachableSums:
         sums = reachable_sums(seq, a0_offset=a0_offset)
         assert _window_gaps(sums) == sums.gaps(-sums.span, sums.span)
 
+    @given(st.one_of(any_bits(), capable_bits(max_total=2000)), st.booleans(), st.integers(-60, 60), st.integers(0, 120))
+    @example(Sequence((1, 5, 2)), False, 0, 0)  # the bitset path ends all ones
+    @example(Sequence((1, 5, 2)), True, 0, 0)
+    @example(Sequence((1, 3, 9)), False, 0, 0)  # one run from the start
+    @example(Sequence((0, 0, 0)), True, 0, 0)
+    @settings(max_examples=200)
+    def test_a_set_held_by_its_width_answers_as_its_mask(self, seq, a0_offset, lo, width):
+        # each query reads a fresh set, before anything has built its mask
+        explicit = SumSet(*full_width_sums(seq.bits, a0_offset))
+        mask, span, radius = explicit.mask, explicit.span, explicit.beta_radius
+
+        def fresh() -> SumSet:
+            return reachable_sums(seq, a0_offset=a0_offset)
+
+        assert not fresh()._one_run or mask & (mask + 1) == 0
+        reach = span + radius
+        values, sums = range(-reach - 2, reach + 3), fresh()
+        assert [v in sums for v in values] == [v in explicit for v in values]
+        assert fresh().count == explicit.count
+        assert fresh().intervals == explicit.intervals
+        assert _window_gaps(fresh()) == _window_gaps(explicit)
+        for wlo, whi in ((-span, span), (-reach - 3, reach + 5), (lo, lo + width), (lo, lo - 1)):
+            assert fresh().covers(wlo, whi) == explicit.covers(wlo, whi)
+            assert fresh().gaps(wlo, whi) == explicit.gaps(wlo, whi)
+        assert fresh() == explicit and explicit == fresh()
+        assert hash(fresh()) == hash(explicit) and repr(fresh()) == repr(explicit)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(fresh(), protocol) == pickle.dumps(explicit, protocol)
+            assert pickle.loads(pickle.dumps(fresh(), protocol)) == explicit
+
     def test_large_residual_radius(self):
         sums = reachable_sums(Sequence((1000, 1500)), a0_offset=True)
         assert sums.beta_radius == 999

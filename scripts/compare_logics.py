@@ -23,16 +23,17 @@ from nims import (
     max_voltage,
     standard_column,
 )
+from nims.designer import CandidateColumn
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_DEVICE = REPO / "data" / "nims23_device.csv"
 
 
-def summarize(name: str, seq: Sequence, msb_size: int, freq_hz: float) -> dict:
-    col = compare_logics(len(seq), msb_size, [(name, seq)]).candidates[0]
+def summarize(col: CandidateColumn, seq: Sequence, freq_hz: float) -> dict:
+    """One summary row from seq's column of the comparison table."""
     tols = [t for t in col.tolerances if t]
     return {
-        "name": name,
+        "name": col.name,
         "bits": len(seq),
         "total": seq.total,
         "bits_to_msb": col.bits_to_msb,
@@ -68,8 +69,8 @@ def main() -> int:
         columns.append(("designed", designed.sequence))
         if args.device and str(args.device):
             columns.append(("measured", load_device(args.device).sequence()))
-        rows = [summarize(name, seq, args.msb_size, args.freq) for name, seq in columns]
         table = compare_logics(max(len(s) for _, s in columns), args.msb_size, columns)
+        rows = [summarize(col, seq, args.freq) for col, (_, seq) in zip(table.candidates, columns)]
     except NimsError as exc:
         ap.error(str(exc))
 

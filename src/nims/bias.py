@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import DegenerateTarget, InvalidInput, OutOfRange, RangeError
-from .representation import Representation, _descend, _descent
+from .representation import Representation, _descent, represent
 from .sequence import Sequence
 
 # Exact SI defining constants.
@@ -126,14 +126,13 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     when its total exceeds TOTAL_LIMIT or its headroom float range. The
     capability gate and the headroom read the table
     representation._descent keeps on seq, built by the first plan,
-    represent or represent_range_check on that object.
+    represent or represent_range_check on that object; the digits come
+    from represent.
     """
     _require_finite("voltage", volts)
     _require_finite("drive frequency", freq_hz)
     lo, hi = _resolve_band(freq_hz, band)
-    table = _descent(seq)
-
-    headroom = table[0]
+    headroom = _descent(seq)[0]
     if abs(volts) * JOSEPHSON_HZ_PER_VOLT > _as_float("headroom", headroom) * hi:
         raise OutOfRange(
             f"{volts} V needs multiple {abs(volts) * JOSEPHSON_HZ_PER_VOLT / freq_hz:.1f}, "
@@ -141,13 +140,13 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
         )
 
     if volts == 0:
-        rep = _descend(0, seq, table)
+        rep = represent(0, seq)
         return BiasPlan(volts, freq_hz, 0, rep, freq_hz, 0.0, 0.0, True)
 
     m_target = _round_half_away(volts * JOSEPHSON_HZ_PER_VOLT / freq_hz)
     if abs(m_target) > headroom:
         raise OutOfRange(f"multiple {m_target} outside representable range {headroom}")
-    rep = _descend(m_target, seq, table)
+    rep = represent(m_target, seq)
     if rep.expressed_m == 0:
         raise DegenerateTarget(
             f"{volts} V rounds to expressed multiple 0; retuning cannot reach it"

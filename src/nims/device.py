@@ -3,23 +3,26 @@
 The on-disk form is a CSV with a key=value metadata preamble ahead of the
 header row. Canonical serialization always writes the optional
 tolerance_note column, required metadata keys in a fixed order, and any
-extra keys verbatim in sorted order, and quotes a note only where it holds
-a comma, a quote or a line break, so loading a canonical file and
-re-serializing it is byte identical.
+extra keys verbatim in sorted order, and writes the rows with
+sequence.csv_rows, which quotes a note only where it holds a comma, a
+quote or a line break, so loading a canonical file and re-serializing it
+is byte identical.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import bias
 from .errors import InvalidInput, ParseError
 from .fault_tolerance import DefectMap, _tolerances
-from .sequence import Sequence, _read_text, validate
+from .sequence import Sequence, _read_text, csv_rows, validate
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -207,26 +210,7 @@ def serialize_device(rec: DeviceRecord) -> str:
     preamble = [f"{key}={'x'.join(repr(getattr(m, field)) for field in fields)}\n" for key, fields in METADATA_KEYS]
     preamble += [f"{key}={value}\n" for key, value in sorted(m.extras)]
     rows = [[*HEADER, NOTE_COLUMN]] + [[*(getattr(b, f) for _, f, _ in COLUMNS), b.tolerance_note] for b in rec.bits]
-    return "".join(preamble) + _csv_lines(rows)
-
-
-def _csv_lines(rows: list[list[object]]) -> str:
-    r"""CSV text of the rows, each ended by \n, quoting a field that holds \r or \n.
-
-    csv.writer is sure to quote a field only for the characters of its own
-    line terminator (with \n as the terminator, Python 3.11 leaves a field
-    holding \r bare), so each row is written with \r\n and ended with \n
-    instead: a note holding \r then reads back whole.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    lines = []
-    for row in rows:
-        writer.writerow(row)
-        lines.append(buf.getvalue()[:-2] + "\n")
-        buf.seek(0)
-        buf.truncate()
-    return "".join(lines)
+    return "".join(preamble) + csv_rows(rows)
 
 
 class MarginViolation(NamedTuple):
@@ -274,7 +258,10 @@ def margin_report(rec: DeviceRecord, min_margin_ma: float) -> MarginReport:
     if not math.isfinite(min_margin_ma):
         raise InvalidInput(f"margin threshold must be finite, got {min_margin_ma}")
     sides = _side_widths(rec)
-    stats = [stat for _, widths in sides for stat in (min(widths), sum(widths) / len(widths))]
+    # plain float adds, left to right: sum compensates from Python 3.12 on, which moves the mean's last digits
+    stats = [
+        stat for _, widths in sides for stat in (min(widths), functools.reduce(operator.add, widths, 0) / len(widths))
+    ]
     violations = tuple(
         MarginViolation(b.index, side, widths[i])
         for i, b in enumerate(rec.bits)

@@ -21,6 +21,7 @@ from .sequence import (
     _chain_capable,
     _Frozen,
     _integer,
+    _unchecked_sequence,
     csv_rows,
     is_complete,
     reachable_sums,
@@ -142,13 +143,14 @@ def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, Validati
     if something reads them.
     """
     bits = list(seq.bits)
+    last = seq.last_index
     for idx, cnt in defects.missing.items():
-        if idx > seq.last_index:
-            raise InvalidInput(f"defect bit index {idx} beyond last bit {seq.last_index}")
+        if idx > last:
+            raise InvalidInput(f"defect bit index {idx} beyond last bit {last}")
         if cnt > bits[idx]:
             raise InvalidInput(f"bit {idx} holds {bits[idx]} junctions, cannot lose {cnt}")
         bits[idx] -= cnt
-    defective = Sequence(tuple(bits))
+    defective = _unchecked_sequence(tuple(bits))
     return defective, validate(defective)
 
 

@@ -36,15 +36,15 @@ class Representation:
 def _descent(seq: Sequence) -> tuple:
     """The greedy's table for seq, built and stored on seq the first time: (bound, a0, steps).
 
-    The one place the table is built, read by represent, bias.plan and
-    represent_range_check. Building applies the chain gate, the one place
-    it is worded: an incapable sequence is refused here, with validate's
+    The one place the table is built, read by represent,
+    represent_range_check and, for its headroom, bias.plan. Building
+    applies the chain gate, the one place it is worded: an incapable sequence is refused here, with validate's
     violations, on every call, since a refusal stores nothing. bound is
     A_N + a_0 - 1. steps holds (n, a_n, threshold_{n-1}, slack_{n-1}) for
     each bit from the top down to bit 1, the slack being the running total
     below bit n plus a_0 - 1. A capable sequence whose total passes
     TOTAL_LIMIT keeps steps None, so that plan can still refuse an
-    out-of-range voltage and the sweep an exceeded cap first; _descend
+    out-of-range voltage and the sweep an exceeded cap first; represent
     then raises prefix_sums' RangeError on every call.
     """
     try:
@@ -72,32 +72,22 @@ def _descent(seq: Sequence) -> tuple:
 
 
 def represent(m: int, seq: Sequence) -> Representation:
-    """Greedy signed-digit decomposition of m over seq.
+    """Greedy signed-digit decomposition of m over seq: the greedy's one entry point.
 
     Ties at the residual level prefer beta over activating the first bit,
-    which keeps junction usage minimal. After bit n the remainder,
-    m minus the digits from bit n up, never exceeds the running total
-    below the bit plus a_0 - 1. The gate and the per-bit thresholds come
-    from the table _descent keeps on seq, so only the first call on a
-    sequence walks its chain.
+    which keeps junction usage minimal. The gate and the per-bit
+    thresholds come from the table _descent keeps on seq, so only the
+    first call on a sequence walks its chain. Two invariants are checked
+    with explicit raises, so they hold under python -O: after bit n the
+    remainder, m minus the digits from bit n up, never exceeds the running
+    total below the bit plus a_0 - 1, and the digits plus the residual
+    give back m.
 
     Raises InvalidSequence when seq is not completeness capable,
     RangeError when its total exceeds TOTAL_LIMIT and OutOfRange when |m|
     exceeds A_N + a_0 - 1.
     """
-    return _descend(m, seq, _descent(seq))
-
-
-def _descend(m: int, seq: Sequence, table: tuple) -> Representation:
-    """The greedy descent of `represent` over the table `_descent` built for seq.
-
-    Runs only the loop: each step activates bit n when the remainder's
-    magnitude reaches its threshold. Two invariants are checked with
-    explicit raises, so they hold under python -O as well: the remainder
-    after each bit stays within its slack, and the digits, re-summed over
-    seq's own bits, plus the residual give back m.
-    """
-    bound, a0, steps = table
+    bound, a0, steps = _descent(seq)
     if steps is None:
         raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")
     if abs(m) > bound:

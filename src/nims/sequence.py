@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -123,7 +122,9 @@ def _unchecked_sequence(bits: tuple[int, ...]) -> Sequence:
     """A Sequence of bits stored as given, without the constructor's checks.
 
     Only for a tuple of plain nonnegative ints, at least one, that the
-    caller formed itself: enumerate_nims, which makes thousands.
+    caller formed itself: enumerate_nims, which makes thousands, and
+    fault_tolerance.apply_defects, whose bits are a checked Sequence's
+    minus the counts DefectMap converted, none above its bit.
     """
     seq = object.__new__(Sequence)
     object.__setattr__(seq, "bits", bits)
@@ -603,11 +604,24 @@ def _integer(what: str, value: object) -> int:
     raise InvalidInput(f"{what} must be an integer, got {value!r}")
 
 
+class _CsvLines(list):
+    r"""The lines the csv module's writer writes into it: one write per row, its \r\n ending cut to \n."""
+
+    def write(self, line: str) -> None:
+        self.append(line[:-2] + "\n")
+
+
 def csv_rows(rows: list[list[object]]) -> str:
-    """CSV text of the rows, one per line; None is written as an empty field."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    r"""CSV text of the rows, each ended by \n; None is written as an empty field.
+
+    The one CSV writer. Rows are written ending in \r\n, then cut to \n,
+    since the csv module quotes a field for the characters of its line
+    terminator (with \n alone, Pythons before 3.13 leave \r bare): a
+    field holding \r or \n is quoted on every Python and reads back whole.
+    """
+    lines = _CsvLines()
+    csv.writer(lines, lineterminator="\r\n").writerows(rows)
+    return "".join(lines)
 
 
 def sequence_from_file(path: str | Path) -> Sequence:

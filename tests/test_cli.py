@@ -252,6 +252,13 @@ class TestCompare:
         assert rows[0] == ["bit", f"{name} junctions", f"{name} tolerance"]
         assert rows[1:] == [["0", "1", "0"], ["1", "3", "0"], ["2", "8", ""]]
 
+    def test_csv_quotes_a_name_holding_a_carriage_return(self):
+        res = run(["compare", "--msb-size", "10", "--candidate", "a\rb=1,3", "--format", "csv"])
+        assert res.exit_code == 0
+        rows = list(csv.reader(io.StringIO(res.text, newline="")))
+        assert rows[0] == ["bit", "a\rb junctions", "a\rb tolerance"]
+        assert len(rows) == 15 and {len(row) for row in rows} == {3}
+
     def test_requires_candidates(self):
         code, doc = run_json(["compare", "--msb-size", "8000"])
         assert code == 3
@@ -420,6 +427,12 @@ class TestErrorPlumbing:
         lines = res.text.splitlines()
         assert lines[0] == "error,message"
         assert lines[1].startswith("OutOfRange,")
+
+    def test_csv_error_document_quotes_a_carriage_return(self):
+        res = run(["validate", "--seq", "1,3", "--format", "csv", "x\ry"])
+        assert res.exit_code == 3
+        rows = list(csv.reader(io.StringIO(res.text, newline="")))
+        assert rows == [["error", "message"], ["CliUsageError", "unrecognized arguments: x\ry"]]
 
     def test_json_error_document_fields(self):
         code, doc = run_json(["represent", "--seq", "1,3,8", "--m", "99"])

@@ -227,6 +227,12 @@ class TestMargins:
         with pytest.raises(InvalidInput, match="margin threshold must be finite"):
             margin_report(device_record, threshold)
 
+    def test_mean_adds_left_to_right_on_every_python(self, device_record):
+        # 1e16 + 1.0 rounds back to 1e16 in plain floats; a compensated sum keeps both ones
+        bits = tuple(DeviceBit(i, 1, w, 1.0, w) for i, w in enumerate([1e16, 1.0, 1.0]))
+        report = margin_report(DeviceRecord(bits, device_record.metadata), 1.0)
+        assert report.mean_positive_ma == report.mean_negative_ma == 3333333333333333.5
+
     def test_doc(self, device_record):
         doc = margin_report(device_record, 1.0).to_doc()
         json.dumps(doc)

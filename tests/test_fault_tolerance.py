@@ -163,6 +163,34 @@ class TestApplyDefects:
         assert defective.bits == (1, 0, 8)
         assert not report.complete_capable
 
+    @given(any_bits(), st.data())
+    @settings(max_examples=150)
+    def test_result_equals_the_checked_sequence(self, seq, data):
+        missing = {}
+        for idx, bit in enumerate(seq.bits):
+            cnt = data.draw(st.integers(0, bit))
+            key = data.draw(st.sampled_from([idx, str(idx)]))
+            missing[key] = data.draw(st.sampled_from([cnt, str(cnt)]))
+        defects = DefectMap(missing)
+        expected = Sequence(tuple(b - defects.missing.get(i, 0) for i, b in enumerate(seq.bits)))
+        defective, report = apply_defects(seq, defects)
+        assert defective == expected and hash(defective) == hash(expected)
+        assert all(type(b) is int for b in defective.bits)
+        assert report.complete_capable == validate(expected).complete_capable
+
+    def test_builds_no_checked_sequence(self, monkeypatch, measured):
+        calls = []
+        init = Sequence.__init__
+
+        def counting(self, bits):
+            calls.append(bits)
+            init(self, bits)
+
+        monkeypatch.setattr(Sequence, "__init__", counting)
+        defective, _ = apply_defects(measured, DefectMap({4: 2, 7: 1, 22: 5}))
+        assert defective.bits[4] == measured.bits[4] - 2
+        assert calls == []
+
     @given(capable_bits(max_total=3000), st.data())
     @settings(max_examples=120)
     def test_within_tolerance_defects_keep_capability(self, seq, data):

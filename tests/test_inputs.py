@@ -9,6 +9,8 @@ directories and damaged device files.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -128,7 +130,10 @@ def test_the_reader_words_each_failure(tmp_path, monkeypatch, path, message):
 
 # Up to 10^12: a layout past designer.MAX_LAYOUT_BITS is refused before it is built.
 NUMBERS = st.sampled_from(["-5", "-1", "0", "1", "2", "3", "4", "6", "100", "5760", "92098", "1000000", "1000000000000"])
-JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "2.5", "0/0", "5/2", "x:1", "100:2", "1:2:3", ":"])
+# Tokens holding \r and \n end up in error messages, and so in CSV fields.
+JUNK = st.sampled_from(
+    ["", "x", "nan", "inf", "-inf", "1e400", "2.5", "0/0", "5/2", "x:1", "100:2", "1:2:3", ":", "a\rb", "1\n2", "3\r\n"]
+)
 VALUES = st.one_of(NUMBERS, JUNK)
 JSON_VALUES = st.sampled_from(
     [-1, 0, 1, 2, 3, 6, 100, 5760, 92098, 10**6, 10**12, 2.0, 2.5, True, None, "2", "x", [], {}, float("nan"), float("inf")]
@@ -238,7 +243,8 @@ def compare_argv(draw) -> list:
     if draw(st.booleans()):
         argv.append("--standards")
     if draw(st.booleans()):
-        argv += ["--candidate", "mine=" + pick(draw, st.just("1,3,9"), LONG_BITS)]
+        name = pick(draw, st.just("mine"), st.sampled_from(["a\rb", "a\nb", "a,b", 'a"b']))
+        argv += ["--candidate", name + "=" + pick(draw, st.just("1,3,9"), LONG_BITS)]
     return argv
 
 
@@ -314,6 +320,9 @@ def test_any_argv_gets_an_exit_code(argv, fmt):
         doc = strict_json(result.text)
         if isinstance(doc, dict) and "error" in doc:
             assert doc["error"]["type"] in ERROR_NAMES
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(result.text, newline="")))
+        assert rows and all(len(row) == len(rows[0]) for row in rows), result.text
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import csv
 import inspect
+import io
 import json
 import pickle
 
@@ -27,7 +29,7 @@ from nims import (
     validate,
 )
 from nims.fault_tolerance import _window_gaps
-from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _lower_chain, _reach, _runs
+from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _lower_chain, _reach, _runs, csv_rows
 
 from .conftest import (
     INCAPABLE_MESSAGES,
@@ -622,3 +624,16 @@ class TestStandardsAndParsing:
         p.write_text(json.dumps({"values": [1, 3]}))
         with pytest.raises(InvalidInput):
             sequence_from_file(p)
+
+
+CSV_FIELDS = st.one_of(st.none(), st.integers(), st.text(alphabet="ab \r\n,\"", max_size=6))
+
+
+@given(st.lists(st.lists(CSV_FIELDS, max_size=4), max_size=5))
+@example([["a\rb", None], ["\r", "\n"], ['"', ","], [""], [None]])
+@settings(max_examples=300)
+def test_csv_rows_read_back(rows):
+    text = csv_rows(rows)
+    assert text.endswith("\n") or not rows
+    expected = [["" if field is None else str(field) for field in row] for row in rows]
+    assert list(csv.reader(io.StringIO(text, newline=""))) == expected

@@ -22,10 +22,10 @@ from .sequence import (
     _chain_capable,
     _Frozen,
     _integer,
+    _refusal,
     csv_rows,
     read_json,
     segmentation_efficiency,
-    validate,
 )
 
 if TYPE_CHECKING:
@@ -174,7 +174,11 @@ class DesignResult(_Frozen):
 
 
 def design(spec: DesignSpec) -> DesignResult:
-    """Deterministic layout meeting the spec exactly, or Infeasible."""
+    """Deterministic layout meeting the spec exactly, or Infeasible.
+
+    The layout is checked again when built: an incapable one is refused in
+    sequence._refusal's wording.
+    """
     chain = [spec.a0]
     while True:
         cur = chain[-1]
@@ -199,11 +203,10 @@ def design(spec: DesignSpec) -> DesignResult:
     _within_limit(len(chain) + full_banks + (trim > 0))
     banks: list[int] = [spec.msb_size] * full_banks
     if trim:
-        lead_tolerance = trim - (spec.msb_size + 2) // 3
         leads = (
             full_banks > 0
             and 3 * trim >= spec.msb_size
-            and lead_tolerance >= spec.required_tolerance(trim)
+            and _tolerances((trim, spec.msb_size))[0] >= spec.required_tolerance(trim)
         )
         if leads:
             banks.insert(0, trim)
@@ -216,8 +219,7 @@ def design(spec: DesignSpec) -> DesignResult:
     # Post-verification: the greedy construction is supposed to guarantee
     # all of this; failing any check means the spec is infeasible for it.
     if not _chain_capable(seq.bits):
-        raise Infeasible("constructed layout is not completeness capable: "
-                         + "; ".join(v.message for v in validate(seq).violations))
+        raise Infeasible(_refusal("constructed layout", seq.bits))
     if seq.total != spec.target_total:
         raise Infeasible(f"layout total {seq.total} misses target {spec.target_total}")
     for n, (a, t) in enumerate(zip(bits, _tolerances(bits))):
@@ -308,8 +310,7 @@ def compare_logics(
             if a >= msb_size:
                 break
             leading += 1
-        all_ratios = segmentation_efficiency(seq) if len(seq) > 1 else ()
-        ratios = all_ratios[: max(0, min(leading - 1, len(all_ratios)))]
+        ratios = segmentation_efficiency(seq)[: leading - 1] if leading > 1 else ()
         if ratios:
             min_eff = min(ratios)
             mean_eff = sum(ratios, Fraction(0)) / len(ratios)

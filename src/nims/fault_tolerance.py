@@ -104,13 +104,12 @@ class DefectMap(_Frozen):
 
     Bits and counts are converted by the one integer rule, sequence._integer;
     a negative bit or count raises InvalidInput, and zero counts are dropped.
-    A class that checks its input when built; it does not hash, since
-    missing is a dict.
+    missing is a copy of the checked counts, which stay in _missing. A class
+    that checks its input when built; it does not hash, since missing is a dict.
     """
 
-    __slots__ = ("missing",)
+    __slots__ = ("_missing",)
     _fields = ("missing",)
-    missing: Mapping[int, int]
 
     def __init__(self, missing: Mapping[int, int]) -> None:
         converted = {_integer("defect bit", k): _integer("defect count", v) for k, v in missing.items()}
@@ -120,7 +119,11 @@ class DefectMap(_Frozen):
             if cnt < 0:
                 raise InvalidInput(f"defect count for bit {idx} is negative")
         clean = {idx: cnt for idx, cnt in sorted(converted.items()) if cnt}
-        object.__setattr__(self, "missing", clean)
+        object.__setattr__(self, "_missing", clean)
+
+    @property
+    def missing(self) -> dict[int, int]:
+        return dict(self._missing)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "DefectMap":
@@ -133,7 +136,7 @@ class DefectMap(_Frozen):
         return cls.from_doc(read_json(path))
 
     def to_doc(self) -> dict:
-        return {"defects": {str(k): v for k, v in self.missing.items()}}
+        return {"defects": {str(k): v for k, v in self._missing.items()}}
 
 
 def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, ValidationReport]:
@@ -144,7 +147,7 @@ def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, Validati
     """
     bits = list(seq.bits)
     last = seq.last_index
-    for idx, cnt in defects.missing.items():
+    for idx, cnt in defects._missing.items():
         if idx > last:
             raise InvalidInput(f"defect bit index {idx} beyond last bit {last}")
         if cnt > bits[idx]:
@@ -168,7 +171,7 @@ def within_tolerance(seq: Sequence, defects: DefectMap) -> bool:
         tolerances = tuple(_tolerances(seq.bits))
         object.__setattr__(seq, "_tolerances", tolerances)
     within = True
-    for idx, cnt in defects.missing.items():
+    for idx, cnt in defects._missing.items():
         if idx > last:
             raise InvalidInput(f"defect bit index {idx} beyond last bit {last}")
         if idx < last and cnt > tolerances[idx]:
@@ -224,8 +227,9 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     construction against the chain and cross-checked on a sample of
     scenarios with the reachability oracle. UNSAFE means the chain
     certificate is void beyond the bit's tolerance, not that every larger
-    defect is provably incomplete.
+    defect is provably incomplete. budget is read by sequence._integer.
     """
+    budget = _integer("scan budget", budget)
     if budget < 0:
         raise InvalidInput("budget must be non-negative")
     total = sum(seq.bits)

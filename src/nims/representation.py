@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidInput, InvalidSequence, OutOfRange, RangeError
-from .sequence import DEFAULT_ORACLE_CAP, TOTAL_LIMIT, Sequence, _chain_capable, prefix_sums, validate
+from .sequence import DEFAULT_ORACLE_CAP, TOTAL_LIMIT, Sequence, _chain_capable, _integer, _refusal, prefix_sums
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,14 @@ def _descent(seq: Sequence) -> tuple:
 
     The one place the table is built, read by represent,
     represent_range_check and, for its headroom, bias.plan. Building
-    applies the chain gate, the one place it is worded: an incapable sequence is refused here, with validate's
-    violations, on every call, since a refusal stores nothing. bound is
-    A_N + a_0 - 1. steps holds (n, a_n, threshold_{n-1}, slack_{n-1}) for
-    each bit from the top down to bit 1, the slack being the running total
-    below bit n plus a_0 - 1. A capable sequence whose total passes
-    TOTAL_LIMIT keeps steps None, so that plan can still refuse an
-    out-of-range voltage and the sweep an exceeded cap first; represent
-    then raises prefix_sums' RangeError on every call.
+    applies the chain gate: an incapable sequence is refused here, in
+    sequence._refusal's wording, on every call, since a refusal stores
+    nothing. bound is A_N + a_0 - 1. steps holds (n, a_n, threshold_{n-1},
+    slack_{n-1}) for each bit from the top down to bit 1, the slack being
+    the running total below bit n plus a_0 - 1. A capable sequence whose
+    total passes TOTAL_LIMIT keeps steps None, so that plan can still
+    refuse an out-of-range voltage and the sweep an exceeded cap first;
+    represent then raises prefix_sums' RangeError on every call.
     """
     try:
         return seq._descent
@@ -53,10 +53,7 @@ def _descent(seq: Sequence) -> tuple:
         pass
     bits = seq.bits
     if not _chain_capable(bits):
-        raise InvalidSequence(
-            "sequence is not completeness capable: "
-            + "; ".join(v.message for v in validate(seq).violations)
-        )
+        raise InvalidSequence(_refusal("sequence", bits))
     a0 = bits[0]
     try:
         totals, thresholds = prefix_sums(seq)
@@ -83,10 +80,13 @@ def represent(m: int, seq: Sequence) -> Representation:
     total below the bit plus a_0 - 1, and the digits plus the residual
     give back m.
 
-    Raises InvalidSequence when seq is not completeness capable,
-    RangeError when its total exceeds TOTAL_LIMIT and OutOfRange when |m|
-    exceeds A_N + a_0 - 1.
+    m is read by the one integer rule, sequence._integer: a bool, float or
+    other non-integer raises InvalidInput. Raises InvalidSequence when seq
+    is not completeness capable, RangeError when its total exceeds
+    TOTAL_LIMIT and OutOfRange when |m| exceeds A_N + a_0 - 1.
     """
+    if m.__class__ is not int:
+        m = _integer("target", m)
     bound, a0, steps = _descent(seq)
     if steps is None:
         raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")

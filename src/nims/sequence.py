@@ -143,23 +143,26 @@ class Violation(NamedTuple):
 class ValidationReport(_Frozen):
     """The two verdicts of validate, and the violations behind them.
 
-    The verdicts are set when the report is made. The violation list is
-    worded from the judged bits by _violations when first read: most
-    callers read only a verdict. Equality, hash, repr and to_doc are those
-    of a plain frozen dataclass of strict_valid, complete_capable and
-    violations, so they read the list. A class with an instance __dict__,
-    which the cached list needs.
+    complete_capable, the verdict every gate reads, is set when the report
+    is made. The violation list is worded from the judged bits by
+    _violations when first read, and strict_valid is read off it: true
+    when it is empty. Equality, hash, repr and to_doc are those of a plain
+    frozen dataclass of strict_valid, complete_capable and violations, so
+    they read the list. A class with an instance __dict__, which the
+    cached properties need.
     """
 
-    _fields = ("strict_valid", "complete_capable", "_bits")
+    _fields = ("complete_capable", "_bits")
     _shown = ("strict_valid", "complete_capable", "violations")
-    strict_valid: bool
     complete_capable: bool
 
-    def __init__(self, strict_valid: bool, complete_capable: bool, bits: tuple[int, ...]) -> None:
-        object.__setattr__(self, "strict_valid", strict_valid)
+    def __init__(self, complete_capable: bool, bits: tuple[int, ...]) -> None:
         object.__setattr__(self, "complete_capable", complete_capable)
         object.__setattr__(self, "_bits", bits)
+
+    @functools.cached_property
+    def strict_valid(self) -> bool:
+        return not self.violations
 
     @functools.cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -200,7 +203,7 @@ def _chain_capable(bits: tuple[int, ...]) -> bool:
     """Positivity plus the upper chain a_n <= 3*a_{n-1}: completeness capability.
 
     The one statement of the rule. Gates that need only the verdict test
-    it directly and call validate only to word a refusal. A plain loop:
+    it directly and call _refusal only to word a refusal. A plain loop:
     validate runs this on every sequence, and a generator under all()
     costs it about 1 us more on short strict sequences.
     """
@@ -214,38 +217,21 @@ def _chain_capable(bits: tuple[int, ...]) -> bool:
     return True
 
 
-def _lower_chain(bits: tuple[int, ...]) -> bool:
-    """The lower chain a_{n+1} > 3*a_{n-1} and growth of the final pair: what strictness adds.
-
-    Read only on top of _chain_capable: strict validity is the two
-    together, true exactly when _violations finds none.
-    """
-    if len(bits) > 1 and bits[-1] <= bits[-2]:
-        return False
-    for below, a in zip(bits, bits[2:]):
-        if a <= 3 * below:
-            return False
-    return True
-
-
 def validate(seq: Sequence) -> ValidationReport:
     """Check positivity plus both chain constraints; the report lists every violation.
 
     complete_capable needs positivity and the upper chain only, so a
-    defective array that lost junctions can still be certified. The lower
-    chain (including growth of the final pair) is what strictness adds.
-    The chain is walked once: _chain_capable gives complete_capable, and
-    only a capable sequence has its lower chain tested by _lower_chain.
-    The violation list is worded by _violations when something first
-    reads it.
+    defective array that lost junctions can still be certified; it is
+    _chain_capable's verdict, set at once. The lower chain (including
+    growth of the final pair) is what strictness adds: strict_valid and
+    the violation list are read off _violations when something first
+    reads either.
     """
-    bits = seq.bits
-    capable = _chain_capable(bits)
-    return ValidationReport(capable and _lower_chain(bits), capable, bits)
+    return ValidationReport(_chain_capable(seq.bits), seq.bits)
 
 
 def _violations(bits: tuple[int, ...]) -> tuple[Violation, ...]:
-    """Every rule validate checks that the bits break, worded: the one place a violation is worded."""
+    """Every rule the bits break, worded: the one wording of a violation and of the lower chain."""
     last = len(bits) - 1
     violations: list[Violation] = []
 
@@ -288,6 +274,11 @@ def _violations(bits: tuple[int, ...]) -> tuple[Violation, ...]:
             )
         )
     return tuple(violations)
+
+
+def _refusal(what: str, bits: tuple[int, ...]) -> str:
+    """The one wording of a capability refusal: what, then every violation of the bits."""
+    return f"{what} is not completeness capable: " + "; ".join(v.message for v in _violations(bits))
 
 
 def prefix_sums(seq: Sequence) -> PrefixSums:

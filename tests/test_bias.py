@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import nims.bias
 import nims.representation
 import nims.sequence
 from nims import (
@@ -22,7 +21,6 @@ from nims import (
     plan,
     represent,
     resolution,
-    validate,
 )
 from nims.bias import ELEMENTARY_CHARGE_C, PLANCK_JS, _round_half_away, fixed_decimal
 
@@ -152,20 +150,20 @@ class TestPlan:
     @pytest.mark.parametrize("volts", [1.0, 0.0])
     def test_validates_zero_times_on_a_capable_sequence(self, measured, monkeypatch, volts):
         calls = []
+        violations = nims.sequence._violations
 
-        def counting(seq):
-            calls.append(seq)
-            return validate(seq)
+        def counting(bits):
+            calls.append(bits)
+            return violations(bits)
 
-        for module in (nims.sequence, nims.representation, nims.bias):
-            monkeypatch.setattr(module, "validate", counting, raising=False)
+        monkeypatch.setattr(nims.sequence, "_violations", counting)
         plan(volts, 18.01e9, measured)
         assert calls == []
-        # a refusal validates once, to list the violations in its message
+        # a refusal words the violations once, in its message
         incapable = Sequence((1, 2, 7))
         with pytest.raises(InvalidSequence):
             plan(volts, 18.01e9, incapable)
-        assert calls == [incapable]
+        assert calls == [(1, 2, 7)]
 
     def test_builds_the_table_once_per_sequence(self, monkeypatch):
         calls = {"_chain_capable": 0, "prefix_sums": 0}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,16 @@ class TestDefectMap:
         p = tmp_path / "defects.json"
         p.write_text(json.dumps({"defects": {"2": 1}}))
         assert DefectMap.from_file(p).missing == {2: 1}
+
+    def test_missing_is_a_copy_of_the_checked_counts(self):
+        dm = DefectMap({1: 1})
+        dm.missing[1] = 0.5
+        assert dm.missing == {1: 1} and dm == DefectMap({1: 1})
+        assert repr(dm) == "DefectMap(missing={1: 1})" and dm.to_doc() == {"defects": {"1": 1}}
+        assert apply_defects(Sequence((1, 3, 8)), dm)[0].bits == (1, 2, 8)
+        assert pickle.loads(pickle.dumps(dm)) == dm
+        with pytest.raises(TypeError):
+            hash(dm)
 
     def test_rejects_negative_count(self):
         with pytest.raises(InvalidInput):

@@ -1,6 +1,7 @@
 """The input boundary: one integer rule, one file reader, and a CLI that turns any argv into an exit code.
 
-Every integer read from outside (defect maps, tolerance rules, design specs)
+Every integer read from outside (defect maps, tolerance rules, design specs,
+representation targets, scan budgets)
 goes through one rule, and every file through one reader; the argv-grammar
 test drives cli.run with drawn flags, long inline values, huge totals and
 column counts, spec and defect files, missing and mistyped paths,
@@ -20,7 +21,18 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from nims import DefectMap, DesignSpec, InvalidInput, ParseError, ToleranceRule, load_device, sequence_from_file
+from nims import (
+    DefectMap,
+    DesignSpec,
+    InvalidInput,
+    ParseError,
+    Sequence,
+    ToleranceRule,
+    load_device,
+    represent,
+    sequence_from_file,
+    worst_case_scan,
+)
 from nims.cli import run
 
 from .conftest import DEVICE_CSV, DIRECTORY, ERROR_TYPES, MISSING
@@ -63,6 +75,10 @@ def passes_the_integer_rule(build, value) -> bool:
     return True
 
 
+# powers of 3 up to 3^13: every target and budget in SMALL_INTS is in range,
+# so no range refusal hides a conversion
+POWERS_OF_3 = Sequence(tuple(3**n for n in range(14)))
+
 CONSTRUCTORS = {
     "defect bit": lambda v: DefectMap({v: 1}),
     "defect count": lambda v: DefectMap({0: v}),
@@ -71,6 +87,8 @@ CONSTRUCTORS = {
     "a0": lambda v: DesignSpec(a0=v, msb_size=9, target_total=20),
     "msb_size": lambda v: DesignSpec(a0=1, msb_size=v, target_total=10**7),
     "target_total": lambda v: DesignSpec(a0=1, msb_size=3, target_total=v),
+    "target": lambda v: represent(v, POWERS_OF_3),
+    "scan budget": lambda v: worst_case_scan(POWERS_OF_3, v),
 }
 
 
@@ -81,6 +99,11 @@ CONSTRUCTORS = {
 @example(value=True, field="rule tolerance")
 @example(value=" +3 ", field="defect bit")
 @example(value="x", field="target_total")
+@example(value=1.5, field="target")
+@example(value=True, field="target")
+@example(value="3", field="target")
+@example(value=1.5, field="scan budget")
+@example(value="3", field="scan budget")
 def test_one_integer_rule_everywhere(value, field):
     assume(field != "defect bit" or not isinstance(value, list))  # a dict key must hash
     assert passes_the_integer_rule(CONSTRUCTORS[field], value) == is_outside_integer(value)

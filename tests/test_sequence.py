@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nims.sequence
 from nims import (
     DEFAULT_ORACLE_CAP,
     InvalidInput,
@@ -29,7 +30,7 @@ from nims import (
     validate,
 )
 from nims.fault_tolerance import _window_gaps
-from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _lower_chain, _reach, _runs, csv_rows
+from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _reach, _runs, csv_rows
 
 from .conftest import (
     INCAPABLE_MESSAGES,
@@ -151,6 +152,10 @@ class TestValidate:
             assert hash(unread) == hash(eager) == hash((eager.strict_valid, eager.complete_capable, eager.violations))
             assert unread == report and report != validate(Sequence((1, 3, 8)))
             assert pickle.loads(pickle.dumps(validate(Sequence(bits)))) == report
+            judged = validate(Sequence(bits))
+            judged.strict_valid  # a report whose cached verdict was read pickles as one that was not
+            assert pickle.loads(pickle.dumps(judged)) == report
+            assert repr(pickle.loads(pickle.dumps(judged))) == repr(eager)
             assert repr(validate(Sequence(bits))) == repr(eager)
             assert validate(Sequence(bits)).to_doc() == eager.to_doc()
             assert (report.strict_valid, report.complete_capable) == (eager.strict_valid, eager.complete_capable)
@@ -161,6 +166,20 @@ class TestValidate:
         assert repr(validate(Sequence((1, 3, 8)))) == (
             "ValidationReport(strict_valid=True, complete_capable=True, violations=())"
         )
+
+    def test_strictness_is_worded_once_and_only_when_read(self, measured, monkeypatch):
+        calls = []
+        violations = nims.sequence._violations
+
+        def counting(bits):
+            calls.append(bits)
+            return violations(bits)
+
+        monkeypatch.setattr(nims.sequence, "_violations", counting)
+        report = validate(measured)
+        assert report.complete_capable and calls == []
+        assert not report.strict_valid and calls == [measured.bits]
+        assert report.violations and not report.strict_valid and calls == [measured.bits]
 
     def test_to_doc_round_trip(self):
         doc = validate(Sequence((1, 2, 7))).to_doc()
@@ -186,9 +205,9 @@ class TestValidate:
     @given(st.one_of(any_bits(), perturbed_capable_bits(), strict_bits()))
     @settings(max_examples=300)
     def test_report_matches_the_eager_reference(self, seq):
-        # strict_bits reaches the lower-chain walk, which runs only on capable bits
+        # strict_bits draws sequences with no violation, the only ones strict_valid accepts
         eager = eager_validate(seq)
-        assert (_chain_capable(seq.bits) and _lower_chain(seq.bits)) == (not eager.violations)
+        assert validate(seq).strict_valid == (not eager.violations)
         report = validate(seq)
         assert hash(report) == hash(eager)
         assert repr(validate(seq)) == repr(eager)
@@ -335,7 +354,7 @@ class TestReachableSums:
     def test_oracle_names_no_chain_certificate(self):
         # the oracle stays independent of the chain certificate, though its
         # one-run shortcut looks like a chain test
-        banned = {"_chain_capable", "_lower_chain", "_strict_valid", "validate", "_tolerances"}
+        banned = {"_chain_capable", "_lower_chain", "_strict_valid", "validate", "_tolerances", "_violations", "_refusal"}
         for oracle in (_reach, reachable_sums, is_complete, oracle_gaps, _window_gaps, SumSet):
             nodes = list(ast.walk(ast.parse(inspect.getsource(oracle))))
             names = {node.id for node in nodes if isinstance(node, ast.Name)}

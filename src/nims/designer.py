@@ -11,12 +11,12 @@ a full bank, and trails otherwise.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import Infeasible, InvalidInput, RangeError
-from .fault_tolerance import _tolerances
+from .fault_tolerance import _tolerance_table, _tolerances
 from .sequence import (
     Sequence,
     _chain_capable,
@@ -25,7 +25,6 @@ from .sequence import (
     _refusal,
     csv_rows,
     read_json,
-    segmentation_efficiency,
 )
 
 if TYPE_CHECKING:
@@ -176,16 +175,21 @@ class DesignResult(_Frozen):
 def design(spec: DesignSpec) -> DesignResult:
     """Deterministic layout meeting the spec exactly, or Infeasible.
 
-    The layout is checked again when built: an incapable one is refused in
-    sequence._refusal's wording.
+    The ratio cap is applied in integers: with max_ratio = p/q (q > 0),
+    cur * p // q is exactly floor(cur * max_ratio). The layout is checked
+    again when built: an incapable one is refused in sequence._refusal's
+    wording, and each distinct bit size's required tolerance is asked
+    once. The tolerance table that check reads stays on the new Sequence,
+    in its _tolerances slot, for tolerance_report and compare_logics.
     """
+    p, q = spec.max_ratio.as_integer_ratio()
     chain = [spec.a0]
     while True:
         cur = chain[-1]
         reserve = spec.required_tolerance(cur)
         if 3 * (cur - reserve) >= spec.msb_size:
             break
-        nxt = min(3 * (cur - reserve), math.floor(cur * spec.max_ratio))
+        nxt = min(3 * (cur - reserve), cur * p // q)
         if nxt <= cur:
             raise Infeasible(
                 f"tolerance/ratio constraints stall the chain at bit size {cur}"
@@ -213,19 +217,19 @@ def design(spec: DesignSpec) -> DesignResult:
         else:
             banks.append(trim)
 
-    bits = tuple(chain + banks)
-    seq = Sequence(bits)
+    seq = Sequence(tuple(chain + banks))
+    bits = seq.bits
 
     # Post-verification: the greedy construction is supposed to guarantee
     # all of this; failing any check means the spec is infeasible for it.
-    if not _chain_capable(seq.bits):
-        raise Infeasible(_refusal("constructed layout", seq.bits))
+    if not _chain_capable(bits):
+        raise Infeasible(_refusal("constructed layout", bits))
     if seq.total != spec.target_total:
         raise Infeasible(f"layout total {seq.total} misses target {spec.target_total}")
-    for n, (a, t) in enumerate(zip(bits, _tolerances(bits))):
-        need = spec.required_tolerance(a)
-        if t is not None and t < need:
-            raise Infeasible(f"bit {n} (size {a}) tolerates {t}, needs {need}")
+    need = {a: spec.required_tolerance(a) for a in set(bits)}
+    for n, (a, t) in enumerate(zip(bits[:-1], _tolerance_table(seq))):
+        if t < need[a]:
+            raise Infeasible(f"bit {n} (size {a}) tolerates {t}, needs {need[a]}")
 
     metadata = {
         "branches": BRANCH_COUNT,
@@ -293,9 +297,16 @@ def compare_logics(
     """Tabulate candidate sequences side by side.
 
     For each candidate: how many leading bits sit below the bank size,
-    the worst and mean consecutive growth ratio within that leading
-    stretch, and every bit's tolerance.
+    the worst and mean consecutive growth ratio a_{n+1}/a_n within that
+    leading stretch, and every bit's tolerance. The ratios are compared by
+    integer cross-multiplication and summed as one numerator/denominator
+    pair, its denominator kept at the lcm of the bits, so each reported
+    Fraction is built once. The tolerances are the candidate's shared
+    table, fault_tolerance._tolerance_table. lsb_count and msb_size are
+    read by sequence._integer.
     """
+    lsb_count = _integer("lsb_count", lsb_count)
+    msb_size = _integer("msb_size", msb_size)
     if lsb_count < 1 or msb_size < 1:
         raise InvalidInput("lsb_count and msb_size must be positive")
     _within_limit(lsb_count)
@@ -303,30 +314,44 @@ def compare_logics(
         raise InvalidInput("need at least one candidate")
     columns: list[CandidateColumn] = []
     for name, seq in candidates:
-        if not _chain_capable(seq.bits):
+        bits = seq.bits
+        if not _chain_capable(bits):
             raise InvalidInput(f"candidate {name!r} is not completeness capable")
+        # a capable chain has no ratio above 3 and no zero bit, so 3/1 is a
+        # safe start for the minimum and every denominator is positive
+        lo_p, lo_q = 3, 1
+        num, den = 0, 1
         leading = 0
-        for a in seq.bits:
+        for a in bits:
             if a >= msb_size:
                 break
+            if leading:
+                if a * lo_q < lo_p * below:
+                    lo_p, lo_q = a, below
+                # den stays the lcm of the bits so far, as Fraction addition keeps it
+                g = gcd(den, below)
+                num, den = num * (below // g) + a * (den // g), den // g * below
+            below = a
             leading += 1
-        ratios = segmentation_efficiency(seq)[: leading - 1] if leading > 1 else ()
-        if ratios:
-            min_eff = min(ratios)
-            mean_eff = sum(ratios, Fraction(0)) / len(ratios)
+        if leading > 1:
+            min_eff, mean_eff = Fraction(lo_p, lo_q), Fraction(num, den * (leading - 1))
         else:
             min_eff = mean_eff = None
-        tolerances = tuple(_tolerances(seq.bits))
         columns.append(
-            CandidateColumn(name, seq.bits, leading, min_eff, mean_eff, tolerances)
+            CandidateColumn(name, bits, leading, min_eff, mean_eff, _tolerance_table(seq))
         )
     return ComparisonTable(lsb_count, msb_size, tuple(columns))
 
 
 def standard_column(kind: str, msb_size: int, length: int) -> Sequence:
-    """Reference layout: geometric growth below the bank size, then banks; the one standard builder."""
+    """Reference layout: geometric growth below the bank size, then banks; the one standard builder.
+
+    msb_size and length are read by sequence._integer.
+    """
     if kind not in STANDARD_RATIOS:
         raise InvalidInput(f"unknown standard kind {kind!r}")
+    msb_size = _integer("msb_size", msb_size)
+    length = _integer("length", length)
     _within_limit(length)
     ratio = STANDARD_RATIOS[kind]
     bits = [1]

@@ -82,18 +82,33 @@ def _tolerances(bits: tuple[int, ...]) -> list[int | None]:
     return [max(0, a - (b + 2) // 3) for a, b in zip(bits, bits[1:])] + [None]
 
 
+def _tolerance_table(seq: Sequence) -> tuple[int | None, ...]:
+    """_tolerances of seq's bits, kept in seq's private _tolerances slot.
+
+    The one accessor of the table: the first reader of a Sequence object
+    builds it, every later reader of that object reuses it.
+    """
+    try:
+        return seq._tolerances
+    except AttributeError:  # an unset slot: not built yet
+        table = tuple(_tolerances(seq.bits))
+        object.__setattr__(seq, "_tolerances", table)
+        return table
+
+
 def tolerance_report(seq: Sequence) -> ToleranceReport:
     """Tolerance and fault proportion for every bit.
 
     The proportion is the exact fraction of bit n that may fail,
     1 - a_{n+1}/(3*a_n), clamped into [0, 1). The last bit is reported
     with no tolerance bound: removing its junctions only reduces range,
-    never completeness of what remains.
+    never completeness of what remains. The tolerances are seq's shared
+    table, _tolerance_table.
     """
     bits = seq.bits
     entries = [
         BitTolerance(n, a, t, Fraction(max(0, 3 * a - b), 3 * a) if a else Fraction(0), False)
-        for n, (a, b, t) in enumerate(zip(bits, bits[1:], _tolerances(bits)))
+        for n, (a, b, t) in enumerate(zip(bits, bits[1:], _tolerance_table(seq)))
     ]
     entries.append(BitTolerance(seq.last_index, bits[-1], None, None, True))
     return ToleranceReport(tuple(entries))
@@ -160,16 +175,11 @@ def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, Validati
 def within_tolerance(seq: Sequence, defects: DefectMap) -> bool:
     """True when every non-last bit loses at most its tolerance.
 
-    The tolerances are _tolerances of the nominal bits, kept on seq in its
-    private _tolerances slot by the first call on that object, so a run of
+    The tolerances are seq's shared table, _tolerance_table, so a run of
     defect maps against one array computes them once.
     """
     last = seq.last_index
-    try:
-        tolerances = seq._tolerances
-    except AttributeError:  # an unset slot: not built yet
-        tolerances = tuple(_tolerances(seq.bits))
-        object.__setattr__(seq, "_tolerances", tolerances)
+    tolerances = _tolerance_table(seq)
     within = True
     for idx, cnt in defects._missing.items():
         if idx > last:

@@ -80,7 +80,7 @@ class Sequence(_Frozen):
     and iteration give the bits. Two private slots hold tables built on
     first use: _descent the greedy's per-bit table, once
     representation._descent has built it, and _tolerances every bit's
-    tolerance, once fault_tolerance.within_tolerance has read it. Neither
+    tolerance, once fault_tolerance._tolerance_table has built it. Neither
     is a field, so equality, hash, repr and pickling leave them out and a
     copy starts without them.
     """

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from nims import Representation, Sequence, errors, load_device, prefix_sums
+from nims import Representation, Sequence, errors, load_device, prefix_sums, segmentation_efficiency
 from nims.cli import CliUsageError
 from nims.sequence import LOWER, POSITIVITY, UPPER, Violation
 
@@ -294,6 +294,41 @@ def fraction_round_half_away(x: float) -> int:
     """Reference rounding of a float to the nearest integer, halves away from zero: floor(|x| + 1/2) in Fractions."""
     n = math.floor(abs(Fraction(x)) + Fraction(1, 2))
     return n if x >= 0 else -n
+
+
+def fraction_column(seq: Sequence, msb_size: int) -> tuple[int, Fraction | None, Fraction | None]:
+    """Reference (bits_to_msb, min_efficiency, mean_efficiency) of a compare_logics column, in Fractions.
+
+    The loop compare_logics ran before it compared ratios in integers:
+    segmentation_efficiency's ratios within the leading bits below the
+    bank size, their min, and their sum from Fraction(0) over their count.
+    """
+    leading = 0
+    for a in seq.bits:
+        if a >= msb_size:
+            break
+        leading += 1
+    ratios = segmentation_efficiency(seq)[: leading - 1] if leading > 1 else ()
+    if not ratios:
+        return leading, None, None
+    return leading, min(ratios), sum(ratios, Fraction(0)) / len(ratios)
+
+
+def fraction_chain(spec) -> tuple[int, ...] | None:
+    """Reference LSB chain of design, its ratio cap taken as math.floor(cur * max_ratio) in Fractions.
+
+    None where the chain stalls, which design refuses as Infeasible.
+    """
+    chain = [spec.a0]
+    while True:
+        cur = chain[-1]
+        reserve = spec.required_tolerance(cur)
+        if 3 * (cur - reserve) >= spec.msb_size:
+            return tuple(chain)
+        nxt = min(3 * (cur - reserve), math.floor(cur * spec.max_ratio))
+        if nxt <= cur:
+            return None
+        chain.append(nxt)
 
 
 def lean_range_check(bits, thresholds) -> tuple[int, tuple[tuple[int, str], ...]]:

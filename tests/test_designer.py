@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nims.designer
+import nims.fault_tolerance
 from nims import (
     DesignSpec,
     Infeasible,
@@ -22,7 +24,7 @@ from nims import (
     validate,
 )
 
-from .conftest import INCAPABLE_MESSAGES, NIMS1_BITS
+from .conftest import INCAPABLE_MESSAGES, NIMS1_BITS, TERNARY14_BITS, capable_bits, fraction_chain, fraction_column
 
 LIMIT = nims.designer.MAX_LAYOUT_BITS
 
@@ -214,6 +216,56 @@ class TestDesign:
                 design(DesignSpec(a0=1, msb_size=3, target_total=6))
             assert str(excinfo.value) == "constructed layout is not completeness capable: " + violations
 
+    def test_post_check_names_a_bit_below_its_tolerance(self, monkeypatch):
+        # design lays out (1, 3, 6, 9, 3) for this spec; substitute a capable layout of
+        # the same total whose second bit of 4, the one before the last, tolerates 0
+        # where the rule asks for 1 (the first tolerates 2)
+        spec = DesignSpec(a0=1, msb_size=9, target_total=22, min_tolerance=(ToleranceRule(3, 1),))
+        monkeypatch.setattr(nims.designer, "Sequence", lambda _: Sequence((1, 2, 4, 4, 11)))
+        with pytest.raises(Infeasible, match=r"^bit 3 \(size 4\) tolerates 0, needs 1$"):
+            design(spec)
+
+    def test_the_post_check_table_stays_on_the_designed_sequence(self, monkeypatch):
+        # design, tolerance_report and compare_logics share one tolerance table
+        calls = []
+        real = nims.fault_tolerance._tolerances
+
+        def counted(bits):
+            calls.append(bits)
+            return real(bits)
+
+        monkeypatch.setattr(nims.fault_tolerance, "_tolerances", counted)
+        monkeypatch.setattr(nims.designer, "_tolerances", counted)
+        seq = design(DesignSpec(a0=2, msb_size=5760, target_total=92098, min_tolerance=(ToleranceRule(100, 2),))).sequence
+        report = tolerance_report(seq)
+        column = compare_logics(len(seq), 5760, [("designed", seq)]).candidates[0]
+        assert calls.count(seq.bits) == 1
+        assert column.tolerances == tuple(e.tolerance for e in report.entries) == tuple(real(seq.bits))
+
+    @given(
+        a0=st.integers(1, 3),
+        msb_scale=st.integers(1, 400),
+        banks=st.integers(0, 12),
+        extra=st.integers(0, 50),
+        rules=st.lists(st.tuples(st.integers(1, 1200), st.integers(0, 4)), max_size=2),
+        ratio=st.one_of(
+            st.sampled_from(["3", "5/2", "2", 2.5, Fraction(7, 3)]),
+            st.fractions(min_value=1, max_value=3, max_denominator=60).filter(lambda r: r > 1),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_chain_matches_the_fraction_ratio_cap(self, a0, msb_scale, banks, extra, rules, ratio):
+        msb = 3 * a0 * msb_scale
+        spec = DesignSpec(a0, msb, msb * (banks + 1) + extra, tuple(ToleranceRule(*r) for r in rules), ratio)
+        chain = fraction_chain(spec)
+        try:
+            result = design(spec)
+        except Infeasible as exc:
+            assert (chain is None) == str(exc).startswith("tolerance/ratio constraints stall the chain")
+            return
+        assert chain is not None
+        assert result.sequence.bits[: len(chain)] == chain and result.metadata["lsb_chain_bits"] == len(chain)
+
     def test_infeasible_when_tolerance_stalls_growth(self):
         with pytest.raises(Infeasible):
             design(
@@ -312,6 +364,37 @@ class TestCompare:
             with pytest.raises(InvalidInput) as excinfo:
                 compare_logics(14, 8000, [("nims1", nims1), ("broken", Sequence(bits))])
             assert str(excinfo.value) == "candidate 'broken' is not completeness capable"
+
+    @pytest.mark.parametrize("bits", [(0,), (0, 1), (1, 0), (1, 3, 0), (2, 0, 0)])
+    def test_rejects_a_zero_bit(self, bits):
+        # every bit sits below the bank size, so a zero would reach the ratios
+        with pytest.raises(InvalidInput, match="^candidate 'dead' is not completeness capable$"):
+            compare_logics(3, 10**6, [("dead", Sequence(bits))])
+
+    @given(
+        seq=st.one_of(capable_bits(), st.sampled_from([NIMS1_BITS, TERNARY14_BITS]).map(Sequence)),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_columns_match_the_fraction_loop(self, seq, data):
+        # bank sizes at a bit, between bits, and below or above them all
+        msb = data.draw(st.one_of(st.sampled_from(seq.bits), st.integers(1, 3 * max(seq.bits) + 2)))
+        column = compare_logics(len(seq), msb, [("drawn", seq)]).candidates[0]
+        got = (column.bits_to_msb, column.min_efficiency, column.mean_efficiency)
+        assert got == fraction_column(seq, msb)
+        assert list(map(str, got)) == list(map(str, fraction_column(seq, msb)))
+
+    def test_a_long_leading_stretch_keeps_the_mean_small(self):
+        # 2000 ternary ratios below the bank size: a mean summed over the
+        # product of the bits, not their lcm, reaches a denominator of some
+        # three million bits here and took tens of seconds
+        n = 2000
+        seq = standard_column("ternary", 3**n, n + 1)
+        start = time.perf_counter()
+        column = compare_logics(n + 1, 3**n, [("ternary", seq)]).candidates[0]
+        elapsed = time.perf_counter() - start
+        assert (column.bits_to_msb, column.min_efficiency, column.mean_efficiency) == fraction_column(seq, 3**n)
+        assert elapsed < 2.0
 
     def test_standard_column_rejects_unknown(self):
         with pytest.raises(InvalidInput):

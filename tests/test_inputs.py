@@ -1,7 +1,7 @@
 """The input boundary: one integer rule, one file reader, and a CLI that turns any argv into an exit code.
 
 Every integer read from outside (defect maps, tolerance rules, design specs,
-representation targets, scan budgets)
+representation targets, scan budgets, compared and standard column sizes)
 goes through one rule, and every file through one reader; the argv-grammar
 test drives cli.run with drawn flags, long inline values, huge totals and
 column counts, spec and defect files, missing and mistyped paths,
@@ -26,11 +26,14 @@ from nims import (
     DesignSpec,
     InvalidInput,
     ParseError,
+    RangeError,
     Sequence,
     ToleranceRule,
+    compare_logics,
     load_device,
     represent,
     sequence_from_file,
+    standard_column,
     worst_case_scan,
 )
 from nims.cli import run
@@ -75,6 +78,18 @@ def passes_the_integer_rule(build, value) -> bool:
     return True
 
 
+def past_the_layout_limit(build):
+    """build, with the layout limit's RangeError, a range refusal after conversion, read as a pass."""
+
+    def checked(value):
+        try:
+            build(value)
+        except RangeError:
+            pass
+
+    return checked
+
+
 # powers of 3 up to 3^13: every target and budget in SMALL_INTS is in range,
 # so no range refusal hides a conversion
 POWERS_OF_3 = Sequence(tuple(3**n for n in range(14)))
@@ -89,6 +104,10 @@ CONSTRUCTORS = {
     "target_total": lambda v: DesignSpec(a0=1, msb_size=3, target_total=v),
     "target": lambda v: represent(v, POWERS_OF_3),
     "scan budget": lambda v: worst_case_scan(POWERS_OF_3, v),
+    "compare lsb_count": past_the_layout_limit(lambda v: compare_logics(v, 9, [("powers", POWERS_OF_3)])),
+    "compare msb_size": lambda v: compare_logics(3, v, [("powers", POWERS_OF_3)]),
+    "standard msb_size": lambda v: standard_column("binary", v, 3),
+    "standard length": past_the_layout_limit(lambda v: standard_column("binary", 9, v)),
 }
 
 
@@ -104,6 +123,13 @@ CONSTRUCTORS = {
 @example(value="3", field="target")
 @example(value=1.5, field="scan budget")
 @example(value="3", field="scan budget")
+@example(value=3.5, field="compare lsb_count")
+@example(value="3", field="compare lsb_count")
+@example(value=True, field="compare lsb_count")
+@example(value=9.5, field="compare msb_size")
+@example(value=float("nan"), field="standard length")
+@example(value=9.5, field="standard length")
+@example(value=9.5, field="standard msb_size")
 def test_one_integer_rule_everywhere(value, field):
     assume(field != "defect bit" or not isinstance(value, list))  # a dict key must hash
     assert passes_the_integer_rule(CONSTRUCTORS[field], value) == is_outside_integer(value)
@@ -116,6 +142,9 @@ def test_the_rule_keeps_the_value(value):
     assert ToleranceRule(value, value) == ToleranceRule(int(value), int(value))
     spec = DesignSpec(a0=1, msb_size=3 + int(value), target_total=str(3 + 2 * int(value)))
     assert (spec.msb_size, spec.target_total) == (3 + int(value), 3 + 2 * int(value))
+    assert standard_column("ternary", value, "3") == standard_column("ternary", int(value), 3)
+    columns = [("powers", POWERS_OF_3)]
+    assert compare_logics("3", value, columns) == compare_logics(3, int(value), columns)
 
 
 # --- the file reader --------------------------------------------------------

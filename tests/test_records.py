@@ -357,17 +357,21 @@ def test_cached_intervals_survive_pickling():
 
 
 def test_a_built_descent_table_stays_out_of_the_value():
-    # the descent table and the tolerance table, both kept in private slots
-    built, fresh = Sequence((1, 3, 8)), Sequence((1, 3, 8))
-    represent(5, built)
-    within_tolerance(built, DefectMap({}))
-    for slot in ("_descent", "_tolerances"):
-        assert hasattr(built, slot) and not hasattr(fresh, slot)
-    assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
-    copies = [pickle.loads(pickle.dumps(built, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    for other in copies + [copy.copy(built), copy.deepcopy(built)]:
-        assert type(other) is Sequence and other == built and hash(other) == hash(built)
-        assert not hasattr(other, "_descent") and not hasattr(other, "_tolerances")
+    # the descent table and the tolerance table, both kept in private slots;
+    # design leaves the tolerance table of its post-check on the sequence it returns
+    checked = Sequence((1, 3, 8))
+    represent(5, checked)
+    within_tolerance(checked, DefectMap({}))
+    designed = design(SPEC).sequence
+    for built, slots in ((checked, ("_descent", "_tolerances")), (designed, ("_tolerances",))):
+        fresh = Sequence(built.bits)
+        for slot in slots:
+            assert hasattr(built, slot) and not hasattr(fresh, slot)
+        assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+        copies = [pickle.loads(pickle.dumps(built, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies + [copy.copy(built), copy.deepcopy(built)]:
+            assert type(other) is Sequence and other == built and hash(other) == hash(built)
+            assert not hasattr(other, "_descent") and not hasattr(other, "_tolerances")
 
 
 # the records bench/tests rebuild with dataclasses.replace

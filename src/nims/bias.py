@@ -29,11 +29,13 @@ JOSEPHSON_HZ_PER_VOLT = 483597848416983.6
 DEFAULT_BAND_HALF_WIDTH = 0.005
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BiasPlan:
     """One planned bias point: the multiple, its digits and the retuned frequency.
 
-    Still a frozen dataclass: callers rebuild it with dataclasses.replace.
+    A frozen dataclass, so that callers can rebuild it with
+    dataclasses.replace, built by a constructor that stores every field in
+    one update of the instance dict instead of one object.__setattr__ each.
     """
 
     target_voltage: float
@@ -44,6 +46,28 @@ class BiasPlan:
     achieved_voltage: float
     frequency_shift: float
     in_band: bool
+
+    def __init__(
+        self,
+        target_voltage: float,
+        base_frequency_hz: float,
+        m_target: int,
+        representation: Representation,
+        adjusted_frequency_hz: float,
+        achieved_voltage: float,
+        frequency_shift: float,
+        in_band: bool,
+    ) -> None:
+        self.__dict__.update(
+            target_voltage=target_voltage,
+            base_frequency_hz=base_frequency_hz,
+            m_target=m_target,
+            representation=representation,
+            adjusted_frequency_hz=adjusted_frequency_hz,
+            achieved_voltage=achieved_voltage,
+            frequency_shift=frequency_shift,
+            in_band=in_band,
+        )
 
     def to_doc(self) -> dict:
         return {

@@ -346,12 +346,15 @@ def compare_logics(
 def standard_column(kind: str, msb_size: int, length: int) -> Sequence:
     """Reference layout: geometric growth below the bank size, then banks; the one standard builder.
 
-    msb_size and length are read by sequence._integer.
+    msb_size and length are read by sequence._integer, and both must be
+    positive.
     """
     if kind not in STANDARD_RATIOS:
         raise InvalidInput(f"unknown standard kind {kind!r}")
     msb_size = _integer("msb_size", msb_size)
     length = _integer("length", length)
+    if length < 1 or msb_size < 1:
+        raise InvalidInput("length and msb_size must be positive")
     _within_limit(length)
     ratio = STANDARD_RATIOS[kind]
     bits = [1]

@@ -17,17 +17,22 @@ from .errors import InvalidInput, InvalidSequence, OutOfRange, RangeError
 from .sequence import DEFAULT_ORACLE_CAP, TOTAL_LIMIT, Sequence, _chain_capable, _integer, _refusal, prefix_sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Representation:
     """Digits in {-1, 0, +1} per bit plus the residual beta.
 
-    Still a frozen dataclass: callers rebuild it with dataclasses.replace.
+    A frozen dataclass, so that callers can rebuild it with
+    dataclasses.replace, built by a constructor that stores every field in
+    one update of the instance dict instead of one object.__setattr__ each.
     """
 
     signs: tuple[int, ...]
     beta: int
     target_m: int
     expressed_m: int
+
+    def __init__(self, signs: tuple[int, ...], beta: int, target_m: int, expressed_m: int) -> None:
+        self.__dict__.update(signs=signs, beta=beta, target_m=target_m, expressed_m=expressed_m)
 
     def to_doc(self) -> dict:
         return {"m": self.target_m, "signs": list(self.signs), "beta": self.beta}
@@ -97,16 +102,22 @@ def represent(m: int, seq: Sequence) -> Representation:
     signs = [0] * len(bits)
     r = m
     for n, a, threshold, slack in steps:
-        if abs(r) >= threshold:
-            s = 1 if r > 0 else -1
-            signs[n] = s
-            r -= s * a
-        if abs(r) > slack:
+        # the gate keeps a_0 >= 1, so every threshold is at least 2: the two
+        # tests are abs(r) >= threshold split by the sign of r
+        if r >= threshold:
+            signs[n] = 1
+            r -= a
+        elif r <= -threshold:
+            signs[n] = -1
+            r += a
+        if r > slack or r < -slack:
             raise AssertionError(f"remainder {r} broke the descent bound at bit {n}")
-    if abs(r) >= a0:
-        s = 1 if r > 0 else -1
-        signs[0] = s
-        r -= s * a0
+    if r >= a0:
+        signs[0] = 1
+        r -= a0
+    elif r <= -a0:
+        signs[0] = -1
+        r += a0
 
     beta = r
     expressed = sum(map(operator.mul, signs, bits))

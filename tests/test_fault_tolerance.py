@@ -13,6 +13,7 @@ import nims
 from nims import (
     DefectMap,
     InvalidInput,
+    RangeError,
     Sequence,
     apply_defects,
     is_complete,
@@ -22,7 +23,7 @@ from nims import (
     within_tolerance,
     worst_case_scan,
 )
-from nims.fault_tolerance import _tolerances
+from nims.fault_tolerance import ScanEntry, _tolerances
 from nims.sequence import UPPER
 
 from .conftest import any_bits, capable_bits, fraction_proportion
@@ -276,6 +277,23 @@ class TestWorstCaseScan:
     def test_budget_zero_everything_safe(self, nims1):
         scan = worst_case_scan(nims1, 0)
         assert all(e.status == "SAFE" for e in scan.entries)
+
+    def test_a_budget_past_the_last_bit_leaves_it_one_junction(self):
+        # zeroing the last bit fails positivity, so it is safe only up to a - 1
+        assert worst_case_scan(Sequence((1, 3, 8)), 10).entries[-1] == ScanEntry(2, 8, None, 7, "UNSAFE")
+        assert worst_case_scan(Sequence((1, 3, 8)), 7).entries[-1] == ScanEntry(2, 8, None, 7, "SAFE")
+
+    def test_cap_equal_to_the_total_is_scanned(self):
+        assert worst_case_scan(Sequence((1, 3, 8)), 1, cap=12).budget == 1
+        with pytest.raises(RangeError):
+            worst_case_scan(Sequence((1, 3, 8)), 1, cap=11)
+
+    def test_sharpness_check_fires_at_the_budget(self, monkeypatch):
+        # bit 2 of (1, 3, 8, 20) tolerates 1; a table one below that leaves the
+        # chain capable one junction past the tolerance, exactly at the budget
+        monkeypatch.setattr(nims.fault_tolerance, "_tolerances", lambda bits: (0, 0, 0, None))
+        with pytest.raises(AssertionError, match="^bit 2 survived 1 missing junctions, above its tolerance$"):
+            worst_case_scan(Sequence((1, 3, 8, 20)), 1)
 
     def test_rejects_negative_budget(self, nims1):
         with pytest.raises(InvalidInput):

@@ -135,6 +135,33 @@ def test_one_integer_rule_everywhere(value, field):
     assert passes_the_integer_rule(CONSTRUCTORS[field], value) == is_outside_integer(value)
 
 
+# field: (the smallest value its constructor accepts, the refusal of a value below it, {} standing for the value)
+RANGE_CASES = {
+    "defect bit": (0, "defect bit index {} is negative"),
+    "defect count": (0, "defect count for bit 0 is negative"),
+    "rule at_least": (1, "tolerance rule needs at_least >= 1 and tolerance >= 0"),
+    "rule tolerance": (0, "tolerance rule needs at_least >= 1 and tolerance >= 0"),
+    "a0": (1, "a0 must be 1..3, got {}"),
+    "msb_size": (3, "msb_size must be at least 3*a0 = 3"),
+    "target_total": (3, "target_total must be at least msb_size"),
+    "scan budget": (0, "budget must be non-negative"),
+    "compare lsb_count": (1, "lsb_count and msb_size must be positive"),
+    "compare msb_size": (1, "lsb_count and msb_size must be positive"),
+    "standard msb_size": (1, "length and msb_size must be positive"),
+    "standard length": (1, "length and msb_size must be positive"),
+}
+
+
+@pytest.mark.parametrize("field", RANGE_CASES)
+def test_each_size_is_refused_just_below_its_range(field):
+    lowest, message = RANGE_CASES[field]
+    CONSTRUCTORS[field](lowest)
+    for below in (lowest - 1, lowest - 5):
+        with pytest.raises(InvalidInput) as caught:
+            CONSTRUCTORS[field](below)
+        assert str(caught.value) == message.format(below)
+
+
 @settings(max_examples=100, deadline=None)
 @given(value=st.one_of(SMALL_INTS, SMALL_INTS.map(str)).filter(lambda v: int(v) > 0))
 def test_the_rule_keeps_the_value(value):

@@ -315,6 +315,13 @@ class TestValueSemantics:
             assert _key(copy, fields) == _key(make(), fields)
             assert repr(copy) == shown
 
+    def test_copies(self, name):
+        make, fields, shown, _ = RECORDS[name]
+        for other in (copy.copy(make()), copy.deepcopy(make())):
+            assert type(other) is type(make()) and other == make()
+            assert _key(other, fields) == _key(make(), fields)
+            assert repr(other) == shown
+
     def test_refuses_assignment(self, name):
         make, fields, _, _ = RECORDS[name]
         record = make()
@@ -394,5 +401,16 @@ def test_named_tuples_compare_equal_to_plain_tuples_and_unpack(name):
 def test_dataclasses_left_rebuild_with_replace(name):
     import dataclasses
 
-    record = RECORDS[name][0]()
+    make, fields, shown, _ = RECORDS[name]
+    record = make()
     assert dataclasses.replace(record) == record and not isinstance(record, tuple)
+    assert tuple(f.name for f in dataclasses.fields(record)) == fields
+    values = _key(record, fields)
+    for built in (type(record)(*values), type(record)(**dict(zip(fields, values)))):
+        assert built == record and repr(built) == shown
+    for field in fields:
+        changed = dataclasses.replace(record, **{field: "changed"})
+        assert getattr(changed, field) == "changed"
+        assert all(getattr(changed, other) == getattr(record, other) for other in fields if other != field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, "changed")

@@ -234,6 +234,75 @@ def test_invariants_survive_optimize_flag(corrupt_totals, message):
     assert message in proc.stdout
 
 
+# Hand-built descent tables, stored in a fresh sequence's _descent slot, that
+# put one invariant check exactly at its bound or one past it. Over (1, 3, 8),
+# bit 2 leaves the remainder -1 for 7 and +1 for -7, against a slack of 1 and
+# then of 0. Over (2, 6, 18), no bit above a_0 = 2 activates, so bit 0 alone
+# leaves the residual m - 2.
+SLACK_ONE = (12, 1, ((2, 8, 5, 1), (1, 3, 2, 1)))
+SLACK_ZERO = (12, 1, ((2, 8, 5, 0), (1, 3, 2, 1)))
+SKIP_THE_HIGH_BITS = (27, 2, ((2, 18, 99, 99), (1, 6, 99, 99)))
+# case: (bits, table, target, what represent gives back or the AssertionError it raises)
+AT_THE_BOUNDS = {
+    "descent-on-slack": (
+        (1, 3, 8), SLACK_ONE, 7, "Representation(signs=(-1, 0, 1), beta=0, target_m=7, expressed_m=7)"
+    ),
+    "descent-on-minus-slack": (
+        (1, 3, 8), SLACK_ONE, -7, "Representation(signs=(1, 0, -1), beta=0, target_m=-7, expressed_m=-7)"
+    ),
+    "descent-past-slack": ((1, 3, 8), SLACK_ZERO, 7, "remainder -1 broke the descent bound at bit 2"),
+    "descent-past-minus-slack": ((1, 3, 8), SLACK_ZERO, -7, "remainder 1 broke the descent bound at bit 2"),
+    "residual-below-a0": (
+        (2, 6, 18), SKIP_THE_HIGH_BITS, 3, "Representation(signs=(1, 0, 0), beta=1, target_m=3, expressed_m=2)"
+    ),
+    "residual-at-a0": (
+        (2, 6, 18), SKIP_THE_HIGH_BITS, 4, "digits sum to 2 with residual 2: not target 4 with |beta| < a_0"
+    ),
+}
+
+# Runs one AT_THE_BOUNDS case under python -O; prints what represent gave back or raised.
+ONE_CASE_UNDER_O = """
+import sys
+from nims import Sequence, represent
+
+if __debug__:
+    sys.exit("not running under -O")
+
+seq = Sequence({bits!r})
+object.__setattr__(seq, "_descent", {table!r})
+try:
+    print(repr(represent({m!r}, seq)))
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_the_descent_table_holds_the_slack_column():
+    seq = Sequence((2, 6, 18))
+    represent(0, seq)
+    assert seq._descent == (27, 2, ((2, 18, 10, 9), (1, 6, 4, 3)))
+
+
+@pytest.mark.parametrize("case", AT_THE_BOUNDS)
+def test_invariant_checks_fire_exactly_past_their_bounds(case):
+    bits, table, m, outcome = AT_THE_BOUNDS[case]
+    seq = Sequence(bits)
+    object.__setattr__(seq, "_descent", table)
+    if outcome.startswith("Representation("):
+        assert repr(represent(m, seq)) == outcome
+    else:
+        with pytest.raises(AssertionError) as caught:
+            represent(m, seq)
+        assert str(caught.value) == outcome
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", ONE_CASE_UNDER_O.format(bits=bits, table=table, m=m)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == outcome + "\n"
+
+
 class TestRangeCheck:
     def test_small_sweep(self):
         chk = represent_range_check(REFERENCE)

@@ -235,6 +235,12 @@ class TestPrefixSums:
         with pytest.raises(RangeError):
             prefix_sums(Sequence((TOTAL_LIMIT, TOTAL_LIMIT)))
 
+    def test_a_total_of_exactly_the_limit_is_summed(self):
+        half = TOTAL_LIMIT // 2
+        assert prefix_sums(Sequence((half, half))).totals == (half, TOTAL_LIMIT)
+        with pytest.raises(RangeError):
+            prefix_sums(Sequence((half, half + 1)))
+
     @given(capable_bits())
     def test_chain_inequality_every_bit(self, seq):
         # triple of any bit stays within twice the running total plus a0

@@ -290,6 +290,7 @@ def _cmd_plan(args) -> Output:
 def _cmd_compare(args) -> Output:
     from . import designer
 
+    designer._comparison_sizes(args.lsb_count, args.msb_size)  # before any column is built
     kinds = designer.STANDARD_RATIOS if args.standards else ()
     candidates = [(k, designer.standard_column(k, args.msb_size, args.lsb_count)) for k in kinds]
     for raw in args.candidate or []:

@@ -43,6 +43,15 @@ def _within_limit(bits: int) -> None:
         raise RangeError(f"layout of {bits} bits exceeds the limit of {MAX_LAYOUT_BITS}")
 
 
+def _comparison_sizes(lsb_count: int, msb_size: int) -> tuple[int, int]:
+    """compare_logics' sizes by sequence._integer: both at least 1, lsb_count within the layout limit."""
+    lsb_count, msb_size = _integer("lsb_count", lsb_count), _integer("msb_size", msb_size)
+    if lsb_count < 1 or msb_size < 1:
+        raise InvalidInput("lsb_count and msb_size must be positive")
+    _within_limit(lsb_count)
+    return lsb_count, msb_size
+
+
 class ToleranceRule(_Frozen):
     """Bits holding at_least junctions must tolerate `tolerance` losses.
 
@@ -303,13 +312,9 @@ def compare_logics(
     pair, its denominator kept at the lcm of the bits, so each reported
     Fraction is built once. The tolerances are the candidate's shared
     table, fault_tolerance._tolerance_table. lsb_count and msb_size are
-    read by sequence._integer.
+    read and checked by _comparison_sizes.
     """
-    lsb_count = _integer("lsb_count", lsb_count)
-    msb_size = _integer("msb_size", msb_size)
-    if lsb_count < 1 or msb_size < 1:
-        raise InvalidInput("lsb_count and msb_size must be positive")
-    _within_limit(lsb_count)
+    lsb_count, msb_size = _comparison_sizes(lsb_count, msb_size)
     if not candidates:
         raise InvalidInput("need at least one candidate")
     columns: list[CandidateColumn] = []

@@ -9,7 +9,6 @@ has no chain successor, so junctions lost there only shrink the range.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInput, RangeError
@@ -31,6 +30,7 @@ from .sequence import (
 
 if TYPE_CHECKING:
     from collections.abc import Mapping
+    from fractions import Fraction
     from pathlib import Path
 
 # single-bit placements the worst-case scan cross-checks with the oracle
@@ -105,6 +105,8 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
     never completeness of what remains. The tolerances are seq's shared
     table, _tolerance_table.
     """
+    from fractions import Fraction
+
     bits = seq.bits
     entries = [
         BitTolerance(n, a, t, Fraction(max(0, 3 * a - b), 3 * a) if a else Fraction(0), False)

@@ -39,16 +39,17 @@ class Representation:
 
 
 def _descent(seq: Sequence) -> tuple:
-    """The greedy's table for seq, built and stored on seq the first time: (bound, a0, steps).
+    """The greedy's table for seq, built and stored on seq the first time: (bound, steps).
 
     The one place the table is built, read by represent,
     represent_range_check and, for its headroom, bias.plan. Building
     applies the chain gate: an incapable sequence is refused here, in
     sequence._refusal's wording, on every call, since a refusal stores
-    nothing. bound is A_N + a_0 - 1. steps holds (n, a_n, threshold_{n-1},
-    slack_{n-1}) for each bit from the top down to bit 1, the slack being
-    the running total below bit n plus a_0 - 1. A capable sequence whose
-    total passes TOTAL_LIMIT keeps steps None, so that plan can still
+    nothing. bound is A_N + a_0 - 1. steps holds one row (n, a_n,
+    threshold, slack) per bit from the top down to bit 0, the two being the
+    running total below bit n plus a_0 and plus a_0 - 1: bit 0's row is
+    (0, a_0, a_0, a_0 - 1), its slack the residual bound. A capable sequence
+    whose total passes TOTAL_LIMIT keeps steps None, so that plan can still
     refuse an out-of-range voltage and the sweep an exceeded cap first;
     represent then raises prefix_sums' RangeError on every call.
     """
@@ -63,12 +64,10 @@ def _descent(seq: Sequence) -> tuple:
     try:
         totals, thresholds = prefix_sums(seq)
     except RangeError:
-        table = (sum(bits) + a0 - 1, a0, None)
+        table = (sum(bits) + a0 - 1, None)
     else:
-        steps = tuple(
-            (n, bits[n], thresholds[n - 1], totals[n - 1] + a0 - 1) for n in range(len(bits) - 1, 0, -1)
-        )
-        table = (totals[-1] + a0 - 1, a0, steps)
+        rows = [(n, bits[n], thresholds[n - 1], totals[n - 1] + a0 - 1) for n in range(len(bits) - 1, 0, -1)]
+        table = (totals[-1] + a0 - 1, (*rows, (0, a0, a0, a0 - 1)))
     object.__setattr__(seq, "_descent", table)
     return table
 
@@ -76,14 +75,13 @@ def _descent(seq: Sequence) -> tuple:
 def represent(m: int, seq: Sequence) -> Representation:
     """Greedy signed-digit decomposition of m over seq: the greedy's one entry point.
 
-    Ties at the residual level prefer beta over activating the first bit,
-    which keeps junction usage minimal. The gate and the per-bit
-    thresholds come from the table _descent keeps on seq, so only the
-    first call on a sequence walks its chain. Two invariants are checked
-    with explicit raises, so they hold under python -O: after bit n the
-    remainder, m minus the digits from bit n up, never exceeds the running
-    total below the bit plus a_0 - 1, and the digits plus the residual
-    give back m.
+    One loop over the rows of the table _descent keeps on seq, bit 0 the
+    last, so only the first call on a sequence walks its chain. Ties at
+    the residual level prefer beta over activating the first bit, which
+    keeps junction usage minimal. Two invariants are checked with explicit
+    raises, so they hold under python -O: after each bit the remainder
+    stays within the row's slack, after bit 0 the residual bound
+    |beta| < a_0, and the digits plus the residual give back m.
 
     m is read by the one integer rule, sequence._integer: a bool, float or
     other non-integer raises InvalidInput. Raises InvalidSequence when seq
@@ -92,7 +90,7 @@ def represent(m: int, seq: Sequence) -> Representation:
     """
     if m.__class__ is not int:
         m = _integer("target", m)
-    bound, a0, steps = _descent(seq)
+    bound, steps = _descent(seq)
     if steps is None:
         raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")
     if abs(m) > bound:
@@ -102,7 +100,7 @@ def represent(m: int, seq: Sequence) -> Representation:
     signs = [0] * len(bits)
     r = m
     for n, a, threshold, slack in steps:
-        # the gate keeps a_0 >= 1, so every threshold is at least 2: the two
+        # the gate keeps a_0 >= 1, so every threshold is at least 1: the two
         # tests are abs(r) >= threshold split by the sign of r
         if r >= threshold:
             signs[n] = 1
@@ -112,18 +110,11 @@ def represent(m: int, seq: Sequence) -> Representation:
             r += a
         if r > slack or r < -slack:
             raise AssertionError(f"remainder {r} broke the descent bound at bit {n}")
-    if r >= a0:
-        signs[0] = 1
-        r -= a0
-    elif r <= -a0:
-        signs[0] = -1
-        r += a0
 
-    beta = r
     expressed = sum(map(operator.mul, signs, bits))
-    if expressed + beta != m or abs(beta) >= max(a0, 1):
-        raise AssertionError(f"digits sum to {expressed} with residual {beta}: not target {m} with |beta| < a_0")
-    return Representation(tuple(signs), beta, m, expressed)
+    if expressed + r != m:
+        raise AssertionError(f"digits sum to {expressed} with residual {r}: not target {m}")
+    return Representation(tuple(signs), r, m, expressed)
 
 
 def evaluate(rep: Representation, seq: Sequence) -> int:
@@ -155,18 +146,18 @@ def represent_range_check(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> Ra
     exact because the greedy's remaining steps depend only on the bit and
     the current remainder, not on the target that produced it, and every
     step moves a whole piece of a window by one shift. Starting from the
-    single window [-bound, bound], each step (every bit from the top down,
-    then a_0 with threshold a_0) splits each window at the threshold t:
+    single window [-bound, bound], each row of the table _descent keeps on
+    seq, as represent reads them, splits each window at its threshold t:
     first r >= t (shift -a), then -r >= t (shift +a), and the rest keeps
-    r, as in represent. Each piece, translated by its shift, is again a
-    window; equal windows of one step are kept once. A backward pass
-    carries the final remainders not below a_0 up to the targets m that
-    reach them, so failures come out as (m, message) in ascending m. The
-    device's 184,199 targets share 190 windows; the loop is iterative, so
-    thousands of bits do not recurse. The gate, the bound and the
-    thresholds come from the table _descent keeps on seq, as in represent.
+    r. Each piece, translated by its shift, is again a window; equal
+    windows of one step are kept once. A backward pass carries the final
+    remainders not below a_0 up to the targets m that reach them, so
+    failures come out as (m, message) in ascending m. The device's 184,199
+    targets share 190 windows; the loop is iterative, so thousands of bits
+    do not recurse.
     """
-    bound, a0, steps = _descent(seq)
+    bound, steps = _descent(seq)
+    a0 = seq.bits[0]
     total = bound - a0 + 1
     if total > cap:
         raise RangeError(f"sequence total {total} exceeds cap {cap}")
@@ -176,7 +167,7 @@ def represent_range_check(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> Ra
     # levels[k] maps each window after step k to the (parent window, shift) pieces landing on it
     levels: list[dict] = []
     landed: dict = {(-bound, bound): []}
-    for _, a, t, _ in (*steps, (0, a0, a0, a0 - 1)):  # the table's rows, then bit 0 at threshold a_0
+    for _, a, t, _ in steps:
         windows, landed = landed, {}
         for lo, hi in windows:
             for plo, phi, shift in (

@@ -263,6 +263,18 @@ class TestCompare:
         code, doc = run_json(["compare", "--msb-size", "8000"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "sizes", [["--msb-size", "9", "--lsb-count", "0"], ["--msb-size", "0"]], ids=["lsb", "msb"]
+    )
+    @pytest.mark.parametrize("standards", [[], ["--standards"]], ids=["plain", "standards"])
+    def test_a_size_below_one_names_the_flags_typed(self, sizes, standards):
+        # the sizes are checked before a standard column is built, so its "length" never shows
+        code, doc = run_json(["compare", *sizes, *standards])
+        assert code == 3
+        assert doc["error"] == {
+            "type": "InvalidInput", "message": "lsb_count and msb_size must be positive", "exit_code": 3
+        }
+
 
 class TestReport:
     def test_passes_at_default_margin(self):

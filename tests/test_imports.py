@@ -51,6 +51,8 @@ MODULES = {
 }
 # the two dataclasses left, Representation and BiasPlan, load dataclasses where representation loads
 WITHOUT_DATACLASSES = ("validate", "tolerance", "defects", "design", "compare", "enumerate", "oracle")
+# fractions, with the decimal and numbers it loads, only where a Fraction is built
+WITH_FRACTIONS = ("tolerance", "design", "compare")
 
 # Imports every nims submodule in this fresh interpreter, then prints the
 # submodules and the top-level names of the modules that loaded and are not
@@ -113,6 +115,8 @@ def test_subcommand_loads_only_its_modules(command):
     assert sorted(m[len("nims.") :] for m in loaded if m.startswith("nims.")) == sorted(modules)
     if command in WITHOUT_DATACLASSES:
         assert not loaded & {"dataclasses", "inspect"}
+    if command not in WITH_FRACTIONS:
+        assert "fractions" not in loaded
 
 
 def test_every_submodule_loads_only_the_standard_library():

@@ -344,9 +344,38 @@ def oracle_argv(draw) -> list:
     return argv
 
 
+def enumerate_argv(draw) -> list:
+    """An enumeration whose --limit is always passed and at most 1,000: NUMBERS' 10^6 would let one run for seconds."""
+    argv = ["enumerate"]
+    for flag, good in (("--a0", ["1", "2", "3"]), ("--depth", ["1", "3", "5"]), ("--max-bit", ["9", "60", "100"])):
+        argv += [flag, pick(draw, st.sampled_from(good), VALUES)]
+    return argv + ["--limit", pick(draw, st.integers(-1, 1000).map(str), JUNK)]
+
+
+# Plan values at the edges: NaN, infinite, zero, negative and past float range.
+EDGES = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "-18e9", "1e400", "-1e400"])
+FREQUENCIES = st.sampled_from(["1e9", "10e9", "18e9", "25e9"])
+
+
+def plan_seq_argv(draw) -> list:
+    """A plan over a drawn sequence, its values joined by "=" so that a leading minus reaches plan."""
+    seq = pick(draw, st.sampled_from(["1,3,8", "2,6,18", "1,2,7"]), st.one_of(LONG_BITS, INPUT_PATHS))
+    volts = st.sampled_from(["0", "1e-4", "-2e-4", "4e-4", "1"])
+    argv = ["plan", "--seq", seq, "--volts=" + pick(draw, volts, st.one_of(EDGES, JUNK))]
+    if draw(st.integers(0, 9)):
+        argv.append("--freq=" + pick(draw, FREQUENCIES, st.one_of(EDGES, JUNK)))
+    if draw(st.booleans()):
+        # each edge is drawn on its own, so about half the bands come reversed
+        edge = st.one_of(FREQUENCIES, EDGES)
+        argv.append("--band=" + pick(draw, st.tuples(edge, edge).map(":".join), JUNK))
+    return argv
+
+
 @st.composite
 def argvs(draw) -> list:
-    command = draw(st.sampled_from(["design", "compare", "defects", "validate", "report", "plan", "represent", "oracle"]))
+    command = draw(st.sampled_from([
+        "design", "compare", "defects", "validate", "tolerance", "report", "plan", "represent", "oracle", "enumerate"
+    ]))
     if command == "design":
         return design_argv(draw)
     if command == "compare":
@@ -355,12 +384,16 @@ def argvs(draw) -> list:
         return represent_argv(draw)
     if command == "oracle":
         return oracle_argv(draw)
+    if command == "enumerate":
+        return enumerate_argv(draw)
+    if command == "plan" and draw(st.booleans()):
+        return plan_seq_argv(draw)
+    if command in ("validate", "tolerance"):
+        return [command, "--seq", draw(st.one_of(LONG_BITS, INPUT_PATHS))]
     if command == "defects":
         inline = st.sampled_from(["2:1", "1:1,2:1", "2:9"])
         defects = pick(draw, st.one_of(defect_files(), inline), st.one_of(VALUES, LONG_DEFECTS, INPUT_PATHS))
         return ["defects", "--seq", pick(draw, st.just("1,3,8"), LONG_BITS), "--defects", defects]
-    if command == "validate":
-        return ["validate", "--seq", draw(st.one_of(LONG_BITS, INPUT_PATHS))]
     argv = [command, "--device", draw(device_files())]
     if command == "report" and draw(st.booleans()):
         argv += ["--min-margin", pick(draw, st.sampled_from(["0", "1.0", "2.0"]), VALUES)]

@@ -221,8 +221,8 @@ else:
 
 @pytest.mark.parametrize(
     "corrupt_totals, message",
-    [(False, "broke the descent bound at bit 2"), (True, "not target 7 with |beta| < a_0")],
-    ids=["descent-bound", "final-sum"],
+    [(False, "broke the descent bound at bit 2"), (True, "remainder 6 broke the descent bound at bit 0")],
+    ids=["descent-bound", "residual-bound"],
 )
 def test_invariants_survive_optimize_flag(corrupt_totals, message):
     proc = subprocess.run(
@@ -237,11 +237,13 @@ def test_invariants_survive_optimize_flag(corrupt_totals, message):
 # Hand-built descent tables, stored in a fresh sequence's _descent slot, that
 # put one invariant check exactly at its bound or one past it. Over (1, 3, 8),
 # bit 2 leaves the remainder -1 for 7 and +1 for -7, against a slack of 1 and
-# then of 0. Over (2, 6, 18), no bit above a_0 = 2 activates, so bit 0 alone
-# leaves the residual m - 2.
-SLACK_ONE = (12, 1, ((2, 8, 5, 1), (1, 3, 2, 1)))
-SLACK_ZERO = (12, 1, ((2, 8, 5, 0), (1, 3, 2, 1)))
-SKIP_THE_HIGH_BITS = (27, 2, ((2, 18, 99, 99), (1, 6, 99, 99)))
+# then of 0. Over (2, 6, 18), no bit above a_0 = 2 activates, so bit 0's row
+# alone leaves the residual m - 2 against its slack a_0 - 1. A row whose a_n
+# is not the bit's size leaves a sum that only the round-trip check catches.
+SLACK_ONE = (12, ((2, 8, 5, 1), (1, 3, 2, 1), (0, 1, 1, 0)))
+SLACK_ZERO = (12, ((2, 8, 5, 0), (1, 3, 2, 1), (0, 1, 1, 0)))
+SKIP_THE_HIGH_BITS = (27, ((2, 18, 99, 99), (1, 6, 99, 99), (0, 2, 2, 1)))
+WRONG_SIZE = (12, ((2, 7, 5, 1), (1, 3, 2, 1), (0, 1, 1, 0)))
 # case: (bits, table, target, what represent gives back or the AssertionError it raises)
 AT_THE_BOUNDS = {
     "descent-on-slack": (
@@ -255,9 +257,12 @@ AT_THE_BOUNDS = {
     "residual-below-a0": (
         (2, 6, 18), SKIP_THE_HIGH_BITS, 3, "Representation(signs=(1, 0, 0), beta=1, target_m=3, expressed_m=2)"
     ),
-    "residual-at-a0": (
-        (2, 6, 18), SKIP_THE_HIGH_BITS, 4, "digits sum to 2 with residual 2: not target 4 with |beta| < a_0"
+    "residual-below-minus-a0": (
+        (2, 6, 18), SKIP_THE_HIGH_BITS, -3, "Representation(signs=(-1, 0, 0), beta=-1, target_m=-3, expressed_m=-2)"
     ),
+    "residual-at-a0": ((2, 6, 18), SKIP_THE_HIGH_BITS, 4, "remainder 2 broke the descent bound at bit 0"),
+    "residual-at-minus-a0": ((2, 6, 18), SKIP_THE_HIGH_BITS, -4, "remainder -2 broke the descent bound at bit 0"),
+    "round-trip": ((1, 3, 8), WRONG_SIZE, 7, "digits sum to 8 with residual 0: not target 7"),
 }
 
 # Runs one AT_THE_BOUNDS case under python -O; prints what represent gave back or raised.
@@ -280,7 +285,7 @@ except AssertionError as exc:
 def test_the_descent_table_holds_the_slack_column():
     seq = Sequence((2, 6, 18))
     represent(0, seq)
-    assert seq._descent == (27, 2, ((2, 18, 10, 9), (1, 6, 4, 3)))
+    assert seq._descent == (27, ((2, 18, 10, 9), (1, 6, 4, 3), (0, 2, 2, 1)))
 
 
 @pytest.mark.parametrize("case", AT_THE_BOUNDS)

@@ -10,6 +10,7 @@ that same frequency shift.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -27,6 +28,9 @@ PLANCK_JS = 6.62607015e-34
 JOSEPHSON_HZ_PER_VOLT = 483597848416983.6
 
 DEFAULT_BAND_HALF_WIDTH = 0.005
+
+# the plan's floats that JSON, CSV and the table print in fixed notation
+FIXED_KEYS = ("V", "f", "f_adjusted")
 
 
 @dataclass(frozen=True, init=False)
@@ -81,17 +85,11 @@ class BiasPlan:
         }
 
     def to_json(self) -> str:
-        doc = self.to_doc()
-        parts = [
-            f'"V": {fixed_decimal(doc["V"])}',
-            f'"f": {fixed_decimal(doc["f"])}',
-            f'"m": {doc["m"]}',
-            f'"signs": [{", ".join(str(s) for s in doc["signs"])}]',
-            f'"beta": {doc["beta"]}',
-            f'"f_adjusted": {fixed_decimal(doc["f_adjusted"])}',
-            f'"in_band": {"true" if doc["in_band"] else "false"}',
-        ]
-        return "{" + ", ".join(parts) + "}"
+        """to_doc as JSON text, the FIXED_KEYS floats in fixed notation."""
+        return "{" + ", ".join(
+            f'"{key}": {fixed_decimal(value) if key in FIXED_KEYS else json.dumps(value)}'
+            for key, value in self.to_doc().items()
+        ) + "}"
 
 
 def fixed_decimal(x: float) -> str:

@@ -168,7 +168,7 @@ def _cmd_tolerance(args) -> Output:
     return Output(
         {"bits": list(seq.bits), **report.to_doc()},
         report.to_csv(),
-        ["bit  nominal  tolerance  proportion"] + rows,
+        ["  ".join(report.COLUMNS)] + rows,
     )
 
 
@@ -182,7 +182,7 @@ def _cmd_defects(args) -> Output:
         return Output(
             scan.to_doc(),
             scan.to_csv(),
-            [f"budget {scan.budget}", "bit  nominal  tolerance  safe_up_to  status"]
+            [f"budget {scan.budget}", "  ".join(scan.COLUMNS)]
             + [_entry_row(e, f"{e.safe_up_to:<11d} {e.status}") for e in scan.entries],
         )
 
@@ -268,19 +268,18 @@ def _cmd_plan(args) -> Output:
         freq = args.freq
     band = None
     if args.band:
-        lo, _, hi = args.band.partition(":")
+        lo, colon, hi = args.band.partition(":")
+        if not (colon and lo.strip() and hi.strip()):
+            raise InvalidInput(f"bad band {args.band!r}: expected LO:HI")
         try:
             band = (float(lo), float(hi))
         except ValueError as exc:
             raise InvalidInput(f"bad band {args.band!r}: {exc}") from exc
     result = bias.plan(args.volts, freq, seq, band)
     pairs = [
-        ("V", bias.fixed_decimal(result.target_voltage)),
-        ("f", bias.fixed_decimal(result.base_frequency_hz)),
-        ("m", result.m_target),
-        ("beta", result.representation.beta),
-        ("f_adjusted", bias.fixed_decimal(result.adjusted_frequency_hz)),
-        ("in_band", result.in_band),
+        (key, bias.fixed_decimal(value) if key in bias.FIXED_KEYS else value)
+        for key, value in result.to_doc().items()
+        if key != "signs"
     ]
     # the table alone also shows the relative frequency shift
     table = pairs[:5] + [("shift", f"{result.frequency_shift:.3e}")] + pairs[5:]

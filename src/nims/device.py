@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import bias
 from .errors import InvalidInput, ParseError
-from .fault_tolerance import DefectMap, _tolerances
+from .fault_tolerance import DefectMap, ToleranceReport, _tolerances
 from .sequence import Sequence, _read_text, csv_rows, validate
 
 if TYPE_CHECKING:
@@ -236,16 +236,7 @@ class MarginReport(NamedTuple):
         return not self.violations
 
     def to_doc(self) -> dict:
-        return {
-            "threshold_ma": self.threshold_ma,
-            "min_positive_ma": self.min_positive_ma,
-            "mean_positive_ma": self.mean_positive_ma,
-            "min_negative_ma": self.min_negative_ma,
-            "mean_negative_ma": self.mean_negative_ma,
-            "violations": [
-                {"bit": v.bit, "side": v.side, "width_ma": v.width_ma} for v in self.violations
-            ],
-        }
+        return {**self._asdict(), "violations": [v._asdict() for v in self.violations]}
 
 
 def _side_widths(rec: DeviceRecord) -> list[tuple[str, list[float]]]:
@@ -344,7 +335,8 @@ def build_report(rec: DeviceRecord, min_margin_ma: float = 1.0) -> dict:
         "retuned_resolution_v": retuned,
         "margins": margins.to_doc(),
         "tolerances": [
-            {"bit": n, "nominal": a, "tolerance": t}
+            # the first three of a tolerance report's columns
+            dict(zip(ToleranceReport.COLUMNS, (n, a, t)))
             for n, (a, t) in enumerate(zip(seq.bits, _tolerances(seq.bits)))
         ],
         "lints": list(plausibility_lints(rec)),

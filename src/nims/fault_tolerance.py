@@ -52,20 +52,18 @@ class ToleranceReport(NamedTuple):
 
     entries: tuple[BitTolerance, ...]
 
+    # the one statement of an entry's output fields, in BitTolerance's field order
+    COLUMNS = ("bit", "nominal", "tolerance", "proportion")
+
     def to_csv(self) -> str:
-        return csv_rows(
-            [["bit", "nominal", "tolerance", "proportion"]]
-            + [[e.index, e.nominal, e.tolerance, e.proportion] for e in self.entries]
-        )
+        return csv_rows([self.COLUMNS, *(e[:4] for e in self.entries)])
 
     def to_doc(self) -> dict:
+        """Each entry's COLUMNS, the proportion as its str, then last_bit, which the CSV leaves out."""
         return {
             "entries": [
                 {
-                    "bit": e.index,
-                    "nominal": e.nominal,
-                    "tolerance": e.tolerance,
-                    "proportion": None if e.proportion is None else str(e.proportion),
+                    **dict(zip(self.COLUMNS, (*e[:3], None if e.proportion is None else str(e.proportion)))),
                     "last_bit": e.last_bit,
                 }
                 for e in self.entries
@@ -208,26 +206,17 @@ class ScanReport(NamedTuple):
     entries: tuple[ScanEntry, ...]
     oracle_checked: int
 
+    # the one statement of an entry's output fields, in ScanEntry's field order
+    COLUMNS = ("bit", "nominal", "tolerance", "safe_up_to", "status")
+
     def to_csv(self) -> str:
-        return csv_rows(
-            [["bit", "nominal", "tolerance", "safe_up_to", "status"]]
-            + [[e.index, e.nominal, e.tolerance, e.safe_up_to, e.status] for e in self.entries]
-        )
+        return csv_rows([self.COLUMNS, *self.entries])
 
     def to_doc(self) -> dict:
         return {
             "budget": self.budget,
             "oracle_checked": self.oracle_checked,
-            "entries": [
-                {
-                    "bit": e.index,
-                    "nominal": e.nominal,
-                    "tolerance": e.tolerance,
-                    "safe_up_to": e.safe_up_to,
-                    "status": e.status,
-                }
-                for e in self.entries
-            ],
+            "entries": [dict(zip(self.COLUMNS, e)) for e in self.entries],
         }
 
 

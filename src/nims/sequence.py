@@ -175,15 +175,7 @@ class ValidationReport(_Frozen):
         return {
             "strict_valid": self.strict_valid,
             "complete_capable": self.complete_capable,
-            "violations": [
-                {
-                    "constraint": v.constraint,
-                    "index": v.index,
-                    "message": v.message,
-                    "observed": list(v.observed),
-                }
-                for v in self.violations
-            ],
+            "violations": [{**v._asdict(), "observed": list(v.observed)} for v in self.violations],
         }
 
 

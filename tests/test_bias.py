@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nims.representation
@@ -22,7 +22,7 @@ from nims import (
     represent,
     resolution,
 )
-from nims.bias import ELEMENTARY_CHARGE_C, PLANCK_JS, _round_half_away, fixed_decimal
+from nims.bias import ELEMENTARY_CHARGE_C, FIXED_KEYS, PLANCK_JS, _round_half_away, fixed_decimal
 
 from .conftest import INCAPABLE_MESSAGES, NIMS1_BITS, fraction_round_half_away
 
@@ -256,6 +256,21 @@ class TestSerialization:
         assert fixed_decimal(1.0) == "1.0"
         assert fixed_decimal(18.01e9) == "18010000000.0"
         assert fixed_decimal(7.448337522159869e-05) == "0.00007448337522159869"
+
+    @settings(max_examples=200, deadline=None)
+    @given(volts=st.floats(1e-9, 3.0), freq=st.floats(10e9, 25e9))
+    @example(volts=1e-9, freq=25e9)
+    @example(volts=1.0, freq=18.01e9)
+    def test_json_is_the_doc_in_fixed_notation(self, measured, volts, freq):
+        try:
+            p = plan(volts, freq, measured)
+        except (OutOfRange, DegenerateTarget):
+            assume(False)
+        text = p.to_json()
+        assert json.loads(text) == p.to_doc()
+        written = json.loads(text, parse_float=str)
+        for key in FIXED_KEYS:
+            assert "e" not in written[key].lower() and float(written[key]) == p.to_doc()[key]
 
     def test_doc_fields(self, measured):
         doc = plan(1.0, 18.01e9, measured).to_doc()

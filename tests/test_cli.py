@@ -17,9 +17,7 @@ from .conftest import DEVICE_CSV, DIRECTORY, ERROR_TYPES, MISSING, NIMS1_BITS
 
 NIMS1_ARG = ",".join(map(str, NIMS1_BITS))
 
-# Byte-exact CLI output, pinned so that rendering changes cannot drift. The
-# oracle and defects files were captured from the interval-merge oracle
-# before it became a bitset, the rest before the CLI got one render path.
+# Byte-exact CLI output, pinned so that rendering changes cannot drift.
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
 DEVICE = "<device bits>"
@@ -113,6 +111,21 @@ class TestTolerance:
         res = run(["tolerance", "--seq", NIMS1_ARG, "--format", "csv"])
         assert res.exit_code == 0
         assert res.text == tolerance_report(Sequence(NIMS1_BITS)).to_csv()
+
+
+@pytest.mark.parametrize(
+    "argv,columns",
+    [
+        (["tolerance", "--seq", NIMS1_ARG], fault_tolerance.ToleranceReport.COLUMNS),
+        (["defects", "--seq", NIMS1_ARG, "--scan-budget", "1"], fault_tolerance.ScanReport.COLUMNS),
+    ],
+    ids=["tolerance", "scan"],
+)
+def test_each_report_header_reads_its_columns(argv, columns):
+    assert run(argv + ["--format", "csv"]).text.splitlines()[0] == ",".join(columns)
+    for entry in json.loads(run(argv + ["--format", "json"]).text)["entries"]:
+        assert tuple(entry)[: len(columns)] == columns
+    assert "  ".join(columns) in run(argv).text.splitlines()
 
 
 class TestDefects:
@@ -217,6 +230,12 @@ class TestPlan:
             ["plan", "--device", str(DEVICE_CSV), "--volts", "1.0", "--band", "x:y"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("band", ["17e9", ":", "17e9:", ":19e9", " :19e9"])
+    def test_band_needs_both_edges(self, band):
+        code, doc = run_json(["plan", "--seq", "1,3,8", "--freq", "18e9", "--volts", "1e-4", "--band", band])
+        assert code == 3
+        assert doc["error"] == {"type": "InvalidInput", "message": f"bad band {band!r}: expected LO:HI", "exit_code": 3}
 
     def test_headroom_beyond_float_range(self):
         code, doc = run_json(["plan", "--seq", "1" + "0" * 400, "--volts", "1", "--freq", "1e10"])

@@ -20,6 +20,7 @@ from nims import (
     serialize_device,
 )
 from nims.device import DeviceBit, DeviceMetadata, DeviceRecord
+from nims.fault_tolerance import ToleranceReport
 
 from .conftest import DEVICE_CSV
 
@@ -281,6 +282,7 @@ class TestBuildReport:
         assert doc["max_voltage_v"] == pytest.approx(3.4299, abs=1e-4)
         assert doc["resolution_v"] == pytest.approx(7.4483e-5, rel=1e-4)
         assert doc["retuned_resolution_v"] == pytest.approx(3.7242e-5, rel=1e-4)
+        assert [tuple(row) for row in doc["tolerances"]] == [ToleranceReport.COLUMNS[:3]] * 23
 
     def test_unreconciled_nameplate_notes(self, device_record):
         doc = build_report(device_record)

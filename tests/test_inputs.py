@@ -4,8 +4,9 @@ Every integer read from outside (defect maps, tolerance rules, design specs,
 representation targets, scan budgets, compared and standard column sizes)
 goes through one rule, and every file through one reader; the argv-grammar
 test drives cli.run with drawn flags, long inline values, huge totals and
-column counts, spec and defect files, missing and mistyped paths,
-directories and damaged device files.
+column counts, sequence, spec and defect files (empty and deeply nested ones
+too), missing and mistyped paths, directories, damaged and empty device
+files, and long flags cut to prefixes.
 """
 
 from __future__ import annotations
@@ -261,6 +262,19 @@ def json_file(doc) -> File:
     return File(json.dumps(doc).encode())
 
 
+# Files at the edges of the JSON reader: empty, and nested far past the parser's recursion limit.
+EDGE_FILES = st.sampled_from([File(b""), File(b"[" * 10**5 + b"]" * 10**5)])
+
+# --seq files: well-formed, wrong-shaped, empty and deeply nested.
+SEQ_FILES = st.one_of(
+    st.sampled_from(
+        [{"bits": [1, 3, 8]}, {"bits": [2, 6, 18]}, [1, 3, 8], {"bits": "1,3,8"}, {"bits": [1.5, 3]}, {"bits": [True]}, {}]
+    ).map(json_file),
+    EDGE_FILES,
+)
+SEQS = st.one_of(LONG_BITS, INPUT_PATHS, SEQ_FILES)
+
+
 @st.composite
 def spec_files(draw) -> File:
     keys = ("a0", "msb_size", "target_total")
@@ -271,7 +285,8 @@ def spec_files(draw) -> File:
         ]
     if draw(st.booleans()):
         doc["max_ratio"] = pick(draw, GOOD["max_ratio"], st.one_of(JSON_VALUES, VALUES))
-    return json_file(pick(draw, st.just(doc), st.sampled_from([[doc], "spec", {"spec": doc}])))
+    malformed = st.one_of(st.sampled_from([[doc], "spec", {"spec": doc}]).map(json_file), EDGE_FILES)
+    return pick(draw, st.just(json_file(doc)), malformed)
 
 
 def design_argv(draw) -> list:
@@ -294,13 +309,16 @@ def defect_files(draw) -> File:
     bits = st.one_of(st.sampled_from(["1", "2"]), VALUES)
     counts = st.one_of(st.sampled_from([0, 1, 2]), JSON_VALUES)
     entries = draw(st.dictionaries(bits, counts, max_size=3))
-    return json_file(pick(draw, st.just({"defects": entries}), st.sampled_from([entries, {"defects": [1]}])))
+    malformed = st.one_of(st.sampled_from([entries, {"defects": [1]}]).map(json_file), EDGE_FILES)
+    return pick(draw, st.just(json_file({"defects": entries})), malformed)
 
 
 @st.composite
 def device_files(draw) -> File | str:
     data = DEVICE_CSV.read_bytes()
-    kind = draw(st.sampled_from(["truncated", "mutated", "not-utf8", "newline-path", "intact", "path"]))
+    kind = draw(st.sampled_from(["truncated", "empty", "mutated", "not-utf8", "newline-path", "intact", "path"]))
+    if kind == "empty":
+        return File(b"")
     if kind == "truncated":
         return File(data[: draw(st.integers(0, len(data)))])
     if kind == "mutated":
@@ -328,7 +346,7 @@ def compare_argv(draw) -> list:
 
 
 def represent_argv(draw) -> list:
-    seq = pick(draw, st.sampled_from(["1,3,8", "2,6,18", "1,2,7"]), st.one_of(LONG_BITS, INPUT_PATHS))
+    seq = pick(draw, st.sampled_from(["1,3,8", "2,6,18", "1,2,7"]), SEQS)
     return ["represent", "--seq", seq, "--m", pick(draw, NUMBERS, VALUES)]
 
 
@@ -337,7 +355,7 @@ def oracle_argv(draw) -> list:
     bits = draw(
         st.one_of(st.sampled_from([(1, 3, 8), (2, 6, 18), (1, 2, 8)]), st.lists(st.integers(-1, 10**4), min_size=1, max_size=100))
     )
-    argv = ["oracle", "--seq", pick(draw, st.just(",".join(map(str, bits))), st.one_of(VALUES, INPUT_PATHS))]
+    argv = ["oracle", "--seq", pick(draw, st.just(",".join(map(str, bits))), st.one_of(VALUES, INPUT_PATHS, SEQ_FILES))]
     argv += [flag for flag in ("--sweep", "--a0-offset") if draw(st.booleans())]
     if draw(st.booleans()):
         argv += ["--cap", pick(draw, st.integers(-2, max(sum(bits), 0) + 2).map(str), VALUES)]
@@ -359,7 +377,7 @@ FREQUENCIES = st.sampled_from(["1e9", "10e9", "18e9", "25e9"])
 
 def plan_seq_argv(draw) -> list:
     """A plan over a drawn sequence, its values joined by "=" so that a leading minus reaches plan."""
-    seq = pick(draw, st.sampled_from(["1,3,8", "2,6,18", "1,2,7"]), st.one_of(LONG_BITS, INPUT_PATHS))
+    seq = pick(draw, st.sampled_from(["1,3,8", "2,6,18", "1,2,7"]), SEQS)
     volts = st.sampled_from(["0", "1e-4", "-2e-4", "4e-4", "1"])
     argv = ["plan", "--seq", seq, "--volts=" + pick(draw, volts, st.one_of(EDGES, JUNK))]
     if draw(st.integers(0, 9)):
@@ -371,8 +389,22 @@ def plan_seq_argv(draw) -> list:
     return argv
 
 
+def abbreviate(draw, arg: str) -> str:
+    """A long flag cut to a prefix of its name, ambiguous or not: argparse takes a prefix no other option shares."""
+    name, eq, value = arg.partition("=")
+    return name[: draw(st.integers(3, len(name)))] + eq + value
+
+
 @st.composite
 def argvs(draw) -> list:
+    """A drawn command line; one time in four, each of its long flags is cut to a prefix."""
+    argv = command_argv(draw)
+    if draw(st.integers(0, 3)):
+        return argv
+    return [abbreviate(draw, arg) if isinstance(arg, str) and arg.startswith("--") else arg for arg in argv]
+
+
+def command_argv(draw) -> list:
     command = draw(st.sampled_from([
         "design", "compare", "defects", "validate", "tolerance", "report", "plan", "represent", "oracle", "enumerate"
     ]))
@@ -389,11 +421,11 @@ def argvs(draw) -> list:
     if command == "plan" and draw(st.booleans()):
         return plan_seq_argv(draw)
     if command in ("validate", "tolerance"):
-        return [command, "--seq", draw(st.one_of(LONG_BITS, INPUT_PATHS))]
+        return [command, "--seq", draw(SEQS)]
     if command == "defects":
         inline = st.sampled_from(["2:1", "1:1,2:1", "2:9"])
         defects = pick(draw, st.one_of(defect_files(), inline), st.one_of(VALUES, LONG_DEFECTS, INPUT_PATHS))
-        return ["defects", "--seq", pick(draw, st.just("1,3,8"), LONG_BITS), "--defects", defects]
+        return ["defects", "--seq", pick(draw, st.just("1,3,8"), st.one_of(LONG_BITS, SEQ_FILES)), "--defects", defects]
     argv = [command, "--device", draw(device_files())]
     if command == "report" and draw(st.booleans()):
         argv += ["--min-margin", pick(draw, st.sampled_from(["0", "1.0", "2.0"]), VALUES)]
@@ -413,8 +445,8 @@ def strict_json(text: str) -> object:
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=argvs(), fmt=FORMATS)
-def test_any_argv_gets_an_exit_code(argv, fmt):
+@given(argv=argvs(), fmt=FORMATS, format_flag=st.sampled_from(["--format", "--forma", "--form"]))
+def test_any_argv_gets_an_exit_code(argv, fmt, format_flag):
     argv = list(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for i, arg in enumerate(argv):
@@ -426,7 +458,7 @@ def test_any_argv_gets_an_exit_code(argv, fmt):
                 argv[i] = str(Path(tmp) / "missing")
             elif arg == DIRECTORY:
                 argv[i] = tmp
-        result = run(argv + ["--format", fmt])
+        result = run(argv + [format_flag, fmt])
     assert result.exit_code in (0, 1, 2, 3)
     if fmt == "json":
         doc = strict_json(result.text)

@@ -315,7 +315,7 @@ def _cmd_report(args) -> Output:
     from . import bias, device
 
     doc = device.build_report(device.load_device(args.device), args.min_margin)
-    margins = doc["margins"]
+    margins, retuned = doc["margins"], doc["retuned_resolution_v"]
     violations = margins["violations"]
     rows = [["key", "value"]] + [
         [k, json.dumps(v)] for k, v in doc.items() if k not in ("margins", "tolerances", "lints", "notes")
@@ -334,7 +334,7 @@ def _cmd_report(args) -> Output:
             ("frequency_hz", bias.fixed_decimal(doc["frequency_hz"])),
             ("max_voltage_v", f"{doc['max_voltage_v']:.4f}"),
             ("resolution_v", f"{doc['resolution_v']:.3e}"),
-            ("retuned_resolution_v", f"{doc['retuned_resolution_v']:.3e}"),
+            ("retuned_resolution_v", retuned if retuned is None else f"{retuned:.3e}"),
             ("margin threshold", margins["threshold_ma"]),
             ("min positive step", margins["min_positive_ma"]),
             ("min negative step", margins["min_negative_ma"]),

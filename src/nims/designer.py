@@ -16,7 +16,7 @@ from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import Infeasible, InvalidInput, RangeError
-from .fault_tolerance import _tolerance_table, _tolerances
+from .fault_tolerance import _tolerance_table
 from .sequence import (
     Sequence,
     _chain_capable,
@@ -185,20 +185,25 @@ def design(spec: DesignSpec) -> DesignResult:
     """Deterministic layout meeting the spec exactly, or Infeasible.
 
     The ratio cap is applied in integers: with max_ratio = p/q (q > 0),
-    cur * p // q is exactly floor(cur * max_ratio). The layout is checked
-    again when built: an incapable one is refused in sequence._refusal's
-    wording, and each distinct bit size's required tolerance is asked
-    once. The tolerance table that check reads stays on the new Sequence,
-    in its _tolerances slot, for tolerance_report and compare_logics.
+    cur * p // q is exactly floor(cur * max_ratio). One test, a size's
+    largest successor reaching the bank size, ends the chain and lets a
+    trimmed bank lead the full banks. The layout is checked again when
+    built: an incapable one is refused in sequence._refusal's wording, and
+    each distinct bit size's required tolerance is asked once, against the
+    one tolerance table, _tolerance_table, which stays on the new Sequence.
     """
+
+    def largest_successor(size: int) -> int:  # the largest next bit leaving size its required tolerance
+        return 3 * (size - spec.required_tolerance(size))
+
     p, q = spec.max_ratio.as_integer_ratio()
     chain = [spec.a0]
     while True:
         cur = chain[-1]
-        reserve = spec.required_tolerance(cur)
-        if 3 * (cur - reserve) >= spec.msb_size:
+        grown = largest_successor(cur)
+        if grown >= spec.msb_size:
             break
-        nxt = min(3 * (cur - reserve), cur * p // q)
+        nxt = min(grown, cur * p // q)
         if nxt <= cur:
             raise Infeasible(
                 f"tolerance/ratio constraints stall the chain at bit size {cur}"
@@ -216,12 +221,7 @@ def design(spec: DesignSpec) -> DesignResult:
     _within_limit(len(chain) + full_banks + (trim > 0))
     banks: list[int] = [spec.msb_size] * full_banks
     if trim:
-        leads = (
-            full_banks > 0
-            and 3 * trim >= spec.msb_size
-            and _tolerances((trim, spec.msb_size))[0] >= spec.required_tolerance(trim)
-        )
-        if leads:
+        if full_banks > 0 and largest_successor(trim) >= spec.msb_size:
             banks.insert(0, trim)
         else:
             banks.append(trim)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import bias
 from .errors import InvalidInput, ParseError
-from .fault_tolerance import DefectMap, ToleranceReport, _tolerances
+from .fault_tolerance import DefectMap, ToleranceReport, _tolerance_table
 from .sequence import Sequence, _read_text, csv_rows, validate
 
 if TYPE_CHECKING:
@@ -303,19 +303,24 @@ def plausibility_lints(rec: DeviceRecord) -> tuple[str, ...]:
 
 
 def build_report(rec: DeviceRecord, min_margin_ma: float = 1.0) -> dict:
-    """Combined device summary used by the CLI report command."""
+    """Combined device summary used by the CLI report command.
+
+    The tolerance rows read the sequence's one table, _tolerance_table;
+    retuned_resolution_v is None when bit 0 holds no junctions.
+    """
     seq = rec.sequence()
     vr = validate(seq)
     margins = margin_report(rec, min_margin_ma)
     freq = rec.metadata.frequency_hz
     vmax = bias.max_voltage(seq, freq)
     step = bias.resolution(seq, freq)
-    retuned = step / seq.bits[0]
+    retuned = step / seq.bits[0] if seq.bits[0] else None
+    after = "" if retuned is None else f" ({retuned:.3e} V after retuning)"
 
     notes: list[str] = []
     for key, computed, bound, shown in (
         ("nameplate_max_v", vmax, "maximum", f"{vmax:.4f} V"),
-        ("nameplate_min_v", step, "minimum", f"step {step:.3e} V ({retuned:.3e} V after retuning)"),
+        ("nameplate_min_v", step, "minimum", f"step {step:.3e} V{after}"),
     ):
         rating = rec.metadata.extra(key)
         if rating is None:
@@ -337,7 +342,7 @@ def build_report(rec: DeviceRecord, min_margin_ma: float = 1.0) -> dict:
         "tolerances": [
             # the first three of a tolerance report's columns
             dict(zip(ToleranceReport.COLUMNS, (n, a, t)))
-            for n, (a, t) in enumerate(zip(seq.bits, _tolerances(seq.bits)))
+            for n, (a, t) in enumerate(zip(seq.bits, _tolerance_table(seq)))
         ],
         "lints": list(plausibility_lints(rec)),
         "notes": notes,

@@ -71,25 +71,18 @@ class ToleranceReport(NamedTuple):
         }
 
 
-def _tolerances(bits: tuple[int, ...]) -> list[int | None]:
-    """t_n = max(0, a_n - ceil(a_{n+1}/3)) for every bit, None for the last.
-
-    The one statement of the tolerance rule, in integers. Callers that need
-    only the counts read this instead of building a tolerance_report.
-    """
-    return [max(0, a - (b + 2) // 3) for a, b in zip(bits, bits[1:])] + [None]
-
-
 def _tolerance_table(seq: Sequence) -> tuple[int | None, ...]:
-    """_tolerances of seq's bits, kept in seq's private _tolerances slot.
+    """t_n = max(0, a_n - ceil(a_{n+1}/3)) for every bit of seq, None for the last.
 
-    The one accessor of the table: the first reader of a Sequence object
-    builds it, every later reader of that object reuses it.
+    The one statement of the tolerance rule, in integers. The first reader
+    of a Sequence object builds the table into its private _tolerances
+    slot; every later reader of that object reuses it.
     """
     try:
         return seq._tolerances
     except AttributeError:  # an unset slot: not built yet
-        table = tuple(_tolerances(seq.bits))
+        bits = seq.bits
+        table = (*[max(0, a - (b + 2) // 3) for a, b in zip(bits, bits[1:])], None)
         object.__setattr__(seq, "_tolerances", table)
         return table
 
@@ -228,7 +221,8 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     construction against the chain and cross-checked on a sample of
     scenarios with the reachability oracle. UNSAFE means the chain
     certificate is void beyond the bit's tolerance, not that every larger
-    defect is provably incomplete. budget is read by sequence._integer.
+    defect is provably incomplete. The tolerances are seq's shared table,
+    _tolerance_table. budget is read by sequence._integer.
     """
     budget = _integer("scan budget", budget)
     if budget < 0:
@@ -242,7 +236,7 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
         return bits[:index] + (bits[index] - count,) + bits[index + 1 :]
 
     entries: list[ScanEntry] = []
-    for n, (a, t) in enumerate(zip(bits, _tolerances(bits))):
+    for n, (a, t) in enumerate(zip(bits, _tolerance_table(seq))):
         max_d = min(budget, a)
         # Full removal of the last bit zeroes it, which fails positivity.
         safe = min(max_d, a - 1 if t is None else t)

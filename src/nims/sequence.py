@@ -79,10 +79,10 @@ class Sequence(_Frozen):
     negative; int subclasses are stored as plain ints. Not a tuple: len()
     and iteration give the bits. Two private slots hold tables built on
     first use: _descent the greedy's per-bit table, once
-    representation._descent has built it, and _tolerances every bit's
-    tolerance, once fault_tolerance._tolerance_table has built it. Neither
-    is a field, so equality, hash, repr and pickling leave them out and a
-    copy starts without them.
+    representation._descent has built it, and _tolerances the one table
+    of every bit's tolerance, once fault_tolerance._tolerance_table has
+    built it. Neither is a field, so equality, hash, repr and pickling
+    leave them out and a copy starts without them.
     """
 
     __slots__ = ("bits", "_descent", "_tolerances")

@@ -331,6 +331,17 @@ def fraction_chain(spec) -> tuple[int, ...] | None:
         chain.append(nxt)
 
 
+def three_clause_leads(spec, full_banks: int, trim: int) -> bool:
+    """Reference of design's old test for a trimmed bank leading the banks.
+
+    Three clauses: a full bank follows it, it reaches a third of the bank
+    size, and its tolerance before a full bank, ceil taken in Fractions,
+    meets the tolerance the spec requires of its size.
+    """
+    tolerance = max(0, trim - math.ceil(Fraction(spec.msb_size, 3)))
+    return full_banks > 0 and 3 * trim >= spec.msb_size and tolerance >= spec.required_tolerance(trim)
+
+
 def lean_range_check(bits, thresholds) -> tuple[int, tuple[tuple[int, str], ...]]:
     """Reference range check that runs the greedy once per target.
 

@@ -318,6 +318,21 @@ class TestReport:
         device.write_text("\n".join(lines) + "\n")
         return str(device)
 
+    @pytest.mark.parametrize("margin, code", [("1.0", 0), ("2.0", 1)])
+    def test_a_dead_first_bit_has_no_retuned_resolution(self, tmp_path, margin, code):
+        # a step over bit 0's junctions is undefined when it holds none; the margins set the exit code
+        argv = ["report", "--device", self._device_with_first_bit(tmp_path, 0), "--min-margin", margin]
+        res = {fmt: run(argv + ["--format", fmt]) for fmt in ("json", "csv", "table")}
+        assert {r.exit_code for r in res.values()} == {code}
+        doc = strict_json(res["json"].text)
+        note = "nameplate minimum 0.0025 V unreconciled with computed step 0.000e+00 V"
+        assert doc["retuned_resolution_v"] is None and doc["resolution_v"] == 0.0
+        assert note in doc["notes"] and not any("retuning" in n for n in doc["notes"])
+        assert "retuned_resolution_v,null\n" in res["csv"].text
+        assert f"note,{note}\n" in res["csv"].text
+        assert "retuned_resolution_v  None\n" in res["table"].text
+        assert f"note: {note}\n" in res["table"].text
+
     def test_total_beyond_float_range(self, tmp_path):
         code, doc = run_json(["report", "--device", self._device_with_first_bit(tmp_path, 10**400)])
         assert code == 2

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nims.designer
-import nims.fault_tolerance
 from nims import (
     DesignSpec,
     Infeasible,
@@ -24,7 +23,15 @@ from nims import (
     validate,
 )
 
-from .conftest import INCAPABLE_MESSAGES, NIMS1_BITS, TERNARY14_BITS, capable_bits, fraction_chain, fraction_column
+from .conftest import (
+    INCAPABLE_MESSAGES,
+    NIMS1_BITS,
+    TERNARY14_BITS,
+    capable_bits,
+    fraction_chain,
+    fraction_column,
+    three_clause_leads,
+)
 
 LIMIT = nims.designer.MAX_LAYOUT_BITS
 
@@ -226,21 +233,18 @@ class TestDesign:
             design(spec)
 
     def test_the_post_check_table_stays_on_the_designed_sequence(self, monkeypatch):
-        # design, tolerance_report and compare_logics share one tolerance table
-        calls = []
-        real = nims.fault_tolerance._tolerances
-
-        def counted(bits):
-            calls.append(bits)
-            return real(bits)
-
-        monkeypatch.setattr(nims.fault_tolerance, "_tolerances", counted)
-        monkeypatch.setattr(nims.designer, "_tolerances", counted)
-        seq = design(DesignSpec(a0=2, msb_size=5760, target_total=92098, min_tolerance=(ToleranceRule(100, 2),))).sequence
+        # design, tolerance_report and compare_logics share one tolerance table: a
+        # hand-built one, 9 for every bit below the last where the rule gives 0 to
+        # 3840, is stored in the slot of the sequence design builds, and all three read it
+        spec = DesignSpec(a0=2, msb_size=5760, target_total=92098, min_tolerance=(ToleranceRule(100, 2),))
+        planted, table = Sequence(design(spec).sequence.bits), (9,) * 22 + (None,)
+        object.__setattr__(planted, "_tolerances", table)
+        monkeypatch.setattr(nims.designer, "Sequence", lambda _: planted)
+        seq = design(spec).sequence
         report = tolerance_report(seq)
         column = compare_logics(len(seq), 5760, [("designed", seq)]).candidates[0]
-        assert calls.count(seq.bits) == 1
-        assert column.tolerances == tuple(e.tolerance for e in report.entries) == tuple(real(seq.bits))
+        assert seq is planted and seq._tolerances is table and column.tolerances is table
+        assert tuple(e.tolerance for e in report.entries) == table
 
     @given(
         a0=st.integers(1, 3),
@@ -265,6 +269,35 @@ class TestDesign:
             return
         assert chain is not None
         assert result.sequence.bits[: len(chain)] == chain and result.metadata["lsb_chain_bits"] == len(chain)
+
+    @given(
+        a0=st.integers(1, 3),
+        msb_scale=st.integers(1, 300),
+        banks=st.integers(0, 3),
+        trim_share=st.fractions(0, 1, max_denominator=60),
+        past_a_third=st.one_of(st.none(), st.integers(-3, 90)),
+        # at_least above twice the tolerance: no rule stalls the chain, and every layout is feasible
+        rules=st.lists(
+            st.tuples(st.integers(0, 80), st.integers(1, 900)).map(lambda r: (2 * r[0] + r[1], r[0])), max_size=2
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_trimmed_bank_leads_where_the_three_clause_test_says(
+        self, a0, msb_scale, banks, trim_share, past_a_third, rules
+    ):
+        # the trim is drawn as a share of the bank, or a few junctions either side of a third of it
+        msb = 3 * a0 * msb_scale
+        trim = int(trim_share * msb) if past_a_third is None else max(0, msb // 3 + past_a_third)
+        trim = min(msb - 1, trim)
+        spec = DesignSpec(a0, msb, msb, tuple(ToleranceRule(*r) for r in rules))
+        chain = fraction_chain(spec)
+        total = sum(chain) + banks * msb + trim
+        if total < msb:
+            return
+        bits = design(DesignSpec(a0, msb, total, spec.min_tolerance)).sequence.bits
+        if trim:
+            leads = banks > 0 and bits[len(chain)] == trim
+            assert leads == three_clause_leads(spec, banks, trim)
 
     def test_infeasible_when_tolerance_stalls_growth(self):
         with pytest.raises(Infeasible):

@@ -16,6 +16,7 @@ from nims import (
     RangeError,
     Sequence,
     apply_defects,
+    compare_logics,
     is_complete,
     oracle_gaps,
     tolerance_report,
@@ -23,7 +24,7 @@ from nims import (
     within_tolerance,
     worst_case_scan,
 )
-from nims.fault_tolerance import ScanEntry, _tolerances
+from nims.fault_tolerance import ScanEntry, _tolerance_table
 from nims.sequence import UPPER
 
 from .conftest import any_bits, capable_bits, fraction_proportion
@@ -63,10 +64,11 @@ class TestToleranceReport:
     @given(any_bits(max_len=10, max_bit=400))
     @settings(max_examples=300)
     def test_kernel_matches_report_and_closed_form(self, seq):
+        # the table is built on a fresh object, so the report builds its own
         bits = seq.bits
-        tolerances = _tolerances(bits)
+        tolerances = _tolerance_table(Sequence(bits))
         entries = tolerance_report(seq).entries
-        assert tolerances == [e.tolerance for e in entries]
+        assert tolerances == tuple(e.tolerance for e in entries)
         assert tolerances[-1] is None and entries[-1].proportion is None and entries[-1].last_bit
         for n, (a, b) in enumerate(zip(bits, bits[1:])):
             assert tolerances[n] == max(0, a - math.ceil(Fraction(b, 3)))
@@ -288,12 +290,13 @@ class TestWorstCaseScan:
         with pytest.raises(RangeError):
             worst_case_scan(Sequence((1, 3, 8)), 1, cap=11)
 
-    def test_sharpness_check_fires_at_the_budget(self, monkeypatch):
+    def test_sharpness_check_fires_at_the_budget(self):
         # bit 2 of (1, 3, 8, 20) tolerates 1; a table one below that leaves the
         # chain capable one junction past the tolerance, exactly at the budget
-        monkeypatch.setattr(nims.fault_tolerance, "_tolerances", lambda bits: (0, 0, 0, None))
+        seq = Sequence((1, 3, 8, 20))
+        object.__setattr__(seq, "_tolerances", (0, 0, 0, None))
         with pytest.raises(AssertionError, match="^bit 2 survived 1 missing junctions, above its tolerance$"):
-            worst_case_scan(Sequence((1, 3, 8, 20)), 1)
+            worst_case_scan(seq, 1)
 
     def test_rejects_negative_budget(self, nims1):
         with pytest.raises(InvalidInput):
@@ -323,7 +326,7 @@ class TestOracleGaps:
 
     def test_a_within_tolerance_map_builds_no_mask(self, measured):
         # every bit below the last loses its whole tolerance, and the set stays one run
-        defects = DefectMap({n: t for n, t in enumerate(_tolerances(measured.bits)[:-1]) if t})
+        defects = DefectMap({n: t for n, t in enumerate(_tolerance_table(measured)[:-1]) if t})
         assert within_tolerance(measured, defects)
         defective, _ = apply_defects(measured, defects)
         sums, gaps = oracle_gaps(defective)
@@ -334,16 +337,39 @@ class TestOracleGaps:
 
 
 class TestWithinTolerance:
-    def test_a_sequence_computes_its_tolerances_once(self, measured, monkeypatch):
-        calls = []
-
-        def counting(bits):
-            calls.append(bits)
-            return _tolerances(bits)
-
-        monkeypatch.setattr(nims.fault_tolerance, "_tolerances", counting)
+    def test_a_sequence_computes_its_tolerances_once(self, measured):
+        # a hand-built table, one junction below the rule's at bit 6, is read and never rebuilt
         seq = Sequence(measured.bits)
-        within, past = DefectMap({6: 100, 22: 5}), DefectMap({0: 1})
+        table = (*MEASURED_TOLERANCES[:6], 241, *MEASURED_TOLERANCES[7:])
+        object.__setattr__(seq, "_tolerances", table)
+        within, past = DefectMap({6: 241, 22: 5}), DefectMap({6: 242})
         assert all(within_tolerance(seq, within) for _ in range(50))
         assert not any(within_tolerance(seq, past) for _ in range(50))
-        assert calls == [seq.bits]
+        assert seq._tolerances is table
+
+    def test_every_reader_reads_the_one_table(self, measured):
+        # a Sequence whose _tolerances slot records each store and each read
+        stores, reads = [], []
+        slot = Sequence._tolerances
+
+        class Recorded(Sequence):
+            __slots__ = ()
+
+            @property
+            def _tolerances(self):
+                reads.append(slot.__get__(self))
+                return reads[-1]
+
+            @_tolerances.setter
+            def _tolerances(self, table):
+                stores.append(table)
+                slot.__set__(self, table)
+
+        seq = Recorded(measured.bits)
+        assert within_tolerance(seq, DefectMap({6: 242}))
+        scan = worst_case_scan(seq, 3)
+        report = tolerance_report(seq)
+        column = compare_logics(len(seq), 5760, [("device", seq)]).candidates[0]
+        assert stores == [MEASURED_TOLERANCES]
+        assert len(reads) == 3 and all(table is stores[0] for table in reads) and column.tolerances is stores[0]
+        assert tuple(e.tolerance for e in scan.entries) == tuple(e.tolerance for e in report.entries) == stores[0]

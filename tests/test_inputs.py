@@ -6,7 +6,7 @@ goes through one rule, and every file through one reader; the argv-grammar
 test drives cli.run with drawn flags, long inline values, huge totals and
 column counts, sequence, spec and defect files (empty and deeply nested ones
 too), missing and mistyped paths, directories, damaged and empty device
-files, and long flags cut to prefixes.
+files, device files with a dead bit, and long flags cut to prefixes.
 """
 
 from __future__ import annotations
@@ -241,6 +241,10 @@ class File(bytes):
     """An argv slot the test fills with the path of a file holding these bytes."""
 
 
+class Prefixed(tuple):
+    """An argv slot (text, slot): the text, then what the test fills the slot with."""
+
+
 PATHS = st.sampled_from([MISSING, DIRECTORY])
 
 # Mistyped --seq and --defects paths, relative to the working directory: a "/"
@@ -313,10 +317,26 @@ def defect_files(draw) -> File:
     return pick(draw, st.just(json_file({"defects": entries})), malformed)
 
 
+DEVICE_BIT_COUNT = len(load_device(DEVICE_CSV).bits)
+
+
+def dead_bit(data: bytes, index: int) -> File:
+    """The device file with the junction count of bit `index` set to 0."""
+    lines = data.split(b"\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(b"bit,")) + 1 + index
+    cells = lines[at].split(b",")
+    lines[at] = b",".join([cells[0], b"0", *cells[2:]])
+    return File(b"\n".join(lines))
+
+
 @st.composite
 def device_files(draw) -> File | str:
     data = DEVICE_CSV.read_bytes()
-    kind = draw(st.sampled_from(["truncated", "empty", "mutated", "not-utf8", "newline-path", "intact", "path"]))
+    kinds = ["truncated", "empty", "mutated", "not-utf8", "newline-path", "intact", "path", "dead-bit"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "dead-bit":
+        # bit 0 one time in two: a step over its junctions is the one division by a bit
+        return dead_bit(data, draw(st.one_of(st.just(0), st.integers(0, DEVICE_BIT_COUNT - 1))))
     if kind == "empty":
         return File(b"")
     if kind == "truncated":
@@ -341,7 +361,8 @@ def compare_argv(draw) -> list:
         argv.append("--standards")
     if draw(st.booleans()):
         name = pick(draw, st.just("mine"), st.sampled_from(["a\rb", "a\nb", "a,b", 'a"b']))
-        argv += ["--candidate", name + "=" + pick(draw, st.just("1,3,9"), LONG_BITS)]
+        bits = pick(draw, st.just("1,3,9"), st.one_of(LONG_BITS, SEQ_FILES, INPUT_PATHS))
+        argv += ["--candidate", Prefixed((name + "=", bits))]
     return argv
 
 
@@ -444,21 +465,25 @@ def strict_json(text: str) -> object:
     return json.loads(text, parse_constant=reject)
 
 
+def filled(arg, tmp: str, i: int) -> str:
+    """The argv text of a slot: a File's path, the missing path, the directory, or the text itself."""
+    if isinstance(arg, Prefixed):
+        return arg[0] + filled(arg[1], tmp, i)
+    if isinstance(arg, File):
+        path = Path(tmp) / f"arg{i}"
+        path.write_bytes(arg)
+        return str(path)
+    if arg == MISSING:
+        return str(Path(tmp) / "missing")
+    return tmp if arg == DIRECTORY else arg
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argvs(), fmt=FORMATS, format_flag=st.sampled_from(["--format", "--forma", "--form"]))
+@example(argv=["report", "--device", dead_bit(DEVICE_CSV.read_bytes(), 0)], fmt="json", format_flag="--format")
 def test_any_argv_gets_an_exit_code(argv, fmt, format_flag):
-    argv = list(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        for i, arg in enumerate(argv):
-            if isinstance(arg, File):
-                path = Path(tmp) / f"arg{i}"
-                path.write_bytes(arg)
-                argv[i] = str(path)
-            elif arg == MISSING:
-                argv[i] = str(Path(tmp) / "missing")
-            elif arg == DIRECTORY:
-                argv[i] = tmp
-        result = run(argv + [format_flag, fmt])
+        result = run([filled(arg, tmp, i) for i, arg in enumerate(argv)] + [format_flag, fmt])
     assert result.exit_code in (0, 1, 2, 3)
     if fmt == "json":
         doc = strict_json(result.text)

@@ -20,10 +20,11 @@ SCRIPTS = {
 
 
 def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a script, under -O when the suite itself runs under -O."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / script), *args],
+        [sys.executable, *["-O"] * sys.flags.optimize, str(REPO / "scripts" / script), *args],
         capture_output=True,
         env=env,
         timeout=120,

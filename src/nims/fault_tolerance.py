@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidInput, RangeError
+from .errors import InvalidInput, InvalidSequence, RangeError
 from .sequence import (
     DEFAULT_ORACLE_CAP,
     Sequence,
@@ -20,6 +20,7 @@ from .sequence import (
     _chain_capable,
     _Frozen,
     _integer,
+    _refusal,
     _unchecked_sequence,
     csv_rows,
     is_complete,
@@ -223,14 +224,21 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     certificate is void beyond the bit's tolerance, not that every larger
     defect is provably incomplete. The tolerances are seq's shared table,
     _tolerance_table. budget is read by sequence._integer.
+
+    A sequence that is not completeness capable has no certificate to
+    scan: it is refused with InvalidSequence, in sequence._refusal's
+    wording. So every safe_up_to is at least 0, and a SAFE placement the
+    oracle finds a gap in is a fault of the scan, raised as AssertionError.
     """
     budget = _integer("scan budget", budget)
     if budget < 0:
         raise InvalidInput("budget must be non-negative")
-    total = sum(seq.bits)
+    bits = seq.bits
+    if not _chain_capable(bits):
+        raise InvalidSequence(_refusal("sequence", bits))
+    total = sum(bits)
     if total > cap:
         raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
-    bits = seq.bits
 
     def without(index: int, count: int) -> tuple[int, ...]:
         return bits[:index] + (bits[index] - count,) + bits[index + 1 :]

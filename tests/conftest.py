@@ -280,6 +280,31 @@ def recursive_enumerate(a0: int, depth: int, max_bit: int, max_results: int) -> 
     return out
 
 
+def perbit_reach(bits, a0_offset: bool, cap: int) -> tuple[int | None, int, int]:
+    """Reference oracle kernel that adds the bits after the first gap one at a time.
+
+    The loop the library ran before it added a run of equal bits by
+    doubling: S |= (S | S << a) << a for every bit from the one that opens
+    the first gap. Returns _reach's (mask, total, radius), mask None while
+    the set stays one run.
+    """
+    total = sum(bits)
+    if total > cap:
+        raise errors.RangeError(f"sequence total {total} exceeds oracle cap {cap}")
+    radius = max(bits[0] - 1, 0) if a0_offset else 0
+    width = 2 * radius + 1
+    for n, a in enumerate(bits):
+        if a > width:
+            break
+        width += 2 * a
+    else:
+        return None, total, radius
+    reach = (1 << width) - 1
+    for a in bits[n:]:
+        reach |= (reach | (reach << a)) << a
+    return reach, total, radius
+
+
 def regex_runs(x: int) -> list[tuple[int, int]]:
     """Reference run extraction: a regex over the reversed binary digits."""
     return [(m.start(), m.end() - 1) for m in re.finditer("1+", format(x, "b")[::-1])]

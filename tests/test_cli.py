@@ -13,7 +13,7 @@ import pytest
 from nims import Sequence, cli, fault_tolerance, sequence, tolerance_report
 from nims.cli import main, run
 
-from .conftest import DEVICE_CSV, DIRECTORY, ERROR_TYPES, MISSING, NIMS1_BITS
+from .conftest import DEVICE_CSV, DIRECTORY, ERROR_TYPES, INCAPABLE_MESSAGES, MISSING, NIMS1_BITS
 
 NIMS1_ARG = ",".join(map(str, NIMS1_BITS))
 
@@ -149,6 +149,35 @@ class TestDefects:
         assert code == 0
         statuses = [e["status"] for e in doc["entries"]]
         assert statuses[:2] == ["UNSAFE", "UNSAFE"]
+
+    @pytest.mark.parametrize(
+        "bits,budget,violations",
+        [
+            ("1,0,3", "2", INCAPABLE_MESSAGES[(1, 0, 3)]),
+            (
+                "0,0,0",
+                "1",
+                "bit 0 must hold at least one junction, got 0; bit 1 must hold at least one junction, got 0; "
+                "bit 2 must hold at least one junction, got 0; bit 2 is 0, not above three times bit 0 (0); "
+                "bit 2 is 0, not above bit 1 (0)",
+            ),
+        ],
+        ids=["dead-middle-bit", "all-dead"],
+    )
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_a_scan_of_an_incapable_sequence_is_refused(self, bits, budget, violations, fmt):
+        # a scan certifies a chain; with none to certify it once raised, or reported safe_up_to -1
+        message = "sequence is not completeness capable: " + violations
+        res = run(["defects", "--seq", bits, "--scan-budget", budget, "--format", fmt])
+        assert res.exit_code == 1
+        expected = {
+            "table": f"error: {message}\n",
+            "csv": sequence.csv_rows([["error", "message"], ["InvalidSequence", message]]),
+            "json": json.dumps({"error": {"type": "InvalidSequence", "message": message, "exit_code": 1}}) + "\n",
+        }
+        assert res.text == expected[fmt]
+        if fmt == "json":
+            assert strict_json(res.text)["error"]["type"] == "InvalidSequence"
 
     def test_requires_a_mode(self):
         code, doc = run_json(["defects", "--seq", NIMS1_ARG])

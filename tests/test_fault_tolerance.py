@@ -6,13 +6,14 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nims
 from nims import (
     DefectMap,
     InvalidInput,
+    InvalidSequence,
     RangeError,
     Sequence,
     apply_defects,
@@ -27,7 +28,7 @@ from nims import (
 from nims.fault_tolerance import ScanEntry, _tolerance_table
 from nims.sequence import UPPER
 
-from .conftest import any_bits, capable_bits, fraction_proportion
+from .conftest import INCAPABLE_MESSAGES, any_bits, capable_bits, fraction_proportion, interval_dp_sums
 
 NIMS1_TOLERANCES = (0, 0, 1, 1, 1, 2, 4, 6, 303, 5333, 5333, 5333, 5333, None)
 NIMS2_TOLERANCES = (0, 0, 2, 4, 6, 6, 12, 378, 5866, 5866, 5866, 5866, 5866, None)
@@ -298,6 +299,29 @@ class TestWorstCaseScan:
         with pytest.raises(AssertionError, match="^bit 2 survived 1 missing junctions, above its tolerance$"):
             worst_case_scan(seq, 1)
 
+    def test_an_incapable_sequence_is_refused(self):
+        # a dead bit or an upper-chain jump leaves no chain certificate to scan
+        for bits, violations in INCAPABLE_MESSAGES.items():
+            for budget in (0, 1, 2, 100):
+                with pytest.raises(InvalidSequence) as caught:
+                    worst_case_scan(Sequence(bits), budget)
+                assert str(caught.value) == "sequence is not completeness capable: " + violations
+        with pytest.raises(InvalidSequence, match="^sequence is not completeness capable: bit 0 must hold"):
+            worst_case_scan(Sequence((0, 0, 0)), 1)
+
+    @given(any_bits(), st.integers(0, 50))
+    @example(Sequence((1, 0, 3)), 2)  # once an AssertionError from the oracle cross-check
+    @example(Sequence((0, 0, 0)), 1)  # once safe_up_to -1 on the last bit
+    @settings(max_examples=200, deadline=None)
+    def test_a_scan_runs_exactly_on_capable_sequences(self, seq, budget):
+        try:
+            scan = worst_case_scan(seq, budget)
+        except InvalidSequence:
+            assert not validate(seq).complete_capable
+            return
+        assert validate(seq).complete_capable
+        assert all(0 <= e.safe_up_to <= min(budget, e.nominal) for e in scan.entries)
+
     def test_rejects_negative_budget(self, nims1):
         with pytest.raises(InvalidInput):
             worst_case_scan(nims1, -1)
@@ -323,6 +347,27 @@ class TestOracleGaps:
         sums, gaps = oracle_gaps(defective)
         assert gaps == sums.gaps(-sums.span, sums.span)
         assert (not gaps) == is_complete(defective)
+
+    @pytest.mark.parametrize(
+        "missing,count",
+        [({0: 2}, 7164), ({2: 11}, 214), ({5: 23, 19: 3622}, 2)],
+        ids=["dense", "sparse", "two-gaps"],
+    )
+    def test_certify_maps_match_the_interval_reference(self, measured, missing, count):
+        # three defect maps of the certify benchmark: thousands of short gaps
+        # crossing bytes of the bitset, a few hundred, and one mirrored pair
+        defective, _ = apply_defects(measured, DefectMap(missing))
+        sums, gaps = oracle_gaps(defective)
+        assert len(gaps) == count
+        span = sums.span
+        expected, below = [], -span
+        for lo, hi in interval_dp_sums(defective.bits, max(defective.bits[0] - 1, 0)):
+            if lo > below and below <= span:
+                expected.append((below, min(lo - 1, span)))
+            below = max(below, hi + 1)
+        if below <= span:
+            expected.append((below, span))
+        assert list(gaps) == expected
 
     def test_a_within_tolerance_map_builds_no_mask(self, measured):
         # every bit below the last loses its whole tolerance, and the set stays one run

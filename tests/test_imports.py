@@ -126,3 +126,29 @@ def test_every_submodule_loads_only_the_standard_library():
     package = Path(nims.__file__).parent
     assert doc["submodules"] == sorted(f"nims.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__")
     assert doc["outside"] == []
+
+
+# Runs argv through cli.run in this fresh interpreter, then prints whether _runs's byte tables were built.
+TABLES = """
+import json, sys
+from nims import cli, sequence
+result = cli.run(json.loads(sys.argv[1]))
+print(json.dumps({"exit": result.exit_code, "built": sequence._byte_tables.cache_info().currsize}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,built",
+    [
+        (["validate", "--seq", "1,3,8"], 0),
+        (["defects", "--seq", "1,3,8", "--defects", "2:1"], 0),
+        (["oracle", "--seq", "1,3,8"], 0),
+        (["oracle", "--seq", "1,2,8"], 1),
+    ],
+    ids=["validate", "defects-one-run", "oracle-one-run", "oracle-gaps"],
+)
+def test_the_byte_tables_are_built_only_to_list_runs(argv, built):
+    # every nims process imports sequence, so the tables are built on first use, not at import
+    proc = _fresh("-c", TABLES, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"exit": 0, "built": built}

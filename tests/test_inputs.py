@@ -6,7 +6,10 @@ goes through one rule, and every file through one reader; the argv-grammar
 test drives cli.run with drawn flags, long inline values, huge totals and
 column counts, sequence, spec and defect files (empty and deeply nested ones
 too), missing and mistyped paths, directories, damaged and empty device
-files, device files with a dead bit, and long flags cut to prefixes.
+files, device files with a dead bit, worst-case scans with budgets at the
+integer edges over sequences with dead bits, and long flags cut to
+prefixes. A second test reads every subcommand's long flags off the parser
+and fails when the grammar never draws one.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from nims import (
     standard_column,
     worst_case_scan,
 )
-from nims.cli import run
+from nims.cli import build_parser, run
 
 from .conftest import DEVICE_CSV, DIRECTORY, ERROR_TYPES, MISSING
 
@@ -391,6 +394,29 @@ def enumerate_argv(draw) -> list:
     return argv + ["--limit", pick(draw, st.integers(-1, 1000).map(str), JUNK)]
 
 
+# Scan budgets at the integer edges: below zero, zero, past every bit, past 64 bits.
+BUDGETS = st.sampled_from(["-1", "0", "1", "2", "3", "100", "5760", str(2**63), "1000000000000000000000"])
+# Short sequences as any_bits draws them: dead bits, a_0 >= 2, jumps past 3*a_{n-1}.
+ANY_BITS = st.lists(st.one_of(st.just(0), st.integers(1, 5), st.integers(1, 40)), min_size=1, max_size=6).map(
+    lambda bits: ",".join(map(str, bits))
+)
+
+
+def defects_argv(draw) -> list:
+    """A defect map applied, or a worst-case scan; either with a cap drawn from below zero to past the total."""
+    if draw(st.booleans()):
+        seq = pick(draw, st.one_of(st.sampled_from(["1,3,8", "2,6,18", "1,3,9,27"]), ANY_BITS), SEQS)
+        argv = ["defects", "--seq", seq, "--scan-budget", pick(draw, BUDGETS, VALUES)]
+    else:
+        inline = st.sampled_from(["2:1", "1:1,2:1", "2:9"])
+        defects = pick(draw, st.one_of(defect_files(), inline), st.one_of(VALUES, LONG_DEFECTS, INPUT_PATHS))
+        seq = pick(draw, st.just("1,3,8"), st.one_of(LONG_BITS, SEQ_FILES))
+        argv = ["defects", "--seq", seq, "--defects", defects]
+    if draw(st.booleans()):
+        argv += ["--cap", pick(draw, st.integers(-2, 40).map(str), VALUES)]
+    return argv
+
+
 # Plan values at the edges: NaN, infinite, zero, negative and past float range.
 EDGES = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "-18e9", "1e400", "-1e400"])
 FREQUENCIES = st.sampled_from(["1e9", "10e9", "18e9", "25e9"])
@@ -444,9 +470,7 @@ def command_argv(draw) -> list:
     if command in ("validate", "tolerance"):
         return [command, "--seq", draw(SEQS)]
     if command == "defects":
-        inline = st.sampled_from(["2:1", "1:1,2:1", "2:9"])
-        defects = pick(draw, st.one_of(defect_files(), inline), st.one_of(VALUES, LONG_DEFECTS, INPUT_PATHS))
-        return ["defects", "--seq", pick(draw, st.just("1,3,8"), st.one_of(LONG_BITS, SEQ_FILES)), "--defects", defects]
+        return defects_argv(draw)
     argv = [command, "--device", draw(device_files())]
     if command == "report" and draw(st.booleans()):
         argv += ["--min-margin", pick(draw, st.sampled_from(["0", "1.0", "2.0"]), VALUES)]
@@ -456,6 +480,28 @@ def command_argv(draw) -> list:
 
 
 ERROR_NAMES = {klass.__name__ for klass in ERROR_TYPES}
+
+
+def test_the_grammar_emits_every_long_flag_of_the_parser():
+    # read off build_parser, so a flag added to a subcommand fails here until the grammar draws it;
+    # --format is left out, since the argv test appends it to every drawn command line
+    parser = build_parser()
+    wanted = {
+        (command, flag)
+        for command, sub in parser.commands.items()
+        for flag in sub._option_string_actions
+        if flag.startswith("--") and flag not in ("--help", "--format")
+    }
+    seen: set[tuple[str, str]] = set()
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(argv=st.composite(command_argv)())
+    def record(argv):
+        seen.update((argv[0], arg.partition("=")[0]) for arg in argv if isinstance(arg, str) and arg.startswith("--"))
+
+    record()
+    assert {command for command, _ in seen} == set(parser.commands)
+    assert sorted(wanted - seen) == []
 
 
 def strict_json(text: str) -> object:
@@ -481,6 +527,7 @@ def filled(arg, tmp: str, i: int) -> str:
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argvs(), fmt=FORMATS, format_flag=st.sampled_from(["--format", "--forma", "--form"]))
 @example(argv=["report", "--device", dead_bit(DEVICE_CSV.read_bytes(), 0)], fmt="json", format_flag="--format")
+@example(argv=["defects", "--seq", "1,0,3", "--scan-budget", "2"], fmt="json", format_flag="--format")
 def test_any_argv_gets_an_exit_code(argv, fmt, format_flag):
     with tempfile.TemporaryDirectory() as tmp:
         result = run([filled(arg, tmp, i) for i, arg in enumerate(argv)] + [format_flag, fmt])

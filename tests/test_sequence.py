@@ -42,6 +42,7 @@ from .conftest import (
     full_width_sums,
     growing_width_sums,
     interval_dp_sums,
+    perbit_reach,
     perturbed_capable_bits,
     recursive_enumerate,
     regex_runs,
@@ -364,7 +365,7 @@ class TestReachableSums:
             "_chain_capable", "_lower_chain", "_strict_valid", "validate", "_tolerances", "_tolerance_table",
             "_violations", "_refusal",
         }
-        for oracle in (_reach, reachable_sums, is_complete, oracle_gaps, _window_gaps, SumSet):
+        for oracle in (_reach, _runs, reachable_sums, is_complete, oracle_gaps, _window_gaps, SumSet):
             nodes = list(ast.walk(ast.parse(inspect.getsource(oracle))))
             names = {node.id for node in nodes if isinstance(node, ast.Name)}
             names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
@@ -463,6 +464,15 @@ def _from_run_lengths(lengths: list[int]) -> int:
     return x
 
 
+# Bytes that _runs decodes from its tables: empty, full, a run through bit 7
+# or from bit 0, and several runs inside one byte.
+EDGE_BYTES = st.sampled_from([0x00, 0xFF, 0x80, 0x01, 0xC0, 0x03, 0x81, 0x55, 0xAA, 0x5A, 0x7E, 0xE7])
+
+
+def _from_bytes(chunks: list[bytes]) -> int:
+    return int.from_bytes(b"".join(chunks), "little")
+
+
 class TestRuns:
     @given(
         st.one_of(
@@ -470,6 +480,20 @@ class TestRuns:
             st.integers(0, 300).map(lambda n: (1 << n) - 1),
             st.integers(0, 300).map(lambda n: 1 << n),
             st.lists(st.integers(1, 400), max_size=12).map(_from_run_lengths),
+            # runs that end on bit 7 of a byte and start on bit 0 of the next
+            st.lists(st.tuples(st.integers(0, 40), st.integers(1, 40)), max_size=8).map(
+                lambda pairs: _from_run_lengths([8 * n for pair in pairs for n in pair])
+            ),
+            # stretches of full and empty bytes between edge bytes, and a partial top byte
+            st.lists(
+                st.one_of(
+                    EDGE_BYTES.map(lambda b: bytes([b])),
+                    st.integers(1, 30).map(lambda n: b"\xff" * n),
+                    st.integers(1, 30).map(lambda n: b"\x00" * n),
+                    st.integers(0, 255).map(lambda b: bytes([b])),
+                ),
+                max_size=12,
+            ).map(_from_bytes),
         )
     )
     @example(0)
@@ -477,9 +501,48 @@ class TestRuns:
     @example(2**64 - 1)
     @example(2**64)
     @example(0b1010)
+    @example(0x0180)  # a run across the byte boundary, bits 7 and 8
+    @example(0xFF00FF)  # full bytes around an empty one
+    @example(0x7FFF)  # a run through full bytes up to a partial top byte
+    @example(0x55AA)  # four runs inside each byte
+    @example(0xFF_FF_FF_E7)  # a byte of two runs, its top one carried through three full bytes
     @settings(max_examples=300)
     def test_matches_regex(self, x):
         assert _runs(x) == regex_runs(x)
+
+    def test_every_byte_decodes_alone_and_between_full_bytes(self):
+        # each of the 256 table entries, and each as the byte a carried run ends in
+        for b in range(256):
+            for x in (b, b << 8, b << 8 | 0xFF, 0xFF << 16 | b << 8 | 0xFF):
+                assert _runs(x) == regex_runs(x)
+
+
+@st.composite
+def repeated_bits(draw) -> tuple[int, ...]:
+    """Bits drawn with some repeated 2-8 times in a row, dead bits among them."""
+    bits: list[int] = []
+    for _ in range(draw(st.integers(1, 5))):
+        bit = draw(st.one_of(st.just(0), st.integers(1, 5), st.integers(1, 60)))
+        bits += [bit] * draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8]))
+    return tuple(bits)
+
+
+class TestReach:
+    @given(repeated_bits(), st.booleans())
+    @example((1, 5, 5, 5, 5, 5, 5, 5), False)  # a gap at bit 1, then seven equal bits
+    @example((2, 6, 18, 54, 162, 480, 1434, 4296, 5006) + (5760,) * 14, True)  # the designed layout
+    @example((0, 6, 18, 54, 162, 480, 1434, 3574, 5759) + (5760,) * 5 + (5759,) + (5760,) * 7 + (5730,), True)
+    @example((3, 0, 0, 0, 20, 20), True)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_bit_loop(self, bits, a0_offset):
+        assert _reach(bits, a0_offset, DEFAULT_ORACLE_CAP) == perbit_reach(bits, a0_offset, DEFAULT_ORACLE_CAP)
+        if sum(bits) > 40 or len(bits) > 9:
+            return
+        # small totals: the set is every digit sum, widened by the residual radius
+        sums = reachable_sums(Sequence(bits), a0_offset=a0_offset)
+        radius = sums.beta_radius
+        brute = {s + r for s in brute_sums(bits) for r in range(-radius, radius + 1)}
+        assert {v for v in range(-sums.span - radius, sums.span + radius + 1) if v in sums} == brute
 
 
 class TestIsComplete:

@@ -288,7 +288,7 @@ def _window_gaps(sums: SumSet) -> tuple[tuple[int, int], ...]:
     if sums._one_run:
         return ()
     upper = sums.gaps(1, sums.span)
-    return tuple((-hi, -lo) for lo, hi in reversed(upper)) + upper
+    return (*[(-hi, -lo) for lo, hi in reversed(upper)], *upper)
 
 
 def oracle_gaps(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> tuple[SumSet, tuple[tuple[int, int], ...]]:

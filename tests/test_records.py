@@ -24,6 +24,7 @@ from nims import (
     ToleranceRule,
     compare_logics,
     design,
+    enumerate_nims,
     margin_report,
     plan,
     prefix_sums,
@@ -364,21 +365,24 @@ def test_cached_intervals_survive_pickling():
 
 
 def test_a_built_descent_table_stays_out_of_the_value():
-    # the descent table and the tolerance table, both kept in private slots;
-    # design leaves the tolerance table of its post-check on the sequence it returns
+    # the descent table, the tolerance table and the strict report, all kept in
+    # private slots; design leaves the tolerance table of its post-check on the
+    # sequence it returns, and enumerate_nims the strict report on each it lists
     checked = Sequence((1, 3, 8))
     represent(5, checked)
     within_tolerance(checked, DefectMap({}))
     designed = design(SPEC).sequence
-    for built, slots in ((checked, ("_descent", "_tolerances")), (designed, ("_tolerances",))):
+    listed = enumerate_nims(1, 3, 8)[-1]
+    for built, slots in ((checked, ("_descent", "_tolerances")), (designed, ("_tolerances",)), (listed, ())):
         fresh = Sequence(built.bits)
         for slot in slots:
             assert hasattr(built, slot) and not hasattr(fresh, slot)
+        assert (built._report is None) == (built is not listed) and fresh._report is None
         assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
         copies = [pickle.loads(pickle.dumps(built, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for other in copies + [copy.copy(built), copy.deepcopy(built)]:
             assert type(other) is Sequence and other == built and hash(other) == hash(built)
-            assert not hasattr(other, "_descent") and not hasattr(other, "_tolerances")
+            assert not hasattr(other, "_descent") and not hasattr(other, "_tolerances") and other._report is None
 
 
 # the records bench/tests rebuild with dataclasses.replace

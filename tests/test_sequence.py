@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import csv
 import inspect
 import io
@@ -181,6 +182,13 @@ class TestValidate:
         assert report.complete_capable and calls == []
         assert not report.strict_valid and calls == [measured.bits]
         assert report.violations and not report.strict_valid and calls == [measured.bits]
+
+    def test_an_ordinary_sequence_gets_a_fresh_report_on_every_call(self, measured):
+        # the premise of the test above: validate stores nothing on a sequence it did not list
+        for seq in (measured, Sequence((1, 3, 8)), Sequence((1, 0, 2))):
+            first, second = validate(seq), validate(seq)
+            assert first is not second and first == second
+            assert seq._report is None
 
     def test_to_doc_round_trip(self):
         doc = validate(Sequence((1, 2, 7))).to_doc()
@@ -363,7 +371,7 @@ class TestReachableSums:
         # one-run shortcut looks like a chain test
         banned = {
             "_chain_capable", "_lower_chain", "_strict_valid", "validate", "_tolerances", "_tolerance_table",
-            "_violations", "_refusal",
+            "_violations", "_refusal", "_report", "_STRICT_REPORT",
         }
         for oracle in (_reach, _runs, reachable_sums, is_complete, oracle_gaps, _window_gaps, SumSet):
             nodes = list(ast.walk(ast.parse(inspect.getsource(oracle))))
@@ -509,12 +517,16 @@ class TestRuns:
     @settings(max_examples=300)
     def test_matches_regex(self, x):
         assert _runs(x) == regex_runs(x)
+        # a shift moves both ends of every run, the run carried to the top byte too
+        shift = -x.bit_length() - 5
+        assert _runs(x, shift) == [(lo + shift, hi + shift) for lo, hi in regex_runs(x)]
 
     def test_every_byte_decodes_alone_and_between_full_bytes(self):
         # each of the 256 table entries, and each as the byte a carried run ends in
         for b in range(256):
             for x in (b, b << 8, b << 8 | 0xFF, 0xFF << 16 | b << 8 | 0xFF):
                 assert _runs(x) == regex_runs(x)
+                assert _runs(x, b - 7) == [(lo + b - 7, hi + b - 7) for lo, hi in regex_runs(x)]
 
 
 @st.composite
@@ -653,6 +665,53 @@ class TestEnumerate:
 
         pruned = outcome(lambda: [s.bits for s in enumerate_nims(a0, depth, max_bit, max_results=max_results)])
         assert pruned == outcome(lambda: recursive_enumerate(a0, depth, max_bit, max_results))
+
+    @given(st.integers(1, 3), st.integers(1, 7), st.integers(1, 60), st.integers(0, 400))
+    @settings(max_examples=200, deadline=None)
+    def test_results_carry_the_report_validate_would_give(self, a0, depth, max_bit, max_results):
+        try:
+            found = enumerate_nims(a0, depth, max_bit, max_results=max_results)
+        except RangeError:
+            return
+        for s in found:
+            # fresh: the lazy report of a sequence enumerate_nims did not list
+            report, fresh, eager = validate(s), validate(Sequence(s.bits)), eager_validate(s)
+            assert report is validate(s) and report == fresh and hash(report) == hash(fresh) == hash(eager)
+            assert (report.strict_valid, report.complete_capable, report.violations) == (True, True, ())
+            assert repr(report) == repr(eager) and report.to_doc() == eager.to_doc()
+            assert pickle.loads(pickle.dumps(report)) == fresh
+            # a copy is rebuilt by the constructor: it starts with no stored report
+            for other in (copy.copy(s), pickle.loads(pickle.dumps(s))):
+                assert other == s and other._report is None
+                assert validate(other) == report and validate(other) is not validate(other)
+
+    @pytest.mark.parametrize(
+        "args,max_results,listed",
+        [
+            ((2, 1, 5), 1, [(2,)]),
+            ((2, 1, 5), 0, None),
+            ((6, 1, 5), 0, []),  # a0 above max_bit lists nothing, whatever the cap
+            ((1, 2, 3), 2, [(1, 2), (1, 3)]),
+            ((1, 2, 3), 1, None),
+            ((1, 2, 1), 0, []),  # the second bit has no room under max_bit
+            # the last bit's slices are 4..6 after (1, 2) and 4..9 after (1, 3)
+            ((1, 3, 9), 3, None),
+            ((1, 3, 9), 9, [(1, 2, 4), (1, 2, 5), (1, 2, 6), *((1, 3, b) for b in range(4, 10))]),
+            ((1, 3, 9), 8, None),
+        ],
+    )
+    def test_the_cap_at_the_edges_of_a_slice(self, args, max_results, listed):
+        # listed None: the enumeration is one past the cap
+        assert listed is None or recursive_enumerate(*args, max_results) == listed
+        if listed is None:
+            with pytest.raises(RangeError, match=f"^enumeration exceeds {max_results} sequences$"):
+                enumerate_nims(*args, max_results=max_results)
+            with pytest.raises(RangeError):
+                recursive_enumerate(*args, max_results)
+        else:
+            found = enumerate_nims(*args, max_results=max_results)
+            assert [s.bits for s in found] == listed
+            assert all(validate(s) == validate(Sequence(s.bits)) for s in found)
 
     def test_negative_result_cap_is_bad_input(self):
         with pytest.raises(InvalidInput, match="max_results must not be negative"):

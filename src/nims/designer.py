@@ -23,6 +23,7 @@ from .sequence import (
     _Frozen,
     _integer,
     _refusal,
+    _unchecked_sequence,
     csv_rows,
     read_json,
 )
@@ -95,7 +96,9 @@ class DesignSpec(_Frozen):
     """What design lays out: first bit, bank size, junction total, tolerance rules, ratio cap.
 
     The three sizes are converted by sequence._integer and max_ratio by
-    Fraction, then range-checked: a class that checks its input when built.
+    Fraction (a Fraction is kept as it is), then range-checked, and
+    min_tolerance must be an iterable of ToleranceRules: a class that
+    checks its input when built.
     """
 
     __slots__ = ("a0", "msb_size", "target_total", "min_tolerance", "max_ratio")
@@ -120,7 +123,7 @@ class DesignSpec(_Frozen):
         if isinstance(max_ratio, str) and _decimal_exponent(max_ratio):
             raise InvalidInput("max_ratio must lie in (1, 3]")  # before Fraction builds 10**exponent
         try:
-            ratio = Fraction(max_ratio)
+            ratio = max_ratio if type(max_ratio) is Fraction else Fraction(max_ratio)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise InvalidInput(f"bad max ratio {max_ratio!r}: {exc}") from exc
         if not 1 <= a0 <= 3:
@@ -131,7 +134,14 @@ class DesignSpec(_Frozen):
             raise InvalidInput("target_total must be at least msb_size")
         if not 1 < ratio <= 3:
             raise InvalidInput("max_ratio must lie in (1, 3]")
-        for name, value in zip(self._fields, (a0, msb_size, target_total, tuple(min_tolerance), ratio)):
+        try:
+            rules = tuple(min_tolerance)
+        except TypeError as exc:
+            raise InvalidInput(f"min_tolerance must be an iterable of ToleranceRule, got {min_tolerance!r}") from exc
+        for rule in rules:
+            if not isinstance(rule, ToleranceRule):
+                raise InvalidInput(f"min_tolerance holds {rule!r}, not a ToleranceRule")
+        for name, value in zip(self._fields, (a0, msb_size, target_total, rules, ratio)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -156,7 +166,16 @@ class DesignSpec(_Frozen):
         return cls.from_doc(read_json(path))
 
     def required_tolerance(self, size: int) -> int:
-        return max((r.tolerance for r in self.min_tolerance if size >= r.at_least), default=0)
+        """The largest tolerance a rule asks of a bit of `size` junctions, 0 when none applies.
+
+        A plain loop over the rules, which the constructor has checked are
+        all ToleranceRules.
+        """
+        need = 0
+        for rule in self.min_tolerance:
+            if size >= rule.at_least and rule.tolerance > need:
+                need = rule.tolerance
+        return need
 
 
 class DesignResult(_Frozen):
@@ -312,14 +331,23 @@ def compare_logics(
     pair, its denominator kept at the lcm of the bits, so each reported
     Fraction is built once. The tolerances are the candidate's shared
     table, fault_tolerance._tolerance_table. lsb_count and msb_size are
-    read and checked by _comparison_sizes.
+    read and checked by _comparison_sizes, and each candidate must be a
+    (name, Sequence) pair with a str name, else InvalidInput.
     """
     lsb_count, msb_size = _comparison_sizes(lsb_count, msb_size)
+    try:
+        candidates = list(candidates)
+    except TypeError as exc:
+        raise InvalidInput(f"candidates must be an iterable of (name, Sequence) pairs, got {candidates!r}") from exc
     if not candidates:
         raise InvalidInput("need at least one candidate")
     columns: list[CandidateColumn] = []
-    for name, seq in candidates:
-        bits = seq.bits
+    for candidate in candidates:
+        match candidate:
+            case (str() as name, Sequence() as seq):
+                bits = seq.bits
+            case _:
+                raise InvalidInput(f"candidate {candidate!r} is not a (name, Sequence) pair")
         if not _chain_capable(bits):
             raise InvalidInput(f"candidate {name!r} is not completeness capable")
         # a capable chain has no ratio above 3 and no zero bit, so 3/1 is a
@@ -352,7 +380,9 @@ def standard_column(kind: str, msb_size: int, length: int) -> Sequence:
     """Reference layout: geometric growth below the bank size, then banks; the one standard builder.
 
     msb_size and length are read by sequence._integer, and both must be
-    positive.
+    positive. The bits are plain positive ints formed here, so the result
+    is built by sequence._unchecked_sequence, without the constructor's
+    checks; the banks are added in one list step.
     """
     if kind not in STANDARD_RATIOS:
         raise InvalidInput(f"unknown standard kind {kind!r}")
@@ -365,6 +395,5 @@ def standard_column(kind: str, msb_size: int, length: int) -> Sequence:
     bits = [1]
     while bits[-1] * ratio < msb_size and len(bits) < length:
         bits.append(bits[-1] * ratio)
-    while len(bits) < length:
-        bits.append(msb_size)
-    return Sequence(tuple(bits))
+    bits += [msb_size] * (length - len(bits))
+    return _unchecked_sequence(tuple(bits))

@@ -83,7 +83,7 @@ def _tolerance_table(seq: Sequence) -> tuple[int | None, ...]:
         return seq._tolerances
     except AttributeError:  # an unset slot: not built yet
         bits = seq.bits
-        table = (*[max(0, a - (b + 2) // 3) for a, b in zip(bits, bits[1:])], None)
+        table = (*[t if (t := a - (b + 2) // 3) > 0 else 0 for a, b in zip(bits, bits[1:])], None)
         object.__setattr__(seq, "_tolerances", table)
         return table
 
@@ -92,19 +92,33 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
     """Tolerance and fault proportion for every bit.
 
     The proportion is the exact fraction of bit n that may fail,
-    1 - a_{n+1}/(3*a_n), clamped into [0, 1). The last bit is reported
+    1 - a_{n+1}/(3*a_n), clamped at 0 below (and 0 for a dead bit n);
+    it is 1 only when bit n + 1 is dead. The last bit is reported
     with no tolerance bound: removing its junctions only reduces range,
     never completeness of what remains. The tolerances are seq's shared
     table, _tolerance_table.
+
+    Each distinct proportion is built once per call: a pair (a, b) with
+    3a > b gets (3a - b)/(3a), and every clamped pair (b >= 3a, a dead bit
+    included) shares one Fraction(0). So the equal banks of a designed
+    layout, whose pairs (a, a) all give 2/3, hold one Fraction between them.
+    Each entry is built by tuple.__new__ from its five fields, without the
+    NamedTuple's own Python-level __new__.
     """
     from fractions import Fraction
 
     bits = seq.bits
-    entries = [
-        BitTolerance(n, a, t, Fraction(max(0, 3 * a - b), 3 * a) if a else Fraction(0), False)
-        for n, (a, b, t) in enumerate(zip(bits, bits[1:], _tolerance_table(seq)))
-    ]
-    entries.append(BitTolerance(seq.last_index, bits[-1], None, None, True))
+    new = tuple.__new__
+    shared: dict[object, Fraction] = {}  # by (a, b), or 0 for a clamped pair
+    entries = []
+    for n, (a, b, t) in enumerate(zip(bits, bits[1:], _tolerance_table(seq))):
+        gap = 3 * a - b
+        key = (a, b) if gap > 0 else 0
+        proportion = shared.get(key)
+        if proportion is None:
+            proportion = shared[key] = Fraction(gap, 3 * a) if gap > 0 else Fraction(0)
+        entries.append(new(BitTolerance, (n, a, t, proportion, False)))
+    entries.append(new(BitTolerance, (seq.last_index, bits[-1], None, None, True)))
     return ToleranceReport(tuple(entries))
 
 

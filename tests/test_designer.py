@@ -125,6 +125,33 @@ class TestDesignSpec:
         assert spec.required_tolerance(10) == 1
         assert spec.required_tolerance(100) == 5
 
+    @given(
+        rules=st.lists(st.tuples(st.integers(1, 200), st.integers(0, 10)), max_size=4),
+        sizes=st.lists(st.integers(0, 250), min_size=1, max_size=10),
+    )
+    @settings(max_examples=200)
+    def test_required_tolerance_matches_the_max_over_the_rules(self, rules, sizes):
+        spec = DesignSpec(a0=1, msb_size=3, target_total=3, min_tolerance=[ToleranceRule(*r) for r in rules])
+        for size in sizes:
+            expected = max((r.tolerance for r in spec.min_tolerance if size >= r.at_least), default=0)
+            assert spec.required_tolerance(size) == expected
+
+    def test_a_fraction_max_ratio_is_kept_as_it_is(self):
+        ratio = Fraction(5, 2)
+        assert DesignSpec(a0=1, msb_size=9, target_total=9, max_ratio=ratio).max_ratio is ratio
+
+        class Ratio(Fraction):
+            pass
+
+        for given_ratio in (Ratio(5, 2), "5/2", 2.5):
+            kept = DesignSpec(a0=1, msb_size=9, target_total=9, max_ratio=given_ratio).max_ratio
+            assert type(kept) is Fraction and kept == ratio
+
+    def test_the_rules_are_a_tuple_of_tolerance_rules(self):
+        rules = [ToleranceRule(10, 1), ToleranceRule(100, 5)]
+        spec = DesignSpec(a0=1, msb_size=9, target_total=9, min_tolerance=iter(rules))
+        assert spec.min_tolerance == tuple(rules)
+
 
 class TestToleranceRule:
     def test_from_text(self):
@@ -241,6 +268,7 @@ class TestDesign:
         object.__setattr__(planted, "_tolerances", table)
         monkeypatch.setattr(nims.designer, "Sequence", lambda _: planted)
         seq = design(spec).sequence
+        monkeypatch.undo()  # compare_logics checks its candidates against the Sequence class itself
         report = tolerance_report(seq)
         column = compare_logics(len(seq), 5760, [("designed", seq)]).candidates[0]
         assert seq is planted and seq._tolerances is table and column.tolerances is table
@@ -432,6 +460,21 @@ class TestCompare:
     def test_standard_column_rejects_unknown(self):
         with pytest.raises(InvalidInput):
             standard_column("octal", 8000, 14)
+
+    @given(
+        kind=st.sampled_from(sorted(nims.designer.STANDARD_RATIOS)),
+        msb=st.one_of(st.integers(1, 10**6), st.integers(1, 10**6).map(str)),
+        length=st.integers(1, 60),
+    )
+    @settings(max_examples=200)
+    def test_standard_column_equals_the_checked_constructor(self, kind, msb, length):
+        # bit n is ratio**n while that stays below the bank size, and the bank size after
+        ratio, size = nims.designer.STANDARD_RATIOS[kind], int(msb)
+        expected = tuple(ratio**n if n == 0 or ratio**n < size else size for n in range(length))
+        column = standard_column(kind, msb, length)
+        assert column == Sequence(expected) and column.bits == expected
+        assert all(type(b) is int for b in column.bits)
+        assert column._report is None
 
 
 class TestLayoutLimit:

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 import nims
 from nims import (
     DefectMap,
+    DesignSpec,
     InvalidInput,
     InvalidSequence,
     RangeError,
     Sequence,
+    ToleranceRule,
     apply_defects,
     compare_logics,
+    design,
     is_complete,
     oracle_gaps,
     tolerance_report,
@@ -29,6 +32,15 @@ from nims.fault_tolerance import ScanEntry, _tolerance_table
 from nims.sequence import UPPER
 
 from .conftest import INCAPABLE_MESSAGES, any_bits, capable_bits, fraction_proportion, interval_dp_sums
+
+
+@st.composite
+def runs_of_bits(draw):
+    """Bits in runs of equal values from a small pool: equal banks, dead bits and pairs with b >= 3a recur."""
+    pool = draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
+    pool += [0] + [3 * v + draw(st.integers(0, 4)) for v in pool]
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 5)), min_size=1, max_size=6))
+    return Sequence(tuple(v for v, k in runs for _ in range(k)))
 
 NIMS1_TOLERANCES = (0, 0, 1, 1, 1, 2, 4, 6, 303, 5333, 5333, 5333, 5333, None)
 NIMS2_TOLERANCES = (0, 0, 2, 4, 6, 6, 12, 378, 5866, 5866, 5866, 5866, 5866, None)
@@ -75,6 +87,35 @@ class TestToleranceReport:
             assert tolerances[n] == max(0, a - math.ceil(Fraction(b, 3)))
             assert entries[n].proportion == fraction_proportion(a, b)
             assert not entries[n].last_bit
+
+    @given(runs_of_bits())
+    @settings(max_examples=300)
+    def test_repeated_pairs_match_the_fraction_formula(self, seq):
+        bits = seq.bits
+        entries = tolerance_report(seq).entries
+        shared = {}
+        for n, (a, b) in enumerate(zip(bits, bits[1:])):
+            proportion = entries[n].proportion
+            assert type(proportion) is Fraction and proportion == fraction_proportion(a, b)
+            # equal pairs within one report hold one Fraction
+            assert shared.setdefault((a, b), proportion) is proportion
+
+    def test_one_fraction_per_distinct_proportion(self, monkeypatch):
+        spec = DesignSpec(a0=2, msb_size=5760, target_total=92098, min_tolerance=(ToleranceRule(100, 2),))
+        seq = design(spec).sequence
+        built, new = [], Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        # every Fraction built while the report runs, however the class is reached
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        proportions = [e.proportion for e in tolerance_report(seq).entries[:-1]]
+        monkeypatch.undo()
+        # 0 for the four clamped chain pairs, 1/81, 1/240, 1/717, two at the trimmed bank, 2/3 for 13 bank pairs
+        assert len(proportions) == 22 and len(set(proportions)) == 7
+        assert len(built) == len({id(p) for p in proportions}) == 7
 
     def test_proportion_clamped_at_zero(self):
         entries = tolerance_report(Sequence((1, 3, 9))).entries

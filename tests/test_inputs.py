@@ -9,7 +9,9 @@ too), missing and mistyped paths, directories, damaged and empty device
 files, device files with a dead bit, worst-case scans with budgets at the
 integer edges over sequences with dead bits, and long flags cut to
 prefixes. A second test reads every subcommand's long flags off the parser
-and fails when the grammar never draws one.
+and fails when the grammar never draws one. Library arguments of the wrong
+shape, a tolerance rule that is not a ToleranceRule or a compared candidate
+that is not a (name, Sequence) pair, are refused as InvalidInput too.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from nims import (
     Sequence,
     ToleranceRule,
     compare_logics,
+    design,
     load_device,
     represent,
     sequence_from_file,
@@ -176,6 +179,55 @@ def test_the_rule_keeps_the_value(value):
     assert standard_column("ternary", value, "3") == standard_column("ternary", int(value), 3)
     columns = [("powers", POWERS_OF_3)]
     assert compare_logics("3", value, columns) == compare_logics(3, int(value), columns)
+
+
+# --- arguments of the wrong shape --------------------------------------------
+
+SEQ = Sequence((1, 3, 8))
+
+MALFORMED = {
+    "a tuple for a rule": (
+        lambda: design(DesignSpec(1, 10, 100, min_tolerance=[(5, 1)])),
+        "min_tolerance holds (5, 1), not a ToleranceRule",
+    ),
+    "rule text": (
+        lambda: DesignSpec(1, 10, 100, min_tolerance="5:1"),
+        "min_tolerance holds '5', not a ToleranceRule",
+    ),
+    "an int for the rules": (
+        lambda: DesignSpec(1, 10, 100, min_tolerance=5),
+        "min_tolerance must be an iterable of ToleranceRule, got 5",
+    ),
+    "a tuple for a sequence": (
+        lambda: compare_logics(3, 10, [("x", (1, 3, 8))]),
+        "candidate ('x', (1, 3, 8)) is not a (name, Sequence) pair",
+    ),
+    "a bare sequence": (
+        lambda: compare_logics(3, 10, [SEQ]),
+        "candidate Sequence(bits=(1, 3, 8)) is not a (name, Sequence) pair",
+    ),
+    "a triple": (
+        lambda: compare_logics(3, 10, [("x", SEQ, "y")]),
+        "candidate ('x', Sequence(bits=(1, 3, 8)), 'y') is not a (name, Sequence) pair",
+    ),
+    "a name that is not text": (
+        lambda: compare_logics(3, 10, [(1, SEQ)]),
+        "candidate (1, Sequence(bits=(1, 3, 8))) is not a (name, Sequence) pair",
+    ),
+    "an int for the candidates": (
+        lambda: compare_logics(3, 10, 5),
+        "candidates must be an iterable of (name, Sequence) pairs, got 5",
+    ),
+    "an empty iterator of candidates": (lambda: compare_logics(3, 10, iter([])), "need at least one candidate"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_argument_is_invalid_input(case):
+    build, message = MALFORMED[case]
+    with pytest.raises(InvalidInput) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 # --- the file reader --------------------------------------------------------

@@ -210,7 +210,10 @@ def design(spec: DesignSpec) -> DesignResult:
     built: an incapable one is refused in sequence._refusal's wording, and
     each distinct bit size's required tolerance is asked once, against the
     one tolerance table, _tolerance_table, which stays on the new Sequence.
+    spec must be a DesignSpec, else InvalidInput.
     """
+    if not isinstance(spec, DesignSpec):
+        raise InvalidInput(f"spec must be a DesignSpec, got {spec!r}")
 
     def largest_successor(size: int) -> int:  # the largest next bit leaving size its required tolerance
         return 3 * (size - spec.required_tolerance(size))
@@ -379,11 +382,14 @@ def compare_logics(
 def standard_column(kind: str, msb_size: int, length: int) -> Sequence:
     """Reference layout: geometric growth below the bank size, then banks; the one standard builder.
 
-    msb_size and length are read by sequence._integer, and both must be
-    positive. The bits are plain positive ints formed here, so the result
-    is built by sequence._unchecked_sequence, without the constructor's
-    checks; the banks are added in one list step.
+    kind must be a str naming one of STANDARD_RATIOS; msb_size and length
+    are read by sequence._integer, and both must be positive. The bits are
+    plain positive ints formed here, so the result is built by
+    sequence._unchecked_sequence, without the constructor's checks; the
+    banks are added in one list step.
     """
+    if not isinstance(kind, str):
+        raise InvalidInput(f"kind must be a str, got {kind!r}")
     if kind not in STANDARD_RATIOS:
         raise InvalidInput(f"unknown standard kind {kind!r}")
     msb_size = _integer("msb_size", msb_size)

@@ -96,7 +96,7 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
     it is 1 only when bit n + 1 is dead. The last bit is reported
     with no tolerance bound: removing its junctions only reduces range,
     never completeness of what remains. The tolerances are seq's shared
-    table, _tolerance_table.
+    table, _tolerance_table. seq must be a Sequence, else InvalidInput.
 
     Each distinct proportion is built once per call: a pair (a, b) with
     3a > b gets (3a - b)/(3a), and every clamped pair (b >= 3a, a dead bit
@@ -107,6 +107,8 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
     """
     from fractions import Fraction
 
+    if not isinstance(seq, Sequence):
+        raise InvalidInput(f"seq must be a Sequence, got {seq!r}")
     bits = seq.bits
     new = tuple.__new__
     shared: dict[object, Fraction] = {}  # by (a, b), or 0 for a clamped pair
@@ -162,12 +164,22 @@ class DefectMap(_Frozen):
         return {"defects": {str(k): v for k, v in self._missing.items()}}
 
 
+def _sequence_and_defects(seq: Sequence, defects: DefectMap) -> None:
+    """Refuse with InvalidInput a seq that is not a Sequence or defects that are not a DefectMap."""
+    if not isinstance(seq, Sequence):
+        raise InvalidInput(f"seq must be a Sequence, got {seq!r}")
+    if not isinstance(defects, DefectMap):
+        raise InvalidInput(f"defects must be a DefectMap, got {defects!r}")
+
+
 def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, ValidationReport]:
     """Subtract missing junctions and revalidate what is left.
 
     The report's verdicts are set at once; its violations are worded only
-    if something reads them.
+    if something reads them. seq must be a Sequence and defects a
+    DefectMap, else InvalidInput.
     """
+    _sequence_and_defects(seq, defects)
     bits = list(seq.bits)
     last = seq.last_index
     for idx, cnt in defects._missing.items():
@@ -184,8 +196,10 @@ def within_tolerance(seq: Sequence, defects: DefectMap) -> bool:
     """True when every non-last bit loses at most its tolerance.
 
     The tolerances are seq's shared table, _tolerance_table, so a run of
-    defect maps against one array computes them once.
+    defect maps against one array computes them once. seq must be a
+    Sequence and defects a DefectMap, else InvalidInput.
     """
+    _sequence_and_defects(seq, defects)
     last = seq.last_index
     tolerances = _tolerance_table(seq)
     within = True

@@ -480,29 +480,39 @@ def _reach(bits: tuple[int, ...], a0_offset: bool, cap: int) -> tuple[int | None
     Raises RangeError when the total exceeds the cap. The three are a
     SumSet's mask, span and beta_radius; None stands for the one run of all
     2*(total + radius) + 1 sums from -(total + radius) up, which SumSet
-    holds by its width. From the first bit that opens a gap, each run of k
-    equal bits a is added at once: the digit sums of k copies of a are the
-    multiples -ka..ka, so the set becomes S | S << a | ... | S << 2ka
-    (bits shifted up by ka). That is built by doubling, S |= S << step*a
-    with step at most the multiples already held plus one, in about
-    log2(2k + 1) shift-ors where one bit at a time takes 2k.
+    holds by its width. The walk over the one run is most of a small
+    sequence's cost, so each bit costs one comparison and one integer add
+    (CPython specialises int add, not int multiply): one iterator walks
+    the bits, with no counter, and a set that stays one run reads its
+    total off the width, (width - 1) / 2 - radius, with no sum() pass.
+    From the bit that breaks the walk, the same iterator carries on into
+    the bitset, where each run of k equal bits a is added at once: the
+    digit sums of k copies of a are the multiples -ka..ka, so the set
+    becomes S | S << a | ... | S << 2ka (bits shifted up by ka). That is
+    built by doubling, S |= S << step*a with step at most the multiples
+    already held plus one, in about log2(2k + 1) shift-ors where one bit
+    at a time takes 2k. The cap is checked on either path before any
+    bitset int is built.
     """
+    a0 = bits[0]
+    radius = a0 - 1 if a0_offset and a0 else 0
+    width = radius + radius + 1
+    rest = iter(bits)
+    for a in rest:
+        if a > width:
+            break
+        width += a + a
+    else:
+        total = (width - 1) // 2 - radius
+        if total > cap:
+            raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
+        return None, total, radius
+
     total = sum(bits)
     if total > cap:
         raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
-    radius = max(bits[0] - 1, 0) if a0_offset else 0
-    width = 2 * radius + 1
-    n = 0  # counted, not enumerated: the walk is most of a small sequence's cost
-    for a in bits:
-        if a > width:
-            break
-        width += 2 * a
-        n += 1
-    else:
-        return None, total, radius
-
     reach = (1 << width) - 1
-    for a, equal in groupby(bits[n:]):
+    for a, equal in groupby((a, *rest)):
         # k equal bits add the multiples 0, a, ..., 2ka: by doubling, each
         # step shifting by at most the multiples already held plus one
         most, held = 2 * len(tuple(equal)), 0
@@ -576,7 +586,10 @@ def enumerate_nims(
     bit from 3*a_{k-2} + 1 (a_0 + 1 at depth 2) up to min(3*a_{k-1},
     max_bit) completes the prefix, so that range is added as one slice,
     after the max_results check. The time is bounded by the prefixes times
-    the depth, plus about 0.5 us per result (CPython 3.11, 2-core x86).
+    the depth, plus about 0.45 us per result over batches of a few
+    thousand, and about 0.65 us at the 123,633 results of (1, 6, 500),
+    half of it the cyclic collector's passes over the growing list
+    (CPython 3.11.7, 2-core x86).
 
     Every argument must be a non-bool int (else InvalidInput), checked once
     here: the search then forms only plain positive ints, so each result is
@@ -604,7 +617,7 @@ def enumerate_nims(
             raise RangeError(f"enumeration exceeds {max_results} sequences")
         for last in range(low, high + 1):
             seq = new(Sequence)
-            set_bits(seq, (*head, last))
+            set_bits(seq, head + (last,))
             set_report(seq, _STRICT_REPORT)
             append(seq)
 

@@ -35,12 +35,15 @@ from nims import (
     RangeError,
     Sequence,
     ToleranceRule,
+    apply_defects,
     compare_logics,
     design,
     load_device,
     represent,
     sequence_from_file,
     standard_column,
+    tolerance_report,
+    within_tolerance,
     worst_case_scan,
 )
 from nims.cli import build_parser, run
@@ -219,6 +222,24 @@ MALFORMED = {
         "candidates must be an iterable of (name, Sequence) pairs, got 5",
     ),
     "an empty iterator of candidates": (lambda: compare_logics(3, 10, iter([])), "need at least one candidate"),
+    "a list for a standard kind": (lambda: standard_column(["binary"], 9, 3), "kind must be a str, got ['binary']"),
+    "a tuple for a reported sequence": (
+        lambda: tolerance_report((1, 3, 8)),
+        "seq must be a Sequence, got (1, 3, 8)",
+    ),
+    "a tuple for a spec": (lambda: design((1, 2)), "spec must be a DesignSpec, got (1, 2)"),
+    "a dict for a defect map checked": (
+        lambda: within_tolerance(Sequence((1, 3)), {0: 1}),
+        "defects must be a DefectMap, got {0: 1}",
+    ),
+    "a dict for a defect map applied": (
+        lambda: apply_defects(Sequence((1, 3)), {0: 1}),
+        "defects must be a DefectMap, got {0: 1}",
+    ),
+    "a tuple for a sequence with defects": (
+        lambda: within_tolerance((1, 3), DefectMap({0: 1})),
+        "seq must be a Sequence, got (1, 3)",
+    ),
 }
 
 

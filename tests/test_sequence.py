@@ -556,6 +556,27 @@ class TestReach:
         brute = {s + r for s in brute_sums(bits) for r in range(-radius, radius + 1)}
         assert {v for v in range(-sums.span - radius, sums.span + radius + 1) if v in sums} == brute
 
+    @pytest.mark.parametrize("slack", [-1, 0, 1])
+    @given(repeated_bits(), st.booleans())
+    @example((3,), False)  # the walk breaks at the first bit: 3 > 1 without the residual
+    @example((1, 3, 10), False)  # the walk breaks at the last bit: 10 > 9
+    @example((1, 3, 9), False)  # no break: the total is read off the width
+    @example((0, 0, 0), True)  # a dead first bit: no residual, one run of total 0
+    @settings(max_examples=150, deadline=None)
+    def test_the_cap_is_checked_on_either_path(self, slack, bits, a0_offset):
+        # the one-run path reads its total off the width, the bitset path sums
+        # the bits; at cap = total - 1, total and total + 1 both give the
+        # per-bit loop's result or its RangeError text
+        cap = sum(bits) + slack
+
+        def outcome(kernel):
+            try:
+                return kernel(bits, a0_offset, cap)
+            except RangeError as exc:
+                return str(exc)
+
+        assert outcome(_reach) == outcome(perbit_reach)
+
 
 class TestIsComplete:
     def test_strict_examples(self):
@@ -673,6 +694,9 @@ class TestEnumerate:
             found = enumerate_nims(a0, depth, max_bit, max_results=max_results)
         except RangeError:
             return
+        # each result's bits are exactly a tuple of plain ints, the reference's
+        assert [s.bits for s in found] == recursive_enumerate(a0, depth, max_bit, max_results)
+        assert all(type(s.bits) is tuple and all(type(b) is int for b in s.bits) for s in found)
         for s in found:
             # fresh: the lazy report of a sequence enumerate_nims did not list
             report, fresh, eager = validate(s), validate(Sequence(s.bits)), eager_validate(s)

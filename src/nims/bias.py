@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import DegenerateTarget, InvalidInput, OutOfRange, RangeError
-from .representation import Representation, _descent, represent
-from .sequence import Sequence
+from .representation import Representation, _descent, _greedy
+from .sequence import TOTAL_LIMIT, Sequence, _require_sequence
 
 # Exact SI defining constants.
 ELEMENTARY_CHARGE_C = 1.602176634e-19
@@ -143,32 +143,34 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     needs a larger multiple than the array expresses even at the band
     top, DegenerateTarget when a nonzero voltage rounds to an expressed
     multiple of zero (no frequency shift can reach it), InvalidInput
-    when the voltage, frequency or band is NaN or infinite,
-    InvalidSequence when seq is not completeness capable, and RangeError
-    when its total exceeds TOTAL_LIMIT or its headroom float range. The
-    capability gate and the headroom read the table
-    representation._descent keeps on seq, built by the first plan,
-    represent or represent_range_check on that object; the digits come
-    from represent.
+    when the voltage, frequency or band is NaN or infinite or seq is not
+    a Sequence, InvalidSequence when seq is not completeness capable, and
+    RangeError when its total exceeds TOTAL_LIMIT or its headroom float
+    range. The table representation._descent keeps on seq, built by the
+    first plan, represent or represent_range_check on that object, is
+    read once: its bound is the headroom, and its rows go straight to the
+    greedy kernel representation._greedy, since the multiple plan rounds
+    is an int already tested against that bound. The limit is refused
+    where represent would refuse it, after the headroom tests.
     """
     _require_finite("voltage", volts)
     _require_finite("drive frequency", freq_hz)
     lo, hi = _resolve_band(freq_hz, band)
-    headroom = _descent(seq)[0]
+    headroom, steps = _descent(seq)
     if abs(volts) * JOSEPHSON_HZ_PER_VOLT > _as_float("headroom", headroom) * hi:
         raise OutOfRange(
             f"{volts} V needs multiple {abs(volts) * JOSEPHSON_HZ_PER_VOLT / freq_hz:.1f}, "
             f"beyond {headroom} even at the band top"
         )
 
-    if volts == 0:
-        rep = represent(0, seq)
-        return BiasPlan(volts, freq_hz, 0, rep, freq_hz, 0.0, 0.0, True)
-
     m_target = _round_half_away(volts * JOSEPHSON_HZ_PER_VOLT / freq_hz)
     if abs(m_target) > headroom:
         raise OutOfRange(f"multiple {m_target} outside representable range {headroom}")
-    rep = represent(m_target, seq)
+    if steps is None:
+        raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")
+    rep = _greedy(m_target, seq.bits, steps)
+    if volts == 0:
+        return BiasPlan(volts, freq_hz, 0, rep, freq_hz, 0.0, 0.0, True)
     if rep.expressed_m == 0:
         raise DegenerateTarget(
             f"{volts} V rounds to expressed multiple 0; retuning cannot reach it"
@@ -203,8 +205,10 @@ def _volts(what: str, n: int, freq_hz: float) -> float:
 def max_voltage(seq: Sequence, freq_hz: float) -> float:
     """Largest voltage the array expresses at the given frequency.
 
-    Raises RangeError when the total, or the voltage, is beyond float range.
+    Raises RangeError when the total, or the voltage, is beyond float
+    range, and InvalidInput when seq is not a Sequence.
     """
+    _require_sequence(seq)
     return _volts("sequence total", seq.total, freq_hz)
 
 
@@ -213,6 +217,8 @@ def resolution(seq: Sequence, freq_hz: float) -> float:
 
     Frequency retuning against the residual refines the effective step
     to a single junction's f/K_J. Raises RangeError when a_0, or the
-    step, is beyond float range.
+    step, is beyond float range, and InvalidInput when seq is not a
+    Sequence.
     """
+    _require_sequence(seq)
     return _volts("first bit", seq.bits[0], freq_hz)

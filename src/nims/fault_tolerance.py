@@ -21,6 +21,7 @@ from .sequence import (
     _Frozen,
     _integer,
     _refusal,
+    _require_sequence,
     _unchecked_sequence,
     csv_rows,
     is_complete,
@@ -107,8 +108,7 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
     """
     from fractions import Fraction
 
-    if not isinstance(seq, Sequence):
-        raise InvalidInput(f"seq must be a Sequence, got {seq!r}")
+    _require_sequence(seq)
     bits = seq.bits
     new = tuple.__new__
     shared: dict[object, Fraction] = {}  # by (a, b), or 0 for a clamped pair
@@ -166,8 +166,7 @@ class DefectMap(_Frozen):
 
 def _sequence_and_defects(seq: Sequence, defects: DefectMap) -> None:
     """Refuse with InvalidInput a seq that is not a Sequence or defects that are not a DefectMap."""
-    if not isinstance(seq, Sequence):
-        raise InvalidInput(f"seq must be a Sequence, got {seq!r}")
+    _require_sequence(seq)
     if not isinstance(defects, DefectMap):
         raise InvalidInput(f"defects must be a DefectMap, got {defects!r}")
 
@@ -257,7 +256,9 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     scan: it is refused with InvalidSequence, in sequence._refusal's
     wording. So every safe_up_to is at least 0, and a SAFE placement the
     oracle finds a gap in is a fault of the scan, raised as AssertionError.
+    seq must be a Sequence, else InvalidInput.
     """
+    _require_sequence(seq)
     budget = _integer("scan budget", budget)
     if budget < 0:
         raise InvalidInput("budget must be non-negative")

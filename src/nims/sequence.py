@@ -124,6 +124,19 @@ class Sequence(_Frozen):
         return iter(self.bits)
 
 
+def _require_sequence(seq: object) -> None:
+    """Refuse anything but a Sequence: InvalidInput, the one wording of that refusal.
+
+    Called first by the public functions that run once per sequence. The
+    ones in timed loops pay nothing for it: validate, reachable_sums and
+    is_complete call it only when their one attribute read of seq raises
+    AttributeError, and representation._descent only where it builds a
+    table, which is where a tuple lands.
+    """
+    if not isinstance(seq, Sequence):
+        raise InvalidInput(f"seq must be a Sequence, got {seq!r}") from None
+
+
 def _unchecked_sequence(bits: tuple[int, ...]) -> Sequence:
     """A Sequence of bits stored as given, without the constructor's checks.
 
@@ -236,7 +249,11 @@ def validate(seq: Sequence) -> ValidationReport:
     returned as it is; any other sequence, whose _report is None, gets a
     fresh report on every call, and nothing is stored on it.
     """
-    report = seq._report
+    try:
+        report = seq._report
+    except AttributeError:
+        _require_sequence(seq)
+        raise
     if report is None:
         report = ValidationReport(_chain_capable(seq.bits), seq.bits)
     return report
@@ -294,6 +311,7 @@ def _refusal(what: str, bits: tuple[int, ...]) -> str:
 
 
 def prefix_sums(seq: Sequence) -> PrefixSums:
+    _require_sequence(seq)
     totals: list[int] = []
     run = 0
     for a in seq.bits:
@@ -309,6 +327,7 @@ def segmentation_efficiency(seq: Sequence) -> tuple[Fraction, ...]:
     """Exact consecutive-bit ratios a_{n+1}/a_n."""
     from fractions import Fraction
 
+    _require_sequence(seq)
     if len(seq) < 2:
         raise InvalidInput("efficiency needs at least two bits")
     if any(a < 1 for a in seq.bits):
@@ -548,7 +567,12 @@ def reachable_sums(seq: Sequence, a0_offset: bool = False, *, cap: int = DEFAULT
 
     Raises RangeError when the sequence total exceeds the cap.
     """
-    return SumSet(*_reach(seq.bits, a0_offset, cap))
+    try:
+        bits = seq.bits
+    except AttributeError:
+        _require_sequence(seq)
+        raise
+    return SumSet(*_reach(bits, a0_offset, cap))
 
 
 def is_complete(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> bool:
@@ -562,7 +586,12 @@ def is_complete(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     lowest bit is the sum -(A_N + radius)). Independent of the chain
     predicate.
     """
-    mask, total, radius = _reach(seq.bits, True, cap)
+    try:
+        bits = seq.bits
+    except AttributeError:
+        _require_sequence(seq)
+        raise
+    mask, total, radius = _reach(bits, True, cap)
     if mask is None:
         return True
     full = (1 << 2 * total + 1) - 1

@@ -24,7 +24,7 @@ from nims import (
 )
 from nims.bias import ELEMENTARY_CHARGE_C, FIXED_KEYS, PLANCK_JS, _round_half_away, fixed_decimal
 
-from .conftest import INCAPABLE_MESSAGES, NIMS1_BITS, fraction_round_half_away
+from .conftest import INCAPABLE_MESSAGES, NIMS1_BITS, capable_bits, fraction_round_half_away
 
 
 class TestConstants:
@@ -199,6 +199,26 @@ class TestPlan:
             assert str(excinfo.value) == "headroom exceeds the largest float, 1.798e+308"
 
 
+class TestPlanRunsTheGreedy:
+    """plan runs the greedy kernel on the table it reads; its digits are represent's, its refusals alike."""
+
+    @given(capable_bits(max_total=3000), st.data())
+    @settings(max_examples=300)
+    def test_digits_are_represents(self, seq, data):
+        bound = seq.total + seq.bits[0] - 1
+        # a multiple within the bound, off the integers by less than a half
+        m = min(max(data.draw(st.integers(-bound, bound)) + data.draw(st.floats(-0.49, 0.49)), -bound), bound)
+        volts = m * 1.8e10 / JOSEPHSON_HZ_PER_VOLT
+        fresh = Sequence(seq.bits)  # represent builds this one's table, plan the other's
+        try:
+            p = plan(volts, 1.8e10, seq)
+        except DegenerateTarget:
+            assert represent(_round_half_away(volts * JOSEPHSON_HZ_PER_VOLT / 1.8e10), fresh).expressed_m == 0
+        else:
+            assert p.representation == represent(p.m_target, fresh)
+            assert p.representation == represent(p.m_target, seq)
+
+
 class TestErrorOrder:
     """A capable sequence whose total passes TOTAL_LIMIT: headroom first, then the limit, on every call."""
 
@@ -216,6 +236,15 @@ class TestErrorOrder:
             with pytest.raises(RangeError) as excinfo:
                 represent(0, seq)
             assert str(excinfo.value) == self.OVER_LIMIT
+
+    @pytest.mark.parametrize("volts", [1e15, -1e15, 1e300])
+    def test_out_of_range_on_an_over_limit_sequence(self, volts):
+        seq = Sequence((2**62, 2**62))
+        for _ in range(2):
+            with pytest.raises(OutOfRange) as excinfo:
+                plan(volts, 1.8e10, seq)
+            needs = abs(volts) * JOSEPHSON_HZ_PER_VOLT / 1.8e10
+            assert str(excinfo.value) == f"{volts} V needs multiple {needs:.1f}, beyond {2**63 + 2**62 - 1} even at the band top"
 
     def test_limit_first_on_a_fresh_sequence(self):
         seq = Sequence((2**62, 2**62))

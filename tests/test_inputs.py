@@ -17,6 +17,7 @@ that is not a (name, Sequence) pair, are refused as InvalidInput too.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -27,12 +28,14 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import nims
 from nims import (
     DefectMap,
     DesignSpec,
     InvalidInput,
     ParseError,
     RangeError,
+    Representation,
     Sequence,
     ToleranceRule,
     apply_defects,
@@ -249,6 +252,44 @@ def test_a_malformed_argument_is_invalid_input(case):
     with pytest.raises(InvalidInput) as caught:
         build()
     assert str(caught.value) == message
+
+
+def _functions_taking_a_sequence() -> list[str]:
+    """Every exported function with a seq parameter, found by walking nims.__all__."""
+    return [
+        name
+        for name in nims.__all__
+        if inspect.isfunction(getattr(nims, name)) and "seq" in inspect.signature(getattr(nims, name)).parameters
+    ]
+
+
+# the required arguments beside seq, by parameter name, all of them valid
+BESIDE_SEQ = {
+    "m": 0,
+    "rep": Representation((0, 0, 0), 0, 0, 0),
+    "volts": 1.0,
+    "freq_hz": 1.8e10,
+    "budget": 1,
+    "defects": DefectMap({0: 1}),
+}
+
+
+def test_the_walk_finds_every_function_taking_a_sequence():
+    assert set(_functions_taking_a_sequence()) >= {
+        "apply_defects", "evaluate", "is_complete", "max_voltage", "oracle_gaps", "plan", "prefix_sums",
+        "reachable_sums", "represent", "represent_range_check", "resolution", "segmentation_efficiency",
+        "tolerance_report", "validate", "within_tolerance", "worst_case_scan",
+    }
+
+
+@pytest.mark.parametrize("name", _functions_taking_a_sequence())
+def test_a_tuple_for_seq_is_invalid_input(name):
+    function = getattr(nims, name)
+    required = [p for p in inspect.signature(function).parameters.values() if p.default is p.empty]
+    for _ in range(2):  # a refusal stores nothing, so the second call is refused alike
+        with pytest.raises(InvalidInput) as caught:
+            function(**{p.name: (1, 3, 8) if p.name == "seq" else BESIDE_SEQ[p.name] for p in required})
+        assert str(caught.value) == "seq must be a Sequence, got (1, 3, 8)"
 
 
 # --- the file reader --------------------------------------------------------

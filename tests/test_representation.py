@@ -240,10 +240,10 @@ def test_invariants_survive_optimize_flag(corrupt_totals, message):
 # then of 0. Over (2, 6, 18), no bit above a_0 = 2 activates, so bit 0's row
 # alone leaves the residual m - 2 against its slack a_0 - 1. A row whose a_n
 # is not the bit's size leaves a sum that only the round-trip check catches.
-SLACK_ONE = (12, ((2, 8, 5, 1), (1, 3, 2, 1), (0, 1, 1, 0)))
-SLACK_ZERO = (12, ((2, 8, 5, 0), (1, 3, 2, 1), (0, 1, 1, 0)))
-SKIP_THE_HIGH_BITS = (27, ((2, 18, 99, 99), (1, 6, 99, 99), (0, 2, 2, 1)))
-WRONG_SIZE = (12, ((2, 7, 5, 1), (1, 3, 2, 1), (0, 1, 1, 0)))
+SLACK_ONE = (12, ((2, 8, 5, -5, 1, -1), (1, 3, 2, -2, 1, -1), (0, 1, 1, -1, 0, 0)))
+SLACK_ZERO = (12, ((2, 8, 5, -5, 0, 0), (1, 3, 2, -2, 1, -1), (0, 1, 1, -1, 0, 0)))
+SKIP_THE_HIGH_BITS = (27, ((2, 18, 99, -99, 99, -99), (1, 6, 99, -99, 99, -99), (0, 2, 2, -2, 1, -1)))
+WRONG_SIZE = (12, ((2, 7, 5, -5, 1, -1), (1, 3, 2, -2, 1, -1), (0, 1, 1, -1, 0, 0)))
 # case: (bits, table, target, what represent gives back or the AssertionError it raises)
 AT_THE_BOUNDS = {
     "descent-on-slack": (
@@ -285,7 +285,7 @@ except AssertionError as exc:
 def test_the_descent_table_holds_the_slack_column():
     seq = Sequence((2, 6, 18))
     represent(0, seq)
-    assert seq._descent == (27, ((2, 18, 10, 9), (1, 6, 4, 3), (0, 2, 2, 1)))
+    assert seq._descent == (27, ((2, 18, 10, -10, 9, -9), (1, 6, 4, -4, 3, -3), (0, 2, 2, -2, 1, -1)))
 
 
 @pytest.mark.parametrize("case", AT_THE_BOUNDS)

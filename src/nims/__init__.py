@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # Each exported name with the submodule that defines it.
 _SOURCES = {
     **dict.fromkeys(
-        ("BiasPlan", "DEFAULT_BAND_HALF_WIDTH", "JOSEPHSON_HZ_PER_VOLT", "max_voltage", "plan", "resolution"),
+        ("BiasPlan", "DEFAULT_BAND_HALF_WIDTH", "plan"),
         "bias",
     ),
     **dict.fromkeys(
@@ -64,10 +64,12 @@ _SOURCES = {
     **dict.fromkeys(
         (
             "DefectMap",
+            "RangeCheckReport",
             "ScanReport",
             "ToleranceReport",
             "apply_defects",
             "oracle_gaps",
+            "represent_range_check",
             "tolerance_report",
             "within_tolerance",
             "worst_case_scan",
@@ -75,7 +77,7 @@ _SOURCES = {
         "fault_tolerance",
     ),
     **dict.fromkeys(
-        ("RangeCheckReport", "Representation", "evaluate", "represent", "represent_range_check"),
+        ("Representation", "evaluate", "represent"),
         "representation",
     ),
     **dict.fromkeys(
@@ -96,6 +98,7 @@ _SOURCES = {
         ),
         "sequence",
     ),
+    **dict.fromkeys(("JOSEPHSON_HZ_PER_VOLT", "max_voltage", "resolution"), "units"),
 }
 
 __all__ = sorted(_SOURCES)

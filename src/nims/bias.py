@@ -1,31 +1,23 @@
 """Voltage bias planning: pick the integer multiple, then retune frequency.
 
-A junction driven at frequency f contributes f/K_J volts per step, so an
-array expressing the multiple m outputs m*f/K_J. Planning rounds the
-requested voltage to the nearest multiple, represents it over the
-sequence, and shifts the drive frequency so the expressed multiple lands
-on the target exactly. The residual below the first bit is absorbed by
-that same frequency shift.
+A junction driven at frequency f contributes f/K_J volts per step (K_J
+from units), so an array expressing the multiple m outputs m*f/K_J.
+Planning rounds the requested voltage to the nearest multiple,
+represents it over the sequence, and shifts the drive frequency so the
+expressed multiple lands on the target exactly. The residual below the
+first bit is absorbed by that same frequency shift.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
-from decimal import Decimal
 
 from .errors import DegenerateTarget, InvalidInput, OutOfRange, RangeError
-from .representation import Representation, _descent, _greedy
-from .sequence import TOTAL_LIMIT, Sequence, _require_sequence
-
-# Exact SI defining constants.
-ELEMENTARY_CHARGE_C = 1.602176634e-19
-PLANCK_JS = 6.62607015e-34
-
-# 2e/h in Hz per volt; the unit test recomputes this from the two values above.
-JOSEPHSON_HZ_PER_VOLT = 483597848416983.6
+from .representation import Representation, _greedy
+from .sequence import TOTAL_LIMIT, Sequence, _descent
+from .units import JOSEPHSON_HZ_PER_VOLT, _as_float, _require_finite, fixed_decimal
 
 DEFAULT_BAND_HALF_WIDTH = 0.005
 
@@ -92,11 +84,6 @@ class BiasPlan:
         ) + "}"
 
 
-def fixed_decimal(x: float) -> str:
-    """Render a float in fixed notation with exact round-trip digits."""
-    return format(Decimal(repr(float(x))), "f")
-
-
 def _round_half_away(x: float) -> int:
     """Round to the nearest integer, halves away from zero.
 
@@ -108,26 +95,16 @@ def _round_half_away(x: float) -> int:
     return (f + (a - f >= 0.5)) * (1 if x >= 0 else -1)
 
 
-def _require_finite(what: str, x: float) -> None:
-    if not math.isfinite(x):
-        raise InvalidInput(f"{what} must be finite, got {x}")
-
-
-def _as_float(what: str, n: int) -> float:
-    """n as a float, the value int * float multiplies by; RangeError past float range."""
-    try:
-        return float(n)
-    except OverflowError:
-        raise RangeError(f"{what} exceeds the largest float, {sys.float_info.max:.4g}") from None
-
-
 def _resolve_band(freq_hz: float, band: tuple[float, float] | None) -> tuple[float, float]:
     if band is None:
-        band = (freq_hz * (1 - DEFAULT_BAND_HALF_WIDTH), freq_hz * (1 + DEFAULT_BAND_HALF_WIDTH))
+        lo, hi = freq_hz * (1 - DEFAULT_BAND_HALF_WIDTH), freq_hz * (1 + DEFAULT_BAND_HALF_WIDTH)
     else:
-        for edge in band:
-            _require_finite("frequency band edge", edge)
-    lo, hi = band
+        try:
+            for edge in band:
+                _require_finite("frequency band edge", edge)
+            lo, hi = band
+        except (TypeError, ValueError):  # not iterable, or not two edges
+            raise InvalidInput(f"bad frequency band {band!r}: expected two edges (low, high)") from None
     if not 0 < lo <= hi:
         raise InvalidInput(f"bad frequency band ({lo}, {hi})")
     if not lo <= freq_hz <= hi:
@@ -143,15 +120,16 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     needs a larger multiple than the array expresses even at the band
     top, DegenerateTarget when a nonzero voltage rounds to an expressed
     multiple of zero (no frequency shift can reach it), InvalidInput
-    when the voltage, frequency or band is NaN or infinite or seq is not
-    a Sequence, InvalidSequence when seq is not completeness capable, and
-    RangeError when its total exceeds TOTAL_LIMIT or its headroom float
-    range. The table representation._descent keeps on seq, built by the
-    first plan, represent or represent_range_check on that object, is
-    read once: its bound is the headroom, and its rows go straight to the
-    greedy kernel representation._greedy, since the multiple plan rounds
-    is an int already tested against that bound. The limit is refused
-    where represent would refuse it, after the headroom tests.
+    when the voltage, frequency or a band edge is not a number or is NaN
+    or infinite, the band is not two edges or seq is not a Sequence,
+    InvalidSequence when seq is not completeness capable, and RangeError
+    when its total exceeds TOTAL_LIMIT or its headroom float range. The
+    table sequence._descent keeps on seq, built by the first plan,
+    represent or represent_range_check on that object, is read once: its
+    bound is the headroom, and its rows go straight to the greedy kernel
+    representation._greedy, since the multiple plan rounds is an int
+    already tested against that bound. The limit is refused where
+    represent would refuse it, after the headroom tests.
     """
     _require_finite("voltage", volts)
     _require_finite("drive frequency", freq_hz)
@@ -184,41 +162,3 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
         volts, freq_hz, m_target, rep, adjusted, achieved, shift, lo <= adjusted <= hi
     )
 
-
-def _volts(what: str, n: int, freq_hz: float) -> float:
-    """n junction steps at freq_hz in volts, n * f / K_J: what max_voltage and resolution share.
-
-    Raises InvalidInput for a frequency that is not positive and finite,
-    and RangeError when n, or the voltage, is beyond float range.
-    """
-    if not freq_hz > 0:
-        raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
-    _require_finite("drive frequency", freq_hz)
-    volts = _as_float(what, n) * freq_hz / JOSEPHSON_HZ_PER_VOLT
-    if not math.isfinite(volts):
-        raise RangeError(
-            f"{what} times the drive frequency exceeds the largest float, {sys.float_info.max:.4g}"
-        )
-    return volts
-
-
-def max_voltage(seq: Sequence, freq_hz: float) -> float:
-    """Largest voltage the array expresses at the given frequency.
-
-    Raises RangeError when the total, or the voltage, is beyond float
-    range, and InvalidInput when seq is not a Sequence.
-    """
-    _require_sequence(seq)
-    return _volts("sequence total", seq.total, freq_hz)
-
-
-def resolution(seq: Sequence, freq_hz: float) -> float:
-    """Voltage step between adjacent first-bit multiples, a_0 * f / K_J.
-
-    Frequency retuning against the residual refines the effective step
-    to a single junction's f/K_J. Raises RangeError when a_0, or the
-    step, is beyond float range, and InvalidInput when seq is not a
-    Sequence.
-    """
-    _require_sequence(seq)
-    return _volts("first bit", seq.bits[0], freq_hz)

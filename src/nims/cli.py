@@ -251,7 +251,7 @@ def _cmd_design(args) -> Output:
 
 
 def _cmd_plan(args) -> Output:
-    from . import bias
+    from . import bias, units
 
     if args.device:
         from . import device
@@ -277,7 +277,7 @@ def _cmd_plan(args) -> Output:
             raise InvalidInput(f"bad band {args.band!r}: {exc}") from exc
     result = bias.plan(args.volts, freq, seq, band)
     pairs = [
-        (key, bias.fixed_decimal(value) if key in bias.FIXED_KEYS else value)
+        (key, units.fixed_decimal(value) if key in bias.FIXED_KEYS else value)
         for key, value in result.to_doc().items()
         if key != "signs"
     ]
@@ -312,7 +312,7 @@ def _cmd_compare(args) -> Output:
 
 
 def _cmd_report(args) -> Output:
-    from . import bias, device
+    from . import device, units
 
     doc = device.build_report(device.load_device(args.device), args.min_margin)
     margins, retuned = doc["margins"], doc["retuned_resolution_v"]
@@ -331,7 +331,7 @@ def _cmd_report(args) -> Output:
             ("total_junctions", doc["total_junctions"]),
             ("bit_count", doc["bit_count"]),
             ("complete_capable", doc["complete_capable"]),
-            ("frequency_hz", bias.fixed_decimal(doc["frequency_hz"])),
+            ("frequency_hz", units.fixed_decimal(doc["frequency_hz"])),
             ("max_voltage_v", f"{doc['max_voltage_v']:.4f}"),
             ("resolution_v", f"{doc['resolution_v']:.3e}"),
             ("retuned_resolution_v", retuned if retuned is None else f"{retuned:.3e}"),
@@ -391,9 +391,7 @@ def _cmd_oracle(args) -> Output:
         ("gap_count", doc["gap_count"]),
     ]
     if args.sweep:
-        from . import representation
-
-        check = representation.represent_range_check(seq, cap=cap)
+        check = fault_tolerance.represent_range_check(seq, cap=cap)
         doc["sweep_checked"] = check.checked
         doc["sweep_failures"] = [list(f) for f in check.failures]
         table += [("sweep_checked", check.checked), ("sweep_failures", len(check.failures))]

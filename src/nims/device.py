@@ -19,10 +19,10 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import bias
 from .errors import InvalidInput, ParseError
 from .fault_tolerance import DefectMap, ToleranceReport, _tolerance_table
 from .sequence import Sequence, _read_text, csv_rows, validate
+from .units import _require_finite, max_voltage, resolution
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -245,9 +245,12 @@ def _side_widths(rec: DeviceRecord) -> list[tuple[str, list[float]]]:
 
 
 def margin_report(rec: DeviceRecord, min_margin_ma: float) -> MarginReport:
-    """Operating-margin summary over the signed step widths."""
-    if not math.isfinite(min_margin_ma):
-        raise InvalidInput(f"margin threshold must be finite, got {min_margin_ma}")
+    """Operating-margin summary over the signed step widths.
+
+    A threshold that is not a number, or is NaN or infinite, raises
+    InvalidInput.
+    """
+    _require_finite("margin threshold", min_margin_ma)
     sides = _side_widths(rec)
     # plain float adds, left to right: sum compensates from Python 3.12 on, which moves the mean's last digits
     stats = [
@@ -312,8 +315,8 @@ def build_report(rec: DeviceRecord, min_margin_ma: float = 1.0) -> dict:
     vr = validate(seq)
     margins = margin_report(rec, min_margin_ma)
     freq = rec.metadata.frequency_hz
-    vmax = bias.max_voltage(seq, freq)
-    step = bias.resolution(seq, freq)
+    vmax = max_voltage(seq, freq)
+    step = resolution(seq, freq)
     retuned = step / seq.bits[0] if seq.bits[0] else None
     after = "" if retuned is None else f" ({retuned:.3e} V after retuning)"
 

@@ -5,6 +5,10 @@ missing junctions before the upper chain at n+1 can break. Losing more
 than t_n from a single bit always breaks the chain there; losing up to
 t_n from every bit at once still leaves the chain intact. The last bit
 has no chain successor, so junctions lost there only shrink the range.
+
+The audits that check a layout end to end live here too: the
+worst-case defect scan, the oracle's gap listing and the full-range
+round trip of the greedy, represent_range_check.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import InvalidInput, InvalidSequence, RangeError
 from .sequence import (
     DEFAULT_ORACLE_CAP,
+    TOTAL_LIMIT,
     Sequence,
     SumSet,
     ValidationReport,
     _chain_capable,
+    _descent,
     _Frozen,
     _integer,
     _refusal,
@@ -128,7 +134,8 @@ class DefectMap(_Frozen):
     """Missing-junction counts keyed by bit index.
 
     Bits and counts are converted by the one integer rule, sequence._integer;
-    a negative bit or count raises InvalidInput, and zero counts are dropped.
+    missing that is not a mapping, or a negative bit or count, raises
+    InvalidInput, and zero counts are dropped.
     missing is a copy of the checked counts, which stay in _missing. A class
     that checks its input when built; it does not hash, since missing is a dict.
     """
@@ -137,7 +144,11 @@ class DefectMap(_Frozen):
     _fields = ("missing",)
 
     def __init__(self, missing: Mapping[int, int]) -> None:
-        converted = {_integer("defect bit", k): _integer("defect count", v) for k, v in missing.items()}
+        try:
+            items = missing.items()
+        except AttributeError:
+            raise InvalidInput(f"defects must be a mapping of bit index to count, got {missing!r}") from None
+        converted = {_integer("defect bit", k): _integer("defect count", v) for k, v in items}
         for idx, cnt in converted.items():
             if idx < 0:
                 raise InvalidInput(f"defect bit index {idx} is negative")
@@ -328,3 +339,76 @@ def oracle_gaps(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> tuple[SumSet
     """
     sums = reachable_sums(seq, a0_offset=True, cap=cap)
     return sums, _window_gaps(sums)
+
+
+class RangeCheckReport(NamedTuple):
+    """A full-range sweep: how many targets it round-tripped and each failure. A NamedTuple."""
+
+    checked: int
+    failures: tuple[tuple[int, str], ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def represent_range_check(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> RangeCheckReport:
+    """Round-trip every representable target, from -A_N-a_0+1 to A_N+a_0-1.
+
+    Sweeps windows of remainders instead of one target at a time. This is
+    exact because the greedy's remaining steps depend only on the bit and
+    the current remainder, not on the target that produced it, and every
+    step moves a whole piece of a window by one shift. Starting from the
+    single window [-bound, bound], each row of the table sequence._descent
+    keeps on seq, as representation's greedy reads them, splits each
+    window at its threshold t and the row's stored -t: first r >= t
+    (shift -a), then r <= -t (shift +a), and the rest keeps r. Each
+    piece, translated by its shift, is again a window; equal windows of
+    one step are kept once. A backward pass carries the final
+    remainders not below a_0 up to the targets m that reach them, so
+    failures come out as (m, message) in ascending m. The device's 184,199
+    targets share 190 windows; the loop is iterative, so thousands of bits
+    do not recurse.
+    """
+    bound, steps = _descent(seq)
+    a0 = seq.bits[0]
+    total = bound - a0 + 1
+    if total > cap:
+        raise RangeError(f"sequence total {total} exceeds cap {cap}")
+    if steps is None:
+        raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")
+
+    # levels[k] maps each window after step k to the (parent window, shift) pieces landing on it
+    levels: list[dict] = []
+    landed: dict = {(-bound, bound): []}
+    for _, a, t, neg_t, _, _ in steps:
+        windows, landed = landed, {}
+        for lo, hi in windows:
+            for plo, phi, shift in (
+                (max(lo, t), hi, -a),
+                (lo, min(hi, t - 1, neg_t), a),
+                (max(lo, 1 - t), min(hi, t - 1), 0),
+            ):
+                if plo <= phi:
+                    landed.setdefault((plo + shift, phi + shift), []).append(((lo, hi), shift))
+        levels.append(landed)
+
+    # (window, lo, hi, offset): remainders lo..hi of window end with residual r + offset
+    failing = [
+        (window, flo, fhi, 0)
+        for window in landed
+        for flo, fhi in ((window[0], min(window[1], -a0)), (max(window[0], a0), window[1]))
+        if flo <= fhi
+    ]
+    for pieces in reversed(levels):
+        failing = [
+            (parent, flo - shift, fhi - shift, offset + shift)
+            for window, flo, fhi, offset in failing
+            for parent, shift in pieces[window]
+        ]
+    failures = [
+        (m, f"residual {m + offset} not below {a0}")
+        for _, flo, fhi, offset in sorted(failing, key=lambda f: f[1])
+        for m in range(flo, fhi + 1)
+    ]
+    return RangeCheckReport(2 * bound + 1, tuple(failures))

@@ -11,19 +11,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .errors import InvalidInput, InvalidSequence, OutOfRange, RangeError
-from .sequence import (
-    DEFAULT_ORACLE_CAP,
-    TOTAL_LIMIT,
-    Sequence,
-    _chain_capable,
-    _integer,
-    _refusal,
-    _require_sequence,
-    prefix_sums,
-)
+from .errors import InvalidInput, OutOfRange, RangeError
+from .sequence import TOTAL_LIMIT, Sequence, _descent, _integer, _require_sequence
 
 
 @dataclass(frozen=True, init=False)
@@ -47,48 +37,8 @@ class Representation:
         return {"m": self.target_m, "signs": list(self.signs), "beta": self.beta}
 
 
-def _descent(seq: Sequence) -> tuple:
-    """The greedy's table for seq, built and stored on seq the first time: (bound, steps).
-
-    The one place the table is built, read by represent,
-    represent_range_check and bias.plan. Building refuses anything but a
-    Sequence with InvalidInput, in sequence._require_sequence's wording,
-    and applies the chain gate: an incapable sequence is refused here, in
-    sequence._refusal's wording, on every call, since a refusal stores
-    nothing. bound is A_N + a_0 - 1. steps holds one row (n, a_n,
-    threshold, -threshold, slack, -slack) per bit from the top down to bit
-    0, threshold and slack being the running total below bit n plus a_0
-    and plus a_0 - 1: bit 0's row is (0, a_0, a_0, -a_0, a_0 - 1, 1 - a_0),
-    its slack the residual bound. The negated columns are stored so that
-    the kernel _greedy negates nothing. A capable sequence whose total
-    passes TOTAL_LIMIT keeps steps None, so that plan can still refuse an
-    out-of-range voltage and the sweep an exceeded cap first; represent
-    and plan then raise prefix_sums' RangeError on every call.
-    """
-    try:
-        return seq._descent
-    except AttributeError:  # an unset slot: not built yet, or not a Sequence
-        _require_sequence(seq)
-    bits = seq.bits
-    if not _chain_capable(bits):
-        raise InvalidSequence(_refusal("sequence", bits))
-    a0 = bits[0]
-    try:
-        totals, thresholds = prefix_sums(seq)
-    except RangeError:
-        table = (sum(bits) + a0 - 1, None)
-    else:
-        rows = []
-        for n in range(len(bits) - 1, 0, -1):
-            t, slack = thresholds[n - 1], totals[n - 1] + a0 - 1
-            rows.append((n, bits[n], t, -t, slack, -slack))
-        table = (totals[-1] + a0 - 1, (*rows, (0, a0, a0, -a0, a0 - 1, 1 - a0)))
-    object.__setattr__(seq, "_descent", table)
-    return table
-
-
 def _greedy(m: int, bits: tuple[int, ...], steps: tuple) -> Representation:
-    """The greedy kernel: one walk of m down the rows of _descent's table, bit 0 the last.
+    """The greedy kernel: one walk of m down the rows of sequence._descent's table, bit 0 the last.
 
     The caller has read m as an int within the bound, and steps off a
     capable sequence's table; represent and bias.plan are its two callers.
@@ -121,7 +71,7 @@ def _greedy(m: int, bits: tuple[int, ...], steps: tuple) -> Representation:
 def represent(m: int, seq: Sequence) -> Representation:
     """Greedy signed-digit decomposition of m over seq: the checks, then the kernel _greedy.
 
-    The table _descent keeps on seq is built by the first call on a
+    The table sequence._descent keeps on seq is built by the first call on a
     sequence, so only that call walks its chain. m is read by the one
     integer rule, sequence._integer: a bool, float or other non-integer
     raises InvalidInput, as does a seq that is not a Sequence. Raises
@@ -149,76 +99,3 @@ def evaluate(rep: Representation, seq: Sequence) -> int:
     if any(s not in (-1, 0, 1) for s in rep.signs):
         raise InvalidInput("digits must be -1, 0, or +1")
     return sum(s * a for s, a in zip(rep.signs, seq.bits)) + rep.beta
-
-
-class RangeCheckReport(NamedTuple):
-    """A full-range sweep: how many targets it round-tripped and each failure. A NamedTuple."""
-
-    checked: int
-    failures: tuple[tuple[int, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def represent_range_check(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> RangeCheckReport:
-    """Round-trip every representable target, from -A_N-a_0+1 to A_N+a_0-1.
-
-    Sweeps windows of remainders instead of one target at a time. This is
-    exact because the greedy's remaining steps depend only on the bit and
-    the current remainder, not on the target that produced it, and every
-    step moves a whole piece of a window by one shift. Starting from the
-    single window [-bound, bound], each row of the table _descent keeps on
-    seq, as the greedy reads them, splits each window at its threshold t
-    and the row's stored -t: first r >= t (shift -a), then r <= -t (shift
-    +a), and the rest keeps
-    r. Each piece, translated by its shift, is again a window; equal
-    windows of one step are kept once. A backward pass carries the final
-    remainders not below a_0 up to the targets m that reach them, so
-    failures come out as (m, message) in ascending m. The device's 184,199
-    targets share 190 windows; the loop is iterative, so thousands of bits
-    do not recurse.
-    """
-    bound, steps = _descent(seq)
-    a0 = seq.bits[0]
-    total = bound - a0 + 1
-    if total > cap:
-        raise RangeError(f"sequence total {total} exceeds cap {cap}")
-    if steps is None:
-        raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")
-
-    # levels[k] maps each window after step k to the (parent window, shift) pieces landing on it
-    levels: list[dict] = []
-    landed: dict = {(-bound, bound): []}
-    for _, a, t, neg_t, _, _ in steps:
-        windows, landed = landed, {}
-        for lo, hi in windows:
-            for plo, phi, shift in (
-                (max(lo, t), hi, -a),
-                (lo, min(hi, t - 1, neg_t), a),
-                (max(lo, 1 - t), min(hi, t - 1), 0),
-            ):
-                if plo <= phi:
-                    landed.setdefault((plo + shift, phi + shift), []).append(((lo, hi), shift))
-        levels.append(landed)
-
-    # (window, lo, hi, offset): remainders lo..hi of window end with residual r + offset
-    failing = [
-        (window, flo, fhi, 0)
-        for window in landed
-        for flo, fhi in ((window[0], min(window[1], -a0)), (max(window[0], a0), window[1]))
-        if flo <= fhi
-    ]
-    for pieces in reversed(levels):
-        failing = [
-            (parent, flo - shift, fhi - shift, offset + shift)
-            for window, flo, fhi, offset in failing
-            for parent, shift in pieces[window]
-        ]
-    failures = [
-        (m, f"residual {m + offset} not below {a0}")
-        for _, flo, fhi, offset in sorted(failing, key=lambda f: f[1])
-        for m in range(flo, fhi + 1)
-    ]
-    return RangeCheckReport(2 * bound + 1, tuple(failures))

@@ -17,7 +17,7 @@ import json
 from itertools import groupby
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidInput, ParseError, RangeError
+from .errors import InvalidInput, InvalidSequence, ParseError, RangeError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -79,7 +79,7 @@ class Sequence(_Frozen):
     Built from any iterable of non-bool integers, at least one, none
     negative; int subclasses are stored as plain ints. Not a tuple: len()
     and iteration give the bits. Three private slots: _descent the
-    greedy's per-bit table, once representation._descent has built it;
+    greedy's per-bit table, once the function _descent has built it;
     _tolerances the one table of every bit's tolerance, once
     fault_tolerance._tolerance_table has built it; and _report, None
     unless enumerate_nims stored the strict report validate returns on a
@@ -130,8 +130,8 @@ def _require_sequence(seq: object) -> None:
     Called first by the public functions that run once per sequence. The
     ones in timed loops pay nothing for it: validate, reachable_sums and
     is_complete call it only when their one attribute read of seq raises
-    AttributeError, and representation._descent only where it builds a
-    table, which is where a tuple lands.
+    AttributeError, and _descent only where it builds a table, which is
+    where a tuple lands.
     """
     if not isinstance(seq, Sequence):
         raise InvalidInput(f"seq must be a Sequence, got {seq!r}") from None
@@ -321,6 +321,47 @@ def prefix_sums(seq: Sequence) -> PrefixSums:
         totals.append(run)
     a0 = seq.bits[0]
     return PrefixSums(tuple(totals), tuple(t + a0 for t in totals))
+
+
+def _descent(seq: Sequence) -> tuple:
+    """The greedy's table for seq, built and stored on seq the first time: (bound, steps).
+
+    The one place the table is built, read by representation.represent,
+    fault_tolerance.represent_range_check and bias.plan. Building refuses
+    anything but a Sequence with InvalidInput, in _require_sequence's
+    wording, and applies the chain gate: an incapable sequence is refused
+    here, in _refusal's wording, on every call, since a refusal stores
+    nothing. bound is A_N + a_0 - 1. steps holds one row (n, a_n,
+    threshold, -threshold, slack, -slack) per bit from the top down to bit
+    0, threshold and slack being the running total below bit n plus a_0
+    and plus a_0 - 1: bit 0's row is (0, a_0, a_0, -a_0, a_0 - 1, 1 - a_0),
+    its slack the residual bound. The negated columns are stored so that
+    the kernel representation._greedy negates nothing. A capable sequence
+    whose total passes TOTAL_LIMIT keeps steps None, so that plan can
+    still refuse an out-of-range voltage and the sweep an exceeded cap
+    first; represent and plan then raise prefix_sums' RangeError on every
+    call.
+    """
+    try:
+        return seq._descent
+    except AttributeError:  # an unset slot: not built yet, or not a Sequence
+        _require_sequence(seq)
+    bits = seq.bits
+    if not _chain_capable(bits):
+        raise InvalidSequence(_refusal("sequence", bits))
+    a0 = bits[0]
+    try:
+        totals, thresholds = prefix_sums(seq)
+    except RangeError:
+        table = (sum(bits) + a0 - 1, None)
+    else:
+        rows = []
+        for n in range(len(bits) - 1, 0, -1):
+            t, slack = thresholds[n - 1], totals[n - 1] + a0 - 1
+            rows.append((n, bits[n], t, -t, slack, -slack))
+        table = (totals[-1] + a0 - 1, (*rows, (0, a0, a0, -a0, a0 - 1, 1 - a0)))
+    object.__setattr__(seq, "_descent", table)
+    return table
 
 
 def segmentation_efficiency(seq: Sequence) -> tuple[Fraction, ...]:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import nims.representation
 import nims.sequence
 from nims import (
     DegenerateTarget,
@@ -22,7 +21,8 @@ from nims import (
     represent,
     resolution,
 )
-from nims.bias import ELEMENTARY_CHARGE_C, FIXED_KEYS, PLANCK_JS, _round_half_away, fixed_decimal
+from nims.bias import FIXED_KEYS, _round_half_away
+from nims.units import ELEMENTARY_CHARGE_C, PLANCK_JS, fixed_decimal
 
 from .conftest import INCAPABLE_MESSAGES, NIMS1_BITS, capable_bits, fraction_round_half_away
 
@@ -176,7 +176,7 @@ class TestPlan:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(nims.representation, name, counting(name, getattr(nims.representation, name)))
+            monkeypatch.setattr(nims.sequence, name, counting(name, getattr(nims.sequence, name)))
         seq = Sequence(NIMS1_BITS)
         for k in range(100):
             plan(0.01 * k, 18.01e9, seq)

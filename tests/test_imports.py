@@ -42,15 +42,15 @@ MODULES = {
     "represent": (["represent", "--seq", "1,3,8", "--m", "5"], FIRST + ["representation"]),
     "plan": (
         ["plan", "--device", str(DEVICE_CSV), "--volts", "1.0"],
-        FIRST + ["bias", "device", "fault_tolerance", "representation"],
+        FIRST + ["bias", "device", "fault_tolerance", "representation", "units"],
     ),
-    "report": (["report", "--device", str(DEVICE_CSV)], FIRST + ["bias", "device", "fault_tolerance", "representation"]),
+    "report": (["report", "--device", str(DEVICE_CSV)], FIRST + ["device", "fault_tolerance", "units"]),
     "enumerate": (["enumerate", "--a0", "1", "--depth", "3", "--max-bit", "9"], FIRST),
     "oracle": (["oracle", "--seq", "1,3,8"], FIRST + ["fault_tolerance"]),
-    "oracle_sweep": (["oracle", "--seq", "1,3,8", "--sweep"], FIRST + ["fault_tolerance", "representation"]),
+    "oracle_sweep": (["oracle", "--seq", "1,3,8", "--sweep"], FIRST + ["fault_tolerance"]),
 }
 # the two dataclasses left, Representation and BiasPlan, load dataclasses where representation loads
-WITHOUT_DATACLASSES = ("validate", "tolerance", "defects", "design", "compare", "enumerate", "oracle")
+WITHOUT_DATACLASSES = ("validate", "tolerance", "defects", "design", "compare", "enumerate", "oracle", "oracle_sweep", "report")
 # fractions, with the decimal and numbers it loads, only where a Fraction is built
 WITH_FRACTIONS = ("tolerance", "design", "compare")
 
@@ -117,6 +117,27 @@ def test_subcommand_loads_only_its_modules(command):
         assert not loaded & {"dataclasses", "inspect"}
     if command not in WITH_FRACTIONS:
         assert "fractions" not in loaded
+
+
+# Runs in this fresh interpreter the library calls that read a device or audit a layout without planning a
+# bias point, then prints the ones of the planner's modules, and the standard modules they load, that loaded.
+WITHOUT_THE_PLANNER = """
+import json, sys
+before = set(sys.modules)
+import nims
+record = nims.load_device(sys.argv[1])
+nims.build_report(record)
+nims.design(nims.DesignSpec(1, 9, 13))
+passed = nims.represent_range_check(record.sequence()).passed
+planner = {"dataclasses", "inspect", "nims.bias", "nims.representation"}
+print(json.dumps({"passed": passed, "loaded": sorted(planner & (set(sys.modules) - before))}))
+"""
+
+
+def test_reports_designs_and_the_sweep_load_no_planner_module():
+    proc = _fresh("-c", WITHOUT_THE_PLANNER, str(DEVICE_CSV))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"passed": True, "loaded": []}
 
 
 def test_every_submodule_loads_only_the_standard_library():

@@ -10,8 +10,10 @@ files, device files with a dead bit, worst-case scans with budgets at the
 integer edges over sequences with dead bits, and long flags cut to
 prefixes. A second test reads every subcommand's long flags off the parser
 and fails when the grammar never draws one. Library arguments of the wrong
-shape, a tolerance rule that is not a ToleranceRule or a compared candidate
-that is not a (name, Sequence) pair, are refused as InvalidInput too.
+shape, a tolerance rule that is not a ToleranceRule, a compared candidate
+that is not a (name, Sequence) pair, a voltage, frequency or margin that is
+not a number, a band that is not two edges or a defect map that is not a
+mapping, are refused as InvalidInput too.
 """
 
 from __future__ import annotations
@@ -39,10 +41,15 @@ from nims import (
     Sequence,
     ToleranceRule,
     apply_defects,
+    build_report,
     compare_logics,
     design,
     load_device,
+    margin_report,
+    max_voltage,
+    plan,
     represent,
+    resolution,
     sequence_from_file,
     standard_column,
     tolerance_report,
@@ -190,6 +197,7 @@ def test_the_rule_keeps_the_value(value):
 # --- arguments of the wrong shape --------------------------------------------
 
 SEQ = Sequence((1, 3, 8))
+DEVICE = load_device(DEVICE_CSV)
 
 MALFORMED = {
     "a tuple for a rule": (
@@ -243,6 +251,21 @@ MALFORMED = {
         lambda: within_tolerance((1, 3), DefectMap({0: 1})),
         "seq must be a Sequence, got (1, 3)",
     ),
+    "text for a frequency": (lambda: max_voltage(SEQ, "1e9"), "drive frequency must be a number, got '1e9'"),
+    "None for a frequency": (lambda: resolution(SEQ, None), "drive frequency must be a number, got None"),
+    "text for a planned voltage": (lambda: plan("1", 1e10, SEQ), "voltage must be a number, got '1'"),
+    "text for a planned frequency": (lambda: plan(1.0, "1e10", SEQ), "drive frequency must be a number, got '1e10'"),
+    "a band of one edge": (
+        lambda: plan(1.0, 1e10, SEQ, band=(1e9,)),
+        "bad frequency band (1000000000.0,): expected two edges (low, high)",
+    ),
+    "a number for a band": (lambda: plan(1.0, 1e10, SEQ, band=5), "bad frequency band 5: expected two edges (low, high)"),
+    "a list of pairs for a defect map": (
+        lambda: DefectMap([(0, 1)]),
+        "defects must be a mapping of bit index to count, got [(0, 1)]",
+    ),
+    "text for a margin threshold": (lambda: margin_report(DEVICE, "x"), "margin threshold must be a number, got 'x'"),
+    "text for a report's margin": (lambda: build_report(DEVICE, "x"), "margin threshold must be a number, got 'x'"),
 }
 
 
@@ -434,7 +457,7 @@ def defect_files(draw) -> File:
     return pick(draw, st.just(json_file({"defects": entries})), malformed)
 
 
-DEVICE_BIT_COUNT = len(load_device(DEVICE_CSV).bits)
+DEVICE_BIT_COUNT = len(DEVICE.bits)
 
 
 def dead_bit(data: bytes, index: int) -> File:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nims.representation
+import nims.sequence
 from nims import (
     InvalidInput,
     InvalidSequence,
@@ -196,8 +196,8 @@ class TestDescentTable:
 # Runs under python -O with prefix_sums corrupted; prints the invariant error.
 CORRUPT_PREFIX_SUMS = """
 import sys
-import nims.representation as rep
-from nims import Sequence, prefix_sums
+import nims.sequence as seqmod
+from nims import Sequence, prefix_sums, represent
 from nims.sequence import PrefixSums
 
 if __debug__:
@@ -209,9 +209,9 @@ def corrupt(seq):
     totals = tuple(huge for _ in sums.totals) if {corrupt_totals} else sums.totals
     return PrefixSums(totals, tuple(huge for _ in sums.thresholds))
 
-rep.prefix_sums = corrupt
+seqmod.prefix_sums = corrupt
 try:
-    rep.represent(7, Sequence((1, 3, 8)))
+    represent(7, Sequence((1, 3, 8)))
 except AssertionError as exc:
     print(exc)
 else:
@@ -352,7 +352,7 @@ def sweep_with_thresholds(seq, thresholds):
     and a table built under the patch must not stay on a shared sequence.
     """
     sums = prefix_sums(seq)
-    with patch.object(nims.representation, "prefix_sums", lambda _: PrefixSums(sums.totals, thresholds)):
+    with patch.object(nims.sequence, "prefix_sums", lambda _: PrefixSums(sums.totals, thresholds)):
         return represent_range_check(Sequence(seq.bits))
 
 
@@ -403,7 +403,7 @@ class TestSweepReadsTheDescentTable:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(nims.representation, name, counting(name, getattr(nims.representation, name)))
+            monkeypatch.setattr(nims.sequence, name, counting(name, getattr(nims.sequence, name)))
         seq = Sequence((1, 3, 8, 24, 70))
         for _ in range(20):
             assert represent_range_check(seq).passed

@@ -68,7 +68,6 @@ _SOURCES = {
             "ScanReport",
             "ToleranceReport",
             "apply_defects",
-            "oracle_gaps",
             "represent_range_check",
             "tolerance_report",
             "within_tolerance",
@@ -89,6 +88,7 @@ _SOURCES = {
             "ValidationReport",
             "enumerate_nims",
             "is_complete",
+            "oracle_gaps",
             "parse_bits",
             "prefix_sums",
             "reachable_sums",

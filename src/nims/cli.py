@@ -194,7 +194,7 @@ def _cmd_defects(args) -> Output:
     oracle_ok = None
     gaps: list[list[int]] = []
     if defective.total <= cap:
-        _, gap_list = fault_tolerance.oracle_gaps(defective, cap=cap)
+        _, gap_list = sequence.oracle_gaps(defective, cap=cap)
         oracle_ok = not gap_list
         gaps = [list(g) for g in gap_list[:20]]
     return Output(
@@ -365,14 +365,11 @@ def _cmd_enumerate(args) -> Output:
 
 
 def _cmd_oracle(args) -> Output:
-    from . import fault_tolerance
-
     seq = _load_seq(args.seq)
     cap = _resolve_cap(args)
-    widened, gaps = fault_tolerance.oracle_gaps(seq, cap=cap)
-    sums = widened
-    if widened.beta_radius and not args.a0_offset:
-        # widened only when a_0 >= 2; the intervals shown then come from the plain set
+    sums, gaps = sequence.oracle_gaps(seq, cap=cap)
+    if sums.beta_radius and not args.a0_offset:
+        # the gap listing's set is widened only when a_0 >= 2; the intervals shown then come from the plain set
         sums = sequence.reachable_sums(seq, cap=cap)
     doc = {
         "bits": list(seq.bits),
@@ -391,6 +388,8 @@ def _cmd_oracle(args) -> Output:
         ("gap_count", doc["gap_count"]),
     ]
     if args.sweep:
+        from . import fault_tolerance
+
         check = fault_tolerance.represent_range_check(seq, cap=cap)
         doc["sweep_checked"] = check.checked
         doc["sweep_failures"] = [list(f) for f in check.failures]

@@ -19,10 +19,10 @@ from .errors import Infeasible, InvalidInput, RangeError
 from .fault_tolerance import _tolerance_table
 from .sequence import (
     Sequence,
-    _chain_capable,
     _Frozen,
     _integer,
-    _refusal,
+    _require_capable,
+    _require_type,
     _unchecked_sequence,
     csv_rows,
     read_json,
@@ -207,13 +207,12 @@ def design(spec: DesignSpec) -> DesignResult:
     cur * p // q is exactly floor(cur * max_ratio). One test, a size's
     largest successor reaching the bank size, ends the chain and lets a
     trimmed bank lead the full banks. The layout is checked again when
-    built: an incapable one is refused in sequence._refusal's wording, and
+    built: an incapable one is refused by sequence._require_capable, and
     each distinct bit size's required tolerance is asked once, against the
     one tolerance table, _tolerance_table, which stays on the new Sequence.
     spec must be a DesignSpec, else InvalidInput.
     """
-    if not isinstance(spec, DesignSpec):
-        raise InvalidInput(f"spec must be a DesignSpec, got {spec!r}")
+    _require_type("spec", spec, DesignSpec)
 
     def largest_successor(size: int) -> int:  # the largest next bit leaving size its required tolerance
         return 3 * (size - spec.required_tolerance(size))
@@ -253,8 +252,7 @@ def design(spec: DesignSpec) -> DesignResult:
 
     # Post-verification: the greedy construction is supposed to guarantee
     # all of this; failing any check means the spec is infeasible for it.
-    if not _chain_capable(bits):
-        raise Infeasible(_refusal("constructed layout", bits))
+    _require_capable(bits, "constructed layout", Infeasible)
     if seq.total != spec.target_total:
         raise Infeasible(f"layout total {seq.total} misses target {spec.target_total}")
     need = {a: spec.required_tolerance(a) for a in set(bits)}
@@ -351,8 +349,7 @@ def compare_logics(
                 bits = seq.bits
             case _:
                 raise InvalidInput(f"candidate {candidate!r} is not a (name, Sequence) pair")
-        if not _chain_capable(bits):
-            raise InvalidInput(f"candidate {name!r} is not completeness capable")
+        _require_capable(bits, f"candidate {name!r}", InvalidInput)
         # a capable chain has no ratio above 3 and no zero bit, so 3/1 is a
         # safe start for the minimum and every denominator is positive
         lo_p, lo_q = 3, 1
@@ -388,8 +385,7 @@ def standard_column(kind: str, msb_size: int, length: int) -> Sequence:
     sequence._unchecked_sequence, without the constructor's checks; the
     banks are added in one list step.
     """
-    if not isinstance(kind, str):
-        raise InvalidInput(f"kind must be a str, got {kind!r}")
+    _require_type("kind", kind, str)
     if kind not in STANDARD_RATIOS:
         raise InvalidInput(f"unknown standard kind {kind!r}")
     msb_size = _integer("msb_size", msb_size)

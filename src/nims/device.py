@@ -6,7 +6,8 @@ tolerance_note column, required metadata keys in a fixed order, and any
 extra keys verbatim in sorted order, and writes the rows with
 sequence.csv_rows, which quotes a note only where it holds a comma, a
 quote or a line break, so loading a canonical file and re-serializing it
-is byte identical.
+is byte identical. A rec that is not a DeviceRecord, or a nominal that
+is not a Sequence, is InvalidInput.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInput, ParseError
 from .fault_tolerance import DefectMap, ToleranceReport, _tolerance_table
-from .sequence import Sequence, _read_text, csv_rows, validate
+from .sequence import Sequence, _read_text, _require_type, csv_rows, validate
 from .units import _require_finite, max_voltage, resolution
 
 if TYPE_CHECKING:
@@ -206,6 +207,7 @@ def parse_device(text: str) -> DeviceRecord:
 
 def serialize_device(rec: DeviceRecord) -> str:
     """Canonical text form; see module docstring."""
+    _require_type("rec", rec, DeviceRecord)
     m = rec.metadata
     preamble = [f"{key}={'x'.join(repr(getattr(m, field)) for field in fields)}\n" for key, fields in METADATA_KEYS]
     preamble += [f"{key}={value}\n" for key, value in sorted(m.extras)]
@@ -241,6 +243,7 @@ class MarginReport(NamedTuple):
 
 def _side_widths(rec: DeviceRecord) -> list[tuple[str, list[float]]]:
     """Each side of SIDES with the bits' step widths on it, in bit order."""
+    _require_type("rec", rec, DeviceRecord)
     return [(side, [getattr(b, field) for b in rec.bits]) for side, field in SIDES]
 
 
@@ -267,6 +270,8 @@ def margin_report(rec: DeviceRecord, min_margin_ma: float) -> MarginReport:
 
 def infer_defects(rec: DeviceRecord, nominal: Sequence) -> DefectMap:
     """Missing junctions per bit relative to a nominal layout."""
+    _require_type("rec", rec, DeviceRecord)
+    _require_type("nominal", nominal, Sequence)
     if len(nominal.bits) != len(rec.bits):
         raise InvalidInput(
             f"nominal has {len(nominal.bits)} bits, device has {len(rec.bits)}"
@@ -311,6 +316,7 @@ def build_report(rec: DeviceRecord, min_margin_ma: float = 1.0) -> dict:
     The tolerance rows read the sequence's one table, _tolerance_table;
     retuned_resolution_v is None when bit 0 holds no junctions.
     """
+    _require_type("rec", rec, DeviceRecord)
     seq = rec.sequence()
     vr = validate(seq)
     margins = margin_report(rec, min_margin_ma)

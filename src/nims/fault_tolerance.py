@@ -7,31 +7,29 @@ t_n from every bit at once still leaves the chain intact. The last bit
 has no chain successor, so junctions lost there only shrink the range.
 
 The audits that check a layout end to end live here too: the
-worst-case defect scan, the oracle's gap listing and the full-range
-round trip of the greedy, represent_range_check.
+worst-case defect scan and the full-range round trip of the greedy,
+represent_range_check.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidInput, InvalidSequence, RangeError
+from .errors import InvalidInput, RangeError
 from .sequence import (
     DEFAULT_ORACLE_CAP,
     TOTAL_LIMIT,
     Sequence,
-    SumSet,
     ValidationReport,
     _chain_capable,
     _descent,
     _Frozen,
     _integer,
-    _refusal,
-    _require_sequence,
+    _require_capable,
+    _require_type,
     _unchecked_sequence,
     csv_rows,
     is_complete,
-    reachable_sums,
     read_json,
     validate,
 )
@@ -114,7 +112,7 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
     """
     from fractions import Fraction
 
-    _require_sequence(seq)
+    _require_type("seq", seq, Sequence)
     bits = seq.bits
     new = tuple.__new__
     shared: dict[object, Fraction] = {}  # by (a, b), or 0 for a clamped pair
@@ -177,9 +175,8 @@ class DefectMap(_Frozen):
 
 def _sequence_and_defects(seq: Sequence, defects: DefectMap) -> None:
     """Refuse with InvalidInput a seq that is not a Sequence or defects that are not a DefectMap."""
-    _require_sequence(seq)
-    if not isinstance(defects, DefectMap):
-        raise InvalidInput(f"defects must be a DefectMap, got {defects!r}")
+    _require_type("seq", seq, Sequence)
+    _require_type("defects", defects, DefectMap)
 
 
 def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, ValidationReport]:
@@ -264,18 +261,17 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     _tolerance_table. budget is read by sequence._integer.
 
     A sequence that is not completeness capable has no certificate to
-    scan: it is refused with InvalidSequence, in sequence._refusal's
-    wording. So every safe_up_to is at least 0, and a SAFE placement the
-    oracle finds a gap in is a fault of the scan, raised as AssertionError.
-    seq must be a Sequence, else InvalidInput.
+    scan: the chain gate, sequence._require_capable, refuses it. So every
+    safe_up_to is at least 0, and a SAFE placement the oracle finds a gap
+    in is a fault of the scan, raised as AssertionError. seq must be a
+    Sequence, else InvalidInput.
     """
-    _require_sequence(seq)
+    _require_type("seq", seq, Sequence)
     budget = _integer("scan budget", budget)
     if budget < 0:
         raise InvalidInput("budget must be non-negative")
     bits = seq.bits
-    if not _chain_capable(bits):
-        raise InvalidSequence(_refusal("sequence", bits))
+    _require_capable(bits)
     total = sum(bits)
     if total > cap:
         raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
@@ -314,31 +310,6 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
             )
 
     return ScanReport(budget, tuple(entries), checked)
-
-
-def _window_gaps(sums: SumSet) -> tuple[tuple[int, int], ...]:
-    """The uncovered intervals inside [-span, span], listed from [1, span] and mirrored.
-
-    Exact for any reachable set: it is symmetric about 0 (negating every
-    digit negates the sum, and the residual widens both ways alike) and it
-    holds 0 (all digits zero), so the gaps below 0 are the negated gaps
-    above it and no gap crosses 0. A set held by its width is one run and
-    has no gaps: it is answered without building its mask.
-    """
-    if sums._one_run:
-        return ()
-    upper = sums.gaps(1, sums.span)
-    return (*[(-hi, -lo) for lo, hi in reversed(upper)], *upper)
-
-
-def oracle_gaps(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> tuple[SumSet, tuple[tuple[int, int], ...]]:
-    """Reachable sums plus the uncovered intervals inside [-A_N, A_N].
-
-    The gaps are listed from half the window by _window_gaps, which reads
-    only the set, never the chain.
-    """
-    sums = reachable_sums(seq, a0_offset=True, cap=cap)
-    return sums, _window_gaps(sums)
 
 
 class RangeCheckReport(NamedTuple):

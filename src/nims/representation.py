@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import InvalidInput, OutOfRange, RangeError
-from .sequence import TOTAL_LIMIT, Sequence, _descent, _integer, _require_sequence
+from .sequence import TOTAL_LIMIT, Sequence, _descent, _integer, _require_type
 
 
 @dataclass(frozen=True, init=False)
@@ -79,8 +79,7 @@ def represent(m: int, seq: Sequence) -> Representation:
     its total exceeds TOTAL_LIMIT and OutOfRange when |m| exceeds
     A_N + a_0 - 1.
     """
-    if m.__class__ is not int:
-        m = _integer("target", m)
+    m = _integer("target", m)
     bound, steps = _descent(seq)
     if steps is None:
         raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")
@@ -90,8 +89,9 @@ def represent(m: int, seq: Sequence) -> Representation:
 
 
 def evaluate(rep: Representation, seq: Sequence) -> int:
-    """Recover the integer a representation denotes over seq."""
-    _require_sequence(seq)
+    """Recover the integer rep denotes over seq; either of another type is InvalidInput."""
+    _require_type("rep", rep, Representation)
+    _require_type("seq", seq, Sequence)
     if len(rep.signs) != len(seq.bits):
         raise InvalidInput(
             f"representation has {len(rep.signs)} digits, sequence has {len(seq.bits)} bits"

@@ -124,17 +124,15 @@ class Sequence(_Frozen):
         return iter(self.bits)
 
 
-def _require_sequence(seq: object) -> None:
-    """Refuse anything but a Sequence: InvalidInput, the one wording of that refusal.
+def _require_type(name: str, value: object, kind: type) -> None:
+    """Refuse a value that is not a kind: InvalidInput "<name> must be a <kind>, got <value!r>".
 
-    Called first by the public functions that run once per sequence. The
-    ones in timed loops pay nothing for it: validate, reachable_sums and
-    is_complete call it only when their one attribute read of seq raises
-    AttributeError, and _descent only where it builds a table, which is
-    where a tuple lands.
+    The one wording of a wrong-type refusal. validate, reachable_sums,
+    is_complete and _descent, which run in timed loops, check seq only
+    when their first read of it raises AttributeError.
     """
-    if not isinstance(seq, Sequence):
-        raise InvalidInput(f"seq must be a Sequence, got {seq!r}") from None
+    if not isinstance(value, kind):
+        raise InvalidInput(f"{name} must be a {kind.__name__}, got {value!r}") from None
 
 
 def _unchecked_sequence(bits: tuple[int, ...]) -> Sequence:
@@ -221,10 +219,10 @@ class PrefixSums(NamedTuple):
 def _chain_capable(bits: tuple[int, ...]) -> bool:
     """Positivity plus the upper chain a_n <= 3*a_{n-1}: completeness capability.
 
-    The one statement of the rule. Gates that need only the verdict test
-    it directly and call _refusal only to word a refusal. A plain loop:
-    validate runs this on every sequence, and a generator under all()
-    costs it about 1 us more on short strict sequences.
+    The one statement of the rule, read by validate and by the one gate,
+    _require_capable. A plain loop: validate runs this on every sequence,
+    and a generator under all() costs it about 1 us more on short strict
+    sequences.
     """
     if min(bits) < 1:
         return False
@@ -252,7 +250,7 @@ def validate(seq: Sequence) -> ValidationReport:
     try:
         report = seq._report
     except AttributeError:
-        _require_sequence(seq)
+        _require_type("seq", seq, Sequence)
         raise
     if report is None:
         report = ValidationReport(_chain_capable(seq.bits), seq.bits)
@@ -305,13 +303,19 @@ def _violations(bits: tuple[int, ...]) -> tuple[Violation, ...]:
     return tuple(violations)
 
 
-def _refusal(what: str, bits: tuple[int, ...]) -> str:
-    """The one wording of a capability refusal: what, then every violation of the bits."""
-    return f"{what} is not completeness capable: " + "; ".join(v.message for v in _violations(bits))
+def _require_capable(bits: tuple[int, ...], what: str = "sequence", error: type = InvalidSequence) -> None:
+    """The one chain gate: error "<what> is not completeness capable: <reasons>" where _chain_capable fails.
+
+    The reasons are the POSITIVITY and UPPER violations, the rules the
+    predicate tests; the lower chain is strictness, so it is left out.
+    """
+    if not _chain_capable(bits):
+        reasons = "; ".join(v.message for v in _violations(bits) if v.constraint != LOWER)
+        raise error(f"{what} is not completeness capable: {reasons}")
 
 
 def prefix_sums(seq: Sequence) -> PrefixSums:
-    _require_sequence(seq)
+    _require_type("seq", seq, Sequence)
     totals: list[int] = []
     run = 0
     for a in seq.bits:
@@ -328,13 +332,12 @@ def _descent(seq: Sequence) -> tuple:
 
     The one place the table is built, read by representation.represent,
     fault_tolerance.represent_range_check and bias.plan. Building refuses
-    anything but a Sequence with InvalidInput, in _require_sequence's
-    wording, and applies the chain gate: an incapable sequence is refused
-    here, in _refusal's wording, on every call, since a refusal stores
-    nothing. bound is A_N + a_0 - 1. steps holds one row (n, a_n,
-    threshold, -threshold, slack, -slack) per bit from the top down to bit
-    0, threshold and slack being the running total below bit n plus a_0
-    and plus a_0 - 1: bit 0's row is (0, a_0, a_0, -a_0, a_0 - 1, 1 - a_0),
+    a seq that is not a Sequence (_require_type) or not capable (the chain
+    gate, _require_capable) on every call, as a refusal stores nothing.
+    bound is A_N + a_0 - 1. steps holds one row (n, a_n, threshold,
+    -threshold, slack, -slack) per bit from the top down to bit 0,
+    threshold and slack being the running total below bit n plus a_0 and
+    plus a_0 - 1: bit 0's row is (0, a_0, a_0, -a_0, a_0 - 1, 1 - a_0),
     its slack the residual bound. The negated columns are stored so that
     the kernel representation._greedy negates nothing. A capable sequence
     whose total passes TOTAL_LIMIT keeps steps None, so that plan can
@@ -345,10 +348,9 @@ def _descent(seq: Sequence) -> tuple:
     try:
         return seq._descent
     except AttributeError:  # an unset slot: not built yet, or not a Sequence
-        _require_sequence(seq)
+        _require_type("seq", seq, Sequence)
     bits = seq.bits
-    if not _chain_capable(bits):
-        raise InvalidSequence(_refusal("sequence", bits))
+    _require_capable(bits)
     a0 = bits[0]
     try:
         totals, thresholds = prefix_sums(seq)
@@ -368,7 +370,7 @@ def segmentation_efficiency(seq: Sequence) -> tuple[Fraction, ...]:
     """Exact consecutive-bit ratios a_{n+1}/a_n."""
     from fractions import Fraction
 
-    _require_sequence(seq)
+    _require_type("seq", seq, Sequence)
     if len(seq) < 2:
         raise InvalidInput("efficiency needs at least two bits")
     if any(a < 1 for a in seq.bits):
@@ -389,9 +391,9 @@ class SumSet(_Frozen):
     -(span + beta_radius) to span + beta_radius, held by its width: mask
     is built the first time something reads it, so equality, hash, repr
     and pickling are those of the set built from the explicit mask. Only
-    intervals and fault_tolerance._window_gaps answer from the width
-    without it. A class with an instance __dict__, which the cached
-    properties need; the repr leaves out mask.
+    intervals and _window_gaps answer from the width without it. A class
+    with an instance __dict__, which the cached properties need; the repr
+    leaves out mask.
     """
 
     _fields = ("mask", "span", "beta_radius")
@@ -611,7 +613,7 @@ def reachable_sums(seq: Sequence, a0_offset: bool = False, *, cap: int = DEFAULT
     try:
         bits = seq.bits
     except AttributeError:
-        _require_sequence(seq)
+        _require_type("seq", seq, Sequence)
         raise
     return SumSet(*_reach(bits, a0_offset, cap))
 
@@ -630,13 +632,38 @@ def is_complete(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     try:
         bits = seq.bits
     except AttributeError:
-        _require_sequence(seq)
+        _require_type("seq", seq, Sequence)
         raise
     mask, total, radius = _reach(bits, True, cap)
     if mask is None:
         return True
     full = (1 << 2 * total + 1) - 1
     return (mask >> radius) & full == full
+
+
+def _window_gaps(sums: SumSet) -> tuple[tuple[int, int], ...]:
+    """The uncovered intervals inside [-span, span], listed from [1, span] and mirrored.
+
+    Exact for any reachable set: it is symmetric about 0 (negating every
+    digit negates the sum, and the residual widens both ways alike) and it
+    holds 0 (all digits zero), so the gaps below 0 are the negated gaps
+    above it and no gap crosses 0. A set held by its width is one run and
+    has no gaps: it is answered without building its mask.
+    """
+    if sums._one_run:
+        return ()
+    upper = sums.gaps(1, sums.span)
+    return (*[(-hi, -lo) for lo, hi in reversed(upper)], *upper)
+
+
+def oracle_gaps(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> tuple[SumSet, tuple[tuple[int, int], ...]]:
+    """Reachable sums plus the uncovered intervals inside [-A_N, A_N].
+
+    The gaps are listed from half the window by _window_gaps, which reads
+    only the set, never the chain.
+    """
+    sums = reachable_sums(seq, a0_offset=True, cap=cap)
+    return sums, _window_gaps(sums)
 
 
 def enumerate_nims(

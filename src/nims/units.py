@@ -12,7 +12,7 @@ import sys
 from decimal import Decimal
 
 from .errors import InvalidInput, RangeError
-from .sequence import Sequence, _require_sequence
+from .sequence import Sequence, _require_type
 
 # Exact SI defining constants.
 ELEMENTARY_CHARGE_C = 1.602176634e-19
@@ -71,7 +71,7 @@ def max_voltage(seq: Sequence, freq_hz: float) -> float:
     Raises RangeError when the total, or the voltage, is beyond float
     range, and InvalidInput when seq is not a Sequence.
     """
-    _require_sequence(seq)
+    _require_type("seq", seq, Sequence)
     return _volts("sequence total", seq.total, freq_hz)
 
 
@@ -83,5 +83,5 @@ def resolution(seq: Sequence, freq_hz: float) -> float:
     step, is beyond float range, and InvalidInput when seq is not a
     Sequence.
     """
-    _require_sequence(seq)
+    _require_type("seq", seq, Sequence)
     return _volts("first bit", seq.bits[0], freq_hz)

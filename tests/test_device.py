@@ -179,6 +179,26 @@ class TestLoader:
         with pytest.raises(ParseError, match=r"row 8, field 'step_zero_mA': step width must be finite"):
             parse_device(minimal_text(f"0,2,1.0,{value},1.0\n"))
 
+    def test_negative_metadata_rejected(self):
+        text = minimal_text("0,2,1.0,1.0,1.0\n").replace("temperature_k=4.2", "temperature_k=-4.2")
+        with pytest.raises(ParseError, match=r"^metadata temperature_k must not be negative, got -4.2$"):
+            parse_device(text)
+
+    def test_negative_step_width_rejected(self):
+        with pytest.raises(ParseError, match=r"^row 8, field 'step_neg_mA': step width must not be negative$"):
+            parse_device(minimal_text("0,2,1.0,1.0,-1.0\n"))
+
+    def test_junction_size_needs_both_sides(self):
+        text = minimal_text("0,2,1.0,1.0,1.0\n").replace("junction_um=11.0x4.0", "junction_um=11.0")
+        with pytest.raises(ParseError, match=r"^junction_um must be LENGTHxWIDTH, got '11.0'$"):
+            parse_device(text)
+
+    def test_blank_lines_are_skipped(self):
+        # blank and whitespace-only lines in the preamble, and empty data rows, hold nothing
+        rows = "0,2,1.0,1.0,1.0\n\n,,,,\n1,6,1.0,1.0,1.0\n \n"
+        plain = parse_device(minimal_text("0,2,1.0,1.0,1.0\n1,6,1.0,1.0,1.0\n"))
+        assert parse_device("\n  \n" + minimal_text(rows).replace("temperature_k", "\ntemperature_k")) == plain
+
 
 class TestReadingFiles:
     def test_text_is_not_a_path(self):

@@ -152,6 +152,11 @@ class TestDefectMap:
         d = DefectMap({2: 1, 5: 3})
         assert DefectMap.from_doc(d.to_doc()).missing == d.missing
 
+    @pytest.mark.parametrize("doc", [[{"defects": {}}], "defects", {"defects": [1]}, {"missing": {}}])
+    def test_from_doc_needs_an_object_with_a_mapping(self, doc):
+        with pytest.raises(InvalidInput, match="^defect document must be an object with a 'defects' mapping$"):
+            DefectMap.from_doc(doc)
+
     def test_from_file(self, tmp_path):
         p = tmp_path / "defects.json"
         p.write_text(json.dumps({"defects": {"2": 1}}))

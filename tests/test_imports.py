@@ -46,7 +46,7 @@ MODULES = {
     ),
     "report": (["report", "--device", str(DEVICE_CSV)], FIRST + ["device", "fault_tolerance", "units"]),
     "enumerate": (["enumerate", "--a0", "1", "--depth", "3", "--max-bit", "9"], FIRST),
-    "oracle": (["oracle", "--seq", "1,3,8"], FIRST + ["fault_tolerance"]),
+    "oracle": (["oracle", "--seq", "1,3,8"], FIRST),
     "oracle_sweep": (["oracle", "--seq", "1,3,8", "--sweep"], FIRST + ["fault_tolerance"]),
 }
 # the two dataclasses left, Representation and BiasPlan, load dataclasses where representation loads

@@ -12,8 +12,9 @@ prefixes. A second test reads every subcommand's long flags off the parser
 and fails when the grammar never draws one. Library arguments of the wrong
 shape, a tolerance rule that is not a ToleranceRule, a compared candidate
 that is not a (name, Sequence) pair, a voltage, frequency or margin that is
-not a number, a band that is not two edges or a defect map that is not a
-mapping, are refused as InvalidInput too.
+not a number, a band that is not two edges, a defect map that is not a
+mapping, or a device record, representation or nominal sequence of another
+type, are refused as InvalidInput too.
 """
 
 from __future__ import annotations
@@ -313,6 +314,41 @@ def test_a_tuple_for_seq_is_invalid_input(name):
         with pytest.raises(InvalidInput) as caught:
             function(**{p.name: (1, 3, 8) if p.name == "seq" else BESIDE_SEQ[p.name] for p in required})
         assert str(caught.value) == "seq must be a Sequence, got (1, 3, 8)"
+
+
+# the record types a parameter other than seq may be annotated with
+RECORD_TYPES = {"DeviceRecord", "Representation", "Sequence"}
+# the required arguments beside such a parameter, by name, all of them valid
+BESIDE_RECORD = {**BESIDE_SEQ, "seq": SEQ, "rec": DEVICE, "nominal": SEQ, "min_margin_ma": 1.0}
+
+
+def _record_parameters() -> list[tuple[str, str]]:
+    """Every (exported function, parameter) other than seq annotated with a record type, by walking nims.__all__."""
+    return [
+        (name, p.name)
+        for name in nims.__all__
+        if inspect.isfunction(getattr(nims, name))
+        for p in inspect.signature(getattr(nims, name)).parameters.values()
+        if p.annotation in RECORD_TYPES and p.name != "seq"
+    ]
+
+
+def test_the_walk_finds_every_record_parameter():
+    assert set(_record_parameters()) >= {
+        ("build_report", "rec"), ("evaluate", "rep"), ("infer_defects", "nominal"), ("infer_defects", "rec"),
+        ("margin_report", "rec"), ("plausibility_lints", "rec"), ("serialize_device", "rec"),
+    }
+
+
+@pytest.mark.parametrize("name,param", _record_parameters(), ids=[f"{n}-{p}" for n, p in _record_parameters()])
+def test_a_wrong_type_for_a_record_is_invalid_input(name, param):
+    function = getattr(nims, name)
+    parameters = inspect.signature(function).parameters
+    required = [p for p in parameters if parameters[p].default is inspect.Parameter.empty]
+    for wrong in ((1, 3, 8), None):
+        with pytest.raises(InvalidInput) as caught:
+            function(**{p: wrong if p == param else BESIDE_RECORD[p] for p in required})
+        assert str(caught.value) == f"{param} must be a {parameters[param].annotation}, got {wrong!r}"
 
 
 # --- the file reader --------------------------------------------------------

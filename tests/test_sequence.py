@@ -30,8 +30,7 @@ from nims import (
     standard_column,
     validate,
 )
-from nims.fault_tolerance import _window_gaps
-from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _reach, _runs, csv_rows
+from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _reach, _runs, _window_gaps, csv_rows
 
 from .conftest import (
     INCAPABLE_MESSAGES,
@@ -371,7 +370,7 @@ class TestReachableSums:
         # one-run shortcut looks like a chain test
         banned = {
             "_chain_capable", "_lower_chain", "_strict_valid", "validate", "_tolerances", "_tolerance_table",
-            "_violations", "_refusal", "_report", "_STRICT_REPORT",
+            "_violations", "_refusal", "_require_capable", "_report", "_STRICT_REPORT",
         }
         for oracle in (_reach, _runs, reachable_sums, is_complete, oracle_gaps, _window_gaps, SumSet):
             nodes = list(ast.walk(ast.parse(inspect.getsource(oracle))))

@@ -3,10 +3,12 @@
 The scope is every sequence of one to four bits, each bit from 0 to
 NIMS_SMALL_SCOPE (default 9: 11,110 sequences; 12 gives 30,940). The oracle
 (sequence._reach, read by reachable_sums and is_complete, and
-fault_tolerance._window_gaps, read by oracle_gaps) is checked against the
-digit sums listed one digit vector at a time, and the chain rule
+sequence._window_gaps, read by oracle_gaps) is checked against the digit
+sums listed one digit vector at a time, and the chain rule
 (sequence._chain_capable) against its statement here, with the coverage it
-implies. On every chain-capable sequence, represent, which reads the table
+implies; the chain gate (sequence._require_capable) must refuse exactly
+where the rule fails, naming the POSITIVITY and UPPER violations. On
+every chain-capable sequence, represent, which reads the table
 sequence._descent builds, must round-trip every target in
 [-(A_N + a_0 - 1), A_N + a_0 - 1] with a residual below a_0, and
 fault_tolerance.represent_range_check, which sweeps the same table, must
@@ -24,6 +26,7 @@ import os
 import pytest
 
 from nims import (
+    InvalidSequence,
     Sequence,
     is_complete,
     oracle_gaps,
@@ -34,6 +37,7 @@ from nims import (
     worst_case_scan,
 )
 from nims.fault_tolerance import _tolerance_table
+from nims.sequence import POSITIVITY, UPPER, _chain_capable, _require_capable, _violations
 
 SCOPE = int(os.environ.get("NIMS_SMALL_SCOPE", "9"))
 SCOPE_BITS = [bits for n in range(1, 5) for bits in itertools.product(range(SCOPE + 1), repeat=n)]
@@ -95,6 +99,16 @@ def chain_verdict(bits):
     return verdict == capable(bits) and (not verdict or all(v in widened_sums(bits) for v in range(-total, total + 1)))
 
 
+def gate(bits):
+    """The chain gate refuses exactly where _chain_capable fails, naming the chain's violations in order."""
+    try:
+        _require_capable(bits)
+    except InvalidSequence as exc:
+        named = "; ".join(v.message for v in _violations(bits) if v.constraint in (POSITIVITY, UPPER))
+        return not _chain_capable(bits) and str(exc) == "sequence is not completeness capable: " + named
+    return _chain_capable(bits)
+
+
 def tolerances(bits):
     """Each bit below the last may lose its tolerance and keeps the chain, and breaks it one junction past;
     every bit losing its tolerance at once keeps the chain too."""
@@ -138,8 +152,9 @@ CHECKS = {
     "sequence._reach by reachable_sums count": (reachable_count, SCOPE_BITS),
     "sequence._reach by reachable_sums count, a0_offset": (widened_count, SCOPE_BITS),
     "sequence._reach by is_complete": (complete, SCOPE_BITS),
-    "fault_tolerance._window_gaps by oracle_gaps": (gaps, SCOPE_BITS),
+    "sequence._window_gaps by oracle_gaps": (gaps, SCOPE_BITS),
     "sequence._chain_capable by validate, and the chain implies coverage": (chain_verdict, SCOPE_BITS),
+    "sequence._require_capable, refusing where the chain breaks": (gate, SCOPE_BITS),
     "fault_tolerance._tolerance_table, safe and sharp": (tolerances, CAPABLE_BITS),
     "fault_tolerance.worst_case_scan at budgets 0 to 3": (scans, CAPABLE_BITS),
     "sequence._descent by represent round trips": (round_trips, CAPABLE_BITS),

@@ -121,7 +121,8 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     top, DegenerateTarget when a nonzero voltage rounds to an expressed
     multiple of zero (no frequency shift can reach it), InvalidInput
     when the voltage, frequency or a band edge is not a number or is NaN
-    or infinite, the band is not two edges or seq is not a Sequence,
+    or infinite, the frequency is not positive, the band is not two
+    edges or seq is not a Sequence,
     InvalidSequence when seq is not completeness capable, and RangeError
     when its total exceeds TOTAL_LIMIT or its headroom float range. The
     table sequence._descent keeps on seq, built by the first plan,
@@ -133,6 +134,8 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     """
     _require_finite("voltage", volts)
     _require_finite("drive frequency", freq_hz)
+    if freq_hz <= 0:
+        raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
     lo, hi = _resolve_band(freq_hz, band)
     headroom, steps = _descent(seq)
     if abs(volts) * JOSEPHSON_HZ_PER_VOLT > _as_float("headroom", headroom) * hi:

@@ -252,7 +252,7 @@ def design(spec: DesignSpec) -> DesignResult:
 
     # Post-verification: the greedy construction is supposed to guarantee
     # all of this; failing any check means the spec is infeasible for it.
-    _require_capable(bits, "constructed layout", Infeasible)
+    _require_capable(seq, "constructed layout", Infeasible)
     if seq.total != spec.target_total:
         raise Infeasible(f"layout total {seq.total} misses target {spec.target_total}")
     need = {a: spec.required_tolerance(a) for a in set(bits)}
@@ -349,7 +349,7 @@ def compare_logics(
                 bits = seq.bits
             case _:
                 raise InvalidInput(f"candidate {candidate!r} is not a (name, Sequence) pair")
-        _require_capable(bits, f"candidate {name!r}", InvalidInput)
+        _require_capable(seq, f"candidate {name!r}", InvalidInput)
         # a capable chain has no ratio above 3 and no zero bit, so 3/1 is a
         # safe start for the minimum and every denominator is positive
         lo_p, lo_q = 3, 1

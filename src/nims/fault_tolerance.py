@@ -4,7 +4,8 @@ Bit n (below the last) tolerates t_n = max(0, a_n - ceil(a_{n+1}/3))
 missing junctions before the upper chain at n+1 can break. Losing more
 than t_n from a single bit always breaks the chain there; losing up to
 t_n from every bit at once still leaves the chain intact. The last bit
-has no chain successor, so junctions lost there only shrink the range.
+has no chain successor, so losing up to a_N - 1 there only shrinks the
+range; losing all of it breaks positivity.
 
 The audits that check a layout end to end live here too: the
 worst-case defect scan and the full-range round trip of the greedy,
@@ -200,7 +201,7 @@ def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, Validati
 
 
 def within_tolerance(seq: Sequence, defects: DefectMap) -> bool:
-    """True when every non-last bit loses at most its tolerance.
+    """True when every non-last bit loses at most its tolerance, and the last bit at most a_N - 1.
 
     The tolerances are seq's shared table, _tolerance_table, so a run of
     defect maps against one array computes them once. seq must be a
@@ -213,7 +214,7 @@ def within_tolerance(seq: Sequence, defects: DefectMap) -> bool:
     for idx, cnt in defects._missing.items():
         if idx > last:
             raise InvalidInput(f"defect bit index {idx} beyond last bit {last}")
-        if idx < last and cnt > tolerances[idx]:
+        if cnt > (tolerances[idx] if idx < last else seq.bits[last] - 1):
             within = False
     return within
 
@@ -261,17 +262,18 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     _tolerance_table. budget is read by sequence._integer.
 
     A sequence that is not completeness capable has no certificate to
-    scan: the chain gate, sequence._require_capable, refuses it. So every
-    safe_up_to is at least 0, and a SAFE placement the oracle finds a gap
-    in is a fault of the scan, raised as AssertionError. seq must be a
-    Sequence, else InvalidInput.
+    scan: the chain gate, sequence._require_capable, refuses it from the
+    report validate stores on seq; no sampled placement is validated. So
+    every safe_up_to is at least 0, and a SAFE placement the oracle finds
+    a gap in is a fault of the scan, raised as AssertionError. seq must be
+    a Sequence, else InvalidInput.
     """
     _require_type("seq", seq, Sequence)
     budget = _integer("scan budget", budget)
     if budget < 0:
         raise InvalidInput("budget must be non-negative")
+    _require_capable(seq)
     bits = seq.bits
-    _require_capable(bits)
     total = sum(bits)
     if total > cap:
         raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")

@@ -81,13 +81,14 @@ class Sequence(_Frozen):
     and iteration give the bits. Three private slots: _descent the
     greedy's per-bit table, once the function _descent has built it;
     _tolerances the one table of every bit's tolerance, once
-    fault_tolerance._tolerance_table has built it; and _report, None
-    unless enumerate_nims stored the strict report validate returns on a
-    sequence it lists. Only bits is a field, so equality, hash, repr and
-    pickling leave the three out: a copy starts without the tables and
-    with _report None. _report is set by every constructor, never left
-    unset, since validate reads it on every call and reading an unset slot
-    raises, which costs about 0.4 us for the AttributeError it formats.
+    fault_tolerance._tolerance_table has built it; and _report, the
+    report validate returns, None until the first validate call stores it
+    (enumerate_nims stores the strict report on each sequence it lists).
+    Only bits is a field, so equality, hash, repr and pickling leave the
+    three out: a copy starts without the tables and with _report None.
+    _report is set by every constructor, never left unset, since validate
+    reads it on every call and reading an unset slot raises, which costs
+    about 0.4 us for the AttributeError it formats.
     """
 
     __slots__ = ("bits", "_descent", "_tolerances", "_report")
@@ -219,10 +220,10 @@ class PrefixSums(NamedTuple):
 def _chain_capable(bits: tuple[int, ...]) -> bool:
     """Positivity plus the upper chain a_n <= 3*a_{n-1}: completeness capability.
 
-    The one statement of the rule, read by validate and by the one gate,
-    _require_capable. A plain loop: validate runs this on every sequence,
-    and a generator under all() costs it about 1 us more on short strict
-    sequences.
+    The one statement of the rule, read by validate (whose report the one
+    gate, _require_capable, reads) and worst_case_scan's sharpness check.
+    A plain loop: a generator under all() costs it about 1 us more on
+    short strict sequences.
     """
     if min(bits) < 1:
         return False
@@ -242,10 +243,10 @@ def validate(seq: Sequence) -> ValidationReport:
     _chain_capable's verdict, set at once. The lower chain (including
     growth of the final pair) is what strictness adds: strict_valid and
     the violation list are read off _violations when something first
-    reads either. A sequence enumerate_nims listed is strictly valid by
-    construction and carries _STRICT_REPORT in its _report slot, which is
-    returned as it is; any other sequence, whose _report is None, gets a
-    fresh report on every call, and nothing is stored on it.
+    reads either. The first call stores the report in seq's _report slot
+    and later calls return it, so each Sequence is walked once and worded
+    at most once. A sequence enumerate_nims listed carries _STRICT_REPORT
+    there from the start, as it is strictly valid by construction.
     """
     try:
         report = seq._report
@@ -254,6 +255,7 @@ def validate(seq: Sequence) -> ValidationReport:
         raise
     if report is None:
         report = ValidationReport(_chain_capable(seq.bits), seq.bits)
+        object.__setattr__(seq, "_report", report)
     return report
 
 
@@ -303,14 +305,17 @@ def _violations(bits: tuple[int, ...]) -> tuple[Violation, ...]:
     return tuple(violations)
 
 
-def _require_capable(bits: tuple[int, ...], what: str = "sequence", error: type = InvalidSequence) -> None:
-    """The one chain gate: error "<what> is not completeness capable: <reasons>" where _chain_capable fails.
+def _require_capable(seq: Sequence, what: str = "sequence", error: type = InvalidSequence) -> None:
+    """The one chain gate: error "<what> is not completeness capable: <reasons>" where validate says so.
 
-    The reasons are the POSITIVITY and UPPER violations, the rules the
-    predicate tests; the lower chain is strictness, so it is left out.
+    It reads the report validate stores on seq, so however often seq is
+    refused, its chain is walked and worded once. The reasons are the
+    POSITIVITY and UPPER violations, the rules the predicate tests; the
+    lower chain is strictness, so it is left out.
     """
-    if not _chain_capable(bits):
-        reasons = "; ".join(v.message for v in _violations(bits) if v.constraint != LOWER)
+    report = validate(seq)
+    if not report.complete_capable:
+        reasons = "; ".join(v.message for v in report.violations if v.constraint != LOWER)
         raise error(f"{what} is not completeness capable: {reasons}")
 
 
@@ -333,7 +338,8 @@ def _descent(seq: Sequence) -> tuple:
     The one place the table is built, read by representation.represent,
     fault_tolerance.represent_range_check and bias.plan. Building refuses
     a seq that is not a Sequence (_require_type) or not capable (the chain
-    gate, _require_capable) on every call, as a refusal stores nothing.
+    gate, _require_capable, which reads seq's stored report) on every
+    call, as a refusal stores no table.
     bound is A_N + a_0 - 1. steps holds one row (n, a_n, threshold,
     -threshold, slack, -slack) per bit from the top down to bit 0,
     threshold and slack being the running total below bit n plus a_0 and
@@ -349,8 +355,8 @@ def _descent(seq: Sequence) -> tuple:
         return seq._descent
     except AttributeError:  # an unset slot: not built yet, or not a Sequence
         _require_type("seq", seq, Sequence)
+    _require_capable(seq)
     bits = seq.bits
-    _require_capable(bits)
     a0 = bits[0]
     try:
         totals, thresholds = prefix_sums(seq)

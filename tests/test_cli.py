@@ -144,6 +144,12 @@ class TestDefects:
         assert doc["within_tolerance"] is False
         assert doc["complete_capable"] is False
 
+    def test_removing_the_whole_last_bit_is_past_tolerance(self):
+        code, doc = run_json(["defects", "--seq", "1,3,8", "--defects", "2:8"])
+        assert code == 1
+        assert doc["within_tolerance"] is False
+        assert doc["defective_bits"] == [1, 3, 0] and doc["complete_capable"] is False
+
     def test_scan(self):
         code, doc = run_json(["defects", "--seq", NIMS1_ARG, "--scan-budget", "1"])
         assert code == 0

@@ -199,6 +199,16 @@ class TestApplyDefects:
         truncated = Sequence(defective.bits[:9])
         assert is_complete(truncated)
 
+    def test_the_last_bit_keeps_one_junction(self, measured):
+        # removing the whole last bit zeroes it, which breaks positivity, so the
+        # bound is a_N - 1, as worst_case_scan caps it
+        seq = Sequence((1, 3, 8))
+        assert not within_tolerance(seq, DefectMap({2: 8}))
+        assert within_tolerance(seq, DefectMap({2: 7}))
+        assert not apply_defects(seq, DefectMap({2: 8}))[1].complete_capable
+        assert not within_tolerance(measured, DefectMap({22: 5730}))
+        assert within_tolerance(measured, DefectMap({22: 5729}))
+
     def test_index_out_of_range(self, nims1):
         with pytest.raises(InvalidInput):
             apply_defects(nims1, DefectMap({14: 1}))
@@ -260,6 +270,8 @@ class TestApplyDefects:
         for e in entries[:-1]:
             if e.tolerance:
                 missing[e.index] = data.draw(st.integers(0, e.tolerance))
+        # the last bit may lose all but one junction
+        missing[seq.last_index] = data.draw(st.integers(0, seq.bits[-1] - 1))
         missing = {k: v for k, v in missing.items() if v}
         defects = DefectMap(missing)
         assert within_tolerance(seq, defects)
@@ -310,7 +322,8 @@ class TestWorstCaseScan:
         safe = [e.index for e in scan.entries if e.status == "SAFE"]
         assert safe == list(range(6, 23))
 
-    def test_device_scan_builds_no_validation_report(self, measured, monkeypatch):
+    def test_device_scan_validates_only_its_input(self, measured, monkeypatch):
+        # the chain gate reads the scanned sequence's report; no sample is validated
         calls = []
 
         def counting(seq):
@@ -320,7 +333,7 @@ class TestWorstCaseScan:
         for module in (nims.sequence, nims.fault_tolerance):
             monkeypatch.setattr(module, "validate", counting)
         scan = worst_case_scan(measured, 100)
-        assert calls == []
+        assert len(calls) == 1 and calls[0] is measured
         assert scan.oracle_checked == 8
 
     def test_budget_zero_everything_safe(self, nims1):

@@ -256,6 +256,11 @@ MALFORMED = {
     "None for a frequency": (lambda: resolution(SEQ, None), "drive frequency must be a number, got None"),
     "text for a planned voltage": (lambda: plan("1", 1e10, SEQ), "voltage must be a number, got '1'"),
     "text for a planned frequency": (lambda: plan(1.0, "1e10", SEQ), "drive frequency must be a number, got '1e10'"),
+    "a zero planned frequency": (lambda: plan(1.0, 0.0, SEQ), "drive frequency must be positive, got 0.0"),
+    "a negative planned frequency": (
+        lambda: plan(1.0, -1e10, SEQ),
+        "drive frequency must be positive, got -10000000000.0",
+    ),
     "a band of one edge": (
         lambda: plan(1.0, 1e10, SEQ, band=(1e9,)),
         "bad frequency band (1000000000.0,): expected two edges (low, high)",

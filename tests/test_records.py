@@ -365,9 +365,10 @@ def test_cached_intervals_survive_pickling():
 
 
 def test_a_built_descent_table_stays_out_of_the_value():
-    # the descent table, the tolerance table and the strict report, all kept in
-    # private slots; design leaves the tolerance table of its post-check on the
-    # sequence it returns, and enumerate_nims the strict report on each it lists
+    # the descent table, the tolerance table and the report, all kept in private
+    # slots; design leaves the tolerance table and the report of its post-check on
+    # the sequence it returns, represent's chain gate the report on the sequence
+    # it checked, and enumerate_nims the strict report on each it lists
     checked = Sequence((1, 3, 8))
     represent(5, checked)
     within_tolerance(checked, DefectMap({}))
@@ -377,7 +378,7 @@ def test_a_built_descent_table_stays_out_of_the_value():
         fresh = Sequence(built.bits)
         for slot in slots:
             assert hasattr(built, slot) and not hasattr(fresh, slot)
-        assert (built._report is None) == (built is not listed) and fresh._report is None
+        assert built._report is validate(built) and fresh._report is None
         assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
         copies = [pickle.loads(pickle.dumps(built, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for other in copies + [copy.copy(built), copy.deepcopy(built)]:

@@ -15,20 +15,28 @@ from hypothesis import strategies as st
 import nims.sequence
 from nims import (
     DEFAULT_ORACLE_CAP,
+    DesignSpec,
     InvalidInput,
+    InvalidSequence,
     RangeError,
     Sequence,
     SumSet,
+    compare_logics,
+    design,
     enumerate_nims,
     is_complete,
     oracle_gaps,
     parse_bits,
+    plan,
     prefix_sums,
     reachable_sums,
+    represent,
+    represent_range_check,
     segmentation_efficiency,
     sequence_from_file,
     standard_column,
     validate,
+    worst_case_scan,
 )
 from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, _reach, _runs, _window_gaps, csv_rows
 
@@ -177,17 +185,22 @@ class TestValidate:
             return violations(bits)
 
         monkeypatch.setattr(nims.sequence, "_violations", counting)
-        report = validate(measured)
+        # a fresh sequence: the session's measured one may carry a report already read
+        seq = Sequence(measured.bits)
+        report = validate(seq)
         assert report.complete_capable and calls == []
-        assert not report.strict_valid and calls == [measured.bits]
-        assert report.violations and not report.strict_valid and calls == [measured.bits]
+        assert not report.strict_valid and calls == [seq.bits]
+        assert report.violations and not report.strict_valid and calls == [seq.bits]
+        assert validate(seq).violations and calls == [seq.bits]
 
-    def test_an_ordinary_sequence_gets_a_fresh_report_on_every_call(self, measured):
-        # the premise of the test above: validate stores nothing on a sequence it did not list
-        for seq in (measured, Sequence((1, 3, 8)), Sequence((1, 0, 2))):
-            first, second = validate(seq), validate(seq)
-            assert first is not second and first == second
+    def test_an_ordinary_sequence_keeps_its_first_report(self):
+        # validate stores the report it builds, and every later call returns it
+        for bits in ((2, 6, 18), (1, 3, 8), (1, 0, 2)):
+            seq = Sequence(bits)
             assert seq._report is None
+            first, second = validate(seq), validate(seq)
+            assert first is second and seq._report is first
+            assert first == validate(Sequence(bits))
 
     def test_to_doc_round_trip(self):
         doc = validate(Sequence((1, 2, 7))).to_doc()
@@ -226,6 +239,50 @@ class TestValidate:
             eager.complete_capable,
             eager.violations,
         )
+
+
+class TestOneVerdictPerSequence:
+    """Each Sequence object is walked once and worded at most once, whichever entry point judges it."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        # the chain walk and the violation wording, each call logged by the bits it was given
+        calls = {"_chain_capable": [], "_violations": []}
+        for name, log in calls.items():
+            fn = getattr(nims.sequence, name)
+            monkeypatch.setattr(nims.sequence, name, lambda bits, fn=fn, log=log: log.append(bits) or fn(bits))
+        return calls
+
+    def test_repeated_refusals_reuse_the_first_verdict(self, counted):
+        seq = Sequence((1, 2, 7))
+        messages = set()
+        for _ in range(100):
+            with pytest.raises(InvalidSequence) as caught:
+                plan(1.0, 18.01e9, seq)
+            messages.add(str(caught.value))
+        assert messages == {"sequence is not completeness capable: bit 2 is 7, above three times bit 1 (2)"}
+        assert counted == {"_chain_capable": [seq.bits], "_violations": [seq.bits]}
+
+    def test_every_gated_entry_point_reads_one_report(self, counted):
+        seq = Sequence((1, 2, 7))
+        reason = "is not completeness capable: bit 2 is 7, above three times bit 1 (2)"
+        for call, error, what in (
+            (lambda: represent(0, seq), InvalidSequence, "sequence"),
+            (lambda: plan(1.0, 18.01e9, seq), InvalidSequence, "sequence"),
+            (lambda: represent_range_check(seq), InvalidSequence, "sequence"),
+            (lambda: worst_case_scan(seq, 1), InvalidSequence, "sequence"),
+            (lambda: compare_logics(3, 10, [("x", seq)]), InvalidInput, "candidate 'x'"),
+        ):
+            with pytest.raises(error) as caught:
+                call()
+            assert str(caught.value) == f"{what} {reason}"
+        assert validate(seq) is seq._report and not validate(seq).complete_capable
+        assert counted == {"_chain_capable": [seq.bits], "_violations": [seq.bits]}
+
+    def test_a_designed_sequence_is_compared_without_a_second_walk(self, counted):
+        seq = design(DesignSpec(a0=1, msb_size=9, target_total=40)).sequence
+        compare_logics(3, 9, [("designed", seq)])
+        assert counted == {"_chain_capable": [seq.bits], "_violations": []}
 
 
 class TestPrefixSums:
@@ -703,10 +760,10 @@ class TestEnumerate:
             assert (report.strict_valid, report.complete_capable, report.violations) == (True, True, ())
             assert repr(report) == repr(eager) and report.to_doc() == eager.to_doc()
             assert pickle.loads(pickle.dumps(report)) == fresh
-            # a copy is rebuilt by the constructor: it starts with no stored report
+            # a copy is rebuilt by the constructor: it starts with no stored report, then keeps its own
             for other in (copy.copy(s), pickle.loads(pickle.dumps(s))):
                 assert other == s and other._report is None
-                assert validate(other) == report and validate(other) is not validate(other)
+                assert validate(other) == report and validate(other) is validate(other) is other._report
 
     @pytest.mark.parametrize(
         "args,max_results,listed",

@@ -102,7 +102,7 @@ def chain_verdict(bits):
 def gate(bits):
     """The chain gate refuses exactly where _chain_capable fails, naming the chain's violations in order."""
     try:
-        _require_capable(bits)
+        _require_capable(Sequence(bits))
     except InvalidSequence as exc:
         named = "; ".join(v.message for v in _violations(bits) if v.constraint in (POSITIVITY, UPPER))
         return not _chain_capable(bits) and str(exc) == "sequence is not completeness capable: " + named

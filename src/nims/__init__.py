@@ -76,6 +76,10 @@ _SOURCES = {
         "fault_tolerance",
     ),
     **dict.fromkeys(
+        ("SumSet", "is_complete", "oracle_gaps", "reachable_sums"),
+        "oracle",
+    ),
+    **dict.fromkeys(
         ("Representation", "evaluate", "represent"),
         "representation",
     ),
@@ -84,14 +88,10 @@ _SOURCES = {
             "DEFAULT_ORACLE_CAP",
             "PrefixSums",
             "Sequence",
-            "SumSet",
             "ValidationReport",
             "enumerate_nims",
-            "is_complete",
-            "oracle_gaps",
             "parse_bits",
             "prefix_sums",
-            "reachable_sums",
             "segmentation_efficiency",
             "sequence_from_file",
             "validate",

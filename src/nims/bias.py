@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import DegenerateTarget, InvalidInput, OutOfRange, RangeError
 from .representation import Representation, _greedy
 from .sequence import TOTAL_LIMIT, Sequence, _descent
-from .units import JOSEPHSON_HZ_PER_VOLT, _as_float, _require_finite, fixed_decimal
+from .units import JOSEPHSON_HZ_PER_VOLT, _as_float, _require_finite, _require_frequency, fixed_decimal
 
 DEFAULT_BAND_HALF_WIDTH = 0.005
 
@@ -133,9 +133,7 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     represent would refuse it, after the headroom tests.
     """
     _require_finite("voltage", volts)
-    _require_finite("drive frequency", freq_hz)
-    if freq_hz <= 0:
-        raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
+    _require_frequency(freq_hz)
     lo, hi = _resolve_band(freq_hz, band)
     headroom, steps = _descent(seq)
     if abs(volts) * JOSEPHSON_HZ_PER_VOLT > _as_float("headroom", headroom) * hi:

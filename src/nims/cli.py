@@ -173,7 +173,7 @@ def _cmd_tolerance(args) -> Output:
 
 
 def _cmd_defects(args) -> Output:
-    from . import fault_tolerance
+    from . import fault_tolerance, oracle
 
     seq = _load_seq(args.seq)
     cap = _resolve_cap(args)
@@ -194,7 +194,7 @@ def _cmd_defects(args) -> Output:
     oracle_ok = None
     gaps: list[list[int]] = []
     if defective.total <= cap:
-        _, gap_list = sequence.oracle_gaps(defective, cap=cap)
+        _, gap_list = oracle.oracle_gaps(defective, cap=cap)
         oracle_ok = not gap_list
         gaps = [list(g) for g in gap_list[:20]]
     return Output(
@@ -365,12 +365,14 @@ def _cmd_enumerate(args) -> Output:
 
 
 def _cmd_oracle(args) -> Output:
+    from . import oracle
+
     seq = _load_seq(args.seq)
     cap = _resolve_cap(args)
-    sums, gaps = sequence.oracle_gaps(seq, cap=cap)
+    sums, gaps = oracle.oracle_gaps(seq, cap=cap)
     if sums.beta_radius and not args.a0_offset:
         # the gap listing's set is widened only when a_0 >= 2; the intervals shown then come from the plain set
-        sums = sequence.reachable_sums(seq, cap=cap)
+        sums = oracle.reachable_sums(seq, cap=cap)
     doc = {
         "bits": list(seq.bits),
         "total": sums.span,

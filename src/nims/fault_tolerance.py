@@ -30,7 +30,6 @@ from .sequence import (
     _require_type,
     _unchecked_sequence,
     csv_rows,
-    is_complete,
     read_json,
     validate,
 )
@@ -42,6 +41,15 @@ if TYPE_CHECKING:
 
 # single-bit placements the worst-case scan cross-checks with the oracle
 ORACLE_SAMPLES = 8
+
+
+def _exceeds(total: int, cap: int) -> bool:
+    """Whether total > cap, the audits' cap test; InvalidInput for a cap an int does not compare with."""
+    try:
+        return total > cap
+    except TypeError:
+        _require_type("cap", cap, int)
+        raise
 
 
 class BitTolerance(NamedTuple):
@@ -266,8 +274,11 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     report validate stores on seq; no sampled placement is validated. So
     every safe_up_to is at least 0, and a SAFE placement the oracle finds
     a gap in is a fault of the scan, raised as AssertionError. seq must be
-    a Sequence, else InvalidInput.
+    a Sequence, and cap an int, else InvalidInput. The oracle is loaded
+    here, on the first scan, so that no other audit loads it.
     """
+    from .oracle import is_complete
+
     _require_type("seq", seq, Sequence)
     budget = _integer("scan budget", budget)
     if budget < 0:
@@ -275,7 +286,7 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     _require_capable(seq)
     bits = seq.bits
     total = sum(bits)
-    if total > cap:
+    if _exceeds(total, cap):
         raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
 
     def without(index: int, count: int) -> tuple[int, ...]:
@@ -346,7 +357,7 @@ def represent_range_check(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> Ra
     bound, steps = _descent(seq)
     a0 = seq.bits[0]
     total = bound - a0 + 1
-    if total > cap:
+    if _exceeds(total, cap):
         raise RangeError(f"sequence total {total} exceeds cap {cap}")
     if steps is None:
         raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")

@@ -37,6 +37,17 @@ def _require_finite(what: str, x: float) -> None:
         raise InvalidInput(f"{what} must be finite, got {x}")
 
 
+def _require_frequency(freq_hz: float) -> None:
+    """Refuse with InvalidInput a drive frequency that is not a number, not finite, or not positive.
+
+    The one statement of the refusal, read by _volts and bias.plan:
+    finiteness first, so NaN is refused as not finite wherever it is passed.
+    """
+    _require_finite("drive frequency", freq_hz)
+    if freq_hz <= 0:
+        raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
+
+
 def _as_float(what: str, n: int) -> float:
     """n as a float, the value int * float multiplies by; RangeError past float range."""
     try:
@@ -51,12 +62,7 @@ def _volts(what: str, n: int, freq_hz: float) -> float:
     Raises InvalidInput for a frequency that is not a positive, finite
     number, and RangeError when n, or the voltage, is beyond float range.
     """
-    try:
-        if not freq_hz > 0:
-            raise InvalidInput(f"drive frequency must be positive, got {freq_hz}")
-    except TypeError:
-        pass  # not a number, which _require_finite refuses
-    _require_finite("drive frequency", freq_hz)
+    _require_frequency(freq_hz)
     volts = _as_float(what, n) * freq_hz / JOSEPHSON_HZ_PER_VOLT
     if not math.isfinite(volts):
         raise RangeError(

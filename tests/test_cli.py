@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from nims import Sequence, cli, fault_tolerance, sequence, tolerance_report
+from nims import Sequence, cli, fault_tolerance, oracle, sequence, tolerance_report
 from nims.cli import main, run
 
 from .conftest import DEVICE_CSV, DIRECTORY, ERROR_TYPES, INCAPABLE_MESSAGES, MISSING, NIMS1_BITS
@@ -451,14 +451,14 @@ def test_oracle_output_is_unchanged(case, fmt, measured):
     ],
 )
 def test_oracle_builds_the_plain_set_only_when_it_differs(argv, calls, monkeypatch):
-    real = sequence.reachable_sums
+    real = oracle.reachable_sums
     seen = []
 
     def counting(*args, **kwargs):
         seen.append(kwargs.get("a0_offset"))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sequence, "reachable_sums", counting)
+    monkeypatch.setattr(oracle, "reachable_sums", counting)
     assert run(argv).exit_code == 0
     assert len(seen) == calls
 

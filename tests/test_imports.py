@@ -36,7 +36,7 @@ FIRST = ["errors", "sequence"]
 MODULES = {
     "validate": (["validate", "--seq", "1,3,8"], FIRST),
     "tolerance": (["tolerance", "--seq", "1,3,8"], FIRST + ["fault_tolerance"]),
-    "defects": (["defects", "--seq", "1,3,8", "--defects", "2:1"], FIRST + ["fault_tolerance"]),
+    "defects": (["defects", "--seq", "1,3,8", "--defects", "2:1"], FIRST + ["fault_tolerance", "oracle"]),
     "design": (["design", "--a0", "1", "--msb-size", "9", "--target-total", "13"], FIRST + ["designer", "fault_tolerance"]),
     "compare": (["compare", "--msb-size", "9", "--lsb-count", "3", "--standards"], FIRST + ["designer", "fault_tolerance"]),
     "represent": (["represent", "--seq", "1,3,8", "--m", "5"], FIRST + ["representation"]),
@@ -46,8 +46,8 @@ MODULES = {
     ),
     "report": (["report", "--device", str(DEVICE_CSV)], FIRST + ["device", "fault_tolerance", "units"]),
     "enumerate": (["enumerate", "--a0", "1", "--depth", "3", "--max-bit", "9"], FIRST),
-    "oracle": (["oracle", "--seq", "1,3,8"], FIRST),
-    "oracle_sweep": (["oracle", "--seq", "1,3,8", "--sweep"], FIRST + ["fault_tolerance"]),
+    "oracle": (["oracle", "--seq", "1,3,8"], FIRST + ["oracle"]),
+    "oracle_sweep": (["oracle", "--seq", "1,3,8", "--sweep"], FIRST + ["fault_tolerance", "oracle"]),
 }
 # the two dataclasses left, Representation and BiasPlan, load dataclasses where representation loads
 WITHOUT_DATACLASSES = ("validate", "tolerance", "defects", "design", "compare", "enumerate", "oracle", "oracle_sweep", "report")
@@ -120,7 +120,8 @@ def test_subcommand_loads_only_its_modules(command):
 
 
 # Runs in this fresh interpreter the library calls that read a device or audit a layout without planning a
-# bias point, then prints the ones of the planner's modules, and the standard modules they load, that loaded.
+# bias point, then prints the ones of the planner's modules, and the standard modules they load, that loaded;
+# then whether those calls, or validating, representing and enumerating, loaded the oracle.
 WITHOUT_THE_PLANNER = """
 import json, sys
 before = set(sys.modules)
@@ -130,14 +131,18 @@ nims.build_report(record)
 nims.design(nims.DesignSpec(1, 9, 13))
 passed = nims.represent_range_check(record.sequence()).passed
 planner = {"dataclasses", "inspect", "nims.bias", "nims.representation"}
-print(json.dumps({"passed": passed, "loaded": sorted(planner & (set(sys.modules) - before))}))
+loaded = sorted(planner & (set(sys.modules) - before))
+nims.validate(record.sequence())
+nims.represent(5, record.sequence())
+nims.enumerate_nims(1, 3, 9)
+print(json.dumps({"passed": passed, "loaded": loaded, "oracle": "nims.oracle" in sys.modules}))
 """
 
 
 def test_reports_designs_and_the_sweep_load_no_planner_module():
     proc = _fresh("-c", WITHOUT_THE_PLANNER, str(DEVICE_CSV))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"passed": True, "loaded": []}
+    assert json.loads(proc.stdout) == {"passed": True, "loaded": [], "oracle": False}
 
 
 def test_every_submodule_loads_only_the_standard_library():
@@ -152,9 +157,9 @@ def test_every_submodule_loads_only_the_standard_library():
 # Runs argv through cli.run in this fresh interpreter, then prints whether _runs's byte tables were built.
 TABLES = """
 import json, sys
-from nims import cli, sequence
+from nims import cli, oracle
 result = cli.run(json.loads(sys.argv[1]))
-print(json.dumps({"exit": result.exit_code, "built": sequence._byte_tables.cache_info().currsize}))
+print(json.dumps({"exit": result.exit_code, "built": oracle._byte_tables.cache_info().currsize}))
 """
 
 
@@ -169,7 +174,7 @@ print(json.dumps({"exit": result.exit_code, "built": sequence._byte_tables.cache
     ids=["validate", "defects-one-run", "oracle-one-run", "oracle-gaps"],
 )
 def test_the_byte_tables_are_built_only_to_list_runs(argv, built):
-    # every nims process imports sequence, so the tables are built on first use, not at import
+    # the probe imports oracle itself, so the tables must be built on first use, not at import
     proc = _fresh("-c", TABLES, json.dumps(argv))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"exit": 0, "built": built}

@@ -45,11 +45,14 @@ from nims import (
     build_report,
     compare_logics,
     design,
+    is_complete,
     load_device,
     margin_report,
     max_voltage,
     plan,
+    reachable_sums,
     represent,
+    represent_range_check,
     resolution,
     sequence_from_file,
     standard_column,
@@ -254,6 +257,11 @@ MALFORMED = {
     ),
     "text for a frequency": (lambda: max_voltage(SEQ, "1e9"), "drive frequency must be a number, got '1e9'"),
     "None for a frequency": (lambda: resolution(SEQ, None), "drive frequency must be a number, got None"),
+    "NaN for a frequency": (lambda: max_voltage(SEQ, float("nan")), "drive frequency must be finite, got nan"),
+    "NaN for a resolution's frequency": (
+        lambda: resolution(SEQ, float("nan")),
+        "drive frequency must be finite, got nan",
+    ),
     "text for a planned voltage": (lambda: plan("1", 1e10, SEQ), "voltage must be a number, got '1'"),
     "text for a planned frequency": (lambda: plan(1.0, "1e10", SEQ), "drive frequency must be a number, got '1e10'"),
     "a zero planned frequency": (lambda: plan(1.0, 0.0, SEQ), "drive frequency must be positive, got 0.0"),
@@ -270,6 +278,10 @@ MALFORMED = {
         lambda: DefectMap([(0, 1)]),
         "defects must be a mapping of bit index to count, got [(0, 1)]",
     ),
+    "None for an oracle cap": (lambda: is_complete(SEQ, cap=None), "cap must be an int, got None"),
+    "text for an oracle cap": (lambda: reachable_sums(SEQ, cap="9"), "cap must be an int, got '9'"),
+    "None for a scan's cap": (lambda: worst_case_scan(SEQ, 3, cap=None), "cap must be an int, got None"),
+    "None for a sweep's cap": (lambda: represent_range_check(SEQ, cap=None), "cap must be an int, got None"),
     "text for a margin threshold": (lambda: margin_report(DEVICE, "x"), "margin threshold must be a number, got 'x'"),
     "text for a report's margin": (lambda: build_report(DEVICE, "x"), "margin threshold must be a number, got 'x'"),
 }

@@ -2,8 +2,8 @@
 
 The scope is every sequence of one to four bits, each bit from 0 to
 NIMS_SMALL_SCOPE (default 9: 11,110 sequences; 12 gives 30,940). The oracle
-(sequence._reach, read by reachable_sums and is_complete, and
-sequence._window_gaps, read by oracle_gaps) is checked against the digit
+(oracle._reach, read by reachable_sums and is_complete, and
+oracle._window_gaps, read by oracle_gaps) is checked against the digit
 sums listed one digit vector at a time, and the chain rule
 (sequence._chain_capable) against its statement here, with the coverage it
 implies; the chain gate (sequence._require_capable) must refuse exactly

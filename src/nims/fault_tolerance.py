@@ -44,12 +44,14 @@ ORACLE_SAMPLES = 8
 
 
 def _exceeds(total: int, cap: int) -> bool:
-    """Whether total > cap, the audits' cap test; InvalidInput for a cap an int does not compare with."""
+    """Whether total exceeds cap, the audits' cap test; InvalidInput where it refuses a cap that is not an int."""
     try:
-        return total > cap
+        if total <= cap:
+            return False
     except TypeError:
-        _require_type("cap", cap, int)
-        raise
+        pass
+    _require_type("cap", cap, int)
+    return True
 
 
 class BitTolerance(NamedTuple):

@@ -178,7 +178,8 @@ def _reach(bits: tuple[int, ...], a0_offset: bool, cap: int) -> tuple[int | None
     """The oracle kernel: (mask, total, radius) of the reachable sums, mask None while one run.
 
     Raises RangeError when the total exceeds the cap, and InvalidInput
-    when the cap is not an int and cannot be compared with the total. The
+    when the cap is not an int and refuses the total or cannot be compared
+    with it; so a NaN cap, which no total is at most, is refused too. The
     three are a SumSet's mask, span and beta_radius; None stands for the
     one run of all 2*(total + radius) + 1 sums from -(total + radius) up,
     which SumSet holds by its width. The walk over the one run is most of a
@@ -207,12 +208,14 @@ def _reach(bits: tuple[int, ...], a0_offset: bool, cap: int) -> tuple[int | None
             width += a + a
         else:
             total = (width - 1) // 2 - radius
-            if total > cap:
+            if not total <= cap:
+                _require_type("cap", cap, int)
                 raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
             return None, total, radius
 
         total = sum(bits)
-        if total > cap:
+        if not total <= cap:
+            _require_type("cap", cap, int)
             raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
     except TypeError:
         _require_type("cap", cap, int)

@@ -135,8 +135,8 @@ def _require_type(name: str, value: object, kind: type) -> None:
     The one wording of a wrong-type refusal. validate, _descent, and the
     oracle's reachable_sums and is_complete, which run in timed loops,
     check seq only when their first read of it raises AttributeError; the
-    oracle and the audits check a cap only when comparing it with a total
-    raises TypeError.
+    oracle and the audits check a cap only when it refuses a total or
+    cannot be compared with one.
     """
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
@@ -401,16 +401,18 @@ def enumerate_nims(
     """All strictly valid sequences of the given depth, lexicographically.
 
     Bits are bounded by max_bit. Raises RangeError when the enumeration
-    would exceed max_results sequences. A bit joins a prefix only when the
-    prefix can still be completed within max_bit, so every prefix the
-    search visits leads to a result. The search keeps its own stack, so a
-    deep enumeration does not recurse, and stops one bit short: every last
-    bit from 3*a_{k-2} + 1 (a_0 + 1 at depth 2) up to min(3*a_{k-1},
-    max_bit) completes the prefix, so that range is added as one slice,
-    after the max_results check. The time is bounded by the prefixes times
-    the depth, plus about 0.45 us per result over batches of a few
-    thousand, and about 0.65 us at the 123,633 results of (1, 6, 500),
-    half of it the cyclic collector's passes over the growing list
+    would exceed max_results sequences. The search goes by levels, as the
+    paper's completeness proof does: level k holds every strict prefix of
+    k + 1 bits, in order, and each is extended by the run of bits from
+    3*a_{k-2} + 1 (a_0 + 1 at k = 1) up to 3*a_{k-1}, cut where the
+    prefix could no longer be completed within max_bit. So every prefix
+    past the first leads to a result, and no level holds more prefixes
+    than the results: a run that would take a level past max_results is
+    refused before it is built, and the search stops at the first empty
+    level, however large depth is. The time is bounded by the prefixes
+    times the depth, plus about 0.55 us per result over batches of a few
+    thousand, and about 0.65 us at the 123,633 results of (1, 6, 500), a
+    third of it the cyclic collector's passes over the growing lists
     (CPython 3.11.7, 2-core x86).
 
     Every argument must be a non-bool int (else InvalidInput), checked once
@@ -427,25 +429,8 @@ def enumerate_nims(
         raise InvalidInput("a0, depth, and max_bit must all be positive")
     if max_results < 0:
         raise InvalidInput(f"max_results must not be negative, got {max_results}")
-    out: list[Sequence] = []
     if a0 > max_bit:
-        return out
-    new, append = object.__new__, out.append
-    set_bits, set_report = Sequence.bits.__set__, Sequence._report.__set__
-
-    def add(head: tuple[int, ...], low: int, high: int) -> None:
-        """Every head + (b,) for b in low..high, each built by two slot stores, or RangeError."""
-        if len(out) + (high - low + 1) > max_results:
-            raise RangeError(f"enumeration exceeds {max_results} sequences")
-        for last in range(low, high + 1):
-            seq = new(Sequence)
-            set_bits(seq, head + (last,))
-            set_report(seq, _STRICT_REPORT)
-            append(seq)
-
-    if depth == 1:
-        add((), a0, a0)
-        return out
+        return []
     # The smallest strict completion of a prefix takes 3 * (the bit two places
     # back) + 1 at each later bit. With r bits still to come after a new bit b
     # whose predecessor is p, its last bit is x -> 3x + 1 applied r/2 times to b
@@ -455,34 +440,39 @@ def enumerate_nims(
     while fits[-1] >= 1 and len(fits) <= depth // 2:
         fits.append((fits[-1] - 1) // 3)
 
-    prefix = [a0]
-    choices: list = []  # choices[j]: the bits still to try at position j + 1
-    while True:
-        # Lower bound: above 3*a_{k-2} for later bits, simple growth for the
-        # second bit. Upper bound: the upper chain and max_bit, and before the
-        # last bit a completion within max_bit.
-        k, p = len(prefix), prefix[-1]
-        low = 3 * prefix[k - 2] + 1 if k >= 2 else p + 1
-        if k == depth - 1:
-            add(tuple(prefix), low, min(3 * p, max_bit))
-            prefix.pop()
-        else:
-            after = depth - 1 - k
-            fit = fits[min((after + 1) // 2, len(fits) - 1)]
-            if after % 2 == 0:
-                high = min(3 * p, fit)
-            else:
-                high = min(3 * p, max_bit) if p <= fit else 0
-            choices.append(iter(range(low, high + 1)))
-        while choices:
-            nxt = next(choices[-1], None)
-            if nxt is not None:
-                prefix.append(nxt)
-                break
-            choices.pop()
-            prefix.pop()
-        else:
-            return out
+    level = [(a0,)]
+    for k in range(1, depth):
+        # Bit k lies above 3*a_{k-2} (above a_0 at k = 1) and at most 3*a_{k-1};
+        # it must fit when an even number of bits is still to come, else its
+        # predecessor must, and it stays within max_bit.
+        after = depth - 1 - k
+        fit = fits[min((after + 1) // 2, len(fits) - 1)]
+        top, most = (max_bit, fit) if after % 2 else (fit, max_bit)
+        grown: list[tuple[int, ...]] = []
+        for head in level:
+            p = head[-1]
+            if p > most:
+                continue
+            low = 3 * head[-2] + 1 if k > 1 else p + 1
+            high = min(3 * p, top)
+            # every prefix leads to a result, so a level past max_results is refused before it is built
+            if len(grown) + high - low + 1 > max_results:
+                raise RangeError(f"enumeration exceeds {max_results} sequences")
+            grown += [head + (b,) for b in range(low, high + 1)]
+        level = grown
+        if not level:
+            return []
+    if len(level) > max_results:  # depth 1: the one sequence, which no slice counted
+        raise RangeError(f"enumeration exceeds {max_results} sequences")
+    out: list[Sequence] = []
+    new, append = object.__new__, out.append
+    set_bits, set_report = Sequence.bits.__set__, Sequence._report.__set__
+    for bits in level:
+        seq = new(Sequence)
+        set_bits(seq, bits)
+        set_report(seq, _STRICT_REPORT)
+        append(seq)
+    return out
 
 
 def parse_bits(text: str) -> Sequence:

@@ -49,6 +49,7 @@ from nims import (
     load_device,
     margin_report,
     max_voltage,
+    oracle_gaps,
     plan,
     reachable_sums,
     represent,
@@ -282,6 +283,12 @@ MALFORMED = {
     "text for an oracle cap": (lambda: reachable_sums(SEQ, cap="9"), "cap must be an int, got '9'"),
     "None for a scan's cap": (lambda: worst_case_scan(SEQ, 3, cap=None), "cap must be an int, got None"),
     "None for a sweep's cap": (lambda: represent_range_check(SEQ, cap=None), "cap must be an int, got None"),
+    # no total is at most NaN, so each refuses it, where a comparison that admits would switch the cap off
+    "NaN for an oracle cap": (lambda: is_complete(SEQ, cap=float("nan")), "cap must be an int, got nan"),
+    "NaN for a reachable set's cap": (lambda: reachable_sums(SEQ, cap=float("nan")), "cap must be an int, got nan"),
+    "NaN for a gap listing's cap": (lambda: oracle_gaps(SEQ, cap=float("nan")), "cap must be an int, got nan"),
+    "NaN for a scan's cap": (lambda: worst_case_scan(SEQ, 3, cap=float("nan")), "cap must be an int, got nan"),
+    "NaN for a sweep's cap": (lambda: represent_range_check(SEQ, cap=float("nan")), "cap must be an int, got nan"),
     "text for a margin threshold": (lambda: margin_report(DEVICE, "x"), "margin threshold must be a number, got 'x'"),
     "text for a report's margin": (lambda: build_report(DEVICE, "x"), "margin threshold must be a number, got 'x'"),
 }

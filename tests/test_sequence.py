@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -808,6 +809,35 @@ class TestEnumerate:
             found = enumerate_nims(*args, max_results=max_results)
             assert [s.bits for s in found] == listed
             assert all(validate(s) == validate(Sequence(s.bits)) for s in found)
+
+    @given(st.integers(1, 3), st.one_of(st.integers(1, 7), st.integers(8, 10**9)), st.integers(1, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_a_cap_at_the_count_lists_all_and_one_below_refuses(self, a0, depth, max_bit):
+        listed = recursive_enumerate(a0, depth, max_bit, 10**6)
+        assert [s.bits for s in enumerate_nims(a0, depth, max_bit, max_results=len(listed))] == listed
+        if listed:
+            with pytest.raises(RangeError) as caught:
+                enumerate_nims(a0, depth, max_bit, max_results=len(listed) - 1)
+            assert str(caught.value) == f"enumeration exceeds {len(listed) - 1} sequences"
+
+    def test_the_search_stops_at_the_first_empty_level(self):
+        # no strict sequence of more than a few bits stays within 5, so the search ends long before depth
+        assert enumerate_nims(1, 10**9, 5) == []
+
+    def test_a_refused_run_is_never_built(self):
+        # The second bit's run after a0 holds 2 * a0 bits. The small case comes first and is
+        # measured, so that a search which builds the run before refusing it fails on its
+        # 2 * 10**6 prefixes, before it reaches the 2 * 10**8 of the second.
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError, match="^enumeration exceeds 10 sequences$"):
+                enumerate_nims(10**6, 2, 10**7, max_results=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(RangeError, match="^enumeration exceeds 10 sequences$"):
+            enumerate_nims(10**8, 2, 10**9, max_results=10)
 
     def test_negative_result_cap_is_bad_input(self):
         with pytest.raises(InvalidInput, match="max_results must not be negative"):

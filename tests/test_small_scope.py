@@ -13,8 +13,12 @@ sequence._descent builds, must round-trip every target in
 [-(A_N + a_0 - 1), A_N + a_0 - 1] with a residual below a_0, and
 fault_tolerance.represent_range_check, which sweeps the same table, must
 pass; each tolerance must keep the chain and be sharp one junction past
-it, and worst_case_scan must raise nothing at small budgets. Each check is
-one test, named for its kernel, and lists the sequences it fails on.
+it, and worst_case_scan must raise nothing at small budgets. The strict
+enumeration (sequence.enumerate_nims) must list, for every first bit and
+depth in the scope, exactly the scope sequences that meet the strict rules
+stated here, also when max_results is their count, and refuse one fewer.
+Each check is one test, named for its kernel, and lists the
+sequences (or, for the enumeration, the first bit and depth) it fails on.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ import pytest
 
 from nims import (
     InvalidSequence,
+    RangeError,
     Sequence,
+    enumerate_nims,
     is_complete,
     oracle_gaps,
     reachable_sums,
@@ -145,20 +151,48 @@ def sweep_passes(bits):
     return check.passed and check.checked == 2 * (sum(bits) + bits[0] - 1) + 1
 
 
+def strict(bits: tuple[int, ...]) -> bool:
+    """The chain rule plus the lower chain a_{n+1} > 3*a_{n-1} and a last bit above the one below it, stated here."""
+    lower = all(c > 3 * a for a, c in zip(bits, bits[2:]))
+    return capable(bits) and lower and (len(bits) == 1 or bits[-1] > bits[-2])
+
+
+STRICT_BITS = [bits for bits in SCOPE_BITS if strict(bits)]
+
+
+def enumerates(case):
+    """enumerate_nims(a0, depth, SCOPE) lists exactly the strict scope sequences of that first bit and depth,
+    sorted, also with max_results at their count, and refuses one result fewer."""
+    a0, depth = case
+    expected = sorted(bits for bits in STRICT_BITS if bits[0] == a0 and len(bits) == depth)
+    listed = [s.bits for s in enumerate_nims(a0, depth, SCOPE, max_results=len(expected))]
+    if listed != expected or not expected:
+        return listed == expected
+    try:
+        enumerate_nims(a0, depth, SCOPE, max_results=len(expected) - 1)
+    except RangeError:
+        return True
+    return False
+
+
 CAPABLE_BITS = [bits for bits in SCOPE_BITS if capable(bits)]
 
 # Each check with its kernel and the sequences it runs on.
 CHECKS = {
-    "sequence._reach by reachable_sums count": (reachable_count, SCOPE_BITS),
-    "sequence._reach by reachable_sums count, a0_offset": (widened_count, SCOPE_BITS),
-    "sequence._reach by is_complete": (complete, SCOPE_BITS),
-    "sequence._window_gaps by oracle_gaps": (gaps, SCOPE_BITS),
+    "oracle._reach by reachable_sums count": (reachable_count, SCOPE_BITS),
+    "oracle._reach by reachable_sums count, a0_offset": (widened_count, SCOPE_BITS),
+    "oracle._reach by is_complete": (complete, SCOPE_BITS),
+    "oracle._window_gaps by oracle_gaps": (gaps, SCOPE_BITS),
     "sequence._chain_capable by validate, and the chain implies coverage": (chain_verdict, SCOPE_BITS),
     "sequence._require_capable, refusing where the chain breaks": (gate, SCOPE_BITS),
     "fault_tolerance._tolerance_table, safe and sharp": (tolerances, CAPABLE_BITS),
     "fault_tolerance.worst_case_scan at budgets 0 to 3": (scans, CAPABLE_BITS),
     "sequence._descent by represent round trips": (round_trips, CAPABLE_BITS),
     "fault_tolerance.represent_range_check over sequence._descent": (sweep_passes, CAPABLE_BITS),
+    "sequence.enumerate_nims at every first bit and depth": (
+        enumerates,
+        [(a0, depth) for a0 in range(1, SCOPE + 1) for depth in range(1, 5)],
+    ),
 }
 
 

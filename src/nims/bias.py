@@ -14,10 +14,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateTarget, InvalidInput, OutOfRange, RangeError
+from .errors import DegenerateTarget, InvalidInput, OutOfRange
 from .representation import Representation, _greedy
-from .sequence import TOTAL_LIMIT, Sequence, _descent
-from .units import JOSEPHSON_HZ_PER_VOLT, _as_float, _require_finite, _require_frequency, fixed_decimal
+from .sequence import Sequence, _descent
+from .units import JOSEPHSON_HZ_PER_VOLT, _require_finite, _require_frequency, fixed_decimal
 
 DEFAULT_BAND_HALF_WIDTH = 0.005
 
@@ -124,19 +124,19 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     or infinite, the frequency is not positive, the band is not two
     edges or seq is not a Sequence,
     InvalidSequence when seq is not completeness capable, and RangeError
-    when its total exceeds TOTAL_LIMIT or its headroom float range. The
-    table sequence._descent keeps on seq, built by the first plan,
-    represent or represent_range_check on that object, is read once: its
-    bound is the headroom, and its rows go straight to the greedy kernel
-    representation._greedy, since the multiple plan rounds is an int
-    already tested against that bound. The limit is refused where
-    represent would refuse it, after the headroom tests.
+    when its total exceeds TOTAL_LIMIT. The table sequence._descent keeps
+    on seq, built by the first plan, represent or represent_range_check
+    on that object, is read once: building it refuses the limit, before
+    the headroom tests, so the headroom is below 2**63 and multiplies a
+    float without leaving float range. Its bound is the headroom, and its
+    rows go straight to the greedy kernel representation._greedy, since
+    the multiple plan rounds is an int already tested against that bound.
     """
     _require_finite("voltage", volts)
     _require_frequency(freq_hz)
     lo, hi = _resolve_band(freq_hz, band)
     headroom, steps = _descent(seq)
-    if abs(volts) * JOSEPHSON_HZ_PER_VOLT > _as_float("headroom", headroom) * hi:
+    if abs(volts) * JOSEPHSON_HZ_PER_VOLT > headroom * hi:
         raise OutOfRange(
             f"{volts} V needs multiple {abs(volts) * JOSEPHSON_HZ_PER_VOLT / freq_hz:.1f}, "
             f"beyond {headroom} even at the band top"
@@ -145,8 +145,6 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     m_target = _round_half_away(volts * JOSEPHSON_HZ_PER_VOLT / freq_hz)
     if abs(m_target) > headroom:
         raise OutOfRange(f"multiple {m_target} outside representable range {headroom}")
-    if steps is None:
-        raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")
     rep = _greedy(m_target, seq.bits, steps)
     if volts == 0:
         return BiasPlan(volts, freq_hz, 0, rep, freq_hz, 0.0, 0.0, True)

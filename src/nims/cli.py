@@ -392,7 +392,7 @@ def _cmd_oracle(args) -> Output:
     if args.sweep:
         from . import fault_tolerance
 
-        check = fault_tolerance.represent_range_check(seq, cap=cap)
+        check = fault_tolerance.represent_range_check(seq)
         doc["sweep_checked"] = check.checked
         doc["sweep_failures"] = [list(f) for f in check.failures]
         table += [("sweep_checked", check.checked), ("sweep_failures", len(check.failures))]

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidInput, RangeError
+from .errors import InvalidInput
 from .sequence import (
     DEFAULT_ORACLE_CAP,
-    TOTAL_LIMIT,
     Sequence,
     ValidationReport,
     _chain_capable,
+    _check_cap,
     _descent,
     _Frozen,
     _integer,
@@ -41,17 +41,6 @@ if TYPE_CHECKING:
 
 # single-bit placements the worst-case scan cross-checks with the oracle
 ORACLE_SAMPLES = 8
-
-
-def _exceeds(total: int, cap: int) -> bool:
-    """Whether total exceeds cap, the audits' cap test; InvalidInput where it refuses a cap that is not an int."""
-    try:
-        if total <= cap:
-            return False
-    except TypeError:
-        pass
-    _require_type("cap", cap, int)
-    return True
 
 
 class BitTolerance(NamedTuple):
@@ -184,10 +173,21 @@ class DefectMap(_Frozen):
         return {"defects": {str(k): v for k, v in self._missing.items()}}
 
 
-def _sequence_and_defects(seq: Sequence, defects: DefectMap) -> None:
-    """Refuse with InvalidInput a seq that is not a Sequence or defects that are not a DefectMap."""
+def _sequence_and_defects(seq: Sequence, defects: DefectMap) -> dict[int, int]:
+    """The checked counts of defects on seq, lowest bit first.
+
+    Refuses with InvalidInput a seq that is not a Sequence, defects that
+    are not a DefectMap, and a defect on a bit past seq's last: the
+    lowest such bit is named, before any count is read.
+    """
     _require_type("seq", seq, Sequence)
     _require_type("defects", defects, DefectMap)
+    missing = defects._missing
+    last = seq.last_index
+    for idx in missing:
+        if idx > last:
+            raise InvalidInput(f"defect bit index {idx} beyond last bit {last}")
+    return missing
 
 
 def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, ValidationReport]:
@@ -195,14 +195,11 @@ def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, Validati
 
     The report's verdicts are set at once; its violations are worded only
     if something reads them. seq must be a Sequence and defects a
-    DefectMap, else InvalidInput.
+    DefectMap on its bits, else InvalidInput.
     """
-    _sequence_and_defects(seq, defects)
+    missing = _sequence_and_defects(seq, defects)
     bits = list(seq.bits)
-    last = seq.last_index
-    for idx, cnt in defects._missing.items():
-        if idx > last:
-            raise InvalidInput(f"defect bit index {idx} beyond last bit {last}")
+    for idx, cnt in missing.items():
         if cnt > bits[idx]:
             raise InvalidInput(f"bit {idx} holds {bits[idx]} junctions, cannot lose {cnt}")
         bits[idx] -= cnt
@@ -215,18 +212,15 @@ def within_tolerance(seq: Sequence, defects: DefectMap) -> bool:
 
     The tolerances are seq's shared table, _tolerance_table, so a run of
     defect maps against one array computes them once. seq must be a
-    Sequence and defects a DefectMap, else InvalidInput.
+    Sequence and defects a DefectMap on its bits, else InvalidInput.
     """
-    _sequence_and_defects(seq, defects)
+    missing = _sequence_and_defects(seq, defects)
     last = seq.last_index
     tolerances = _tolerance_table(seq)
-    within = True
-    for idx, cnt in defects._missing.items():
-        if idx > last:
-            raise InvalidInput(f"defect bit index {idx} beyond last bit {last}")
+    for idx, cnt in missing.items():
         if cnt > (tolerances[idx] if idx < last else seq.bits[last] - 1):
-            within = False
-    return within
+            return False
+    return True
 
 
 class ScanEntry(NamedTuple):
@@ -276,8 +270,9 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     report validate stores on seq; no sampled placement is validated. So
     every safe_up_to is at least 0, and a SAFE placement the oracle finds
     a gap in is a fault of the scan, raised as AssertionError. seq must be
-    a Sequence, and cap an int, else InvalidInput. The oracle is loaded
-    here, on the first scan, so that no other audit loads it.
+    a Sequence, else InvalidInput; the cap is read by the one cap rule,
+    sequence._check_cap, before any placement is checked. The oracle is
+    loaded here, on the first scan, so that no other audit loads it.
     """
     from .oracle import is_complete
 
@@ -287,9 +282,7 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
         raise InvalidInput("budget must be non-negative")
     _require_capable(seq)
     bits = seq.bits
-    total = sum(bits)
-    if _exceeds(total, cap):
-        raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
+    _check_cap(sum(bits), cap)
 
     def without(index: int, count: int) -> tuple[int, ...]:
         return bits[:index] + (bits[index] - count,) + bits[index + 1 :]
@@ -338,7 +331,7 @@ class RangeCheckReport(NamedTuple):
         return not self.failures
 
 
-def represent_range_check(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> RangeCheckReport:
+def represent_range_check(seq: Sequence) -> RangeCheckReport:
     """Round-trip every representable target, from -A_N-a_0+1 to A_N+a_0-1.
 
     Sweeps windows of remainders instead of one target at a time. This is
@@ -354,15 +347,13 @@ def represent_range_check(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> Ra
     remainders not below a_0 up to the targets m that reach them, so
     failures come out as (m, message) in ascending m. The device's 184,199
     targets share 190 windows; the loop is iterative, so thousands of bits
-    do not recurse.
+    do not recurse. The cost follows the windows and the bits, not the
+    total, so the sweep takes no oracle cap: (10**8, 3*10**8, 9*10**8)
+    sweeps its 2,799,999,999 targets in a few windows. Building the table
+    refuses a total past TOTAL_LIMIT.
     """
     bound, steps = _descent(seq)
     a0 = seq.bits[0]
-    total = bound - a0 + 1
-    if _exceeds(total, cap):
-        raise RangeError(f"sequence total {total} exceeds cap {cap}")
-    if steps is None:
-        raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")
 
     # levels[k] maps each window after step k to the (parent window, shift) pieces landing on it
     levels: list[dict] = []

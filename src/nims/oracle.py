@@ -3,8 +3,8 @@
 The chain a_n <= 3*a_{n-1} certifies completeness; it is sufficient, not
 necessary, and only the sums themselves settle it. This module computes
 them, reading a Sequence's bits and nothing the chain check stores: from
-sequence it imports only the Sequence, the record base, the type refusal
-and the default cap, so it cannot read the chain verdict.
+sequence it imports only the Sequence, the record base, the type refusal,
+the default cap and the cap rule, so it cannot read the chain verdict.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 from itertools import groupby
 
-from .errors import RangeError
-from .sequence import DEFAULT_ORACLE_CAP, Sequence, _Frozen, _require_type
+from .sequence import DEFAULT_ORACLE_CAP, Sequence, _check_cap, _Frozen, _require_type
 
 
 class SumSet(_Frozen):
@@ -177,9 +176,9 @@ def _runs(x: int, shift: int = 0) -> list[tuple[int, int]]:
 def _reach(bits: tuple[int, ...], a0_offset: bool, cap: int) -> tuple[int | None, int, int]:
     """The oracle kernel: (mask, total, radius) of the reachable sums, mask None while one run.
 
-    Raises RangeError when the total exceeds the cap, and InvalidInput
-    when the cap is not an int and refuses the total or cannot be compared
-    with it; so a NaN cap, which no total is at most, is refused too. The
+    The one cap rule, sequence._check_cap, raises RangeError when the
+    total exceeds the cap, and InvalidInput when the cap is not an int,
+    so a float cap such as NaN or inf is refused, never compared. The
     three are a SumSet's mask, span and beta_radius; None stands for the
     one run of all 2*(total + radius) + 1 sums from -(total + radius) up,
     which SumSet holds by its width. The walk over the one run is most of a
@@ -194,32 +193,26 @@ def _reach(bits: tuple[int, ...], a0_offset: bool, cap: int) -> tuple[int | None
     built by doubling, S |= S << step*a with step at most the multiples
     already held plus one, in about log2(2k + 1) shift-ors where one bit
     at a time takes 2k. The cap is checked on either path before any
-    bitset int is built; the walk's only TypeError is a cap comparison,
-    so it is caught around the walk and costs nothing until it happens.
+    bitset int is built; the rule runs only for a cap whose class is not
+    int or that the total exceeds, so an int cap costs two tests.
     """
     a0 = bits[0]
     radius = a0 - 1 if a0_offset and a0 else 0
     width = radius + radius + 1
     rest = iter(bits)
-    try:
-        for a in rest:
-            if a > width:
-                break
-            width += a + a
-        else:
-            total = (width - 1) // 2 - radius
-            if not total <= cap:
-                _require_type("cap", cap, int)
-                raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
-            return None, total, radius
+    for a in rest:
+        if a > width:
+            break
+        width += a + a
+    else:
+        total = (width - 1) // 2 - radius
+        if cap.__class__ is not int or total > cap:
+            _check_cap(total, cap)
+        return None, total, radius
 
-        total = sum(bits)
-        if not total <= cap:
-            _require_type("cap", cap, int)
-            raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
-    except TypeError:
-        _require_type("cap", cap, int)
-        raise
+    total = sum(bits)
+    if cap.__class__ is not int or total > cap:
+        _check_cap(total, cap)
     reach = (1 << width) - 1
     for a, equal in groupby((a, *rest)):
         # k equal bits add the multiples 0, a, ..., 2ka: by doubling, each
@@ -256,7 +249,7 @@ def reachable_sums(seq: Sequence, a0_offset: bool = False, *, cap: int = DEFAULT
     width, with no int built until something reads its mask.
 
     Raises RangeError when the sequence total exceeds the cap, and
-    InvalidInput when the cap is not an int.
+    InvalidInput when the cap is not an int, by the one cap rule.
     """
     try:
         bits = seq.bits

@@ -12,8 +12,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import InvalidInput, OutOfRange, RangeError
-from .sequence import TOTAL_LIMIT, Sequence, _descent, _integer, _require_type
+from .errors import InvalidInput, OutOfRange
+from .sequence import Sequence, _descent, _integer, _require_type
 
 
 @dataclass(frozen=True, init=False)
@@ -75,14 +75,12 @@ def represent(m: int, seq: Sequence) -> Representation:
     sequence, so only that call walks its chain. m is read by the one
     integer rule, sequence._integer: a bool, float or other non-integer
     raises InvalidInput, as does a seq that is not a Sequence. Raises
-    InvalidSequence when seq is not completeness capable, RangeError when
-    its total exceeds TOTAL_LIMIT and OutOfRange when |m| exceeds
-    A_N + a_0 - 1.
+    InvalidSequence when seq is not completeness capable and RangeError
+    when its total exceeds TOTAL_LIMIT, both from building the table, and
+    OutOfRange when |m| exceeds A_N + a_0 - 1.
     """
     m = _integer("target", m)
     bound, steps = _descent(seq)
-    if steps is None:
-        raise RangeError(f"sequence total exceeds {TOTAL_LIMIT}")
     if abs(m) > bound:
         raise OutOfRange(f"target {m} outside [-{bound}, {bound}]")
     return _greedy(m, seq.bits, steps)

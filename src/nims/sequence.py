@@ -30,6 +30,20 @@ if TYPE_CHECKING:
 DEFAULT_ORACLE_CAP = 10**7
 TOTAL_LIMIT = 2**62
 
+
+def _check_cap(total: int, cap: int) -> None:
+    """The one oracle-cap rule: InvalidInput for a cap that is not an int, RangeError for a total above it.
+
+    The oracle kernel calls it only for a cap whose class is not int or
+    that the total exceeds, so a plain int cap costs one class test and
+    one comparison; worst_case_scan calls it once per scan. A float cap
+    (NaN, inf, 1e300, 5.0) is refused, never compared.
+    """
+    _require_type("cap", cap, int)
+    if total > cap:
+        raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
+
+
 UPPER = "UPPER"
 LOWER = "LOWER"
 POSITIVITY = "POSITIVITY"
@@ -135,8 +149,7 @@ def _require_type(name: str, value: object, kind: type) -> None:
     The one wording of a wrong-type refusal. validate, _descent, and the
     oracle's reachable_sums and is_complete, which run in timed loops,
     check seq only when their first read of it raises AttributeError; the
-    oracle and the audits check a cap only when it refuses a total or
-    cannot be compared with one.
+    cap rule, _check_cap, checks a cap.
     """
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
@@ -344,37 +357,31 @@ def _descent(seq: Sequence) -> tuple:
 
     The one place the table is built, read by representation.represent,
     fault_tolerance.represent_range_check and bias.plan. Building refuses
-    a seq that is not a Sequence (_require_type) or not capable (the chain
-    gate, _require_capable, which reads seq's stored report) on every
-    call, as a refusal stores no table.
+    a seq that is not a Sequence (_require_type), not capable (the chain
+    gate, _require_capable, which reads seq's stored report) or whose
+    total passes TOTAL_LIMIT (prefix_sums' RangeError) on every call, as
+    a refusal stores no table; so each of the three readers refuses the
+    limit before any test of its own on the bound.
     bound is A_N + a_0 - 1. steps holds one row (n, a_n, threshold,
     -threshold, slack, -slack) per bit from the top down to bit 0,
     threshold and slack being the running total below bit n plus a_0 and
     plus a_0 - 1: bit 0's row is (0, a_0, a_0, -a_0, a_0 - 1, 1 - a_0),
     its slack the residual bound. The negated columns are stored so that
-    the kernel representation._greedy negates nothing. A capable sequence
-    whose total passes TOTAL_LIMIT keeps steps None, so that plan can
-    still refuse an out-of-range voltage and the sweep an exceeded cap
-    first; represent and plan then raise prefix_sums' RangeError on every
-    call.
+    the kernel representation._greedy negates nothing.
     """
     try:
         return seq._descent
     except AttributeError:  # an unset slot: not built yet, or not a Sequence
         _require_type("seq", seq, Sequence)
     _require_capable(seq)
+    totals, thresholds = prefix_sums(seq)
     bits = seq.bits
     a0 = bits[0]
-    try:
-        totals, thresholds = prefix_sums(seq)
-    except RangeError:
-        table = (sum(bits) + a0 - 1, None)
-    else:
-        rows = []
-        for n in range(len(bits) - 1, 0, -1):
-            t, slack = thresholds[n - 1], totals[n - 1] + a0 - 1
-            rows.append((n, bits[n], t, -t, slack, -slack))
-        table = (totals[-1] + a0 - 1, (*rows, (0, a0, a0, -a0, a0 - 1, 1 - a0)))
+    rows = []
+    for n in range(len(bits) - 1, 0, -1):
+        t, slack = thresholds[n - 1], totals[n - 1] + a0 - 1
+        rows.append((n, bits[n], t, -t, slack, -slack))
+    table = (totals[-1] + a0 - 1, (*rows, (0, a0, a0, -a0, a0 - 1, 1 - a0)))
     object.__setattr__(seq, "_descent", table)
     return table
 
@@ -496,11 +503,15 @@ def _read_text(path: str | Path) -> str:
 
 
 def read_json(path: str | Path) -> object:
-    """Parse a JSON file read by _read_text; text that is not JSON, or nests too deeply, raises InvalidInput."""
+    """Parse a JSON file read by _read_text; text that is not JSON, or nests too deeply, raises InvalidInput.
+
+    ValueError covers JSONDecodeError and the int-string ValueError of an
+    integer with more digits than sys.get_int_max_str_digits() allows.
+    """
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InvalidInput(f"{path}: JSON nested too deeply to parse") from exc

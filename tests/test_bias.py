@@ -19,6 +19,7 @@ from nims import (
     max_voltage,
     plan,
     represent,
+    represent_range_check,
     resolution,
 )
 from nims.bias import FIXED_KEYS, _round_half_away
@@ -192,11 +193,12 @@ class TestPlan:
         assert p.frequency_shift <= (0.5 + beta) / expressed + 1e-12
 
     def test_headroom_beyond_float_range(self):
+        # the total limit is refused first, so no headroom past 2**63 reaches a float
         seq = Sequence((10**400,))
         for _ in range(2):
             with pytest.raises(RangeError) as excinfo:
                 plan(1.0, 1e10, seq)
-            assert str(excinfo.value) == "headroom exceeds the largest float, 1.798e+308"
+            assert str(excinfo.value) == "sequence total exceeds 4611686018427387904"
 
 
 class TestPlanRunsTheGreedy:
@@ -220,40 +222,48 @@ class TestPlanRunsTheGreedy:
 
 
 class TestErrorOrder:
-    """A capable sequence whose total passes TOTAL_LIMIT: headroom first, then the limit, on every call."""
+    """A capable sequence whose total passes TOTAL_LIMIT: building the table refuses the limit first, on every call."""
 
     OVER_LIMIT = "sequence total exceeds 4611686018427387904"
 
-    def test_headroom_then_limit_on_every_call(self):
+    def assert_over_limit(self, call):
+        with pytest.raises(RangeError) as excinfo:
+            call()
+        assert str(excinfo.value) == self.OVER_LIMIT
+
+    def test_limit_on_every_call(self):
         seq = Sequence((2**62, 2**62))
         for _ in range(2):
-            with pytest.raises(OutOfRange):
-                plan(1e15, 1.8e10, seq)
-            for volts in (1.0, 0.0):
-                with pytest.raises(RangeError) as excinfo:
-                    plan(volts, 1.8e10, seq)
-                assert str(excinfo.value) == self.OVER_LIMIT
-            with pytest.raises(RangeError) as excinfo:
-                represent(0, seq)
-            assert str(excinfo.value) == self.OVER_LIMIT
+            for volts in (1e15, 1.0, 0.0):
+                self.assert_over_limit(lambda: plan(volts, 1.8e10, seq))
+            for m in (0, 2**64):
+                self.assert_over_limit(lambda: represent(m, seq))
+            self.assert_over_limit(lambda: represent_range_check(seq))
 
     @pytest.mark.parametrize("volts", [1e15, -1e15, 1e300])
     def test_out_of_range_on_an_over_limit_sequence(self, volts):
+        # the limit comes before the headroom tests, so a voltage beyond the headroom is refused as the limit
         seq = Sequence((2**62, 2**62))
         for _ in range(2):
-            with pytest.raises(OutOfRange) as excinfo:
-                plan(volts, 1.8e10, seq)
-            needs = abs(volts) * JOSEPHSON_HZ_PER_VOLT / 1.8e10
-            assert str(excinfo.value) == f"{volts} V needs multiple {needs:.1f}, beyond {2**63 + 2**62 - 1} even at the band top"
+            self.assert_over_limit(lambda: plan(volts, 1.8e10, seq))
 
     def test_limit_first_on_a_fresh_sequence(self):
+        for call in (
+            lambda seq: represent(0, seq),
+            lambda seq: plan(1e15, 1.8e10, seq),
+            represent_range_check,
+        ):
+            seq = Sequence((2**62, 2**62))
+            for _ in range(2):
+                self.assert_over_limit(lambda: call(seq))
+
+    def test_inputs_before_the_limit(self):
+        # plan reads its numbers and represent its target before the table is built
         seq = Sequence((2**62, 2**62))
-        for _ in range(2):
-            with pytest.raises(RangeError) as excinfo:
-                represent(0, seq)
-            assert str(excinfo.value) == self.OVER_LIMIT
-        with pytest.raises(OutOfRange):
-            plan(1e15, 1.8e10, seq)
+        with pytest.raises(InvalidInput):
+            plan(float("nan"), 1.8e10, seq)
+        with pytest.raises(InvalidInput):
+            represent(0.5, seq)
 
 
 class TestRoundHalfAway:

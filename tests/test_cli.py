@@ -596,6 +596,10 @@ def with_files(argv: list, tmp_path: Path) -> list[str]:
         ["enumerate", "--a0", "1", "--depth", "3", "--max-bit", "9", "--limit", "-1"],
         ["oracle", "--seq", "1,3,8", "--cap", "-5"],
         ["defects", "--seq", "1,3,8", "--defects", "2:1", "--cap", "-5"],
+        # an integer with more digits than int() converts from a string, in each JSON loader
+        ["validate", "--seq", JsonFile('{"bits": [1, 3, ' + "8" * 4301 + "]}")],
+        ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"2": ' + "1" * 4301 + "}}")],
+        ["design", "--spec", JsonFile('{"a0": 2, "msb_size": 5760, "target_total": ' + "9" * 4301 + "}")],
     ],
     ids=[
         "min-tolerance", "max-ratio-abc", "max-ratio-0-0",
@@ -604,7 +608,8 @@ def with_files(argv: list, tmp_path: Path) -> list[str]:
         "defect-count-float", "defect-count-bool", "seq-nested-too-deeply",
         "min-margin-nan", "min-margin-inf", "spec-floats-and-bool", "spec-integral-float",
         "spec-rule-bool", "spec-ratio-infinity", "enumerate-negative-limit", "oracle-negative-cap",
-        "defects-negative-cap",
+        "defects-negative-cap", "seq-past-int-digit-limit", "defects-past-int-digit-limit",
+        "spec-past-int-digit-limit",
     ],
 )
 def test_malformed_values_exit_3_with_json_document(argv, capsys, tmp_path):

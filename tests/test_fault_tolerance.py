@@ -216,14 +216,13 @@ class TestApplyDefects:
     def test_within_tolerance_rejects_index_beyond_last_bit(self):
         seq = Sequence((1, 3, 8))
         message = "defect bit index 5 beyond last bit 2"
-        with pytest.raises(InvalidInput) as excinfo:
-            apply_defects(seq, DefectMap({5: 1}))
-        assert str(excinfo.value) == message
-        # bit 1 is past its tolerance of 0, which must not hide the bad index
-        for missing in ({5: 1}, {1: 3, 5: 1}):
-            with pytest.raises(InvalidInput) as excinfo:
-                within_tolerance(seq, DefectMap(missing))
-            assert str(excinfo.value) == message
+        # bit 1 holds 3 junctions, so it cannot lose 4, nor more than its tolerance of 0;
+        # the bad index is refused before any count is read, by both functions
+        for missing in ({5: 1}, {1: 3, 5: 1}, {1: 4, 5: 1}):
+            for function in (apply_defects, within_tolerance):
+                with pytest.raises(InvalidInput) as excinfo:
+                    function(seq, DefectMap(missing))
+                assert str(excinfo.value) == message
 
     def test_count_exceeds_bit(self):
         with pytest.raises(InvalidInput):

@@ -53,7 +53,6 @@ from nims import (
     plan,
     reachable_sums,
     represent,
-    represent_range_check,
     resolution,
     sequence_from_file,
     standard_column,
@@ -282,16 +281,27 @@ MALFORMED = {
     "None for an oracle cap": (lambda: is_complete(SEQ, cap=None), "cap must be an int, got None"),
     "text for an oracle cap": (lambda: reachable_sums(SEQ, cap="9"), "cap must be an int, got '9'"),
     "None for a scan's cap": (lambda: worst_case_scan(SEQ, 3, cap=None), "cap must be an int, got None"),
-    "None for a sweep's cap": (lambda: represent_range_check(SEQ, cap=None), "cap must be an int, got None"),
     # no total is at most NaN, so each refuses it, where a comparison that admits would switch the cap off
     "NaN for an oracle cap": (lambda: is_complete(SEQ, cap=float("nan")), "cap must be an int, got nan"),
     "NaN for a reachable set's cap": (lambda: reachable_sums(SEQ, cap=float("nan")), "cap must be an int, got nan"),
     "NaN for a gap listing's cap": (lambda: oracle_gaps(SEQ, cap=float("nan")), "cap must be an int, got nan"),
     "NaN for a scan's cap": (lambda: worst_case_scan(SEQ, 3, cap=float("nan")), "cap must be an int, got nan"),
-    "NaN for a sweep's cap": (lambda: represent_range_check(SEQ, cap=float("nan")), "cap must be an int, got nan"),
     "text for a margin threshold": (lambda: margin_report(DEVICE, "x"), "margin threshold must be a number, got 'x'"),
     "text for a report's margin": (lambda: build_report(DEVICE, "x"), "margin threshold must be a number, got 'x'"),
 }
+# every total is at most inf or 1e300, so a float cap compared would switch the cap off: the one cap rule refuses it
+MALFORMED.update(
+    {
+        f"{cap!r} for {what}": (lambda check=check, cap=cap: check(cap), f"cap must be an int, got {cap!r}")
+        for cap in (float("inf"), 1e300, 5.0)
+        for what, check in (
+            ("an oracle cap", lambda cap: is_complete(SEQ, cap=cap)),
+            ("a reachable set's cap", lambda cap: reachable_sums(SEQ, cap=cap)),
+            ("a gap listing's cap", lambda cap: oracle_gaps(SEQ, cap=cap)),
+            ("a scan's cap", lambda cap: worst_case_scan(SEQ, 3, cap=cap)),
+        )
+    }
+)
 
 
 @pytest.mark.parametrize("case", MALFORMED)

@@ -427,12 +427,13 @@ class TestReachableSums:
 
     def test_oracle_names_no_chain_certificate(self):
         # the oracle stays independent of the chain certificate, though its
-        # one-run shortcut looks like a chain test: its module imports only
-        # the errors and four names of sequence (so neither nims, "from .
-        # import", fault_tolerance, representation, bias nor designer), and
+        # one-run shortcut looks like a chain test: its module imports at
+        # most the errors and five names of sequence, the cap rule among
+        # them (so neither nims, "from . import", fault_tolerance,
+        # representation, bias nor designer), and
         # no part of it, present or future, names the chain verdict, its
         # wording or the greedy's table
-        allowed = {"DEFAULT_ORACLE_CAP", "Sequence", "_Frozen", "_require_type"}
+        allowed = {"DEFAULT_ORACLE_CAP", "Sequence", "_Frozen", "_check_cap", "_require_type"}
         banned = {
             "_chain_capable", "_lower_chain", "_strict_valid", "validate", "_tolerances", "_tolerance_table",
             "_violations", "_refusal", "_require_capable", "_report", "_STRICT_REPORT", "_descent", "prefix_sums",

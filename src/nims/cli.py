@@ -109,8 +109,7 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     if cap is None:
         env = os.environ.get(ENV_CAP)
         cap = sequence._integer(ENV_CAP, env) if env else sequence.DEFAULT_ORACLE_CAP
-    if cap < 0:
-        raise InvalidInput(f"oracle cap must not be negative, got {cap}")
+    sequence._check_cap(0, cap)  # the one cap rule refuses a negative cap
     return cap
 
 
@@ -164,7 +163,7 @@ def _cmd_tolerance(args) -> Output:
 
     seq = _load_seq(args.seq)
     report = fault_tolerance.tolerance_report(seq)
-    rows = [_entry_row(e, "" if e.proportion is None else str(e.proportion)) for e in report.entries]
+    rows = [_entry_row(e, e.proportion_text or "") for e in report.entries]
     return Output(
         {"bits": list(seq.bits), **report.to_doc()},
         report.to_csv(),
@@ -304,7 +303,7 @@ def _cmd_compare(args) -> Output:
         csv_text,
         [
             f"{c.name}: {len(c.bits)} bits, {c.bits_to_msb} below bank size, "
-            f"efficiency min {c.min_efficiency} mean {c.mean_efficiency}"
+            + "efficiency min {} mean {}".format(*c.efficiency_texts)
             for c in table.candidates
         ]
         + csv_text.splitlines(),

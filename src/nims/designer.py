@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import Infeasible, InvalidInput, RangeError
+from .errors import Infeasible, InvalidInput, RangeError, fraction_text
 from .fault_tolerance import _tolerance_table
 from .sequence import (
     Sequence,
@@ -283,6 +283,14 @@ class CandidateColumn(NamedTuple):
     mean_efficiency: Fraction | None
     tolerances: tuple[int | None, ...]
 
+    @property
+    def efficiency_texts(self) -> tuple[str | None, str | None]:
+        """The min and mean efficiencies as their str, None for none; RangeError where one is too long to write."""
+        return tuple(
+            None if value is None else fraction_text(what, value)
+            for what, value in (("min efficiency", self.min_efficiency), ("mean efficiency", self.mean_efficiency))
+        )
+
 
 class ComparisonTable(NamedTuple):
     """Candidate layouts side by side, as compare_logics tabulates them. A NamedTuple."""
@@ -309,8 +317,7 @@ class ComparisonTable(NamedTuple):
                     "name": c.name,
                     "bits": list(c.bits),
                     "bits_to_msb": c.bits_to_msb,
-                    "min_efficiency": None if c.min_efficiency is None else str(c.min_efficiency),
-                    "mean_efficiency": None if c.mean_efficiency is None else str(c.mean_efficiency),
+                    **dict(zip(("min_efficiency", "mean_efficiency"), c.efficiency_texts)),
                     "tolerances": list(c.tolerances),
                 }
                 for c in self.candidates

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidInput
+from .errors import InvalidInput, fraction_text
 from .sequence import (
     DEFAULT_ORACLE_CAP,
     Sequence,
@@ -52,6 +52,11 @@ class BitTolerance(NamedTuple):
     proportion: Fraction | None
     last_bit: bool
 
+    @property
+    def proportion_text(self) -> str | None:
+        """The proportion as its str, None for none; RangeError where it is too long to write."""
+        return None if self.proportion is None else fraction_text("proportion", self.proportion)
+
 
 class ToleranceReport(NamedTuple):
     """Every bit's tolerance, least significant first. A NamedTuple."""
@@ -62,16 +67,13 @@ class ToleranceReport(NamedTuple):
     COLUMNS = ("bit", "nominal", "tolerance", "proportion")
 
     def to_csv(self) -> str:
-        return csv_rows([self.COLUMNS, *(e[:4] for e in self.entries)])
+        return csv_rows([self.COLUMNS, *((*e[:3], e.proportion_text) for e in self.entries)])
 
     def to_doc(self) -> dict:
         """Each entry's COLUMNS, the proportion as its str, then last_bit, which the CSV leaves out."""
         return {
             "entries": [
-                {
-                    **dict(zip(self.COLUMNS, (*e[:3], None if e.proportion is None else str(e.proportion)))),
-                    "last_bit": e.last_bit,
-                }
+                {**dict(zip(self.COLUMNS, (*e[:3], e.proportion_text))), "last_bit": e.last_bit}
                 for e in self.entries
             ]
         }

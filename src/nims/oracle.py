@@ -5,6 +5,8 @@ necessary, and only the sums themselves settle it. This module computes
 them, reading a Sequence's bits and nothing the chain check stores: from
 sequence it imports only the Sequence, the record base, the type refusal,
 the default cap and the cap rule, so it cannot read the chain verdict.
+The oracle-independence row of tests/test_structure.py holds it to those
+imports, and to naming no part of the chain certificate.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import functools
 import json
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidInput, InvalidSequence, ParseError, RangeError
+from .errors import InvalidInput, InvalidSequence, ParseError, RangeError, int_text
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -32,16 +32,23 @@ TOTAL_LIMIT = 2**62
 
 
 def _check_cap(total: int, cap: int) -> None:
-    """The one oracle-cap rule: InvalidInput for a cap that is not an int, RangeError for a total above it.
+    """The one oracle-cap rule: InvalidInput for a cap that is not an int or is negative, RangeError for a total above it.
 
     The oracle kernel calls it only for a cap whose class is not int or
     that the total exceeds, so a plain int cap costs one class test and
-    one comparison; worst_case_scan calls it once per scan. A float cap
-    (NaN, inf, 1e300, 5.0) is refused, never compared.
+    one comparison; worst_case_scan calls it once per scan, and the CLI
+    once per --cap or NIMS_ORACLE_CAP value, with a total of 0. A float
+    cap (NaN, inf, 1e300, 5.0) is refused, never compared. A negative cap
+    is tested for only once the total exceeds it, which every total does,
+    so the test costs an accepted cap nothing. An int too long for str is
+    worded by its digit count. This is the only module that words these
+    refusals: the size-limit row of tests/test_structure.py checks it.
     """
     _require_type("cap", cap, int)
     if total > cap:
-        raise RangeError(f"sequence total {total} exceeds oracle cap {cap}")
+        if cap < 0:
+            raise InvalidInput(f"oracle cap must not be negative, got {int_text(cap)}")
+        raise RangeError(f"sequence total {int_text(total)} exceeds oracle cap {int_text(cap)}")
 
 
 UPPER = "UPPER"

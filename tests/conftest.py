@@ -287,6 +287,8 @@ def perbit_reach(bits, a0_offset: bool, cap: int) -> tuple[int | None, int, int]
     """
     total = sum(bits)
     if total > cap:
+        if cap < 0:
+            raise errors.InvalidInput(f"oracle cap must not be negative, got {cap}")
         raise errors.RangeError(f"sequence total {total} exceeds oracle cap {cap}")
     radius = max(bits[0] - 1, 0) if a0_offset else 0
     width = 2 * radius + 1

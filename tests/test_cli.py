@@ -9,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from nims import Sequence, cli, fault_tolerance, oracle, sequence, tolerance_report
+from nims import Sequence, cli, errors, fault_tolerance, oracle, sequence, tolerance_report
 from nims.cli import main, run
 
 from .conftest import DEVICE_CSV, DIRECTORY, ERROR_TYPES, INCAPABLE_MESSAGES, MISSING, NIMS1_BITS
@@ -775,6 +777,81 @@ def test_negative_env_cap_exits_3(monkeypatch):
     code, doc = run_json(["oracle", "--seq", "1,3,9"])
     assert code == 3
     assert doc["error"]["type"] == "InvalidInput"
+
+
+def test_the_library_refuses_a_negative_cap_as_the_cli_does():
+    # one cap rule: the wording and exit code of the --cap -5 cases above
+    seq = Sequence((1, 3, 8))
+    for call in (
+        lambda: oracle.is_complete(seq, cap=-1),
+        lambda: oracle.reachable_sums(seq, cap=-1),
+        lambda: oracle.oracle_gaps(seq, cap=-1),
+        lambda: fault_tolerance.worst_case_scan(seq, 1, cap=-1),
+    ):
+        with pytest.raises(errors.InvalidInput, match="^oracle cap must not be negative, got -1$") as caught:
+            call()
+        assert caught.value.exit_code == 3
+
+
+# the interpreter's limit on the digits str writes of an int, and int() reads
+DIGIT_LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+LONGEST = 10**DIGIT_LIMIT - 1  # the longest int the CLI reads
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter writes an int of any length")
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # twelve bits the CLI reads, whose total str cannot write
+        (["oracle", "--seq", ",".join([str(LONGEST)] * 12)], "exceeds oracle cap"),
+        (["defects", "--seq", ",".join([str(LONGEST)] * 12), "--scan-budget", "1"], "exceeds oracle cap"),
+        # the proportion (2B + 1)/(3B) of bit 0 is one digit longer than B
+        (["tolerance", "--seq", f"{LONGEST},{LONGEST - 1}"], "proportion cannot be written"),
+        # the mean efficiency is a Fraction over the lcm of the bits
+        (
+            [
+                "compare", "--msb-size", str(10 ** (DIGIT_LIMIT - 100)), "--candidate",
+                "x={},{},{}".format(*(k * 10 ** (DIGIT_LIMIT - 300) + j for k, j in ((1, 1), (2, 3), (5, 7)))),
+            ],
+            "efficiency cannot be written",
+        ),
+    ],
+    ids=["oracle", "defects-scan", "tolerance", "compare"],
+)
+def test_a_number_too_long_to_write_is_a_range_error(argv, message, fmt, capsys):
+    code = main(argv + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    if fmt == "json":
+        error = strict_json(captured.out)["error"]
+        assert (error["type"], error["exit_code"]) == ("RangeError", 2)
+        assert message in error["message"]
+    elif fmt == "csv":
+        assert list(csv.reader(io.StringIO(captured.out)))[1][0] == "RangeError"
+    else:
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter writes an int of any length")
+def test_a_fraction_too_long_to_write_is_refused_when_rendered():
+    # computing the report pays nothing; each rendering refuses
+    report = tolerance_report(Sequence((LONGEST, LONGEST - 1)))
+    assert report.entries[0].proportion.denominator == 3 * LONGEST
+    for render in (report.to_doc, report.to_csv):
+        with pytest.raises(errors.RangeError, match="its numerator has"):
+            render()
+    assert errors.int_text(12 * LONGEST) == f"<{DIGIT_LIMIT + 2} digits>"
+    assert errors.int_text(-LONGEST) == str(-LONGEST)
+
+
+@given(st.integers(-(10**5000), 10**5000) | st.sampled_from([10**k + j for k in range(1, 60) for j in (-1, 0)]))
+@example(0)
+@example(10**4300)
+def test_digit_count_brackets_the_int(n):
+    digits = errors.digit_count(n)
+    assert digits == 1 if n == 0 else 10 ** (digits - 1) <= abs(n) < 10**digits
 
 
 @pytest.mark.parametrize(

@@ -1,19 +1,16 @@
 from __future__ import annotations
 
-import ast
 import copy
 import csv
 import io
 import json
 import pickle
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import nims.oracle
 import nims.sequence
 from nims import (
     DEFAULT_ORACLE_CAP,
@@ -425,34 +422,6 @@ class TestReachableSums:
         expected = growing_width_sums(seq.bits, True)
         assert (sums.mask, sums.span, sums.beta_radius) == expected == full_width_sums(seq.bits, True)
 
-    def test_oracle_names_no_chain_certificate(self):
-        # the oracle stays independent of the chain certificate, though its
-        # one-run shortcut looks like a chain test: its module imports at
-        # most the errors and five names of sequence, the cap rule among
-        # them (so neither nims, "from . import", fault_tolerance,
-        # representation, bias nor designer), and
-        # no part of it, present or future, names the chain verdict, its
-        # wording or the greedy's table
-        allowed = {"DEFAULT_ORACLE_CAP", "Sequence", "_Frozen", "_check_cap", "_require_type"}
-        banned = {
-            "_chain_capable", "_lower_chain", "_strict_valid", "validate", "_tolerances", "_tolerance_table",
-            "_violations", "_refusal", "_require_capable", "_report", "_STRICT_REPORT", "_descent", "prefix_sums",
-        }
-        nodes = list(ast.walk(ast.parse(Path(nims.oracle.__file__).read_text(encoding="utf-8"))))
-        for node in nodes:
-            if isinstance(node, ast.Import):
-                assert all(alias.name.partition(".")[0] != "nims" for alias in node.names), ast.dump(node)
-            elif isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "sequence"):
-                assert {alias.name for alias in node.names} <= allowed, ast.dump(node)
-            elif isinstance(node, ast.ImportFrom) and node.level:
-                assert (node.level, node.module) == (1, "errors"), ast.dump(node)
-            elif isinstance(node, ast.ImportFrom):
-                assert node.module.partition(".")[0] != "nims", ast.dump(node)
-        names = {node.id for node in nodes if isinstance(node, ast.Name)}
-        names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-        names |= {node.value for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-        assert not names & banned
-
     @given(st.one_of(any_bits(), perturbed_capable_bits()), st.booleans())
     @example(Sequence((0, 0, 0)), True)
     @example(Sequence((5,)), False)
@@ -640,14 +609,14 @@ class TestReach:
     def test_the_cap_is_checked_on_either_path(self, slack, bits, a0_offset):
         # the one-run path reads its total off the width, the bitset path sums
         # the bits; at cap = total - 1, total and total + 1 both give the
-        # per-bit loop's result or its RangeError text
+        # per-bit loop's result or its refusal (InvalidInput for a cap below 0)
         cap = sum(bits) + slack
 
         def outcome(kernel):
             try:
                 return kernel(bits, a0_offset, cap)
-            except RangeError as exc:
-                return str(exc)
+            except (InvalidInput, RangeError) as exc:
+                return type(exc).__name__, str(exc)
 
         assert outcome(_reach) == outcome(perbit_reach)
 
@@ -664,6 +633,7 @@ class TestIsComplete:
     @example(Sequence((1, 3, 10)), 0)  # a gap that stays, at +-5
     @example(Sequence((0, 0, 0)), 0)
     @example(Sequence((2, 6, 18)), -1)  # one below the total: over the cap
+    @example(Sequence((0, 0)), -1)  # a negative cap
     @settings(max_examples=300)
     def test_matches_the_sum_set_and_brute_force(self, seq, slack):
         cap = seq.total + slack
@@ -671,8 +641,8 @@ class TestIsComplete:
         def outcome(check):
             try:
                 return check()
-            except RangeError as exc:
-                return str(exc)
+            except (InvalidInput, RangeError) as exc:
+                return type(exc).__name__, str(exc)
 
         def covers():
             sums = reachable_sums(seq, a0_offset=True, cap=cap)
@@ -680,8 +650,11 @@ class TestIsComplete:
 
         verdict = outcome(lambda: is_complete(seq, cap=cap))
         assert verdict == outcome(covers)
+        if cap < 0:  # a total of 0 with a slack of -1: the one cap rule refuses the cap itself
+            assert verdict == ("InvalidInput", f"oracle cap must not be negative, got {cap}")
+            return
         if slack < 0:
-            assert verdict == f"sequence total {seq.total} exceeds oracle cap {cap}"
+            assert verdict == ("RangeError", f"sequence total {seq.total} exceeds oracle cap {cap}")
             return
         # every target lies within the residual radius of a sum exactly when
         # no two neighbouring sums are more than 2 * radius + 1 apart

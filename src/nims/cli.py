@@ -100,6 +100,8 @@ def _load_defects(value: str) -> fault_tolerance.DefectMap:
         bit, colon, count = part.partition(":")
         if not colon:
             raise InvalidInput(f"inline defect {part!r} must be BIT:COUNT")
+        if bit in missing:
+            raise InvalidInput(f"inline defect bit {bit!r} is given more than once")
         missing[bit] = count
     return fault_tolerance.DefectMap(missing)
 
@@ -174,6 +176,8 @@ def _cmd_tolerance(args) -> Output:
 def _cmd_defects(args) -> Output:
     from . import fault_tolerance, oracle
 
+    if args.defects is not None and args.scan_budget is not None:
+        raise InvalidInput("pass --defects or --scan-budget, not both")
     seq = _load_seq(args.seq)
     cap = _resolve_cap(args)
     if args.scan_budget is not None:
@@ -225,6 +229,10 @@ def _design_spec_from_args(args) -> designer.DesignSpec:
     from . import designer
 
     if args.spec:
+        flags = ("a0", "msb_size", "target_total", "min_tolerance", "max_ratio")
+        given = [name for name in flags if getattr(args, name) is not None]
+        if given:
+            raise InvalidInput(f"pass --spec or --{given[0].replace('_', '-')}, not both")
         return designer.DesignSpec.from_file(args.spec)
     if args.a0 is None or args.msb_size is None or args.target_total is None:
         raise InvalidInput("pass --spec or all of --a0/--msb-size/--target-total")
@@ -252,6 +260,8 @@ def _cmd_design(args) -> Output:
 def _cmd_plan(args) -> Output:
     from . import bias, units
 
+    if args.device and args.seq is not None:
+        raise InvalidInput("pass --device or --seq, not both")
     if args.device:
         from . import device
 

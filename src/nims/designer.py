@@ -16,13 +16,13 @@ from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import Infeasible, InvalidInput, RangeError, fraction_text
-from .fault_tolerance import _tolerance_table
 from .sequence import (
     Sequence,
     _Frozen,
     _integer,
     _require_capable,
     _require_type,
+    _tolerance_table,
     _unchecked_sequence,
     csv_rows,
     read_json,
@@ -338,7 +338,7 @@ def compare_logics(
     integer cross-multiplication and summed as one numerator/denominator
     pair, its denominator kept at the lcm of the bits, so each reported
     Fraction is built once. The tolerances are the candidate's shared
-    table, fault_tolerance._tolerance_table. lsb_count and msb_size are
+    table, sequence._tolerance_table. lsb_count and msb_size are
     read and checked by _comparison_sizes, and each candidate must be a
     (name, Sequence) pair with a str name, else InvalidInput.
     """

@@ -21,12 +21,13 @@ import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInput, ParseError
-from .fault_tolerance import DefectMap, ToleranceReport, _tolerance_table
-from .sequence import Sequence, _read_text, _require_type, csv_rows, validate
+from .sequence import Sequence, _read_text, _require_type, _tolerance_table, csv_rows, validate
 from .units import _require_finite, max_voltage, resolution
 
 if TYPE_CHECKING:
     from pathlib import Path
+
+    from .fault_tolerance import DefectMap
 
 # The preamble in file order: each key with the DeviceMetadata fields its value
 # fills. A key that fills two fields holds them as LENGTHxWIDTH.
@@ -270,6 +271,8 @@ def margin_report(rec: DeviceRecord, min_margin_ma: float) -> MarginReport:
 
 def infer_defects(rec: DeviceRecord, nominal: Sequence) -> DefectMap:
     """Missing junctions per bit relative to a nominal layout."""
+    from .fault_tolerance import DefectMap
+
     _require_type("rec", rec, DeviceRecord)
     _require_type("nominal", nominal, Sequence)
     if len(nominal.bits) != len(rec.bits):
@@ -316,6 +319,8 @@ def build_report(rec: DeviceRecord, min_margin_ma: float = 1.0) -> dict:
     The tolerance rows read the sequence's one table, _tolerance_table;
     retuned_resolution_v is None when bit 0 holds no junctions.
     """
+    from .fault_tolerance import ToleranceReport
+
     _require_type("rec", rec, DeviceRecord)
     seq = rec.sequence()
     vr = validate(seq)

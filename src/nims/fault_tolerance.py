@@ -5,18 +5,18 @@ missing junctions before the upper chain at n+1 can break. Losing more
 than t_n from a single bit always breaks the chain there; losing up to
 t_n from every bit at once still leaves the chain intact. The last bit
 has no chain successor, so losing up to a_N - 1 there only shrinks the
-range; losing all of it breaks positivity.
-
-The audits that check a layout end to end live here too: the
-worst-case defect scan and the full-range round trip of the greedy,
-represent_range_check.
+range; losing all of it breaks positivity. The table of t_n is
+sequence._tolerance_table's, kept on each Sequence; this module reports
+it, checks defects against it and holds the audits that check a layout
+end to end: the worst-case defect scan and the full-range round trip of
+the greedy, represent_range_check.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidInput, fraction_text
+from .errors import InvalidInput, fraction_text, int_text
 from .sequence import (
     DEFAULT_ORACLE_CAP,
     Sequence,
@@ -28,6 +28,7 @@ from .sequence import (
     _integer,
     _require_capable,
     _require_type,
+    _tolerance_table,
     _unchecked_sequence,
     csv_rows,
     read_json,
@@ -79,31 +80,14 @@ class ToleranceReport(NamedTuple):
         }
 
 
-def _tolerance_table(seq: Sequence) -> tuple[int | None, ...]:
-    """t_n = max(0, a_n - ceil(a_{n+1}/3)) for every bit of seq, None for the last.
-
-    The one statement of the tolerance rule, in integers. The first reader
-    of a Sequence object builds the table into its private _tolerances
-    slot; every later reader of that object reuses it.
-    """
-    try:
-        return seq._tolerances
-    except AttributeError:  # an unset slot: not built yet
-        bits = seq.bits
-        table = (*[t if (t := a - (b + 2) // 3) > 0 else 0 for a, b in zip(bits, bits[1:])], None)
-        object.__setattr__(seq, "_tolerances", table)
-        return table
-
-
 def tolerance_report(seq: Sequence) -> ToleranceReport:
     """Tolerance and fault proportion for every bit.
 
     The proportion is the exact fraction of bit n that may fail,
     1 - a_{n+1}/(3*a_n), clamped at 0 below (and 0 for a dead bit n);
-    it is 1 only when bit n + 1 is dead. The last bit is reported
-    with no tolerance bound: removing its junctions only reduces range,
-    never completeness of what remains. The tolerances are seq's shared
-    table, _tolerance_table. seq must be a Sequence, else InvalidInput.
+    it is 1 only when bit n + 1 is dead. The last bit is reported with
+    no tolerance bound: removing its junctions only reduces range, never
+    completeness of what remains. seq must be a Sequence, else InvalidInput.
 
     Each distinct proportion is built once per call: a pair (a, b) with
     3a > b gets (3a - b)/(3a), and every clamped pair (b >= 3a, a dead bit
@@ -134,8 +118,9 @@ class DefectMap(_Frozen):
     """Missing-junction counts keyed by bit index.
 
     Bits and counts are converted by the one integer rule, sequence._integer;
-    missing that is not a mapping, or a negative bit or count, raises
-    InvalidInput, and zero counts are dropped.
+    missing that is not a mapping, two keys naming one bit (1 and "01"),
+    or a negative bit or count, raises InvalidInput, and zero counts are
+    dropped.
     missing is a copy of the checked counts, which stay in _missing. A class
     that checks its input when built; it does not hash, since missing is a dict.
     """
@@ -148,7 +133,12 @@ class DefectMap(_Frozen):
             items = missing.items()
         except AttributeError:
             raise InvalidInput(f"defects must be a mapping of bit index to count, got {missing!r}") from None
-        converted = {_integer("defect bit", k): _integer("defect count", v) for k, v in items}
+        converted: dict[int, int] = {}
+        for k, v in items:
+            idx = _integer("defect bit", k)
+            if idx in converted:
+                raise InvalidInput(f"defect bit {int_text(idx)} is given more than once")
+            converted[idx] = _integer("defect count", v)
         for idx, cnt in converted.items():
             if idx < 0:
                 raise InvalidInput(f"defect bit index {idx} is negative")
@@ -264,8 +254,7 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     construction against the chain and cross-checked on a sample of
     scenarios with the reachability oracle. UNSAFE means the chain
     certificate is void beyond the bit's tolerance, not that every larger
-    defect is provably incomplete. The tolerances are seq's shared table,
-    _tolerance_table. budget is read by sequence._integer.
+    defect is provably incomplete. budget is read by sequence._integer.
 
     A sequence that is not completeness capable has no certificate to
     scan: the chain gate, sequence._require_capable, refuses it from the

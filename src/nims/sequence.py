@@ -1,4 +1,4 @@
-"""The Sequence, its chain verdict and gate, and the greedy's descent table.
+"""The Sequence, its chain verdict and gate, and its stored tables: the greedy's descent and the tolerances.
 
 A bit sequence a_0..a_N is "complete capable" when every bit obeys the
 upper chain a_n <= 3*a_{n-1}; any integer in [-A_N, A_N] is then a signed
@@ -7,10 +7,10 @@ Strict validity additionally requires the lower chain a_{n+1} > 3*a_{n-1},
 which forces the fastest growth that still leaves every target reachable.
 The chain is sufficient for completeness, not necessary: the reachability
 oracle, which settles it, lives in oracle.py and reads nothing this
-module stores on a Sequence. Beside them: strict enumeration, and the
-one bit-list parser, file reader, integer rule and CSV writer. All
-arithmetic here is exact integer or rational; comparisons against thirds
-are done by cross multiplication, never division.
+module stores on a Sequence. Beside them: the per-bit tolerance table,
+strict enumeration, and the one bit-list parser, file reader, integer
+rule and CSV writer. All arithmetic here is exact integer or rational;
+comparisons against thirds are done by cross multiplication, never division.
 """
 
 from __future__ import annotations
@@ -103,12 +103,12 @@ class Sequence(_Frozen):
 
     Built from any iterable of non-bool integers, at least one, none
     negative; int subclasses are stored as plain ints. Not a tuple: len()
-    and iteration give the bits. Three private slots: _descent the
-    greedy's per-bit table, once the function _descent has built it;
-    _tolerances the one table of every bit's tolerance, once
-    fault_tolerance._tolerance_table has built it; and _report, the
-    report validate returns, None until the first validate call stores it
-    (enumerate_nims stores the strict report on each sequence it lists).
+    and iteration give the bits. Three private slots, built and read in
+    this module alone: _descent the greedy's per-bit table, once the
+    function _descent has built it; _tolerances every bit's tolerance,
+    once _tolerance_table has built it; and _report, the report validate
+    returns, None until the first validate call stores it (enumerate_nims
+    stores the strict report on each sequence it lists).
     Only bits is a field, so equality, hash, repr and pickling leave the
     three out: a copy starts without the tables and with _report None.
     _report is set by every constructor, never left unset, since validate
@@ -393,6 +393,21 @@ def _descent(seq: Sequence) -> tuple:
     return table
 
 
+def _tolerance_table(seq: Sequence) -> tuple[int | None, ...]:
+    """t_n = max(0, a_n - ceil(a_{n+1}/3)) for every bit of seq, None for the last.
+
+    The one statement of the tolerance rule, in integers. The first reader
+    of a Sequence object builds the table into its private _tolerances
+    slot; every later reader of that object reuses it.
+    """
+    try:
+        return seq._tolerances
+    except AttributeError:  # an unset slot: not built yet
+        bits = seq.bits
+        table = (*[t if (t := a - (b + 2) // 3) > 0 else 0 for a, b in zip(bits, bits[1:])], None)
+        object.__setattr__(seq, "_tolerances", table)
+        return table
+
 def segmentation_efficiency(seq: Sequence) -> tuple[Fraction, ...]:
     """Exact consecutive-bit ratios a_{n+1}/a_n."""
     from fractions import Fraction
@@ -513,11 +528,24 @@ def read_json(path: str | Path) -> object:
     """Parse a JSON file read by _read_text; text that is not JSON, or nests too deeply, raises InvalidInput.
 
     ValueError covers JSONDecodeError and the int-string ValueError of an
-    integer with more digits than sys.get_int_max_str_digits() allows.
+    integer with more digits than sys.get_int_max_str_digits() allows. An
+    object that repeats a key is refused too, where json would keep the
+    last value and drop the others unseen.
     """
     text = _read_text(path)
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):  # some key repeats: name the first that does
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise InvalidInput(f"{path}: key {key!r} is repeated in one object")
+                seen.add(key)
+        return doc
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except ValueError as exc:
         raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:

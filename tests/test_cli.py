@@ -538,6 +538,10 @@ class TestErrorPlumbing:
 
 
 DESIGN_FLAGS = ["design", "--a0", "2", "--msb-size", "5760", "--target-total", "92098"]
+# each design flag that --spec would otherwise leave unread, with a value it accepts
+SPEC_CONFLICTS = (
+    ("--a0", "2"), ("--msb-size", "5760"), ("--target-total", "92098"), ("--min-tolerance", "100:2"), ("--max-ratio", "3"),
+)
 PLAN_FLAGS = ["plan", "--seq", "1,3,8"]
 
 
@@ -602,6 +606,18 @@ def with_files(argv: list, tmp_path: Path) -> list[str]:
         ["validate", "--seq", JsonFile('{"bits": [1, 3, ' + "8" * 4301 + "]}")],
         ["defects", "--seq", "1,3,8", "--defects", JsonFile('{"defects": {"2": ' + "1" * 4301 + "}}")],
         ["design", "--spec", JsonFile('{"a0": 2, "msb_size": 5760, "target_total": ' + "9" * 4301 + "}")],
+        # a key given twice, which a dict would keep one count of
+        ["defects", "--seq", "1,3", "--defects", "1:2,1:1"],
+        ["defects", "--seq", "1,3", "--defects", JsonFile('{"defects": {"1": 2, "01": 1}}')],
+        ["defects", "--seq", "1,3", "--defects", JsonFile('{"defects": {"1": 2, "1": 1}}')],
+        ["validate", "--seq", JsonFile('{"bits": [1, 3], "bits": [1, 2, 7]}')],
+        # two inputs of which the command would read one
+        ["defects", "--seq", "1,3,8", "--defects", "2:1", "--scan-budget", "1"],
+        ["plan", "--device", str(DEVICE_CSV), "--seq", "1,3,8", "--volts", "1.0"],
+        *(
+            ["design", "--spec", JsonFile('{"a0": 2, "msb_size": 5760, "target_total": 92098}'), flag, value]
+            for flag, value in SPEC_CONFLICTS
+        ),
     ],
     ids=[
         "min-tolerance", "max-ratio-abc", "max-ratio-0-0",
@@ -611,7 +627,9 @@ def with_files(argv: list, tmp_path: Path) -> list[str]:
         "min-margin-nan", "min-margin-inf", "spec-floats-and-bool", "spec-integral-float",
         "spec-rule-bool", "spec-ratio-infinity", "enumerate-negative-limit", "oracle-negative-cap",
         "defects-negative-cap", "seq-past-int-digit-limit", "defects-past-int-digit-limit",
-        "spec-past-int-digit-limit",
+        "spec-past-int-digit-limit", "defects-inline-bit-twice", "defect-file-bit-twice",
+        "defect-file-key-twice", "seq-file-key-twice", "defects-and-scan-budget", "plan-device-and-seq",
+        *(f"spec-and{flag[1:]}" for flag, _ in SPEC_CONFLICTS),
     ],
 )
 def test_malformed_values_exit_3_with_json_document(argv, capsys, tmp_path):
@@ -622,6 +640,25 @@ def test_malformed_values_exit_3_with_json_document(argv, capsys, tmp_path):
     doc = strict_json(captured.out)
     assert doc["error"]["type"] == "InvalidInput"
     assert doc["error"]["exit_code"] == 3
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["defects", "--seq", "1,3,8", "--defects", "2:1", "--scan-budget", "1"], "pass --defects or --scan-budget, not both"),
+        (["plan", "--device", str(DEVICE_CSV), "--seq", "1,3,8", "--volts", "1.0"], "pass --device or --seq, not both"),
+        *(
+            (["design", "--spec", MISSING, flag, value], f"pass --spec or {flag}, not both")
+            for flag, value in SPEC_CONFLICTS
+        ),
+        (["defects", "--seq", "1,3", "--defects", "1:2, 1:1"], "inline defect bit '1' is given more than once"),
+    ],
+    ids=["defects", "plan", *(flag[2:] for flag, _ in SPEC_CONFLICTS), "inline-defects"],
+)
+def test_conflicting_and_repeated_inputs_are_named(argv, message, tmp_path):
+    # both inputs are named, before any file is read: the spec here does not exist
+    res = run(with_files(argv, tmp_path))
+    assert res.exit_code == 3 and res.text == f"error: {message}\n"
 
 
 def strict_json(text: str) -> object:

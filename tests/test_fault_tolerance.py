@@ -28,8 +28,8 @@ from nims import (
     within_tolerance,
     worst_case_scan,
 )
-from nims.fault_tolerance import ScanEntry, _tolerance_table
-from nims.sequence import UPPER
+from nims.fault_tolerance import ScanEntry
+from nims.sequence import UPPER, _tolerance_table
 
 from .conftest import INCAPABLE_MESSAGES, any_bits, capable_bits, fraction_proportion, interval_dp_sums
 
@@ -179,6 +179,11 @@ class TestDefectMap:
     def test_rejects_negative_index(self):
         with pytest.raises(InvalidInput):
             DefectMap({-1: 1})
+
+    @pytest.mark.parametrize("missing", [{1: 2, "1": 3}, {"1": 2, "01": 1}, {1: 0, " 1 ": 1}])
+    def test_two_keys_naming_one_bit_are_refused(self, missing):
+        with pytest.raises(InvalidInput, match="^defect bit 1 is given more than once$"):
+            DefectMap(missing)
 
 
 class TestApplyDefects:

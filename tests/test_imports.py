@@ -37,12 +37,12 @@ MODULES = {
     "validate": (["validate", "--seq", "1,3,8"], FIRST),
     "tolerance": (["tolerance", "--seq", "1,3,8"], FIRST + ["fault_tolerance"]),
     "defects": (["defects", "--seq", "1,3,8", "--defects", "2:1"], FIRST + ["fault_tolerance", "oracle"]),
-    "design": (["design", "--a0", "1", "--msb-size", "9", "--target-total", "13"], FIRST + ["designer", "fault_tolerance"]),
-    "compare": (["compare", "--msb-size", "9", "--lsb-count", "3", "--standards"], FIRST + ["designer", "fault_tolerance"]),
+    "design": (["design", "--a0", "1", "--msb-size", "9", "--target-total", "13"], FIRST + ["designer"]),
+    "compare": (["compare", "--msb-size", "9", "--lsb-count", "3", "--standards"], FIRST + ["designer"]),
     "represent": (["represent", "--seq", "1,3,8", "--m", "5"], FIRST + ["representation"]),
     "plan": (
         ["plan", "--device", str(DEVICE_CSV), "--volts", "1.0"],
-        FIRST + ["bias", "device", "fault_tolerance", "representation", "units"],
+        FIRST + ["bias", "device", "representation", "units"],
     ),
     "report": (["report", "--device", str(DEVICE_CSV)], FIRST + ["device", "fault_tolerance", "units"]),
     "enumerate": (["enumerate", "--a0", "1", "--depth", "3", "--max-bit", "9"], FIRST),

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import pickle
+import re
 import tracemalloc
 
 import pytest
@@ -38,7 +39,7 @@ from nims import (
     worst_case_scan,
 )
 from nims.oracle import _reach, _runs, _window_gaps
-from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, csv_rows
+from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, csv_rows, read_json
 
 from .conftest import (
     INCAPABLE_MESSAGES,
@@ -874,6 +875,22 @@ class TestStandardsAndParsing:
         p.write_text(json.dumps({"values": [1, 3]}))
         with pytest.raises(InvalidInput):
             sequence_from_file(p)
+
+    @pytest.mark.parametrize(
+        ("text", "key"),
+        [('{"bits": [1, 3], "bits": [1, 2, 7]}', "bits"), ('{"bits": [1, 3], "x": {"a": 1, "a": 1}}', "a")],
+    )
+    def test_a_repeated_key_is_refused_at_any_depth(self, tmp_path, text, key):
+        # json keeps the last of a repeated key; the reader refuses the file instead
+        p = tmp_path / "seq.json"
+        p.write_text(text)
+        with pytest.raises(InvalidInput, match=f"^{re.escape(str(p))}: key '{key}' is repeated in one object$"):
+            read_json(p)
+
+    def test_one_key_in_two_objects_is_not_repeated(self, tmp_path):
+        p = tmp_path / "seq.json"
+        p.write_text('{"bits": [1, 3], "x": [{"a": 1}, {"a": 2}]}')
+        assert read_json(p) == {"bits": [1, 3], "x": [{"a": 1}, {"a": 2}]}
 
 
 CSV_FIELDS = st.one_of(st.none(), st.integers(), st.text(alphabet="ab \r\n,\"", max_size=6))

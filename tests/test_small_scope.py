@@ -42,8 +42,7 @@ from nims import (
     validate,
     worst_case_scan,
 )
-from nims.fault_tolerance import _tolerance_table
-from nims.sequence import POSITIVITY, UPPER, _chain_capable, _require_capable, _violations
+from nims.sequence import POSITIVITY, UPPER, _chain_capable, _require_capable, _tolerance_table, _violations
 
 SCOPE = int(os.environ.get("NIMS_SMALL_SCOPE", "9"))
 SCOPE_BITS = [bits for n in range(1, 5) for bits in itertools.product(range(SCOPE + 1), repeat=n)]
@@ -185,7 +184,7 @@ CHECKS = {
     "oracle._window_gaps by oracle_gaps": (gaps, SCOPE_BITS),
     "sequence._chain_capable by validate, and the chain implies coverage": (chain_verdict, SCOPE_BITS),
     "sequence._require_capable, refusing where the chain breaks": (gate, SCOPE_BITS),
-    "fault_tolerance._tolerance_table, safe and sharp": (tolerances, CAPABLE_BITS),
+    "sequence._tolerance_table, safe and sharp": (tolerances, CAPABLE_BITS),
     "fault_tolerance.worst_case_scan at budgets 0 to 3": (scans, CAPABLE_BITS),
     "sequence._descent by represent round trips": (round_trips, CAPABLE_BITS),
     "fault_tolerance.represent_range_check over sequence._descent": (sweep_passes, CAPABLE_BITS),

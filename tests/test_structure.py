@@ -121,6 +121,14 @@ def _total_limit_wordings(tree: ast.AST) -> Iterator[ast.AST]:
                     yield node
 
 
+def _stored_tables(tree: ast.AST) -> Iterator[ast.AST]:
+    # the _tolerances slot by any spelling, and the _descent slot as an attribute or a string;
+    # the function _descent, which builds and reads that slot, is called and imported by its name
+    for node, name in _names(tree):
+        if name == "_tolerances" or (name == "_descent" and isinstance(node, (ast.Attribute, ast.Constant))):
+            yield node
+
+
 # what oracle.py may import from sequence: the record base, the type refusal, the default cap and the cap rule
 ORACLE_IMPORTS = {"DEFAULT_ORACLE_CAP", "Sequence", "_Frozen", "_check_cap", "_require_type"}
 # the chain verdict, its wording and the greedy's table, which the oracle never names
@@ -201,6 +209,19 @@ RULES = (
             "_report = None",
         ),
         ("ok = report.complete_capable", "text = 'completeness capable'", "seq._reports = ()"),
+    ),
+    # sequence.py declares, builds and reads a Sequence's stored tables, so each is kept in one place:
+    # the descent and tolerance tables here, the stored report in chain-gate-home
+    Rule(
+        "stored-tables-home", _stored_tables, SRC, "sequence.py",
+        (
+            "tolerances = seq._tolerances",
+            'object.__setattr__(seq, "_tolerances", t)',
+            "rows = seq._descent",
+            "table = getattr(seq, '_descent')",
+            "from .sequence import _tolerances",
+        ),
+        ("bound, steps = _descent(seq)", "from .sequence import _descent", "table = _tolerance_table(seq)"),
     ),
     # only oracle.py reads a SumSet's private _one_run, so the oracle stays one piece beside its kernel
     Rule(

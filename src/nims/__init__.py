@@ -17,10 +17,6 @@ __version__ = "0.1.0"
 # Each exported name with the submodule that defines it.
 _SOURCES = {
     **dict.fromkeys(
-        ("BiasPlan", "DEFAULT_BAND_HALF_WIDTH", "plan"),
-        "bias",
-    ),
-    **dict.fromkeys(
         (
             "ComparisonTable",
             "DesignResult",
@@ -80,7 +76,7 @@ _SOURCES = {
         "oracle",
     ),
     **dict.fromkeys(
-        ("Representation", "evaluate", "represent"),
+        ("BiasPlan", "DEFAULT_BAND_HALF_WIDTH", "Representation", "evaluate", "plan", "represent"),
         "representation",
     ),
     **dict.fromkeys(

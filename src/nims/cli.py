@@ -258,7 +258,7 @@ def _cmd_design(args) -> Output:
 
 
 def _cmd_plan(args) -> Output:
-    from . import bias, units
+    from . import representation, units
 
     if args.device and args.seq is not None:
         raise InvalidInput("pass --device or --seq, not both")
@@ -284,9 +284,9 @@ def _cmd_plan(args) -> Output:
             band = (float(lo), float(hi))
         except ValueError as exc:
             raise InvalidInput(f"bad band {args.band!r}: {exc}") from exc
-    result = bias.plan(args.volts, freq, seq, band)
+    result = representation.plan(args.volts, freq, seq, band)
     pairs = [
-        (key, units.fixed_decimal(value) if key in bias.FIXED_KEYS else value)
+        (key, units.fixed_decimal(value) if key in representation.FIXED_KEYS else value)
         for key, value in result.to_doc().items()
         if key != "signs"
     ]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import Infeasible, InvalidInput, RangeError, fraction_text
+from .errors import Infeasible, InvalidInput, RangeError, fraction_text, int_text, repr_text
 from .sequence import (
     Sequence,
     _Frozen,
@@ -41,7 +41,7 @@ MAX_LAYOUT_BITS = 10_000
 
 def _within_limit(bits: int) -> None:
     if bits > MAX_LAYOUT_BITS:
-        raise RangeError(f"layout of {bits} bits exceeds the limit of {MAX_LAYOUT_BITS}")
+        raise RangeError(f"layout of {int_text(bits)} bits exceeds the limit of {MAX_LAYOUT_BITS}")
 
 
 def _comparison_sizes(lsb_count: int, msb_size: int) -> tuple[int, int]:
@@ -125,9 +125,9 @@ class DesignSpec(_Frozen):
         try:
             ratio = max_ratio if type(max_ratio) is Fraction else Fraction(max_ratio)
         except (TypeError, ValueError, ArithmeticError) as exc:
-            raise InvalidInput(f"bad max ratio {max_ratio!r}: {exc}") from exc
+            raise InvalidInput(f"bad max ratio {repr_text(max_ratio)}: {exc}") from exc
         if not 1 <= a0 <= 3:
-            raise InvalidInput(f"a0 must be 1..3, got {a0}")
+            raise InvalidInput(f"a0 must be 1..3, got {int_text(a0)}")
         if msb_size < 3 * a0:
             raise InvalidInput(f"msb_size must be at least 3*a0 = {3 * a0}")
         if target_total < msb_size:
@@ -137,10 +137,12 @@ class DesignSpec(_Frozen):
         try:
             rules = tuple(min_tolerance)
         except TypeError as exc:
-            raise InvalidInput(f"min_tolerance must be an iterable of ToleranceRule, got {min_tolerance!r}") from exc
+            raise InvalidInput(
+                f"min_tolerance must be an iterable of ToleranceRule, got {repr_text(min_tolerance)}"
+            ) from exc
         for rule in rules:
             if not isinstance(rule, ToleranceRule):
-                raise InvalidInput(f"min_tolerance holds {rule!r}, not a ToleranceRule")
+                raise InvalidInput(f"min_tolerance holds {repr_text(rule)}, not a ToleranceRule")
         for name, value in zip(self._fields, (a0, msb_size, target_total, rules, ratio)):
             object.__setattr__(self, name, value)
 
@@ -346,7 +348,9 @@ def compare_logics(
     try:
         candidates = list(candidates)
     except TypeError as exc:
-        raise InvalidInput(f"candidates must be an iterable of (name, Sequence) pairs, got {candidates!r}") from exc
+        raise InvalidInput(
+            f"candidates must be an iterable of (name, Sequence) pairs, got {repr_text(candidates)}"
+        ) from exc
     if not candidates:
         raise InvalidInput("need at least one candidate")
     columns: list[CandidateColumn] = []
@@ -355,7 +359,7 @@ def compare_logics(
             case (str() as name, Sequence() as seq):
                 bits = seq.bits
             case _:
-                raise InvalidInput(f"candidate {candidate!r} is not a (name, Sequence) pair")
+                raise InvalidInput(f"candidate {repr_text(candidate)} is not a (name, Sequence) pair")
         _require_capable(seq, f"candidate {name!r}", InvalidInput)
         # a capable chain has no ratio above 3 and no zero bit, so 3/1 is a
         # safe start for the minimum and every denominator is positive

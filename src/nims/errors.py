@@ -9,9 +9,9 @@ file or a rejected command line (`InvalidInput`, `ParseError`,
 
 Beside them, the one rule for writing a large number as text: CPython's
 str refuses an int of more digits than sys.get_int_max_str_digits(), so
-a refusal words such an int by its digit count (int_text), and a
-Fraction that cannot be written is refused as RangeError when it is
-rendered (fraction_text).
+a refusal words such an int by its digit count (int_text), and any
+other value it shows by repr_text; a Fraction that cannot be written is
+refused as RangeError when it is rendered (fraction_text).
 """
 
 from __future__ import annotations
@@ -105,9 +105,19 @@ def _unwritable_digits(n: int) -> int:
 
 
 def int_text(n: int) -> str:
-    """n in decimal for a message, or "<d digits>" where str would refuse to write it."""
+    """n in decimal for a message, or "<d digits>", "-<d digits>" below zero, where str would refuse to write it."""
     digits = _unwritable_digits(n)
-    return f"<{digits} digits>" if digits else str(n)
+    return f"{'-' * (n < 0)}<{digits} digits>" if digits else str(n)
+
+
+def repr_text(value: object) -> str:
+    """repr(value) for a message; an int too long for str is worded by int_text, a value holding one by its type."""
+    try:
+        return repr(value)
+    except ValueError:  # the digit limit of CPython's int-to-string conversion
+        if isinstance(value, int):
+            return int_text(value)
+        return f"<{type(value).__name__} holding a number too long to write>"
 
 
 def fraction_text(what: str, value: Fraction) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidInput, fraction_text, int_text
+from .errors import InvalidInput, fraction_text, int_text, repr_text
 from .sequence import (
     DEFAULT_ORACLE_CAP,
     Sequence,
@@ -132,7 +132,7 @@ class DefectMap(_Frozen):
         try:
             items = missing.items()
         except AttributeError:
-            raise InvalidInput(f"defects must be a mapping of bit index to count, got {missing!r}") from None
+            raise InvalidInput(f"defects must be a mapping of bit index to count, got {repr_text(missing)}") from None
         converted: dict[int, int] = {}
         for k, v in items:
             idx = _integer("defect bit", k)
@@ -141,9 +141,9 @@ class DefectMap(_Frozen):
             converted[idx] = _integer("defect count", v)
         for idx, cnt in converted.items():
             if idx < 0:
-                raise InvalidInput(f"defect bit index {idx} is negative")
+                raise InvalidInput(f"defect bit index {int_text(idx)} is negative")
             if cnt < 0:
-                raise InvalidInput(f"defect count for bit {idx} is negative")
+                raise InvalidInput(f"defect count for bit {int_text(idx)} is negative")
         clean = {idx: cnt for idx, cnt in sorted(converted.items()) if cnt}
         object.__setattr__(self, "_missing", clean)
 
@@ -178,7 +178,7 @@ def _sequence_and_defects(seq: Sequence, defects: DefectMap) -> dict[int, int]:
     last = seq.last_index
     for idx in missing:
         if idx > last:
-            raise InvalidInput(f"defect bit index {idx} beyond last bit {last}")
+            raise InvalidInput(f"defect bit index {int_text(idx)} beyond last bit {last}")
     return missing
 
 
@@ -193,7 +193,7 @@ def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, Validati
     bits = list(seq.bits)
     for idx, cnt in missing.items():
         if cnt > bits[idx]:
-            raise InvalidInput(f"bit {idx} holds {bits[idx]} junctions, cannot lose {cnt}")
+            raise InvalidInput(f"bit {idx} holds {int_text(bits[idx])} junctions, cannot lose {int_text(cnt)}")
         bits[idx] -= cnt
     defective = _unchecked_sequence(tuple(bits))
     return defective, validate(defective)

@@ -20,7 +20,7 @@ import functools
 import json
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidInput, InvalidSequence, ParseError, RangeError, int_text
+from .errors import InvalidInput, InvalidSequence, ParseError, RangeError, int_text, repr_text
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -32,18 +32,21 @@ TOTAL_LIMIT = 2**62
 
 
 def _check_cap(total: int, cap: int) -> None:
-    """The one oracle-cap rule: InvalidInput for a cap that is not an int or is negative, RangeError for a total above it.
+    """The one oracle-cap rule: InvalidInput for a bool, a non-int or a negative cap, RangeError for a total above it.
 
     The oracle kernel calls it only for a cap whose class is not int or
     that the total exceeds, so a plain int cap costs one class test and
     one comparison; worst_case_scan calls it once per scan, and the CLI
     once per --cap or NIMS_ORACLE_CAP value, with a total of 0. A float
-    cap (NaN, inf, 1e300, 5.0) is refused, never compared. A negative cap
-    is tested for only once the total exceeds it, which every total does,
-    so the test costs an accepted cap nothing. An int too long for str is
-    worded by its digit count. This is the only module that words these
+    cap (NaN, inf, 1e300, 5.0) is refused, never compared, and so is a
+    bool, as the integer rule refuses one. A negative cap is tested for
+    only once the total exceeds it, which every total does, so the test
+    costs an accepted cap nothing. An int too long for str is worded by
+    its digit count. This is the only module that words these
     refusals: the size-limit row of tests/test_structure.py checks it.
     """
+    if isinstance(cap, bool):
+        raise InvalidInput(f"cap must be an int, got {cap}")
     _require_type("cap", cap, int)
     if total > cap:
         if cap < 0:
@@ -160,7 +163,7 @@ def _require_type(name: str, value: object, kind: type) -> None:
     """
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
-        raise InvalidInput(f"{name} must be {article} {kind.__name__}, got {value!r}") from None
+        raise InvalidInput(f"{name} must be {article} {kind.__name__}, got {repr_text(value)}") from None
 
 
 def _unchecked_sequence(bits: tuple[int, ...]) -> Sequence:
@@ -294,7 +297,7 @@ def _violations(bits: tuple[int, ...]) -> tuple[Violation, ...]:
     for n, a in enumerate(bits):
         if a < 1:
             violations.append(
-                Violation(POSITIVITY, n, f"bit {n} must hold at least one junction, got {a}", (a,))
+                Violation(POSITIVITY, n, f"bit {n} must hold at least one junction, got {int_text(a)}", (a,))
             )
 
     for n in range(1, last + 1):
@@ -303,7 +306,7 @@ def _violations(bits: tuple[int, ...]) -> tuple[Violation, ...]:
                 Violation(
                     UPPER,
                     n,
-                    f"bit {n} is {bits[n]}, above three times bit {n - 1} ({bits[n - 1]})",
+                    f"bit {n} is {int_text(bits[n])}, above three times bit {n - 1} ({int_text(bits[n - 1])})",
                     (bits[n], bits[n - 1]),
                 )
             )
@@ -314,7 +317,8 @@ def _violations(bits: tuple[int, ...]) -> tuple[Violation, ...]:
                 Violation(
                     LOWER,
                     n + 1,
-                    f"bit {n + 1} is {bits[n + 1]}, not above three times bit {n - 1} ({bits[n - 1]})",
+                    f"bit {n + 1} is {int_text(bits[n + 1])}, "
+                    f"not above three times bit {n - 1} ({int_text(bits[n - 1])})",
                     (bits[n + 1], bits[n - 1]),
                 )
             )
@@ -325,7 +329,7 @@ def _violations(bits: tuple[int, ...]) -> tuple[Violation, ...]:
             Violation(
                 LOWER,
                 last,
-                f"bit {last} is {bits[last]}, not above bit {last - 1} ({bits[last - 1]})",
+                f"bit {last} is {int_text(bits[last])}, not above bit {last - 1} ({int_text(bits[last - 1])})",
                 (bits[last], bits[last - 1]),
             )
         )
@@ -363,7 +367,7 @@ def _descent(seq: Sequence) -> tuple:
     """The greedy's table for seq, built and stored on seq the first time: (bound, steps).
 
     The one place the table is built, read by representation.represent,
-    fault_tolerance.represent_range_check and bias.plan. Building refuses
+    fault_tolerance.represent_range_check and representation.plan. Building refuses
     a seq that is not a Sequence (_require_type), not capable (the chain
     gate, _require_capable, which reads seq's stored report) or whose
     total passes TOTAL_LIMIT (prefix_sums' RangeError) on every call, as
@@ -452,12 +456,12 @@ def enumerate_nims(
     """
     for name, value in (("a0", a0), ("depth", depth), ("max_bit", max_bit), ("max_results", max_results)):
         if not isinstance(value, int) or isinstance(value, bool):
-            raise InvalidInput(f"{name} must be an integer, got {value!r}")
+            raise InvalidInput(f"{name} must be an integer, got {repr_text(value)}")
     a0 = int(a0)  # an int subclass is stored as a plain int, as Sequence does
     if a0 < 1 or depth < 1 or max_bit < 1:
         raise InvalidInput("a0, depth, and max_bit must all be positive")
     if max_results < 0:
-        raise InvalidInput(f"max_results must not be negative, got {max_results}")
+        raise InvalidInput(f"max_results must not be negative, got {int_text(max_results)}")
     if a0 > max_bit:
         return []
     # The smallest strict completion of a prefix takes 3 * (the bit two places
@@ -559,7 +563,7 @@ def _integer(what: str, value: object) -> int:
             return int(value)
         except ValueError:
             pass
-    raise InvalidInput(f"{what} must be an integer, got {value!r}")
+    raise InvalidInput(f"{what} must be an integer, got {repr_text(value)}")
 
 
 class _CsvLines(list):

@@ -2,16 +2,16 @@
 
 A junction driven at frequency f contributes f/K_J volts per step, so n
 steps at f give n*f/K_J. The device report, the bias planner and the CLI
-read these; none of them needs the planner to do so.
+read these; none of them needs the planner to do so. decimal is loaded by
+fixed_decimal alone, when it first writes a float.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from decimal import Decimal
 
-from .errors import InvalidInput, RangeError
+from .errors import InvalidInput, RangeError, repr_text
 from .sequence import Sequence, _require_type
 
 # Exact SI defining constants.
@@ -24,15 +24,19 @@ JOSEPHSON_HZ_PER_VOLT = 483597848416983.6
 
 def fixed_decimal(x: float) -> str:
     """Render a float in fixed notation with exact round-trip digits."""
+    from decimal import Decimal
+
     return format(Decimal(repr(float(x))), "f")
 
 
 def _require_finite(what: str, x: float) -> None:
-    """Refuse with InvalidInput an x that is not a number, or is NaN or infinite."""
+    """Refuse an x that is not a number, NaN or infinite (InvalidInput), or an int past float range (RangeError)."""
     try:
         finite = math.isfinite(x)
     except TypeError:
-        raise InvalidInput(f"{what} must be a number, got {x!r}") from None
+        raise InvalidInput(f"{what} must be a number, got {repr_text(x)}") from None
+    except OverflowError:  # an int past float range, refused by _as_float
+        _as_float(what, x)
     if not finite:
         raise InvalidInput(f"{what} must be finite, got {x}")
 
@@ -40,7 +44,7 @@ def _require_finite(what: str, x: float) -> None:
 def _require_frequency(freq_hz: float) -> None:
     """Refuse with InvalidInput a drive frequency that is not a number, not finite, or not positive.
 
-    The one statement of the refusal, read by _volts and bias.plan:
+    The one statement of the refusal, read by _volts and representation.plan:
     finiteness first, so NaN is refused as not finite wherever it is passed.
     """
     _require_finite("drive frequency", freq_hz)

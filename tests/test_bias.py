@@ -22,7 +22,7 @@ from nims import (
     represent_range_check,
     resolution,
 )
-from nims.bias import FIXED_KEYS, _round_half_away
+from nims.representation import FIXED_KEYS, _round_half_away
 from nims.units import ELEMENTARY_CHARGE_C, PLANCK_JS, fixed_decimal
 
 from .conftest import INCAPABLE_MESSAGES, NIMS1_BITS, capable_bits, fraction_round_half_away
@@ -114,6 +114,21 @@ class TestPlan:
     def test_out_of_range(self, measured):
         with pytest.raises(OutOfRange):
             plan(3.6, 18.01e9, measured)
+
+    @pytest.mark.parametrize(
+        "volts,freq,band",
+        [
+            (1e300, 1e10, (1e10, 1.79e308)),  # volts * K_J is inf, and so is the headroom times the band top
+            (1e308, 1e308, None),
+            (-1e308, 1e308, None),
+            (1e-5, 1e-300, (1e-300, 1e308)),  # volts * K_J is finite, its quotient by the frequency is not
+        ],
+    )
+    def test_a_multiple_past_float_range_is_out_of_range(self, volts, freq, band):
+        # the band-top test compares inf with inf and passes, so the multiple is refused before it is rounded
+        with pytest.raises(OutOfRange) as caught:
+            plan(volts, freq, Sequence((1, 3, 8)), band)
+        assert str(caught.value) == f"{volts} V at {freq} Hz needs a multiple past float range, beyond 12"
 
     def test_band_edges(self, measured):
         inside = plan(1.0, 18.01e9, measured, (17.9e9, 18.1e9))

@@ -871,6 +871,22 @@ def test_a_number_too_long_to_write_is_a_range_error(argv, message, fmt, capsys)
         assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_a_multiple_past_float_range_is_out_of_range(fmt, capsys):
+    # 1e308 V needs inf times K_J, and the headroom times a band top near 1e308 is inf too
+    code = main(["plan", "--seq", "1,3,8", "--freq", "1e308", "--volts", "1e308", "--format", fmt])
+    captured = capsys.readouterr()
+    message = "1e+308 V at 1e+308 Hz needs a multiple past float range, beyond 12"
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    if fmt == "json":
+        assert strict_json(captured.out) == {"error": {"type": "OutOfRange", "message": message, "exit_code": 2}}
+    elif fmt == "csv":
+        assert list(csv.reader(io.StringIO(captured.out))) == [["error", "message"], ["OutOfRange", message]]
+    else:
+        assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter writes an int of any length")
 def test_a_fraction_too_long_to_write_is_refused_when_rendered():
     # computing the report pays nothing; each rendering refuses
@@ -880,6 +896,7 @@ def test_a_fraction_too_long_to_write_is_refused_when_rendered():
         with pytest.raises(errors.RangeError, match="its numerator has"):
             render()
     assert errors.int_text(12 * LONGEST) == f"<{DIGIT_LIMIT + 2} digits>"
+    assert errors.int_text(-12 * LONGEST) == f"-<{DIGIT_LIMIT + 2} digits>"
     assert errors.int_text(-LONGEST) == str(-LONGEST)
 
 

@@ -39,10 +39,10 @@ MODULES = {
     "defects": (["defects", "--seq", "1,3,8", "--defects", "2:1"], FIRST + ["fault_tolerance", "oracle"]),
     "design": (["design", "--a0", "1", "--msb-size", "9", "--target-total", "13"], FIRST + ["designer"]),
     "compare": (["compare", "--msb-size", "9", "--lsb-count", "3", "--standards"], FIRST + ["designer"]),
-    "represent": (["represent", "--seq", "1,3,8", "--m", "5"], FIRST + ["representation"]),
+    "represent": (["represent", "--seq", "1,3,8", "--m", "5"], FIRST + ["representation", "units"]),
     "plan": (
         ["plan", "--device", str(DEVICE_CSV), "--volts", "1.0"],
-        FIRST + ["bias", "device", "representation", "units"],
+        FIRST + ["device", "representation", "units"],
     ),
     "report": (["report", "--device", str(DEVICE_CSV)], FIRST + ["device", "fault_tolerance", "units"]),
     "enumerate": (["enumerate", "--a0", "1", "--depth", "3", "--max-bit", "9"], FIRST),
@@ -117,6 +117,8 @@ def test_subcommand_loads_only_its_modules(command):
         assert not loaded & {"dataclasses", "inspect"}
     if command not in WITH_FRACTIONS:
         assert "fractions" not in loaded
+    if command == "represent":  # it loads units, which loads decimal only when fixed_decimal writes a float
+        assert "decimal" not in loaded
 
 
 # Runs in this fresh interpreter the library calls that read a device or audit a layout without planning a
@@ -130,7 +132,7 @@ record = nims.load_device(sys.argv[1])
 nims.build_report(record)
 nims.design(nims.DesignSpec(1, 9, 13))
 passed = nims.represent_range_check(record.sequence()).passed
-planner = {"dataclasses", "inspect", "nims.bias", "nims.representation"}
+planner = {"dataclasses", "inspect", "nims.representation"}
 loaded = sorted(planner & (set(sys.modules) - before))
 nims.validate(record.sequence())
 nims.represent(5, record.sequence())

@@ -24,6 +24,7 @@ import inspect
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -289,11 +290,12 @@ MALFORMED = {
     "text for a margin threshold": (lambda: margin_report(DEVICE, "x"), "margin threshold must be a number, got 'x'"),
     "text for a report's margin": (lambda: build_report(DEVICE, "x"), "margin threshold must be a number, got 'x'"),
 }
-# every total is at most inf or 1e300, so a float cap compared would switch the cap off: the one cap rule refuses it
+# every total is at most inf or 1e300, so a float cap compared would switch the cap off: the one cap rule refuses it,
+# and a bool, which the integer rule refuses everywhere else
 MALFORMED.update(
     {
         f"{cap!r} for {what}": (lambda check=check, cap=cap: check(cap), f"cap must be an int, got {cap!r}")
-        for cap in (float("inf"), 1e300, 5.0)
+        for cap in (float("inf"), 1e300, 5.0, True, False)
         for what, check in (
             ("an oracle cap", lambda cap: is_complete(SEQ, cap=cap)),
             ("a reachable set's cap", lambda cap: reachable_sums(SEQ, cap=cap)),
@@ -309,6 +311,84 @@ def test_a_malformed_argument_is_invalid_input(case):
     build, message = MALFORMED[case]
     with pytest.raises(InvalidInput) as caught:
         build()
+    assert str(caught.value) == message
+
+
+# --- numbers too long to write ------------------------------------------------
+
+# str refuses an int of more digits than sys.get_int_max_str_digits(), so a refusal words one through
+# errors.int_text and errors.repr_text; the CLI cannot pass one, since argparse and parse_bits stop at the limit
+HUGE = 10**5000
+TOO_LONG = {
+    "validate": (lambda: nims.validate(HUGE), InvalidInput, "seq must be a Sequence, got <5001 digits>"),
+    "represent's seq": (lambda: represent(1, HUGE), InvalidInput, "seq must be a Sequence, got <5001 digits>"),
+    "standard_column's kind": (
+        lambda: standard_column(HUGE, 9, 3), InvalidInput, "kind must be a str, got <5001 digits>",
+    ),
+    "represent's target": (lambda: represent(HUGE, SEQ), nims.OutOfRange, "target <5001 digits> outside [-12, 12]"),
+    "a defect map": (
+        lambda: DefectMap(HUGE), InvalidInput, "defects must be a mapping of bit index to count, got <5001 digits>",
+    ),
+    "a negative defect bit": (
+        lambda: DefectMap({-HUGE: 1}), InvalidInput, "defect bit index -<5001 digits> is negative",
+    ),
+    "a defect count": (
+        lambda: apply_defects(SEQ, DefectMap({1: HUGE})),
+        InvalidInput,
+        "bit 1 holds 3 junctions, cannot lose <5001 digits>",
+    ),
+    "a defect bit past the last": (
+        lambda: within_tolerance(SEQ, DefectMap({HUGE: 1})),
+        InvalidInput,
+        "defect bit index <5001 digits> beyond last bit 2",
+    ),
+    "a design's a0": (lambda: DesignSpec(HUGE, 9, 13), InvalidInput, "a0 must be 1..3, got <5001 digits>"),
+    "a design's rules": (
+        lambda: DesignSpec(1, 9, 13, min_tolerance=HUGE),
+        InvalidInput,
+        "min_tolerance must be an iterable of ToleranceRule, got <5001 digits>",
+    ),
+    "a design's total": (
+        lambda: design(DesignSpec(1, 9, HUGE)), RangeError, "layout of <5000 digits> bits exceeds the limit of 10000",
+    ),
+    "compare's candidates": (
+        lambda: compare_logics(3, 9, HUGE),
+        InvalidInput,
+        "candidates must be an iterable of (name, Sequence) pairs, got <5001 digits>",
+    ),
+    "compare's lsb_count": (
+        lambda: compare_logics(HUGE, 9, [("a", SEQ)]), RangeError, "layout of <5001 digits> bits exceeds the limit of 10000",
+    ),
+    "enumerate's max_results": (
+        lambda: nims.enumerate_nims(1, 3, 9, max_results=-HUGE),
+        InvalidInput,
+        "max_results must not be negative, got -<5001 digits>",
+    ),
+    "a violation's bit": (
+        lambda: nims.validate(Sequence((1, HUGE))).violations[0].message,
+        None,
+        "bit 1 is <5001 digits>, above three times bit 0 (1)",
+    ),
+    "a band edge past float range": (
+        lambda: plan(1.0, 1e10, SEQ, (HUGE, HUGE)),
+        RangeError,
+        "frequency band edge exceeds the largest float, 1.798e+308",
+    ),
+    "a list holding one": (
+        lambda: represent([HUGE], SEQ), InvalidInput, "target must be an integer, got <list holding a number too long to write>",
+    ),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter writes an int of any length")
+@pytest.mark.parametrize("case", TOO_LONG)
+def test_a_number_too_long_to_write_is_worded_by_its_digits(case):
+    call, error, message = TOO_LONG[case]
+    if error is None:
+        assert call() == message
+        return
+    with pytest.raises(error) as caught:
+        call()
     assert str(caught.value) == message
 
 
@@ -624,8 +704,10 @@ def defects_argv(draw) -> list:
     return argv
 
 
-# Plan values at the edges: NaN, infinite, zero, negative and past float range.
-EDGES = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "-18e9", "1e400", "-1e400"])
+# Plan values at the edges: NaN, infinite, zero, negative, near the largest float and past float range.
+EDGES = st.sampled_from(
+    ["nan", "inf", "-inf", "0", "-0.0", "-1", "-18e9", "1e400", "-1e400", "1e308", "-1e308", "1.7976931348623157e308"]
+)
 FREQUENCIES = st.sampled_from(["1e9", "10e9", "18e9", "25e9"])
 
 
@@ -735,6 +817,7 @@ def filled(arg, tmp: str, i: int) -> str:
 @given(argv=argvs(), fmt=FORMATS, format_flag=st.sampled_from(["--format", "--forma", "--form"]))
 @example(argv=["report", "--device", dead_bit(DEVICE_CSV.read_bytes(), 0)], fmt="json", format_flag="--format")
 @example(argv=["defects", "--seq", "1,0,3", "--scan-budget", "2"], fmt="json", format_flag="--format")
+@example(argv=["plan", "--seq", "1,3,8", "--freq", "1e308", "--volts", "1e308"], fmt="json", format_flag="--format")
 def test_any_argv_gets_an_exit_code(argv, fmt, format_flag):
     with tempfile.TemporaryDirectory() as tmp:
         result = run([filled(arg, tmp, i) for i, arg in enumerate(argv)] + [format_flag, fmt])

@@ -141,7 +141,7 @@ CHAIN_NAMES = (
 def _oracle_imports(tree: ast.AST) -> Iterator[ast.AST]:
     # the oracle stays independent of the chain certificate, though its one-run shortcut looks like
     # a chain test: it imports the errors and the names above of sequence, so neither nims,
-    # "from . import", fault_tolerance, representation, bias nor designer
+    # "from . import", fault_tolerance, representation nor designer
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             if any(alias.name.partition(".")[0] == "nims" for alias in node.names):
@@ -228,6 +228,12 @@ RULES = (
         "one-run-home", _naming("_one_run"), LIBRARY, "oracle.py",
         ("if sums._one_run:\n    pass", "from .oracle import _one_run"),
         ("one_run = sums.intervals == ((0, 0),)",),
+    ),
+    # only representation.py names the greedy kernel, so represent and plan share it beside it, across no import
+    Rule(
+        "greedy-home", _naming("_greedy"), SRC, "representation.py",
+        ("from .representation import _greedy", "rep = representation._greedy(m, bits, steps)"),
+        ("from .representation import represent",),
     ),
     # sequence._check_cap words every oracle-cap refusal, a negative cap's among them, and
     # sequence.prefix_sums the total limit's, which the descent table raises for every greedy path

@@ -60,19 +60,15 @@ _SOURCES = {
     **dict.fromkeys(
         (
             "DefectMap",
-            "RangeCheckReport",
             "ScanReport",
-            "ToleranceReport",
             "apply_defects",
-            "represent_range_check",
-            "tolerance_report",
             "within_tolerance",
             "worst_case_scan",
         ),
         "fault_tolerance",
     ),
     **dict.fromkeys(
-        ("SumSet", "is_complete", "oracle_gaps", "reachable_sums"),
+        ("DEFAULT_ORACLE_CAP", "SumSet", "is_complete", "oracle_gaps", "reachable_sums"),
         "oracle",
     ),
     **dict.fromkeys(
@@ -81,15 +77,18 @@ _SOURCES = {
     ),
     **dict.fromkeys(
         (
-            "DEFAULT_ORACLE_CAP",
             "PrefixSums",
+            "RangeCheckReport",
             "Sequence",
+            "ToleranceReport",
             "ValidationReport",
             "enumerate_nims",
             "parse_bits",
             "prefix_sums",
+            "represent_range_check",
             "segmentation_efficiency",
             "sequence_from_file",
+            "tolerance_report",
             "validate",
         ),
         "sequence",

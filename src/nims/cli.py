@@ -107,15 +107,17 @@ def _load_defects(value: str) -> fault_tolerance.DefectMap:
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
+    from . import oracle
+
     cap = args.cap
     if cap is None:
         env = os.environ.get(ENV_CAP)
-        cap = sequence._integer(ENV_CAP, env) if env else sequence.DEFAULT_ORACLE_CAP
-    sequence._check_cap(0, cap)  # the one cap rule refuses a negative cap
+        cap = sequence._integer(ENV_CAP, env) if env else oracle.DEFAULT_ORACLE_CAP
+    oracle._check_cap(0, cap)  # the one cap rule refuses a negative cap
     return cap
 
 
-def _entry_row(entry: fault_tolerance.BitTolerance | fault_tolerance.ScanEntry, rest: str) -> str:
+def _entry_row(entry: sequence.BitTolerance | fault_tolerance.ScanEntry, rest: str) -> str:
     """Table line of a tolerance or scan entry, `rest` after the shared columns."""
     tol = "range only" if entry.tolerance is None else str(entry.tolerance)
     return f"{entry.index:<4d} {entry.nominal:<8d} {tol:<10s} {rest}"
@@ -161,10 +163,8 @@ def _cmd_represent(args) -> Output:
 
 
 def _cmd_tolerance(args) -> Output:
-    from . import fault_tolerance
-
     seq = _load_seq(args.seq)
-    report = fault_tolerance.tolerance_report(seq)
+    report = sequence.tolerance_report(seq)
     rows = [_entry_row(e, e.proportion_text or "") for e in report.entries]
     return Output(
         {"bits": list(seq.bits), **report.to_doc()},
@@ -399,9 +399,7 @@ def _cmd_oracle(args) -> Output:
         ("gap_count", doc["gap_count"]),
     ]
     if args.sweep:
-        from . import fault_tolerance
-
-        check = fault_tolerance.represent_range_check(seq)
+        check = sequence.represent_range_check(seq)
         doc["sweep_checked"] = check.checked
         doc["sweep_failures"] = [list(f) for f in check.failures]
         table += [("sweep_checked", check.checked), ("sweep_failures", len(check.failures))]

@@ -21,7 +21,7 @@ import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInput, ParseError
-from .sequence import Sequence, _read_text, _require_type, _tolerance_table, csv_rows, validate
+from .sequence import Sequence, ToleranceReport, _read_text, _require_type, _tolerance_table, csv_rows, validate
 from .units import _require_finite, max_voltage, resolution
 
 if TYPE_CHECKING:
@@ -319,8 +319,6 @@ def build_report(rec: DeviceRecord, min_margin_ma: float = 1.0) -> dict:
     The tolerance rows read the sequence's one table, _tolerance_table;
     retuned_resolution_v is None when bit 0 holds no junctions.
     """
-    from .fault_tolerance import ToleranceReport
-
     _require_type("rec", rec, DeviceRecord)
     seq = rec.sequence()
     vr = validate(seq)

@@ -6,24 +6,23 @@ than t_n from a single bit always breaks the chain there; losing up to
 t_n from every bit at once still leaves the chain intact. The last bit
 has no chain successor, so losing up to a_N - 1 there only shrinks the
 range; losing all of it breaks positivity. The table of t_n is
-sequence._tolerance_table's, kept on each Sequence; this module reports
-it, checks defects against it and holds the audits that check a layout
-end to end: the worst-case defect scan and the full-range round trip of
-the greedy, represent_range_check.
+sequence._tolerance_table's, kept on each Sequence, and
+sequence.tolerance_report reports it. This module holds the defect
+audits: it applies a defect map, checks one against the table, and scans
+the worst single-bit defects, cross-checked with the reachability
+oracle, which it loads.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidInput, fraction_text, int_text, repr_text
+from .errors import InvalidInput, int_text, repr_text
+from .oracle import DEFAULT_ORACLE_CAP, _check_cap, is_complete
 from .sequence import (
-    DEFAULT_ORACLE_CAP,
     Sequence,
     ValidationReport,
     _chain_capable,
-    _check_cap,
-    _descent,
     _Frozen,
     _integer,
     _require_capable,
@@ -37,81 +36,10 @@ from .sequence import (
 
 if TYPE_CHECKING:
     from collections.abc import Mapping
-    from fractions import Fraction
     from pathlib import Path
 
 # single-bit placements the worst-case scan cross-checks with the oracle
 ORACLE_SAMPLES = 8
-
-
-class BitTolerance(NamedTuple):
-    """One bit's row of a tolerance report. A NamedTuple."""
-
-    index: int
-    nominal: int
-    tolerance: int | None
-    proportion: Fraction | None
-    last_bit: bool
-
-    @property
-    def proportion_text(self) -> str | None:
-        """The proportion as its str, None for none; RangeError where it is too long to write."""
-        return None if self.proportion is None else fraction_text("proportion", self.proportion)
-
-
-class ToleranceReport(NamedTuple):
-    """Every bit's tolerance, least significant first. A NamedTuple."""
-
-    entries: tuple[BitTolerance, ...]
-
-    # the one statement of an entry's output fields, in BitTolerance's field order
-    COLUMNS = ("bit", "nominal", "tolerance", "proportion")
-
-    def to_csv(self) -> str:
-        return csv_rows([self.COLUMNS, *((*e[:3], e.proportion_text) for e in self.entries)])
-
-    def to_doc(self) -> dict:
-        """Each entry's COLUMNS, the proportion as its str, then last_bit, which the CSV leaves out."""
-        return {
-            "entries": [
-                {**dict(zip(self.COLUMNS, (*e[:3], e.proportion_text))), "last_bit": e.last_bit}
-                for e in self.entries
-            ]
-        }
-
-
-def tolerance_report(seq: Sequence) -> ToleranceReport:
-    """Tolerance and fault proportion for every bit.
-
-    The proportion is the exact fraction of bit n that may fail,
-    1 - a_{n+1}/(3*a_n), clamped at 0 below (and 0 for a dead bit n);
-    it is 1 only when bit n + 1 is dead. The last bit is reported with
-    no tolerance bound: removing its junctions only reduces range, never
-    completeness of what remains. seq must be a Sequence, else InvalidInput.
-
-    Each distinct proportion is built once per call: a pair (a, b) with
-    3a > b gets (3a - b)/(3a), and every clamped pair (b >= 3a, a dead bit
-    included) shares one Fraction(0). So the equal banks of a designed
-    layout, whose pairs (a, a) all give 2/3, hold one Fraction between them.
-    Each entry is built by tuple.__new__ from its five fields, without the
-    NamedTuple's own Python-level __new__.
-    """
-    from fractions import Fraction
-
-    _require_type("seq", seq, Sequence)
-    bits = seq.bits
-    new = tuple.__new__
-    shared: dict[object, Fraction] = {}  # by (a, b), or 0 for a clamped pair
-    entries = []
-    for n, (a, b, t) in enumerate(zip(bits, bits[1:], _tolerance_table(seq))):
-        gap = 3 * a - b
-        key = (a, b) if gap > 0 else 0
-        proportion = shared.get(key)
-        if proportion is None:
-            proportion = shared[key] = Fraction(gap, 3 * a) if gap > 0 else Fraction(0)
-        entries.append(new(BitTolerance, (n, a, t, proportion, False)))
-    entries.append(new(BitTolerance, (seq.last_index, bits[-1], None, None, True)))
-    return ToleranceReport(tuple(entries))
 
 
 class DefectMap(_Frozen):
@@ -262,11 +190,8 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
     every safe_up_to is at least 0, and a SAFE placement the oracle finds
     a gap in is a fault of the scan, raised as AssertionError. seq must be
     a Sequence, else InvalidInput; the cap is read by the one cap rule,
-    sequence._check_cap, before any placement is checked. The oracle is
-    loaded here, on the first scan, so that no other audit loads it.
+    oracle._check_cap, before any placement is checked.
     """
-    from .oracle import is_complete
-
     _require_type("seq", seq, Sequence)
     budget = _integer("scan budget", budget)
     if budget < 0:
@@ -309,74 +234,3 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
             )
 
     return ScanReport(budget, tuple(entries), checked)
-
-
-class RangeCheckReport(NamedTuple):
-    """A full-range sweep: how many targets it round-tripped and each failure. A NamedTuple."""
-
-    checked: int
-    failures: tuple[tuple[int, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def represent_range_check(seq: Sequence) -> RangeCheckReport:
-    """Round-trip every representable target, from -A_N-a_0+1 to A_N+a_0-1.
-
-    Sweeps windows of remainders instead of one target at a time. This is
-    exact because the greedy's remaining steps depend only on the bit and
-    the current remainder, not on the target that produced it, and every
-    step moves a whole piece of a window by one shift. Starting from the
-    single window [-bound, bound], each row of the table sequence._descent
-    keeps on seq, as representation's greedy reads them, splits each
-    window at its threshold t and the row's stored -t: first r >= t
-    (shift -a), then r <= -t (shift +a), and the rest keeps r. Each
-    piece, translated by its shift, is again a window; equal windows of
-    one step are kept once. A backward pass carries the final
-    remainders not below a_0 up to the targets m that reach them, so
-    failures come out as (m, message) in ascending m. The device's 184,199
-    targets share 190 windows; the loop is iterative, so thousands of bits
-    do not recurse. The cost follows the windows and the bits, not the
-    total, so the sweep takes no oracle cap: (10**8, 3*10**8, 9*10**8)
-    sweeps its 2,799,999,999 targets in a few windows. Building the table
-    refuses a total past TOTAL_LIMIT.
-    """
-    bound, steps = _descent(seq)
-    a0 = seq.bits[0]
-
-    # levels[k] maps each window after step k to the (parent window, shift) pieces landing on it
-    levels: list[dict] = []
-    landed: dict = {(-bound, bound): []}
-    for _, a, t, neg_t, _, _ in steps:
-        windows, landed = landed, {}
-        for lo, hi in windows:
-            for plo, phi, shift in (
-                (max(lo, t), hi, -a),
-                (lo, min(hi, t - 1, neg_t), a),
-                (max(lo, 1 - t), min(hi, t - 1), 0),
-            ):
-                if plo <= phi:
-                    landed.setdefault((plo + shift, phi + shift), []).append(((lo, hi), shift))
-        levels.append(landed)
-
-    # (window, lo, hi, offset): remainders lo..hi of window end with residual r + offset
-    failing = [
-        (window, flo, fhi, 0)
-        for window in landed
-        for flo, fhi in ((window[0], min(window[1], -a0)), (max(window[0], a0), window[1]))
-        if flo <= fhi
-    ]
-    for pieces in reversed(levels):
-        failing = [
-            (parent, flo - shift, fhi - shift, offset + shift)
-            for window, flo, fhi, offset in failing
-            for parent, shift in pieces[window]
-        ]
-    failures = [
-        (m, f"residual {m + offset} not below {a0}")
-        for _, flo, fhi, offset in sorted(failing, key=lambda f: f[1])
-        for m in range(flo, fhi + 1)
-    ]
-    return RangeCheckReport(2 * bound + 1, tuple(failures))

@@ -3,10 +3,11 @@
 The chain a_n <= 3*a_{n-1} certifies completeness; it is sufficient, not
 necessary, and only the sums themselves settle it. This module computes
 them, reading a Sequence's bits and nothing the chain check stores: from
-sequence it imports only the Sequence, the record base, the type refusal,
-the default cap and the cap rule, so it cannot read the chain verdict.
-The oracle-independence row of tests/test_structure.py holds it to those
-imports, and to naming no part of the chain certificate.
+sequence it imports only the Sequence, the record base and the type
+refusal, so it cannot read the chain verdict. The oracle-independence row
+of tests/test_structure.py holds it to those imports, and to naming no
+part of the chain certificate. The cap on a total the oracle builds a set
+for, and the one rule that refuses a cap or a total past it, are here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,34 @@ from __future__ import annotations
 import functools
 from itertools import groupby
 
-from .sequence import DEFAULT_ORACLE_CAP, Sequence, _check_cap, _Frozen, _require_type
+from .errors import InvalidInput, RangeError, int_text
+from .sequence import Sequence, _Frozen, _require_type
+
+# the largest sequence total the oracle builds a set for, unless a caller passes its own cap
+DEFAULT_ORACLE_CAP = 10**7
+
+
+def _check_cap(total: int, cap: int) -> None:
+    """The one oracle-cap rule: InvalidInput for a bool, a non-int or a negative cap, RangeError for a total above it.
+
+    The oracle kernel calls it only for a cap whose class is not int or
+    that the total exceeds, so a plain int cap costs one class test and
+    one comparison; worst_case_scan calls it once per scan, and the CLI
+    once per --cap or NIMS_ORACLE_CAP value, with a total of 0. A float
+    cap (NaN, inf, 1e300, 5.0) is refused, never compared, and so is a
+    bool, as the integer rule refuses one. A negative cap is tested for
+    only once the total exceeds it, which every total does, so the test
+    costs an accepted cap nothing. An int too long for str is worded by
+    its digit count. This is the only module that words these
+    refusals: the cap-home row of tests/test_structure.py checks it.
+    """
+    if isinstance(cap, bool):
+        raise InvalidInput(f"cap must be an int, got {cap}")
+    _require_type("cap", cap, int)
+    if total > cap:
+        if cap < 0:
+            raise InvalidInput(f"oracle cap must not be negative, got {int_text(cap)}")
+        raise RangeError(f"sequence total {int_text(total)} exceeds oracle cap {int_text(cap)}")
 
 
 class SumSet(_Frozen):
@@ -178,7 +206,7 @@ def _runs(x: int, shift: int = 0) -> list[tuple[int, int]]:
 def _reach(bits: tuple[int, ...], a0_offset: bool, cap: int) -> tuple[int | None, int, int]:
     """The oracle kernel: (mask, total, radius) of the reachable sums, mask None while one run.
 
-    The one cap rule, sequence._check_cap, raises RangeError when the
+    The one cap rule, _check_cap, raises RangeError when the
     total exceeds the cap, and InvalidInput when the cap is not an int,
     so a float cap such as NaN or inf is refused, never compared. The
     three are a SumSet's mask, span and beta_radius; None stands for the

@@ -206,23 +206,25 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     frequency is not positive or the band is not two edges; RangeError
     when one is an int past float range. Then the table's refusals, its
     bound the headroom; then OutOfRange when the voltage needs a multiple
-    past float range or, even at the band top, past the headroom, and
-    DegenerateTarget when a nonzero voltage rounds to an expressed
-    multiple of zero (no frequency shift can reach it).
+    past float range, past the headroom even at the band top, or, rounded
+    at the base frequency, past the headroom (a multiple the band top
+    could still reach is refused, not retuned), and DegenerateTarget when
+    a nonzero voltage rounds to an expressed multiple of zero (no
+    frequency shift can reach it).
     """
     _require_finite("voltage", volts)
     _require_frequency(freq_hz)
     lo, hi = _resolve_band(freq_hz, band)
     headroom, steps = _descent(seq)
+    multiple = volts * JOSEPHSON_HZ_PER_VOLT / freq_hz
+    if math.isinf(multiple):  # overflowed in the product or in the quotient alone: the band-top test words no inf
+        raise OutOfRange(f"{volts} V at {freq_hz} Hz needs a multiple past float range, beyond {headroom}")
     if abs(volts) * JOSEPHSON_HZ_PER_VOLT > headroom * hi:
         raise OutOfRange(
             f"{volts} V needs multiple {abs(volts) * JOSEPHSON_HZ_PER_VOLT / freq_hz:.1f}, "
             f"beyond {headroom} even at the band top"
         )
 
-    multiple = volts * JOSEPHSON_HZ_PER_VOLT / freq_hz
-    if math.isinf(multiple):  # passed the band-top test as inf against inf, or overflowed in the quotient alone
-        raise OutOfRange(f"{volts} V at {freq_hz} Hz needs a multiple past float range, beyond {headroom}")
     m_target = _round_half_away(multiple)
     if abs(m_target) > headroom:
         raise OutOfRange(f"multiple {m_target} outside representable range {headroom}")

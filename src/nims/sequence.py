@@ -7,9 +7,10 @@ Strict validity additionally requires the lower chain a_{n+1} > 3*a_{n-1},
 which forces the fastest growth that still leaves every target reachable.
 The chain is sufficient for completeness, not necessary: the reachability
 oracle, which settles it, lives in oracle.py and reads nothing this
-module stores on a Sequence. Beside them: the per-bit tolerance table,
-strict enumeration, and the one bit-list parser, file reader, integer
-rule and CSV writer. All arithmetic here is exact integer or rational;
+module stores on a Sequence. Beside the two tables stand their readers,
+the tolerance report and the greedy's full-range sweep; then strict
+enumeration, and the one bit-list parser, file reader, integer rule and
+CSV writer. All arithmetic here is exact integer or rational;
 comparisons against thirds are done by cross multiplication, never division.
 """
 
@@ -20,39 +21,13 @@ import functools
 import json
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidInput, InvalidSequence, ParseError, RangeError, int_text, repr_text
+from .errors import InvalidInput, InvalidSequence, ParseError, RangeError, fraction_text, int_text, repr_text
 
 if TYPE_CHECKING:
     from fractions import Fraction
     from pathlib import Path
 
-# the oracle's default cap, kept here so that a cap is read without loading oracle.py
-DEFAULT_ORACLE_CAP = 10**7
 TOTAL_LIMIT = 2**62
-
-
-def _check_cap(total: int, cap: int) -> None:
-    """The one oracle-cap rule: InvalidInput for a bool, a non-int or a negative cap, RangeError for a total above it.
-
-    The oracle kernel calls it only for a cap whose class is not int or
-    that the total exceeds, so a plain int cap costs one class test and
-    one comparison; worst_case_scan calls it once per scan, and the CLI
-    once per --cap or NIMS_ORACLE_CAP value, with a total of 0. A float
-    cap (NaN, inf, 1e300, 5.0) is refused, never compared, and so is a
-    bool, as the integer rule refuses one. A negative cap is tested for
-    only once the total exceeds it, which every total does, so the test
-    costs an accepted cap nothing. An int too long for str is worded by
-    its digit count. This is the only module that words these
-    refusals: the size-limit row of tests/test_structure.py checks it.
-    """
-    if isinstance(cap, bool):
-        raise InvalidInput(f"cap must be an int, got {cap}")
-    _require_type("cap", cap, int)
-    if total > cap:
-        if cap < 0:
-            raise InvalidInput(f"oracle cap must not be negative, got {int_text(cap)}")
-        raise RangeError(f"sequence total {int_text(total)} exceeds oracle cap {int_text(cap)}")
-
 
 UPPER = "UPPER"
 LOWER = "LOWER"
@@ -159,7 +134,7 @@ def _require_type(name: str, value: object, kind: type) -> None:
     The one wording of a wrong-type refusal. validate, _descent, and the
     oracle's reachable_sums and is_complete, which run in timed loops,
     check seq only when their first read of it raises AttributeError; the
-    cap rule, _check_cap, checks a cap.
+    oracle's cap rule, _check_cap, checks a cap.
     """
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
@@ -367,11 +342,11 @@ def _descent(seq: Sequence) -> tuple:
     """The greedy's table for seq, built and stored on seq the first time: (bound, steps).
 
     The one place the table is built, read by representation.represent,
-    fault_tolerance.represent_range_check and representation.plan. Building refuses
-    a seq that is not a Sequence (_require_type), not capable (the chain
-    gate, _require_capable, which reads seq's stored report) or whose
-    total passes TOTAL_LIMIT (prefix_sums' RangeError) on every call, as
-    a refusal stores no table; so each of the three readers refuses the
+    represent_range_check and representation.plan. Building refuses a seq
+    that is not a Sequence (_require_type), not capable (the chain gate,
+    _require_capable, which reads seq's stored report) or whose total
+    passes TOTAL_LIMIT (prefix_sums' RangeError) on every call, as a
+    refusal stores no table; so each of the three readers refuses the
     limit before any test of its own on the bound.
     bound is A_N + a_0 - 1. steps holds one row (n, a_n, threshold,
     -threshold, slack, -slack) per bit from the top down to bit 0,
@@ -397,6 +372,77 @@ def _descent(seq: Sequence) -> tuple:
     return table
 
 
+class RangeCheckReport(NamedTuple):
+    """A full-range sweep: how many targets it round-tripped and each failure. A NamedTuple."""
+
+    checked: int
+    failures: tuple[tuple[int, str], ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def represent_range_check(seq: Sequence) -> RangeCheckReport:
+    """Round-trip every representable target, from -A_N-a_0+1 to A_N+a_0-1.
+
+    Sweeps windows of remainders instead of one target at a time. This is
+    exact because the greedy's remaining steps depend only on the bit and
+    the current remainder, not on the target that produced it, and every
+    step moves a whole piece of a window by one shift. Starting from the
+    single window [-bound, bound], each row of the table _descent keeps
+    on seq, as representation's greedy reads them, splits each
+    window at its threshold t and the row's stored -t: first r >= t
+    (shift -a), then r <= -t (shift +a), and the rest keeps r. Each
+    piece, translated by its shift, is again a window; equal windows of
+    one step are kept once. A backward pass carries the final
+    remainders not below a_0 up to the targets m that reach them, so
+    failures come out as (m, message) in ascending m. The device's 184,199
+    targets share 190 windows; the loop is iterative, so thousands of bits
+    do not recurse. The cost follows the windows and the bits, not the
+    total, so the sweep takes no oracle cap: (10**8, 3*10**8, 9*10**8)
+    sweeps its 2,799,999,999 targets in a few windows. Building the table
+    refuses a total past TOTAL_LIMIT.
+    """
+    bound, steps = _descent(seq)
+    a0 = seq.bits[0]
+
+    # levels[k] maps each window after step k to the (parent window, shift) pieces landing on it
+    levels: list[dict] = []
+    landed: dict = {(-bound, bound): []}
+    for _, a, t, neg_t, _, _ in steps:
+        windows, landed = landed, {}
+        for lo, hi in windows:
+            for plo, phi, shift in (
+                (max(lo, t), hi, -a),
+                (lo, min(hi, t - 1, neg_t), a),
+                (max(lo, 1 - t), min(hi, t - 1), 0),
+            ):
+                if plo <= phi:
+                    landed.setdefault((plo + shift, phi + shift), []).append(((lo, hi), shift))
+        levels.append(landed)
+
+    # (window, lo, hi, offset): remainders lo..hi of window end with residual r + offset
+    failing = [
+        (window, flo, fhi, 0)
+        for window in landed
+        for flo, fhi in ((window[0], min(window[1], -a0)), (max(window[0], a0), window[1]))
+        if flo <= fhi
+    ]
+    for pieces in reversed(levels):
+        failing = [
+            (parent, flo - shift, fhi - shift, offset + shift)
+            for window, flo, fhi, offset in failing
+            for parent, shift in pieces[window]
+        ]
+    failures = [
+        (m, f"residual {m + offset} not below {a0}")
+        for _, flo, fhi, offset in sorted(failing, key=lambda f: f[1])
+        for m in range(flo, fhi + 1)
+    ]
+    return RangeCheckReport(2 * bound + 1, tuple(failures))
+
+
 def _tolerance_table(seq: Sequence) -> tuple[int | None, ...]:
     """t_n = max(0, a_n - ceil(a_{n+1}/3)) for every bit of seq, None for the last.
 
@@ -411,6 +457,77 @@ def _tolerance_table(seq: Sequence) -> tuple[int | None, ...]:
         table = (*[t if (t := a - (b + 2) // 3) > 0 else 0 for a, b in zip(bits, bits[1:])], None)
         object.__setattr__(seq, "_tolerances", table)
         return table
+
+
+class BitTolerance(NamedTuple):
+    """One bit's row of a tolerance report. A NamedTuple."""
+
+    index: int
+    nominal: int
+    tolerance: int | None
+    proportion: Fraction | None
+    last_bit: bool
+
+    @property
+    def proportion_text(self) -> str | None:
+        """The proportion as its str, None for none; RangeError where it is too long to write."""
+        return None if self.proportion is None else fraction_text("proportion", self.proportion)
+
+
+class ToleranceReport(NamedTuple):
+    """Every bit's tolerance, least significant first. A NamedTuple."""
+
+    entries: tuple[BitTolerance, ...]
+
+    # the one statement of an entry's output fields, in BitTolerance's field order
+    COLUMNS = ("bit", "nominal", "tolerance", "proportion")
+
+    def to_csv(self) -> str:
+        return csv_rows([self.COLUMNS, *((*e[:3], e.proportion_text) for e in self.entries)])
+
+    def to_doc(self) -> dict:
+        """Each entry's COLUMNS, the proportion as its str, then last_bit, which the CSV leaves out."""
+        return {
+            "entries": [
+                {**dict(zip(self.COLUMNS, (*e[:3], e.proportion_text))), "last_bit": e.last_bit}
+                for e in self.entries
+            ]
+        }
+
+
+def tolerance_report(seq: Sequence) -> ToleranceReport:
+    """Tolerance and fault proportion for every bit.
+
+    The proportion is the exact fraction of bit n that may fail,
+    1 - a_{n+1}/(3*a_n), clamped at 0 below (and 0 for a dead bit n);
+    it is 1 only when bit n + 1 is dead. The last bit is reported with
+    no tolerance bound: removing its junctions only reduces range, never
+    completeness of what remains. seq must be a Sequence, else InvalidInput.
+
+    Each distinct proportion is built once per call: a pair (a, b) with
+    3a > b gets (3a - b)/(3a), and every clamped pair (b >= 3a, a dead bit
+    included) shares one Fraction(0). So the equal banks of a designed
+    layout, whose pairs (a, a) all give 2/3, hold one Fraction between them.
+    Each entry is built by tuple.__new__ from its five fields, without the
+    NamedTuple's own Python-level __new__.
+    """
+    from fractions import Fraction
+
+    _require_type("seq", seq, Sequence)
+    bits = seq.bits
+    new = tuple.__new__
+    shared: dict[object, Fraction] = {}  # by (a, b), or 0 for a clamped pair
+    entries = []
+    for n, (a, b, t) in enumerate(zip(bits, bits[1:], _tolerance_table(seq))):
+        gap = 3 * a - b
+        key = (a, b) if gap > 0 else 0
+        proportion = shared.get(key)
+        if proportion is None:
+            proportion = shared[key] = Fraction(gap, 3 * a) if gap > 0 else Fraction(0)
+        entries.append(new(BitTolerance, (n, a, t, proportion, False)))
+    entries.append(new(BitTolerance, (seq.last_index, bits[-1], None, None, True)))
+    return ToleranceReport(tuple(entries))
+
 
 def segmentation_efficiency(seq: Sequence) -> tuple[Fraction, ...]:
     """Exact consecutive-bit ratios a_{n+1}/a_n."""

@@ -122,13 +122,23 @@ class TestPlan:
             (1e308, 1e308, None),
             (-1e308, 1e308, None),
             (1e-5, 1e-300, (1e-300, 1e308)),  # volts * K_J is finite, its quotient by the frequency is not
+            # past the band top, whose refusal words the multiple: inf there would name no multiple
+            (1e300, 1e10, None),
+            (1e290, 1e-30, None),
         ],
     )
     def test_a_multiple_past_float_range_is_out_of_range(self, volts, freq, band):
-        # the band-top test compares inf with inf and passes, so the multiple is refused before it is rounded
+        # the multiple is refused before the band-top test, which would compare inf with inf and pass
         with pytest.raises(OutOfRange) as caught:
             plan(volts, freq, Sequence((1, 3, 8)), band)
         assert str(caught.value) == f"{volts} V at {freq} Hz needs a multiple past float range, beyond 12"
+
+    def test_a_multiple_within_the_band_top_but_past_the_headroom(self, measured):
+        # 92,100 <= 92,099 * 1.005 passes the band-top test; rounded at the base frequency it is refused, not retuned
+        volts = 92_100 * 18.01e9 / JOSEPHSON_HZ_PER_VOLT
+        with pytest.raises(OutOfRange) as caught:
+            plan(volts, 18.01e9, measured)
+        assert str(caught.value) == "multiple 92100 outside representable range 92099"
 
     def test_band_edges(self, measured):
         inside = plan(1.0, 18.01e9, measured, (17.9e9, 18.1e9))

@@ -118,7 +118,7 @@ class TestTolerance:
 @pytest.mark.parametrize(
     "argv,columns",
     [
-        (["tolerance", "--seq", NIMS1_ARG], fault_tolerance.ToleranceReport.COLUMNS),
+        (["tolerance", "--seq", NIMS1_ARG], sequence.ToleranceReport.COLUMNS),
         (["defects", "--seq", NIMS1_ARG, "--scan-budget", "1"], fault_tolerance.ScanReport.COLUMNS),
     ],
     ids=["tolerance", "scan"],
@@ -885,6 +885,30 @@ def test_a_multiple_past_float_range_is_out_of_range(fmt, capsys):
         assert list(csv.reader(io.StringIO(captured.out))) == [["error", "message"], ["OutOfRange", message]]
     else:
         assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    ("argv", "kind", "message"),
+    [
+        # 1e290 V times K_J is finite and past the band top; only its quotient by 1e-30 Hz overflows
+        (
+            ["plan", "--seq", "1,3,8", "--freq", "1e-30", "--volts", "1e290"],
+            "OutOfRange",
+            "1e+290 V at 1e-30 Hz needs a multiple past float range, beyond 12",
+        ),
+        (["defects", "--seq", "1,3,8", "--defects", "2"], "InvalidInput", "inline defect '2' must be BIT:COUNT"),
+    ],
+    ids=["multiple-past-float-range-at-the-band-top", "inline-defect-without-colon"],
+)
+def test_a_refusal_is_worded_alike_in_table_and_json(argv, kind, message, fmt, capsys):
+    code = main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == EXIT_CODES[kind]
+    if fmt == "json":
+        assert strict_json(captured.out) == {"error": {"type": kind, "message": message, "exit_code": code}}
+    else:
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter writes an int of any length")

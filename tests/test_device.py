@@ -20,7 +20,7 @@ from nims import (
     serialize_device,
 )
 from nims.device import DeviceBit, DeviceMetadata, DeviceRecord
-from nims.fault_tolerance import ToleranceReport
+from nims.sequence import ToleranceReport
 
 from .conftest import DEVICE_CSV
 

@@ -35,7 +35,7 @@ print(json.dumps({"exit": code, "loaded": sorted(loaded)}), file=sys.stderr)
 FIRST = ["errors", "sequence"]
 MODULES = {
     "validate": (["validate", "--seq", "1,3,8"], FIRST),
-    "tolerance": (["tolerance", "--seq", "1,3,8"], FIRST + ["fault_tolerance"]),
+    "tolerance": (["tolerance", "--seq", "1,3,8"], FIRST),
     "defects": (["defects", "--seq", "1,3,8", "--defects", "2:1"], FIRST + ["fault_tolerance", "oracle"]),
     "design": (["design", "--a0", "1", "--msb-size", "9", "--target-total", "13"], FIRST + ["designer"]),
     "compare": (["compare", "--msb-size", "9", "--lsb-count", "3", "--standards"], FIRST + ["designer"]),
@@ -44,10 +44,10 @@ MODULES = {
         ["plan", "--device", str(DEVICE_CSV), "--volts", "1.0"],
         FIRST + ["device", "representation", "units"],
     ),
-    "report": (["report", "--device", str(DEVICE_CSV)], FIRST + ["device", "fault_tolerance", "units"]),
+    "report": (["report", "--device", str(DEVICE_CSV)], FIRST + ["device", "units"]),
     "enumerate": (["enumerate", "--a0", "1", "--depth", "3", "--max-bit", "9"], FIRST),
     "oracle": (["oracle", "--seq", "1,3,8"], FIRST + ["oracle"]),
-    "oracle_sweep": (["oracle", "--seq", "1,3,8", "--sweep"], FIRST + ["fault_tolerance", "oracle"]),
+    "oracle_sweep": (["oracle", "--seq", "1,3,8", "--sweep"], FIRST + ["oracle"]),
 }
 # the two dataclasses left, Representation and BiasPlan, load dataclasses where representation loads
 WITHOUT_DATACLASSES = ("validate", "tolerance", "defects", "design", "compare", "enumerate", "oracle", "oracle_sweep", "report")
@@ -56,7 +56,7 @@ WITH_FRACTIONS = ("tolerance", "design", "compare")
 
 # Imports every nims submodule in this fresh interpreter, then prints the
 # submodules and the top-level names of the modules that loaded and are not
-# in the standard library; what site loaded at start-up is left out.
+# in the standard library; what the interpreter loaded at start-up is left out.
 STDLIB_ONLY = """
 import importlib, json, pkgutil, sys
 before = set(sys.modules)
@@ -72,9 +72,13 @@ print(json.dumps({
 
 
 def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run python -S: without site, whose .pth files may load modules a probe then cannot see loading.
+
+    nims needs only the standard library, which -S leaves importable.
+    """
     env = {**os.environ, "PYTHONPATH": SRC}
     env.pop("NIMS_ORACLE_CAP", None)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_every_export_is_its_submodules_object():
@@ -121,9 +125,10 @@ def test_subcommand_loads_only_its_modules(command):
         assert "decimal" not in loaded
 
 
-# Runs in this fresh interpreter the library calls that read a device or audit a layout without planning a
-# bias point, then prints the ones of the planner's modules, and the standard modules they load, that loaded;
-# then whether those calls, or validating, representing and enumerating, loaded the oracle.
+# Runs in this fresh interpreter the library calls that read a device, design a layout, report its tolerances
+# or sweep its range, then prints the ones of the planner's modules (and the standard modules they load) and
+# of the defect audits' modules that loaded; then whether those calls, or validating, representing and
+# enumerating, loaded the oracle.
 WITHOUT_THE_PLANNER = """
 import json, sys
 before = set(sys.modules)
@@ -131,20 +136,22 @@ import nims
 record = nims.load_device(sys.argv[1])
 nims.build_report(record)
 nims.design(nims.DesignSpec(1, 9, 13))
+nims.tolerance_report(record.sequence())
 passed = nims.represent_range_check(record.sequence()).passed
-planner = {"dataclasses", "inspect", "nims.representation"}
-loaded = sorted(planner & (set(sys.modules) - before))
+loaded = set(sys.modules) - before
+planner = sorted({"dataclasses", "inspect", "nims.representation"} & loaded)
+audits = sorted({"nims.fault_tolerance", "nims.oracle"} & loaded)
 nims.validate(record.sequence())
 nims.represent(5, record.sequence())
 nims.enumerate_nims(1, 3, 9)
-print(json.dumps({"passed": passed, "loaded": loaded, "oracle": "nims.oracle" in sys.modules}))
+print(json.dumps({"passed": passed, "planner": planner, "audits": audits, "oracle": "nims.oracle" in sys.modules}))
 """
 
 
 def test_reports_designs_and_the_sweep_load_no_planner_module():
     proc = _fresh("-c", WITHOUT_THE_PLANNER, str(DEVICE_CSV))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"passed": True, "loaded": [], "oracle": False}
+    assert json.loads(proc.stdout) == {"passed": True, "planner": [], "audits": [], "oracle": False}
 
 
 def test_every_submodule_loads_only_the_standard_library():

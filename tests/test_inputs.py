@@ -818,6 +818,7 @@ def filled(arg, tmp: str, i: int) -> str:
 @example(argv=["report", "--device", dead_bit(DEVICE_CSV.read_bytes(), 0)], fmt="json", format_flag="--format")
 @example(argv=["defects", "--seq", "1,0,3", "--scan-budget", "2"], fmt="json", format_flag="--format")
 @example(argv=["plan", "--seq", "1,3,8", "--freq", "1e308", "--volts", "1e308"], fmt="json", format_flag="--format")
+@example(argv=["defects", "--seq", "1,3,8", "--defects", "2"], fmt="table", format_flag="--format")
 def test_any_argv_gets_an_exit_code(argv, fmt, format_flag):
     with tempfile.TemporaryDirectory() as tmp:
         result = run([filled(arg, tmp, i) for i, arg in enumerate(argv)] + [format_flag, fmt])

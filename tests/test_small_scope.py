@@ -11,7 +11,7 @@ where the rule fails, naming the POSITIVITY and UPPER violations. On
 every chain-capable sequence, represent, which reads the table
 sequence._descent builds, must round-trip every target in
 [-(A_N + a_0 - 1), A_N + a_0 - 1] with a residual below a_0, and
-fault_tolerance.represent_range_check, which sweeps the same table, must
+sequence.represent_range_check, which sweeps the same table, must
 pass; each tolerance must keep the chain and be sharp one junction past
 it, and worst_case_scan must raise nothing at small budgets. The strict
 enumeration (sequence.enumerate_nims) must list, for every first bit and
@@ -187,7 +187,7 @@ CHECKS = {
     "sequence._tolerance_table, safe and sharp": (tolerances, CAPABLE_BITS),
     "fault_tolerance.worst_case_scan at budgets 0 to 3": (scans, CAPABLE_BITS),
     "sequence._descent by represent round trips": (round_trips, CAPABLE_BITS),
-    "fault_tolerance.represent_range_check over sequence._descent": (sweep_passes, CAPABLE_BITS),
+    "sequence.represent_range_check over sequence._descent": (sweep_passes, CAPABLE_BITS),
     "sequence.enumerate_nims at every first bit and depth": (
         enumerates,
         [(a0, depth) for a0 in range(1, SCOPE + 1) for depth in range(1, 5)],

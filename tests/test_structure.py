@@ -129,8 +129,8 @@ def _stored_tables(tree: ast.AST) -> Iterator[ast.AST]:
             yield node
 
 
-# what oracle.py may import from sequence: the record base, the type refusal, the default cap and the cap rule
-ORACLE_IMPORTS = {"DEFAULT_ORACLE_CAP", "Sequence", "_Frozen", "_check_cap", "_require_type"}
+# what oracle.py may import from sequence: the Sequence, the record base and the type refusal
+ORACLE_IMPORTS = {"Sequence", "_Frozen", "_require_type"}
 # the chain verdict, its wording and the greedy's table, which the oracle never names
 CHAIN_NAMES = (
     "_chain_capable", "_lower_chain", "_strict_valid", "validate", "_tolerances", "_tolerance_table",
@@ -235,19 +235,32 @@ RULES = (
         ("from .representation import _greedy", "rep = representation._greedy(m, bits, steps)"),
         ("from .representation import represent",),
     ),
-    # sequence._check_cap words every oracle-cap refusal, a negative cap's among them, and
-    # sequence.prefix_sums the total limit's, which the descent table raises for every greedy path
+    # oracle._check_cap words every oracle-cap refusal, a negative cap's among them, beside the kernel it guards
     Rule(
-        "size-limit-home",
-        _both(_wording("exceeds oracle cap", "oracle cap must not be negative"), _total_limit_wordings),
-        LIBRARY, "sequence.py",
+        "cap-home", _wording("exceeds oracle cap", "oracle cap must not be negative"), LIBRARY, "oracle.py",
         (
             "raise RangeError(f'sequence total {total} exceeds oracle cap {cap}')",
-            "raise RangeError(f'the sequence total exceeds {TOTAL_LIMIT}')",
-            "raise RangeError(f'sequence total exceeds {sequence.TOTAL_LIMIT}')",
             "raise InvalidInput(f'oracle cap must not be negative, got {cap}')",
         ),
-        ('"""Raises RangeError when the sequence total exceeds the cap."""', "f'total exceeds {limit}'"),
+        (
+            '"""Raises RangeError when the sequence total exceeds the cap."""',
+            "raise RangeError(f'sequence total exceeds {TOTAL_LIMIT}')",
+        ),
+    ),
+    # sequence.prefix_sums words the total limit's refusal, which the descent table raises for every greedy path
+    Rule(
+        "size-limit-home", _total_limit_wordings, LIBRARY, "sequence.py",
+        (
+            "raise RangeError(f'the sequence total exceeds {TOTAL_LIMIT}')",
+            "raise RangeError(f'sequence total exceeds {sequence.TOTAL_LIMIT}')",
+            "if run > TOTAL_LIMIT:\n    raise RangeError(f'sequence total exceeds {TOTAL_LIMIT}')",
+            "message = f'sequence total exceeds {nims.sequence.TOTAL_LIMIT}'",
+        ),
+        (
+            '"""Raises RangeError when the sequence total exceeds the cap."""',
+            "f'total exceeds {limit}'",
+            "raise RangeError(f'sequence total {total} exceeds oracle cap {cap}')",
+        ),
     ),
     Rule(
         "oracle-independence", _both(_oracle_imports, _naming(*CHAIN_NAMES)), ("src/nims/oracle.py",), None,
@@ -261,8 +274,13 @@ RULES = (
             "ok = seq._report.complete_capable",
             "table = _descent(seq)",
             "verdict = getattr(seq, '_report')",
+            "from .sequence import Sequence, _check_cap",
         ),
-        ("from .sequence import Sequence, _check_cap", "from .errors import RangeError", "from itertools import groupby"),
+        (
+            "from .sequence import Sequence, _Frozen, _require_type",
+            "from .errors import RangeError",
+            "from itertools import groupby",
+        ),
     ),
 )
 
@@ -315,3 +333,19 @@ def test_rule_covers_files_and_exempts_its_home(rule):
     if rule.exempt is not None:
         homes = [path for path in _trees() if path.name == rule.exempt]
         assert homes and all(any(path.is_relative_to(top) for top in rule.paths) for path in homes)
+
+
+# each size limit's row, planted with its wording in the other limit's home, flags it there
+PLANTED_IN_THE_OTHER_HOME = {
+    "cap-home": ("sequence.py", "raise RangeError(f'sequence total {total} exceeds oracle cap {cap}')"),
+    "size-limit-home": ("oracle.py", "raise RangeError(f'sequence total exceeds {TOTAL_LIMIT}')"),
+}
+
+
+@pytest.mark.parametrize("name", PLANTED_IN_THE_OTHER_HOME)
+def test_a_size_limit_wording_in_the_other_home_is_flagged(name):
+    rule = next(rule for rule in RULES if rule.name == name)
+    home, snippet = PLANTED_IN_THE_OTHER_HOME[name]
+    [path] = [path for path in _covered(rule) if path.name == home]
+    planted = ast.parse((ROOT / path).read_text(encoding="utf-8") + "\n" + snippet)
+    assert len(list(rule.check(planted))) == 1

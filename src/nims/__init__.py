@@ -86,7 +86,6 @@ _SOURCES = {
             "parse_bits",
             "prefix_sums",
             "represent_range_check",
-            "segmentation_efficiency",
             "sequence_from_file",
             "tolerance_report",
             "validate",

@@ -11,7 +11,9 @@ from units), so an array expressing the multiple m outputs m*f/K_J.
 Planning rounds the requested voltage to the nearest multiple,
 represents it over the sequence, and shifts the drive frequency so the
 expressed multiple lands on the target exactly. The residual below the
-first bit is absorbed by that same frequency shift.
+first bit is absorbed by that same frequency shift, and so is a rounded
+multiple past the table's bound that the band top still reaches: it is
+clamped to the bound.
 
 The two entry points, represent and plan, read their own arguments, then
 the table sequence._descent keeps on seq, and run the kernel _greedy on
@@ -206,11 +208,11 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     frequency is not positive or the band is not two edges; RangeError
     when one is an int past float range. Then the table's refusals, its
     bound the headroom; then OutOfRange when the voltage needs a multiple
-    past float range, past the headroom even at the band top, or, rounded
-    at the base frequency, past the headroom (a multiple the band top
-    could still reach is refused, not retuned), and DegenerateTarget when
-    a nonzero voltage rounds to an expressed multiple of zero (no
-    frequency shift can reach it).
+    past float range or past the headroom even at the band top, the one
+    range rule. A multiple that, rounded at the base frequency, passes the
+    headroom is clamped to it and reached by retuning, as any residual is.
+    DegenerateTarget when a nonzero voltage rounds to an expressed
+    multiple of zero (no frequency shift can reach it).
     """
     _require_finite("voltage", volts)
     _require_frequency(freq_hz)
@@ -226,8 +228,10 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
         )
 
     m_target = _round_half_away(multiple)
-    if abs(m_target) > headroom:
-        raise OutOfRange(f"multiple {m_target} outside representable range {headroom}")
+    if m_target > headroom:
+        m_target = headroom
+    elif m_target < -headroom:
+        m_target = -headroom
     rep = _greedy(m_target, seq.bits, steps)
     if volts == 0:
         return BiasPlan(volts, freq_hz, 0, rep, freq_hz, 0.0, 0.0, True)

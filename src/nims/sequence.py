@@ -384,20 +384,22 @@ class RangeCheckReport(NamedTuple):
 
 
 def represent_range_check(seq: Sequence) -> RangeCheckReport:
-    """Round-trip every representable target, from -A_N-a_0+1 to A_N+a_0-1.
+    """Round-trip every representable target, from -bound to bound of the table _descent keeps on seq.
 
     Sweeps windows of remainders instead of one target at a time. This is
     exact because the greedy's remaining steps depend only on the bit and
     the current remainder, not on the target that produced it, and every
     step moves a whole piece of a window by one shift. Starting from the
-    single window [-bound, bound], each row of the table _descent keeps
-    on seq, as representation's greedy reads them, splits each
-    window at its threshold t and the row's stored -t: first r >= t
-    (shift -a), then r <= -t (shift +a), and the rest keeps r. Each
-    piece, translated by its shift, is again a window; equal windows of
-    one step are kept once. A backward pass carries the final
-    remainders not below a_0 up to the targets m that reach them, so
-    failures come out as (m, message) in ascending m. The device's 184,199
+    single window [-bound, bound], each row of the table, as
+    representation's greedy reads them, splits each window at its
+    threshold t and its stored lower threshold -t: first r >= t (shift
+    -a), then r <= -t (shift +a), and the rest, from -t + 1 to t - 1,
+    keeps r. Each piece, translated by its shift, is again a window;
+    equal windows of one step are kept once. A backward pass carries the
+    final remainders outside bit 0's slack and its negated slack up to
+    the targets m that reach them, each worded with bit 0's a, so
+    failures come out as (m, message) in ascending m. Every bound is read
+    from the rows, none from seq.bits. The device's 184,199
     targets share 190 windows; the loop is iterative, so thousands of bits
     do not recurse. The cost follows the windows and the bits, not the
     total, so the sweep takes no oracle cap: (10**8, 3*10**8, 9*10**8)
@@ -405,7 +407,6 @@ def represent_range_check(seq: Sequence) -> RangeCheckReport:
     refuses a total past TOTAL_LIMIT.
     """
     bound, steps = _descent(seq)
-    a0 = seq.bits[0]
 
     # levels[k] maps each window after step k to the (parent window, shift) pieces landing on it
     levels: list[dict] = []
@@ -416,17 +417,18 @@ def represent_range_check(seq: Sequence) -> RangeCheckReport:
             for plo, phi, shift in (
                 (max(lo, t), hi, -a),
                 (lo, min(hi, t - 1, neg_t), a),
-                (max(lo, 1 - t), min(hi, t - 1), 0),
+                (max(lo, neg_t + 1), min(hi, t - 1), 0),
             ):
                 if plo <= phi:
                     landed.setdefault((plo + shift, phi + shift), []).append(((lo, hi), shift))
         levels.append(landed)
 
     # (window, lo, hi, offset): remainders lo..hi of window end with residual r + offset
+    _, a0, _, _, slack, neg_slack = steps[-1]
     failing = [
         (window, flo, fhi, 0)
         for window in landed
-        for flo, fhi in ((window[0], min(window[1], -a0)), (max(window[0], a0), window[1]))
+        for flo, fhi in ((window[0], min(window[1], neg_slack - 1)), (max(window[0], slack + 1), window[1]))
         if flo <= fhi
     ]
     for pieces in reversed(levels):
@@ -527,18 +529,6 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
         entries.append(new(BitTolerance, (n, a, t, proportion, False)))
     entries.append(new(BitTolerance, (seq.last_index, bits[-1], None, None, True)))
     return ToleranceReport(tuple(entries))
-
-
-def segmentation_efficiency(seq: Sequence) -> tuple[Fraction, ...]:
-    """Exact consecutive-bit ratios a_{n+1}/a_n."""
-    from fractions import Fraction
-
-    _require_type("seq", seq, Sequence)
-    if len(seq) < 2:
-        raise InvalidInput("efficiency needs at least two bits")
-    if any(a < 1 for a in seq.bits):
-        raise InvalidInput("efficiency undefined for non-positive bits")
-    return tuple(Fraction(seq.bits[n + 1], seq.bits[n]) for n in range(len(seq) - 1))
 
 
 def enumerate_nims(

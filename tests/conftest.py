@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from nims import Representation, Sequence, errors, load_device, prefix_sums, segmentation_efficiency
+from nims import Representation, Sequence, errors, load_device, prefix_sums
 from nims.cli import CliUsageError
 from nims.sequence import LOWER, POSITIVITY, UPPER, Violation
 
@@ -324,15 +324,16 @@ def fraction_column(seq: Sequence, msb_size: int) -> tuple[int, Fraction | None,
     """Reference (bits_to_msb, min_efficiency, mean_efficiency) of a compare_logics column, in Fractions.
 
     The loop compare_logics ran before it compared ratios in integers:
-    segmentation_efficiency's ratios within the leading bits below the
-    bank size, their min, and their sum from Fraction(0) over their count.
+    the ratios Fraction(b, a) of consecutive bits within the leading bits
+    below the bank size, their min, and their sum from Fraction(0) over
+    their count.
     """
     leading = 0
     for a in seq.bits:
         if a >= msb_size:
             break
         leading += 1
-    ratios = segmentation_efficiency(seq)[: leading - 1] if leading > 1 else ()
+    ratios = [Fraction(b, a) for a, b in zip(seq.bits[: leading - 1], seq.bits[1:leading])]
     if not ratios:
         return leading, None, None
     return leading, min(ratios), sum(ratios, Fraction(0)) / len(ratios)

@@ -42,6 +42,7 @@ GOLDEN_CASES = {
         0,
     ),
     "plan_device": (["plan", "--device", str(DEVICE_CSV), "--volts", "1.0"], 0),
+    "plan_device_band_top": (["plan", "--device", str(DEVICE_CSV), "--volts", "3.44"], 0),
     "plan_seq": (["plan", "--seq", "1,3,8", "--freq", "1e10", "--volts", "0.0001"], 0),
     "compare": (
         ["compare", "--msb-size", "8000", "--standards", "--candidate", f"nims1={NIMS1_ARG}"],

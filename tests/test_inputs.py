@@ -415,8 +415,8 @@ BESIDE_SEQ = {
 def test_the_walk_finds_every_function_taking_a_sequence():
     assert set(_functions_taking_a_sequence()) >= {
         "apply_defects", "evaluate", "is_complete", "max_voltage", "oracle_gaps", "plan", "prefix_sums",
-        "reachable_sums", "represent", "represent_range_check", "resolution", "segmentation_efficiency",
-        "tolerance_report", "validate", "within_tolerance", "worst_case_scan",
+        "reachable_sums", "represent", "represent_range_check", "resolution", "tolerance_report", "validate",
+        "within_tolerance", "worst_case_scan",
     }
 
 
@@ -498,8 +498,14 @@ def test_the_reader_words_each_failure(tmp_path, monkeypatch, path, message):
 
 # --- argv grammar -----------------------------------------------------------
 
-# Up to 10^12: a layout past designer.MAX_LAYOUT_BITS is refused before it is built.
-NUMBERS = st.sampled_from(["-5", "-1", "0", "1", "2", "3", "4", "6", "100", "5760", "92098", "1000000", "1000000000000"])
+# Integers at the limits, each side: 10^7 (the default oracle cap), 2^62 (TOTAL_LIMIT), and B, the
+# largest integer of 4,300 digits, the most CPython reads from text.
+B = 10**4300 - 1
+NEAR_LIMITS = [10**7 - 1, 10**7 + 1, 2**62 - 1, 2**62 + 1, B - 1, B]
+# Up to B: a layout past designer.MAX_LAYOUT_BITS is refused before it is built.
+NUMBERS = st.sampled_from(
+    ["-5", "-1", "0", "1", "2", "3", "4", "6", "100", "5760", "92098", "1000000", "1000000000000", *map(str, NEAR_LIMITS)]
+)
 # Tokens holding \r and \n end up in error messages, and so in CSV fields.
 JUNK = st.sampled_from(
     ["", "x", "nan", "inf", "-inf", "1e400", "2.5", "0/0", "5/2", "x:1", "100:2", "1:2:3", ":", "a\rb", "1\n2", "3\r\n"]
@@ -545,8 +551,12 @@ MISTYPED = st.tuples(
 ).map(lambda parts: parts[1].format(parts[0]))
 INPUT_PATHS = st.one_of(PATHS, MISTYPED)
 
-# Inline lists up to 100 bits or defects long, past the 255-byte limit of a file name.
-LONG_BITS = st.lists(st.integers(-1, 10**4), min_size=1, max_size=100).map(lambda bits: ",".join(map(str, bits)))
+# Inline lists up to 100 bits or defects long, past the 255-byte limit of a file name; up to 12 bits
+# of a list may be near a limit.
+LONG_BITS = st.one_of(
+    st.lists(st.integers(-1, 10**4), min_size=1, max_size=100),
+    st.lists(st.one_of(st.integers(-1, 10**4), st.sampled_from(NEAR_LIMITS)), min_size=1, max_size=12),
+).map(lambda bits: ",".join(map(str, bits)))
 LONG_DEFECTS = st.lists(st.tuples(st.integers(0, 99), st.integers(-1, 10)), min_size=1, max_size=100).map(
     lambda entries: ",".join(f"{bit}:{count}" for bit, count in entries)
 )
@@ -681,8 +691,10 @@ def enumerate_argv(draw) -> list:
     return argv + ["--limit", pick(draw, st.integers(-1, 1000).map(str), JUNK)]
 
 
-# Scan budgets at the integer edges: below zero, zero, past every bit, past 64 bits.
-BUDGETS = st.sampled_from(["-1", "0", "1", "2", "3", "100", "5760", str(2**63), "1000000000000000000000"])
+# Scan budgets at the integer edges: below zero, zero, past every bit, past 64 bits, and near each limit.
+BUDGETS = st.sampled_from(
+    ["-1", "0", "1", "2", "3", "100", "5760", str(2**63), "1000000000000000000000", *map(str, NEAR_LIMITS)]
+)
 # Short sequences as any_bits draws them: dead bits, a_0 >= 2, jumps past 3*a_{n-1}.
 ANY_BITS = st.lists(st.one_of(st.just(0), st.integers(1, 5), st.integers(1, 40)), min_size=1, max_size=6).map(
     lambda bits: ",".join(map(str, bits))
@@ -764,7 +776,8 @@ def command_argv(draw) -> list:
     if command == "report" and draw(st.booleans()):
         argv += ["--min-margin", pick(draw, st.sampled_from(["0", "1.0", "2.0"]), VALUES)]
     if command == "plan":
-        argv += ["--volts", draw(st.sampled_from(["1.0", "-1.0", "0", "nan", "100"]))]
+        # 3.44 V rounds past the device's headroom 92,099 and within its band top: a clamped plan
+        argv += ["--volts", draw(st.sampled_from(["1.0", "-1.0", "3.44", "0", "nan", "100"]))]
     return argv
 
 
@@ -819,6 +832,10 @@ def filled(arg, tmp: str, i: int) -> str:
 @example(argv=["defects", "--seq", "1,0,3", "--scan-budget", "2"], fmt="json", format_flag="--format")
 @example(argv=["plan", "--seq", "1,3,8", "--freq", "1e308", "--volts", "1e308"], fmt="json", format_flag="--format")
 @example(argv=["defects", "--seq", "1,3,8", "--defects", "2"], fmt="table", format_flag="--format")
+# three argv that once died with CPython's int-string ValueError, worded now by their digit counts
+@example(argv=["oracle", "--seq", ",".join([str(B)] * 12)], fmt="json", format_flag="--format")
+@example(argv=["defects", "--seq", ",".join([str(B)] * 12), "--scan-budget", "1"], fmt="table", format_flag="--format")
+@example(argv=["tolerance", "--seq", f"{B},{B - 1}"], fmt="csv", format_flag="--format")
 def test_any_argv_gets_an_exit_code(argv, fmt, format_flag):
     with tempfile.TemporaryDirectory() as tmp:
         result = run([filled(arg, tmp, i) for i, arg in enumerate(argv)] + [format_flag, fmt])

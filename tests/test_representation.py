@@ -1,28 +1,45 @@
 from __future__ import annotations
 
+import json
+import math
 import subprocess
 import sys
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nims.sequence
 from nims import (
+    DEFAULT_BAND_HALF_WIDTH,
+    DegenerateTarget,
     InvalidInput,
     InvalidSequence,
+    JOSEPHSON_HZ_PER_VOLT,
     OutOfRange,
+    RangeError,
     Sequence,
     enumerate_nims,
     evaluate,
+    plan,
     prefix_sums,
     represent,
     represent_range_check,
 )
+from nims.representation import FIXED_KEYS, _round_half_away
 from nims.sequence import PrefixSums
+from nims.units import fixed_decimal
 
-from .conftest import INCAPABLE_MESSAGES, capable_bits, descent_rows, lean_range_check, percall_descend
+from .conftest import (
+    INCAPABLE_MESSAGES,
+    NIMS1_BITS,
+    capable_bits,
+    descent_rows,
+    fraction_round_half_away,
+    lean_range_check,
+    percall_descend,
+)
 
 REFERENCE = Sequence((1, 3, 8))
 
@@ -407,6 +424,60 @@ class TestSweepReadsTheDescentTable:
         assert calls == {"_chain_capable": 1, "prefix_sums": 1}
 
 
+def walk_rows(table):
+    """Reference (checked, failures) of a descent table: every target walked down its rows one at a time.
+
+    Each row moves the remainder as representation's greedy does; a
+    residual outside bit 0's slack and its negated slack fails, worded
+    with bit 0's a. Reads the rows alone, so a hand-built table is swept
+    as the kernel would walk it.
+    """
+    bound, steps = table
+    _, a0, _, _, slack, neg_slack = steps[-1]
+    failures = []
+    for m in range(-bound, bound + 1):
+        r = m
+        for _, a, t, neg_t, _, _ in steps:
+            if r >= t:
+                r -= a
+            elif r <= neg_t:
+                r += a
+        if r > slack or r < neg_slack:
+            failures.append((m, f"residual {r} not below {a0}"))
+    return 2 * bound + 1, tuple(failures)
+
+
+def sweep_table(bits, table):
+    """represent_range_check of a fresh sequence whose _descent slot holds table."""
+    seq = Sequence(bits)
+    object.__setattr__(seq, "_descent", table)
+    return represent_range_check(seq)
+
+
+# (1, 3, 8) with bit 2's row given the digits {0, +1}: its lower threshold is below every remainder
+UPWARD_ONLY = (12, ((2, 8, 5, -13, 4, -4), (1, 3, 2, -2, 1, -1), (0, 1, 1, -1, 0, 0)))
+
+
+class TestSweepReadsEveryBoundFromTheRows:
+    def test_a_lower_threshold_that_is_not_minus_t(self):
+        # -12 to -5 never take bit 2, and bits 1 and 0 leave them short of zero
+        chk = sweep_table((1, 3, 8), UPWARD_ONLY)
+        assert (chk.checked, chk.failures) == walk_rows(UPWARD_ONLY)
+        assert [m for m, _ in chk.failures] == list(range(-12, -4))
+
+    @given(capable_bits(max_total=300, max_len=6), st.data())
+    @settings(max_examples=150)
+    def test_hand_built_rows_sweep_like_their_walk(self, seq, data):
+        bound, steps = nims.sequence._descent(Sequence(seq.bits))
+        reach = bound + 2
+        rows = [list(row) for row in steps]
+        rows[data.draw(st.integers(0, len(rows) - 1))][3] = data.draw(st.integers(-reach, reach))  # a lower threshold
+        rows[-1][4:] = data.draw(st.integers(0, reach)), -data.draw(st.integers(0, reach))  # bit 0's slacks
+        table = (bound, tuple(map(tuple, rows)))
+        chk = sweep_table(seq.bits, table)
+        assert (chk.checked, chk.failures) == walk_rows(table)
+
+
 class TestSweepMatchesRepresent:
     @given(capable_bits(max_total=300, max_len=6))
     @settings(max_examples=60)
@@ -415,3 +486,300 @@ class TestSweepMatchesRepresent:
         bound = seq.total + seq.bits[0] - 1
         for m in range(-bound, bound + 1):
             assert (abs(represent(m, seq).beta) < seq.bits[0]) == (m not in failed)
+
+
+class TestPlan:
+    def test_one_volt_point(self, measured):
+        p = plan(1.0, 18.01e9, measured)
+        assert p.m_target == 26852
+        assert p.representation.beta == -1
+        assert p.representation.expressed_m == 26853
+        assert p.adjusted_frequency_hz == pytest.approx(18009080863.105934, rel=1e-12)
+        assert p.in_band
+        assert p.achieved_voltage == pytest.approx(1.0, rel=1e-12)
+
+    def test_zero_voltage(self, measured):
+        p = plan(0.0, 18.01e9, measured)
+        assert p.m_target == 0
+        assert set(p.representation.signs) == {0}
+        assert p.adjusted_frequency_hz == 18.01e9
+        assert p.achieved_voltage == 0.0
+        assert p.in_band
+
+    def test_negative_voltage_mirrors(self, measured):
+        pos = plan(2.5, 18.01e9, measured)
+        neg = plan(-2.5, 18.01e9, measured)
+        assert neg.m_target == -pos.m_target
+        assert neg.representation.signs == tuple(-s for s in pos.representation.signs)
+        assert neg.adjusted_frequency_hz == pytest.approx(
+            pos.adjusted_frequency_hz, rel=1e-12
+        )
+        assert neg.achieved_voltage == pytest.approx(-2.5, rel=1e-12)
+
+    def test_degenerate_target(self, measured):
+        with pytest.raises(DegenerateTarget):
+            plan(1e-6, 18.01e9, measured)
+
+    def test_out_of_range(self, measured):
+        with pytest.raises(OutOfRange):
+            plan(3.6, 18.01e9, measured)
+
+    @pytest.mark.parametrize(
+        "volts,freq,band",
+        [
+            # volts * K_J is inf, and so is the headroom times the band top
+            pytest.param(1e300, 1e10, (1e10, 1.79e308), id="1e+300-band-top"),
+            (1e308, 1e308, None),
+            (-1e308, 1e308, None),
+            (1e-5, 1e-300, (1e-300, 1e308)),  # volts * K_J is finite, its quotient by the frequency is not
+            # past the band top, whose refusal words the multiple: inf there would name no multiple
+            pytest.param(1e300, 1e10, None, id="1e+300-no-band"),
+            (1e290, 1e-30, None),
+        ],
+    )
+    def test_a_multiple_past_float_range_is_out_of_range(self, volts, freq, band):
+        # the multiple is refused before the band-top test, which would compare inf with inf and pass
+        with pytest.raises(OutOfRange) as caught:
+            plan(volts, freq, Sequence((1, 3, 8)), band)
+        assert str(caught.value) == f"{volts} V at {freq} Hz needs a multiple past float range, beyond 12"
+
+    def test_a_multiple_within_the_band_top_but_past_the_headroom_is_clamped(self, measured):
+        # 92,100 <= 92,099 * 1.005 passes the band-top test; rounded at the base frequency it is clamped and retuned
+        volts = 92_100 * 18.01e9 / JOSEPHSON_HZ_PER_VOLT
+        p = plan(volts, 18.01e9, measured)
+        assert p.m_target == evaluate(p.representation, measured) == 92_099
+        assert p.representation.signs == (1,) * 23 and p.representation.beta == 1
+        assert p.in_band
+        assert p.achieved_voltage == pytest.approx(volts, rel=1e-12)
+
+    def test_the_device_plans_every_multiple_up_to_the_band_top(self, measured):
+        # at 18.01 GHz the band top reaches 92,099 * 1.005 = 92,559.495: 920 multiples past the headroom get a plan
+        plans = {
+            sign * m: plan(sign * m * 18.01e9 / JOSEPHSON_HZ_PER_VOLT, 18.01e9, measured)
+            for sign in (1, -1)
+            for m in range(92_100, 92_560)
+        }
+        assert len(plans) == 920
+        assert {p.m_target for p in plans.values()} == {92_099, -92_099}
+        assert sorted(m for m, p in plans.items() if not p.in_band) == [-92_559, 92_559]
+        for m in (92_560, -92_560):
+            with pytest.raises(OutOfRange, match="even at the band top$"):
+                plan(m * 18.01e9 / JOSEPHSON_HZ_PER_VOLT, 18.01e9, measured)
+
+    @given(st.integers(0, 2), st.floats(12e9, 20e9), st.sampled_from((1, -1)), st.data())
+    @settings(max_examples=300)
+    def test_a_multiple_past_the_headroom_is_clamped_and_retuned(self, measured, nims1, nims2, which, freq, sign, data):
+        seq = (measured, nims1, nims2)[which]
+        headroom = seq.total + seq.bits[0] - 1
+        top = headroom * 201 // 200  # the largest multiple within the band top, headroom * 1.005
+        m = data.draw(st.integers(headroom + 1, top))
+        # off the integer by less than a half, and never past the band top
+        multiple = m + data.draw(st.floats(-0.49, 0.49 if m < top else 0.0))
+        volts = sign * multiple * freq / JOSEPHSON_HZ_PER_VOLT
+        p = plan(volts, freq, seq)
+        assert p.m_target == evaluate(p.representation, seq) == sign * headroom
+        assert abs(p.achieved_voltage - volts) <= 1e-12 * abs(volts)
+        assert p.in_band is (p.adjusted_frequency_hz <= freq * (1 + DEFAULT_BAND_HALF_WIDTH))
+        past = sign * data.draw(st.integers(top + 1, 2 * headroom)) * freq / JOSEPHSON_HZ_PER_VOLT
+        with pytest.raises(OutOfRange, match="even at the band top$"):
+            plan(past, freq, seq)
+
+    def test_band_edges(self, measured):
+        inside = plan(1.0, 18.01e9, measured, (17.9e9, 18.1e9))
+        assert inside.in_band
+        narrow = plan(1.0, 18.01e9, measured, (18.0099e9, 18.0101e9))
+        assert not narrow.in_band
+
+    def test_band_validation(self, measured):
+        with pytest.raises(InvalidInput):
+            plan(1.0, 18.01e9, measured, (19e9, 20e9))
+        with pytest.raises(InvalidInput):
+            plan(1.0, 18.01e9, measured, (18.1e9, 17.9e9))
+
+    @pytest.mark.parametrize(
+        "volts, freq",
+        [(math.nan, 18.01e9), (math.inf, 18.01e9), (-math.inf, 18.01e9), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_rejects_non_finite_values(self, measured, volts, freq):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            plan(volts, freq, measured)
+
+    def test_rejects_non_finite_band(self, measured):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            plan(1.0, 18.01e9, measured, (17.9e9, math.inf))
+
+    def test_incapable_sequence(self):
+        # alike on every call: a refusal leaves no table on the sequence
+        for bits, violations in INCAPABLE_MESSAGES.items():
+            seq = Sequence(bits)
+            for volts in (0.1, 0.0, 0.1):
+                with pytest.raises(InvalidSequence) as excinfo:
+                    plan(volts, 18.01e9, seq)
+                assert str(excinfo.value) == "sequence is not completeness capable: " + violations
+
+    @pytest.mark.parametrize("volts", [1.0, 0.0])
+    def test_validates_zero_times_on_a_capable_sequence(self, measured, monkeypatch, volts):
+        calls = []
+        violations = nims.sequence._violations
+
+        def counting(bits):
+            calls.append(bits)
+            return violations(bits)
+
+        monkeypatch.setattr(nims.sequence, "_violations", counting)
+        plan(volts, 18.01e9, measured)
+        assert calls == []
+        # a refusal words the violations once, in its message
+        incapable = Sequence((1, 2, 7))
+        with pytest.raises(InvalidSequence):
+            plan(volts, 18.01e9, incapable)
+        assert calls == [(1, 2, 7)]
+
+    def test_builds_the_table_once_per_sequence(self, monkeypatch):
+        calls = {"_chain_capable": 0, "prefix_sums": 0}
+
+        def counting(name, fn):
+            def wrapper(arg):
+                calls[name] += 1
+                return fn(arg)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nims.sequence, name, counting(name, getattr(nims.sequence, name)))
+        seq = Sequence(NIMS1_BITS)
+        for k in range(100):
+            plan(0.01 * k, 18.01e9, seq)
+        assert calls == {"_chain_capable": 1, "prefix_sums": 1}
+
+    @given(st.floats(min_value=0.001, max_value=3.42, allow_nan=False))
+    @settings(max_examples=300)
+    def test_round_trip_and_shift_bound(self, measured, volts):
+        p = plan(volts, 18.01e9, measured)
+        assert abs(p.achieved_voltage - volts) / volts <= 1e-12
+        beta = abs(p.representation.beta)
+        expressed = abs(p.representation.expressed_m)
+        assert p.frequency_shift <= (0.5 + beta) / expressed + 1e-12
+
+    def test_headroom_beyond_float_range(self):
+        # the total limit is refused first, so no headroom past 2**63 reaches a float
+        seq = Sequence((10**400,))
+        for _ in range(2):
+            with pytest.raises(RangeError) as excinfo:
+                plan(1.0, 1e10, seq)
+            assert str(excinfo.value) == "sequence total exceeds 4611686018427387904"
+
+
+class TestPlanRunsTheGreedy:
+    """plan runs the greedy kernel on the table it reads; its digits are represent's, its refusals alike."""
+
+    @given(capable_bits(max_total=3000), st.data())
+    @settings(max_examples=300)
+    def test_digits_are_represents(self, seq, data):
+        bound = seq.total + seq.bits[0] - 1
+        # a multiple within the bound, off the integers by less than a half
+        m = min(max(data.draw(st.integers(-bound, bound)) + data.draw(st.floats(-0.49, 0.49)), -bound), bound)
+        volts = m * 1.8e10 / JOSEPHSON_HZ_PER_VOLT
+        fresh = Sequence(seq.bits)  # represent builds this one's table, plan the other's
+        try:
+            p = plan(volts, 1.8e10, seq)
+        except DegenerateTarget:
+            assert represent(_round_half_away(volts * JOSEPHSON_HZ_PER_VOLT / 1.8e10), fresh).expressed_m == 0
+        else:
+            assert p.representation == represent(p.m_target, fresh)
+            assert p.representation == represent(p.m_target, seq)
+
+
+class TestErrorOrder:
+    """A capable sequence whose total passes TOTAL_LIMIT: building the table refuses the limit first, on every call."""
+
+    OVER_LIMIT = "sequence total exceeds 4611686018427387904"
+
+    def assert_over_limit(self, call):
+        with pytest.raises(RangeError) as excinfo:
+            call()
+        assert str(excinfo.value) == self.OVER_LIMIT
+
+    def test_limit_on_every_call(self):
+        seq = Sequence((2**62, 2**62))
+        for _ in range(2):
+            for volts in (1e15, 1.0, 0.0):
+                self.assert_over_limit(lambda: plan(volts, 1.8e10, seq))
+            for m in (0, 2**64):
+                self.assert_over_limit(lambda: represent(m, seq))
+            self.assert_over_limit(lambda: represent_range_check(seq))
+
+    @pytest.mark.parametrize("volts", [1e15, -1e15, 1e300])
+    def test_out_of_range_on_an_over_limit_sequence(self, volts):
+        # the limit comes before the headroom tests, so a voltage beyond the headroom is refused as the limit
+        seq = Sequence((2**62, 2**62))
+        for _ in range(2):
+            self.assert_over_limit(lambda: plan(volts, 1.8e10, seq))
+
+    def test_limit_first_on_a_fresh_sequence(self):
+        for call in (
+            lambda seq: represent(0, seq),
+            lambda seq: plan(1e15, 1.8e10, seq),
+            represent_range_check,
+        ):
+            seq = Sequence((2**62, 2**62))
+            for _ in range(2):
+                self.assert_over_limit(lambda: call(seq))
+
+    def test_inputs_before_the_limit(self):
+        # plan reads its numbers and represent its target before the table is built
+        seq = Sequence((2**62, 2**62))
+        with pytest.raises(InvalidInput):
+            plan(float("nan"), 1.8e10, seq)
+        with pytest.raises(InvalidInput):
+            represent(0.5, seq)
+
+
+class TestRoundHalfAway:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.49999999999999994)
+    @example(-0.49999999999999994)
+    @example(2.0**52 + 1)
+    @example(-(2.0**52 + 1))
+    @example(2.0**53 - 1)
+    @example(0.5)
+    @example(-2.5)
+    @settings(max_examples=300)
+    def test_matches_exact_rounding(self, x):
+        assert _round_half_away(x) == fraction_round_half_away(x)
+
+
+class TestSerialization:
+    def test_json_fixed_notation(self, measured):
+        p = plan(1.0, 18.01e9, measured)
+        text = p.to_json()
+        doc = json.loads(text)
+        assert doc["m"] == 26852
+        assert doc["beta"] == -1
+        assert '"f": 18010000000.0' in text
+        assert '"f_adjusted": 18009080863.105934' in text
+        assert doc["f_adjusted"] == pytest.approx(18009080863.105934, rel=1e-12)
+
+    def test_fixed_decimal(self):
+        assert fixed_decimal(1.0) == "1.0"
+        assert fixed_decimal(18.01e9) == "18010000000.0"
+        assert fixed_decimal(7.448337522159869e-05) == "0.00007448337522159869"
+
+    @settings(max_examples=200, deadline=None)
+    @given(volts=st.floats(1e-9, 3.0), freq=st.floats(10e9, 25e9))
+    @example(volts=1e-9, freq=25e9)
+    @example(volts=1.0, freq=18.01e9)
+    def test_json_is_the_doc_in_fixed_notation(self, measured, volts, freq):
+        try:
+            p = plan(volts, freq, measured)
+        except (OutOfRange, DegenerateTarget):
+            assume(False)
+        text = p.to_json()
+        assert json.loads(text) == p.to_doc()
+        written = json.loads(text, parse_float=str)
+        for key in FIXED_KEYS:
+            assert "e" not in written[key].lower() and float(written[key]) == p.to_doc()[key]
+
+    def test_doc_fields(self, measured):
+        doc = plan(1.0, 18.01e9, measured).to_doc()
+        assert sorted(doc) == ["V", "beta", "f", "f_adjusted", "in_band", "m", "signs"]

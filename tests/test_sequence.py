@@ -32,7 +32,6 @@ from nims import (
     reachable_sums,
     represent,
     represent_range_check,
-    segmentation_efficiency,
     sequence_from_file,
     standard_column,
     validate,
@@ -318,18 +317,11 @@ class TestPrefixSums:
 
 class TestSegmentationEfficiency:
     def test_published_prefix(self):
+        # the ratios 2, 3 and 7/3 of (1, 2, 6, 14), every bit below a bank of 15
         from fractions import Fraction
 
-        ratios = segmentation_efficiency(Sequence((1, 2, 6, 14)))
-        assert ratios == (Fraction(2), Fraction(3), Fraction(7, 3))
-
-    def test_requires_two_bits(self):
-        with pytest.raises(InvalidInput):
-            segmentation_efficiency(Sequence((5,)))
-
-    def test_requires_positive(self):
-        with pytest.raises(InvalidInput):
-            segmentation_efficiency(Sequence((1, 0, 2)))
+        (column,) = compare_logics(4, 15, [("nims", Sequence((1, 2, 6, 14)))]).candidates
+        assert (column.bits_to_msb, column.min_efficiency, column.mean_efficiency) == (4, 2, Fraction(22, 9))
 
 
 class TestReachableSums:

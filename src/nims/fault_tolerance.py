@@ -186,10 +186,15 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
 
     A sequence that is not completeness capable has no certificate to
     scan: the chain gate, sequence._require_capable, refuses it from the
-    report validate stores on seq; no sampled placement is validated. So
-    every safe_up_to is at least 0, and a SAFE placement the oracle finds
-    a gap in is a fault of the scan, raised as AssertionError. seq must be
-    a Sequence, else InvalidInput; the cap is read by the one cap rule,
+    report validate stores on seq. So every safe_up_to is at least 0, and
+    a SAFE placement the oracle finds a gap in is a fault of the scan,
+    raised as AssertionError; so is a bit whose chain survives one
+    junction past its tolerance. One pass over the bits and their
+    tolerances writes each row and runs that bit's two checks, so the
+    lower bit's fault is raised first. A sampled placement is seq's bits
+    minus at most the bit's safe count, built by
+    sequence._unchecked_sequence and never validated. seq must be a
+    Sequence, else InvalidInput; the cap is read by the one cap rule,
     oracle._check_cap, before any placement is checked.
     """
     _require_type("seq", seq, Sequence)
@@ -204,33 +209,18 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
         return bits[:index] + (bits[index] - count,) + bits[index + 1 :]
 
     entries: list[ScanEntry] = []
+    checked = 0
     for n, (a, t) in enumerate(zip(bits, _tolerance_table(seq))):
         max_d = min(budget, a)
         # Full removal of the last bit zeroes it, which fails positivity.
         safe = min(max_d, a - 1 if t is None else t)
-        status = "SAFE" if safe == max_d else "UNSAFE"
-        entries.append(ScanEntry(n, a, t, safe, status))
-
-    checked = 0
-    for e in entries:
-        if checked >= ORACLE_SAMPLES:
-            break
-        if e.safe_up_to < 1:
-            continue
-        if not is_complete(Sequence(without(e.index, e.safe_up_to)), cap=cap):
-            raise AssertionError(
-                f"scan certified bit {e.index} safe at {e.safe_up_to} but the oracle found a gap"
-            )
-        checked += 1
-
-    # Sharpness: one junction past the tolerance must break the chain.
-    for e in entries:
-        if e.tolerance is None:
-            continue
-        d = e.tolerance + 1
-        if d <= min(budget, e.nominal) and _chain_capable(without(e.index, d)):
-            raise AssertionError(
-                f"bit {e.index} survived {d} missing junctions, above its tolerance"
-            )
+        entries.append(ScanEntry(n, a, t, safe, "SAFE" if safe == max_d else "UNSAFE"))
+        if safe >= 1 and checked < ORACLE_SAMPLES:
+            if not is_complete(_unchecked_sequence(without(n, safe)), cap=cap):
+                raise AssertionError(f"scan certified bit {n} safe at {safe} but the oracle found a gap")
+            checked += 1
+        # Sharpness: one junction past the tolerance must break the chain.
+        if t is not None and t < max_d and _chain_capable(without(n, t + 1)):
+            raise AssertionError(f"bit {n} survived {t + 1} missing junctions, above its tolerance")
 
     return ScanReport(budget, tuple(entries), checked)

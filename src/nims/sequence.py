@@ -144,11 +144,10 @@ def _require_type(name: str, value: object, kind: type) -> None:
 def _unchecked_sequence(bits: tuple[int, ...]) -> Sequence:
     """A Sequence of bits stored as given, without the constructor's checks.
 
-    Only for a tuple of plain nonnegative ints, at least one, that the
-    caller formed itself. Two callers: fault_tolerance.apply_defects, whose
-    bits are a checked Sequence's minus the counts DefectMap converted,
-    none above its bit; and designer.standard_column, whose bits are 1,
-    its products by the ratio and the bank size, all plain positive ints.
+    The caller's precondition: bits is a tuple of plain nonnegative ints,
+    at least one, that it formed from values already checked, such as a
+    Sequence's bits less counts none of which exceeds its bit, so the
+    constructor's checks could never fire.
     """
     seq = object.__new__(Sequence)
     object.__setattr__(seq, "bits", bits)

@@ -28,7 +28,7 @@ from nims import (
     within_tolerance,
     worst_case_scan,
 )
-from nims.fault_tolerance import ScanEntry
+from nims.fault_tolerance import ORACLE_SAMPLES, ScanEntry
 from nims.sequence import UPPER, _tolerance_table
 
 from .conftest import INCAPABLE_MESSAGES, any_bits, capable_bits, fraction_proportion, interval_dp_sums
@@ -253,7 +253,9 @@ class TestApplyDefects:
         assert all(type(b) is int for b in defective.bits)
         assert report.complete_capable == validate(expected).complete_capable
 
-    def test_builds_no_checked_sequence(self, monkeypatch, measured):
+    @pytest.mark.parametrize("audit", ["apply_defects", "worst_case_scan"])
+    def test_builds_no_checked_sequence(self, monkeypatch, measured, audit):
+        # a defect map and each sampled scan placement are a checked Sequence's bits less counts within them
         calls = []
         init = Sequence.__init__
 
@@ -262,8 +264,11 @@ class TestApplyDefects:
             init(self, bits)
 
         monkeypatch.setattr(Sequence, "__init__", counting)
-        defective, _ = apply_defects(measured, DefectMap({4: 2, 7: 1, 22: 5}))
-        assert defective.bits[4] == measured.bits[4] - 2
+        if audit == "apply_defects":
+            defective, _ = apply_defects(measured, DefectMap({4: 2, 7: 1, 22: 5}))
+            assert defective.bits[4] == measured.bits[4] - 2
+        else:
+            assert worst_case_scan(measured, 100).oracle_checked == 8
         assert calls == []
 
     @given(capable_bits(max_total=3000), st.data())
@@ -362,6 +367,13 @@ class TestWorstCaseScan:
         with pytest.raises(AssertionError, match="^bit 2 survived 1 missing junctions, above its tolerance$"):
             worst_case_scan(seq, 1)
 
+    def test_oracle_cross_check_fires(self):
+        # a table that calls bit 0 of (1, 3, 8) safe at 1 leaves (0, 3, 8), which misses 1
+        seq = Sequence((1, 3, 8))
+        object.__setattr__(seq, "_tolerances", (1, 0, None))
+        with pytest.raises(AssertionError, match="^scan certified bit 0 safe at 1 but the oracle found a gap$"):
+            worst_case_scan(seq, 1)
+
     def test_an_incapable_sequence_is_refused(self):
         # a dead bit or an upper-chain jump leaves no chain certificate to scan
         for bits, violations in INCAPABLE_MESSAGES.items():
@@ -383,7 +395,14 @@ class TestWorstCaseScan:
             assert not validate(seq).complete_capable
             return
         assert validate(seq).complete_capable
+        expected = []
+        for n, (a, t) in enumerate(zip(seq.bits, _tolerance_table(seq))):
+            max_d = min(budget, a)
+            safe = min(max_d, a - 1 if t is None else t)
+            expected.append((n, a, t, safe, "SAFE" if safe == max_d else "UNSAFE"))
+        assert scan.budget == budget and scan.entries == tuple(expected)
         assert all(0 <= e.safe_up_to <= min(budget, e.nominal) for e in scan.entries)
+        assert scan.oracle_checked == min(ORACLE_SAMPLES, sum(e.safe_up_to >= 1 for e in scan.entries))
 
     def test_rejects_negative_budget(self, nims1):
         with pytest.raises(InvalidInput):

@@ -19,6 +19,7 @@ from .errors import Infeasible, InvalidInput, RangeError, fraction_text, int_tex
 from .sequence import (
     Sequence,
     _Frozen,
+    _capable_sequence,
     _integer,
     _require_capable,
     _require_type,
@@ -98,7 +99,8 @@ class DesignSpec(_Frozen):
     The three sizes are converted by sequence._integer and max_ratio by
     Fraction (a Fraction is kept as it is), then range-checked, and
     min_tolerance must be an iterable of ToleranceRules: a class that
-    checks its input when built.
+    checks its input when built. The ratio's bound 1 < p/q <= 3 is tested
+    in integers, as q < p <= 3q on its numerator and positive denominator.
     """
 
     __slots__ = ("a0", "msb_size", "target_total", "min_tolerance", "max_ratio")
@@ -132,7 +134,8 @@ class DesignSpec(_Frozen):
             raise InvalidInput(f"msb_size must be at least 3*a0 = {3 * a0}")
         if target_total < msb_size:
             raise InvalidInput("target_total must be at least msb_size")
-        if not 1 < ratio <= 3:
+        p, q = ratio.as_integer_ratio()
+        if not q < p <= 3 * q:
             raise InvalidInput("max_ratio must lie in (1, 3]")
         try:
             rules = tuple(min_tolerance)
@@ -208,10 +211,14 @@ def design(spec: DesignSpec) -> DesignResult:
     The ratio cap is applied in integers: with max_ratio = p/q (q > 0),
     cur * p // q is exactly floor(cur * max_ratio). One test, a size's
     largest successor reaching the bank size, ends the chain and lets a
-    trimmed bank lead the full banks. The layout is checked again when
-    built: an incapable one is refused by sequence._require_capable, and
-    each distinct bit size's required tolerance is asked once, against the
-    one tolerance table, _tolerance_table, which stays on the new Sequence.
+    trimmed bank lead the full banks. The bits are plain ints formed from
+    the spec's checked ints (a_0 >= 1, each chain bit larger than the one
+    before, the banks and the trim positive), so the layout is built by
+    sequence._unchecked_sequence, without the constructor's checks. It is
+    then checked: an incapable one is refused by sequence._require_capable,
+    whose report stays on it, and each distinct bit size's required
+    tolerance is asked once, against the one tolerance table,
+    _tolerance_table, which stays on the new Sequence too.
     spec must be a DesignSpec, else InvalidInput.
     """
     _require_type("spec", spec, DesignSpec)
@@ -249,7 +256,7 @@ def design(spec: DesignSpec) -> DesignResult:
         else:
             banks.append(trim)
 
-    seq = Sequence(tuple(chain + banks))
+    seq = _unchecked_sequence(tuple(chain + banks))
     bits = seq.bits
 
     # Post-verification: the greedy construction is supposed to guarantee
@@ -393,7 +400,11 @@ def standard_column(kind: str, msb_size: int, length: int) -> Sequence:
     kind must be a str naming one of STANDARD_RATIOS; msb_size and length
     are read by sequence._integer, and both must be positive. The bits are
     plain positive ints formed here, so the result is built by
-    sequence._unchecked_sequence, without the constructor's checks; the
+    sequence._capable_sequence, without the constructor's checks and with
+    the capable report already stored: each geometric bit is 2 or 3 times
+    the one below, and the banks follow only once the last geometric bit
+    times the ratio reaches msb_size, so no bank is above three times its
+    predecessor. compare_logics' chain gate then reads that report. The
     banks are added in one list step.
     """
     _require_type("kind", kind, str)
@@ -409,4 +420,4 @@ def standard_column(kind: str, msb_size: int, length: int) -> Sequence:
     while bits[-1] * ratio < msb_size and len(bits) < length:
         bits.append(bits[-1] * ratio)
     bits += [msb_size] * (length - len(bits))
-    return _unchecked_sequence(tuple(bits))
+    return _capable_sequence(tuple(bits))

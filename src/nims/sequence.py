@@ -86,7 +86,8 @@ class Sequence(_Frozen):
     function _descent has built it; _tolerances every bit's tolerance,
     once _tolerance_table has built it; and _report, the report validate
     returns, None until the first validate call stores it (enumerate_nims
-    stores the strict report on each sequence it lists).
+    stores the strict report on each sequence it lists, and
+    _capable_sequence a capable one on each it builds).
     Only bits is a field, so equality, hash, repr and pickling leave the
     three out: a copy starts without the tables and with _report None.
     _report is set by every constructor, never left unset, since validate
@@ -152,6 +153,21 @@ def _unchecked_sequence(bits: tuple[int, ...]) -> Sequence:
     seq = object.__new__(Sequence)
     object.__setattr__(seq, "bits", bits)
     object.__setattr__(seq, "_report", None)
+    return seq
+
+
+def _capable_sequence(bits: tuple[int, ...]) -> Sequence:
+    """_unchecked_sequence's Sequence, carrying the capable report from the start.
+
+    The caller's precondition is _unchecked_sequence's, and more: its
+    construction makes the bits positive and keeps each at most three
+    times the one below, so validate would find them capable. The stored
+    report says so at once, as enumerate_nims stores _STRICT_REPORT, and
+    its strictness and violations are still worded from the bits when
+    first read.
+    """
+    seq = _unchecked_sequence(bits)
+    object.__setattr__(seq, "_report", ValidationReport(True, bits))
     return seq
 
 
@@ -250,7 +266,8 @@ def validate(seq: Sequence) -> ValidationReport:
     reads either. The first call stores the report in seq's _report slot
     and later calls return it, so each Sequence is walked once and worded
     at most once. A sequence enumerate_nims listed carries _STRICT_REPORT
-    there from the start, as it is strictly valid by construction.
+    there from the start, as it is strictly valid by construction, and one
+    _capable_sequence built carries a capable report.
     """
     try:
         report = seq._report
@@ -496,6 +513,35 @@ class ToleranceReport(NamedTuple):
         }
 
 
+# The most bit pairs whose proportions _proportion keeps. Designed layouts
+# share their chains' and banks' pairs, so a few hundred recent pairs serve
+# most lookups; a layout of many distinct pairs evicts the oldest.
+PROPORTION_PAIRS = 256
+
+
+@functools.lru_cache(maxsize=PROPORTION_PAIRS)
+def _proportion(a: int, b: int) -> Fraction:
+    """The fault proportion of bit a below bit b, built once per pair for the last PROPORTION_PAIRS pairs.
+
+    (3a - b)/(3a) where 3a > b; every clamped pair (b >= 3a, a dead bit a
+    included) gets the one Fraction(0) of _fraction_and_zero.
+    """
+    fraction, zero = _fraction_and_zero()
+    return fraction(3 * a - b, 3 * a) if 3 * a > b else zero
+
+
+@functools.cache
+def _fraction_and_zero() -> tuple[type[Fraction], Fraction]:
+    """The Fraction class and the one Fraction(0) every clamped pair's proportion is.
+
+    fractions is imported here, once, on the first proportion built, so
+    validate, represent and plan never load it.
+    """
+    from fractions import Fraction
+
+    return Fraction, Fraction(0)
+
+
 def tolerance_report(seq: Sequence) -> ToleranceReport:
     """Tolerance and fault proportion for every bit.
 
@@ -505,27 +551,21 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
     no tolerance bound: removing its junctions only reduces range, never
     completeness of what remains. seq must be a Sequence, else InvalidInput.
 
-    Each distinct proportion is built once per call: a pair (a, b) with
-    3a > b gets (3a - b)/(3a), and every clamped pair (b >= 3a, a dead bit
-    included) shares one Fraction(0). So the equal banks of a designed
-    layout, whose pairs (a, a) all give 2/3, hold one Fraction between them.
+    Each proportion comes from _proportion, which builds a pair's Fraction
+    once per process while the pair stays among its last PROPORTION_PAIRS,
+    and gives every clamped pair one shared Fraction(0). So the equal banks
+    of a designed layout, whose pairs (a, a) all give 2/3, hold one
+    Fraction between them, and so do the pairs that designs share.
     Each entry is built by tuple.__new__ from its five fields, without the
     NamedTuple's own Python-level __new__.
     """
-    from fractions import Fraction
-
     _require_type("seq", seq, Sequence)
     bits = seq.bits
     new = tuple.__new__
-    shared: dict[object, Fraction] = {}  # by (a, b), or 0 for a clamped pair
-    entries = []
-    for n, (a, b, t) in enumerate(zip(bits, bits[1:], _tolerance_table(seq))):
-        gap = 3 * a - b
-        key = (a, b) if gap > 0 else 0
-        proportion = shared.get(key)
-        if proportion is None:
-            proportion = shared[key] = Fraction(gap, 3 * a) if gap > 0 else Fraction(0)
-        entries.append(new(BitTolerance, (n, a, t, proportion, False)))
+    entries = [
+        new(BitTolerance, (n, a, t, _proportion(a, b), False))
+        for n, (a, b, t) in enumerate(zip(bits, bits[1:], _tolerance_table(seq)))
+    ]
     entries.append(new(BitTolerance, (seq.last_index, bits[-1], None, None, True)))
     return ToleranceReport(tuple(entries))
 

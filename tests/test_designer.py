@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nims.designer
+import nims.sequence
 from nims import (
     DesignSpec,
     Infeasible,
@@ -147,6 +149,30 @@ class TestDesignSpec:
             kept = DesignSpec(a0=1, msb_size=9, target_total=9, max_ratio=given_ratio).max_ratio
             assert type(kept) is Fraction and kept == ratio
 
+    @pytest.mark.parametrize(
+        "ratio, accepted",
+        [
+            (1, False),
+            (Fraction(1000001, 1000000), True),
+            (3, True),
+            (Fraction(3000001, 1000000), False),
+            ("3.0", True),
+            ("0.3e1", True),
+            (2.5, True),
+            (Decimal("2.5"), True),
+            (Fraction(7, 3), True),
+        ],
+        ids=repr,
+    )
+    def test_the_ratio_bound_in_integers_matches_the_fraction_comparison(self, ratio, accepted):
+        # the bound is tested as q < p <= 3q; each value is judged as 1 < Fraction(ratio) <= 3 judges it
+        assert accepted == (1 < Fraction(ratio) <= 3)
+        if accepted:
+            assert DesignSpec(a0=1, msb_size=64, target_total=300, max_ratio=ratio).max_ratio == Fraction(ratio)
+        else:
+            with pytest.raises(InvalidInput, match=r"^max_ratio must lie in \(1, 3\]$"):
+                DesignSpec(a0=1, msb_size=64, target_total=300, max_ratio=ratio)
+
     def test_the_rules_are_a_tuple_of_tolerance_rules(self):
         rules = [ToleranceRule(10, 1), ToleranceRule(100, 5)]
         spec = DesignSpec(a0=1, msb_size=9, target_total=9, min_tolerance=iter(rules))
@@ -193,6 +219,35 @@ class TestDesign:
         assert r.metadata["lsb_chain_bits"] == 8
         assert r.sequence.total == 92098
         assert validate(r.sequence).complete_capable
+
+    def test_builds_no_checked_sequence(self, monkeypatch):
+        # the layout's bits are ints design formed from the spec's checked ints
+        spec = DesignSpec(a0=2, msb_size=5760, target_total=92098, min_tolerance=(ToleranceRule(100, 2),))
+        calls = []
+        init = Sequence.__init__
+
+        def counting(self, bits):
+            calls.append(bits)
+            init(self, bits)
+
+        monkeypatch.setattr(Sequence, "__init__", counting)
+        seq = design(spec).sequence
+        monkeypatch.undo()
+        assert calls == []
+        assert seq == Sequence(seq.bits) and all(type(b) is int for b in seq.bits)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DesignSpec(a0=2, msb_size=5760, target_total=92098, min_tolerance=(ToleranceRule(100, 2),)),
+            DesignSpec(a0=1, msb_size=3, target_total=6),
+            DesignSpec(a0=1, msb_size=64, target_total=300, max_ratio=Fraction(2)),
+        ],
+    )
+    def test_the_layout_carries_the_report_validate_gives(self, spec):
+        seq = design(spec).sequence
+        fresh = validate(Sequence(seq.bits))
+        assert seq._report is not None and seq._report == fresh and seq._report.violations == fresh.violations
 
     def test_device_scale_chain_matches_measured_head(self, measured):
         spec = DesignSpec(
@@ -245,7 +300,7 @@ class TestDesign:
     def test_post_check_names_the_violations(self, monkeypatch):
         # the construction never yields an incapable layout, so substitute one
         for bits, violations in INCAPABLE_MESSAGES.items():
-            monkeypatch.setattr(nims.designer, "Sequence", lambda _, bits=bits: Sequence(bits))
+            monkeypatch.setattr(nims.designer, "_unchecked_sequence", lambda _, bits=bits: Sequence(bits))
             with pytest.raises(Infeasible) as excinfo:
                 design(DesignSpec(a0=1, msb_size=3, target_total=6))
             assert str(excinfo.value) == "constructed layout is not completeness capable: " + violations
@@ -255,7 +310,7 @@ class TestDesign:
         # the same total whose second bit of 4, the one before the last, tolerates 0
         # where the rule asks for 1 (the first tolerates 2)
         spec = DesignSpec(a0=1, msb_size=9, target_total=22, min_tolerance=(ToleranceRule(3, 1),))
-        monkeypatch.setattr(nims.designer, "Sequence", lambda _: Sequence((1, 2, 4, 4, 11)))
+        monkeypatch.setattr(nims.designer, "_unchecked_sequence", lambda _: Sequence((1, 2, 4, 4, 11)))
         with pytest.raises(Infeasible, match=r"^bit 3 \(size 4\) tolerates 0, needs 1$"):
             design(spec)
 
@@ -266,9 +321,8 @@ class TestDesign:
         spec = DesignSpec(a0=2, msb_size=5760, target_total=92098, min_tolerance=(ToleranceRule(100, 2),))
         planted, table = Sequence(design(spec).sequence.bits), (9,) * 22 + (None,)
         object.__setattr__(planted, "_tolerances", table)
-        monkeypatch.setattr(nims.designer, "Sequence", lambda _: planted)
+        monkeypatch.setattr(nims.designer, "_unchecked_sequence", lambda _: planted)
         seq = design(spec).sequence
-        monkeypatch.undo()  # compare_logics checks its candidates against the Sequence class itself
         report = tolerance_report(seq)
         column = compare_logics(len(seq), 5760, [("designed", seq)]).candidates[0]
         assert seq is planted and seq._tolerances is table and column.tolerances is table
@@ -385,6 +439,23 @@ class TestCompare:
         assert ternary.bits[:5] == (1, 3, 9, 27, 81)
         assert ternary.bits[9:] == (8000,) * 5
 
+    def test_the_gate_walks_no_chain(self, monkeypatch):
+        # the designed layout keeps design's report and each standard column carries its own
+        spec = DesignSpec(a0=2, msb_size=5760, target_total=92098, min_tolerance=(ToleranceRule(100, 2),))
+        seq = design(spec).sequence
+        columns = [("designed", seq)] + [(k, standard_column(k, 5760, len(seq))) for k in ("binary", "ternary")]
+        walks = []
+        chain_capable = nims.sequence._chain_capable
+
+        def counting(bits):
+            walks.append(bits)
+            return chain_capable(bits)
+
+        monkeypatch.setattr(nims.sequence, "_chain_capable", counting)
+        table = compare_logics(len(seq), 5760, columns)
+        monkeypatch.undo()
+        assert walks == [] and [c.name for c in table.candidates] == ["designed", "binary", "ternary"]
+
     def test_bits_below_bank(self, nims1):
         table = compare_logics(
             14,
@@ -485,7 +556,10 @@ class TestCompare:
         column = standard_column(kind, msb, length)
         assert column == Sequence(expected) and column.bits == expected
         assert all(type(b) is int for b in column.bits)
-        assert column._report is None
+        # the stored report is the capable one a fresh validate words, violations included
+        report, fresh = column._report, validate(Sequence(expected))
+        assert report is not None and report.complete_capable
+        assert report == fresh and report.violations == fresh.violations
 
 
 class TestLayoutLimit:

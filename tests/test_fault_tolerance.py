@@ -29,7 +29,7 @@ from nims import (
     worst_case_scan,
 )
 from nims.fault_tolerance import ORACLE_SAMPLES, ScanEntry
-from nims.sequence import UPPER, _tolerance_table
+from nims.sequence import PROPORTION_PAIRS, UPPER, _fraction_and_zero, _proportion, _tolerance_table
 
 from .conftest import INCAPABLE_MESSAGES, any_bits, capable_bits, fraction_proportion, interval_dp_sums
 
@@ -103,19 +103,59 @@ class TestToleranceReport:
     def test_one_fraction_per_distinct_proportion(self, monkeypatch):
         spec = DesignSpec(a0=2, msb_size=5760, target_total=92098, min_tolerance=(ToleranceRule(100, 2),))
         seq = design(spec).sequence
+        _proportion.cache_clear()
+        _fraction_and_zero.cache_clear()
         built, new = [], Fraction.__new__
 
         def counting(cls, *args, **kwargs):
             built.append(args)
             return new(cls, *args, **kwargs)
 
-        # every Fraction built while the report runs, however the class is reached
+        # every Fraction built while the reports run, however the class is reached
         monkeypatch.setattr(Fraction, "__new__", counting)
         proportions = [e.proportion for e in tolerance_report(seq).entries[:-1]]
+        cold = len(built)
+        again = [e.proportion for e in tolerance_report(Sequence(seq.bits)).entries[:-1]]
         monkeypatch.undo()
         # 0 for the four clamped chain pairs, 1/81, 1/240, 1/717, two at the trimmed bank, 2/3 for 13 bank pairs
         assert len(proportions) == 22 and len(set(proportions)) == 7
-        assert len(built) == len({id(p) for p in proportions}) == 7
+        assert cold == len({id(p) for p in proportions}) == 7
+        # a second report, on a fresh object of the same bits, builds none and reads the same seven
+        assert len(built) == cold and all(p is q for p, q in zip(proportions, again, strict=True))
+
+    @given(
+        st.lists(
+            st.integers(0, 40).flatmap(
+                lambda a: st.tuples(
+                    st.just(a),
+                    st.one_of(st.just(a), st.just(0), st.integers(0, 3 * a), st.integers(3 * a, 3 * a + 9)),
+                )
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(1, 10**9),
+    )
+    @settings(max_examples=100)
+    def test_the_proportion_cache_keeps_each_pair_and_one_zero(self, pairs, base):
+        # equal pairs, pairs with b >= 3a and dead bits, each reported on fresh objects twice
+        def proportions():
+            return [tolerance_report(Sequence(pair)).entries[0].proportion for pair in pairs]
+
+        first, again = proportions(), proportions()
+        zeros = set()
+        for (a, b), p, q in zip(pairs, first, again):
+            assert type(p) is Fraction and p == fraction_proportion(a, b)
+            assert q is p
+            if 3 * a <= b:
+                zeros.add(id(p))
+        # every clamped pair, a dead bit included, is one Fraction(0)
+        assert len(zeros) <= 1
+        # 300 distinct pairs (n, n + 1) keep the cache within its bound, and the clamped pairs' one 0
+        tolerance_report(Sequence(range(base, base + 301)))
+        assert _proportion.cache_info().currsize <= PROPORTION_PAIRS
+        zero = tolerance_report(Sequence((0, 1))).entries[0].proportion
+        assert zeros <= {id(zero)}
 
     def test_proportion_clamped_at_zero(self):
         entries = tolerance_report(Sequence((1, 3, 9))).entries

@@ -2,12 +2,14 @@
 
 The workflow parses as YAML, each of its steps runs a command or uses an
 action, none greps the source, and it installs the test extra that
-pyproject.toml names; the suite's warning filter lets a failing Hypothesis
-test report its falsifying example.
+pyproject.toml names, and its benchmark smoke runs cover every workload;
+the suite's warning filter lets a failing Hypothesis test report its
+falsifying example.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import shlex
 import subprocess
@@ -19,6 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 PYPROJECT = ROOT / "pyproject.toml"
+BENCHMARK = ROOT / "BENCHMARK.json"
 # a grep over src or scripts: the source rules live in tests/test_structure.py, which every tier-1 run checks
 SOURCE_GREP = re.compile(r"\bgrep\b.*\s(src|scripts)\b")
 
@@ -50,6 +53,22 @@ def test_ci_installs_the_test_extra():
     assert command[:4] == ["python", "-m", "pip", "install"], step
     extra = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["optional-dependencies"]["test"]
     assert sorted(command[4:]) == sorted(extra)
+
+
+def test_the_smoke_runs_cover_every_workload():
+    # each smoke run checks a workload's outputs against bench/ref.py; deleting one must fail here
+    yaml = pytest.importorskip("yaml")
+    doc = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    (step,) = [s for job in doc["jobs"].values() for s in job["steps"] if s.get("name") == "Benchmark smoke runs"]
+    script = step["run"]
+    assert 'for flag in "" -O; do' in script, script
+    plain, optimized = [runs.split() for runs in re.findall(r'runs="([^"]*)"', script)]
+    assert f'if [ -n "$flag" ]; then runs="{" ".join(optimized)}"; fi' in script, script
+    workloads = [w["name"] for w in json.loads(BENCHMARK.read_text(encoding="utf-8"))["workloads"]]
+    assert {f"{name}:1" for name in workloads} <= set(plain)
+    assert {"certify:4", "design-sweep:2", "plan-stream:2"} <= set(plain)
+    # cli-session's children start without -O whatever flag the bench runs under, so it runs plain only
+    assert optimized == [run for run in plain if not run.startswith("cli-session:")]
 
 
 def test_a_failing_hypothesis_test_reports_its_example(tmp_path):

@@ -8,6 +8,10 @@ Submodules load on first use: `import nims` imports none of them, and
 the first read of an exported name imports the one submodule that
 defines it and keeps the value in this module's globals, so every later
 read is a plain attribute lookup.
+
+Every exported record class sets __module__ to "nims", so a pickle names
+it nims.<class>, resolved through __getattr__ below, and keeps loading
+when the class moves between submodules; its repr is <class 'nims.X'>.
 """
 
 from __future__ import annotations

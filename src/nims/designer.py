@@ -61,6 +61,8 @@ class ToleranceRule(_Frozen):
     tolerance >= 0 are checked: a class that checks its input when built.
     """
 
+    __module__ = "nims"
+
     __slots__ = ("at_least", "tolerance")
     _fields = ("at_least", "tolerance")
     at_least: int
@@ -102,6 +104,8 @@ class DesignSpec(_Frozen):
     checks its input when built. The ratio's bound 1 < p/q <= 3 is tested
     in integers, as q < p <= 3q on its numerator and positive denominator.
     """
+
+    __module__ = "nims"
 
     __slots__ = ("a0", "msb_size", "target_total", "min_tolerance", "max_ratio")
     _fields = __slots__
@@ -188,6 +192,8 @@ class DesignResult(_Frozen):
 
     A class, since a NamedTuple would compare the metadata too.
     """
+
+    __module__ = "nims"
 
     __slots__ = ("sequence", "metadata")
     _fields = __slots__
@@ -303,6 +309,8 @@ class CandidateColumn(NamedTuple):
 
 class ComparisonTable(NamedTuple):
     """Candidate layouts side by side, as compare_logics tabulates them. A NamedTuple."""
+
+    __module__ = "nims"
 
     lsb_count: int
     msb_size: int

@@ -57,6 +57,8 @@ SIDES = (("positive", "step_pos_ma"), ("negative", "step_neg_ma"))
 class DeviceBit(NamedTuple):
     """One data row of a device file. A NamedTuple."""
 
+    __module__ = "nims"
+
     index: int
     junctions: int
     step_pos_ma: float
@@ -67,6 +69,8 @@ class DeviceBit(NamedTuple):
 
 class DeviceMetadata(NamedTuple):
     """The preamble of a device file; extras holds the keys beyond METADATA_KEYS. A NamedTuple."""
+
+    __module__ = "nims"
 
     frequency_hz: float
     temperature_k: float
@@ -86,6 +90,8 @@ class DeviceMetadata(NamedTuple):
 
 class DeviceRecord(NamedTuple):
     """A parsed device file: its bits in order and its metadata. A NamedTuple."""
+
+    __module__ = "nims"
 
     bits: tuple[DeviceBit, ...]
     metadata: DeviceMetadata
@@ -226,6 +232,8 @@ class MarginViolation(NamedTuple):
 
 class MarginReport(NamedTuple):
     """Operating-margin statistics of both signed sides, and every violation. A NamedTuple."""
+
+    __module__ = "nims"
 
     threshold_ma: float
     min_positive_ma: float

@@ -53,6 +53,8 @@ class DefectMap(_Frozen):
     that checks its input when built; it does not hash, since missing is a dict.
     """
 
+    __module__ = "nims"
+
     __slots__ = ("_missing",)
     _fields = ("missing",)
 
@@ -155,6 +157,8 @@ class ScanEntry(NamedTuple):
 
 class ScanReport(NamedTuple):
     """A worst-case scan: its budget, a row per bit and the oracle checks made. A NamedTuple."""
+
+    __module__ = "nims"
 
     budget: int
     entries: tuple[ScanEntry, ...]

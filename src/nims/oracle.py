@@ -63,6 +63,8 @@ class SumSet(_Frozen):
     leaves out mask.
     """
 
+    __module__ = "nims"
+
     _fields = ("mask", "span", "beta_radius")
     _shown = ("span", "beta_radius")
     span: int
@@ -110,7 +112,10 @@ class SumSet(_Frozen):
         return (self.mask >> i) & full == full
 
     def gaps(self, lo: int, hi: int) -> tuple[tuple[int, int], ...]:
-        """Missing integers inside [lo, hi], as intervals."""
+        """Missing integers inside [lo, hi], as intervals.
+
+        Listed from above the run of set bits the window opens with.
+        """
         if lo > hi:
             return ()
         offset = self.span + self.beta_radius
@@ -121,11 +126,16 @@ class SumSet(_Frozen):
         last = min(hi + offset, self.mask.bit_length() - 1)
         if first > last:
             return ((lo, hi),)
-        full = (1 << (last - first + 1)) - 1
-        # the complement within the window: XOR with full costs less than
-        # ~, which builds a negative int of the whole shifted mask first
-        missing = (self.mask >> first) & full ^ full
-        out = _runs(missing, first - offset)
+        # one carry finds the window's first gap: start is first when the
+        # window opens on one, past last when no gap is inside
+        window = self.mask >> first
+        start = first + (window ^ (window + 1)).bit_length() - 1
+        out = []
+        if start <= last:
+            full = (1 << (last - start + 1)) - 1
+            # the complement within the window: XOR with full costs less than
+            # ~, which builds a negative int of the whole shifted mask first
+            out = _runs((self.mask >> start) & full ^ full, start - offset)
         if lo + offset < first:
             out.insert(0, (lo, first - 1 - offset))
         if hi + offset > last:
@@ -206,25 +216,24 @@ def _runs(x: int, shift: int = 0) -> list[tuple[int, int]]:
 def _reach(bits: tuple[int, ...], a0_offset: bool, cap: int) -> tuple[int | None, int, int]:
     """The oracle kernel: (mask, total, radius) of the reachable sums, mask None while one run.
 
-    The one cap rule, _check_cap, raises RangeError when the
-    total exceeds the cap, and InvalidInput when the cap is not an int,
-    so a float cap such as NaN or inf is refused, never compared. The
-    three are a SumSet's mask, span and beta_radius; None stands for the
-    one run of all 2*(total + radius) + 1 sums from -(total + radius) up,
-    which SumSet holds by its width. The walk over the one run is most of a
-    small sequence's cost, so each bit costs one comparison and one integer
-    add (CPython specialises int add, not int multiply): one iterator walks
-    the bits, with no counter, and a set that stays one run reads its
-    total off the width, (width - 1) / 2 - radius, with no sum() pass.
-    From the bit that breaks the walk, the same iterator carries on into
-    the bitset, where each run of k equal bits a is added at once: the
-    digit sums of k copies of a are the multiples -ka..ka, so the set
-    becomes S | S << a | ... | S << 2ka (bits shifted up by ka). That is
-    built by doubling, S |= S << step*a with step at most the multiples
-    already held plus one, in about log2(2k + 1) shift-ors where one bit
-    at a time takes 2k. The cap is checked on either path before any
-    bitset int is built; the rule runs only for a cap whose class is not
-    int or that the total exceeds, so an int cap costs two tests.
+    The three are a SumSet's mask, span and beta_radius; None stands for
+    the one run of all 2*(total + radius) + 1 sums from -(total + radius)
+    up, which SumSet holds by its width. The walk over the one run is most
+    of a small sequence's cost, so each bit costs one comparison and one
+    integer add (CPython specialises int add, not int multiply): one
+    iterator walks the bits, with no counter, and a set that stays one run
+    reads its total off the width, (width - 1) / 2 - radius, with no sum()
+    pass. From the bit that breaks the walk, the bits go into the bitset
+    smallest first, which keeps the int narrow while the small bits go in
+    and makes equal bits anywhere one run (the sums do not depend on the
+    order). A run of k equal bits a adds the multiples -ka..ka at once, by
+    doubling: S |= S << step*a, each step at most the multiples already
+    held plus one, in about log2(2k + 1) shift-ors where one bit at a time
+    takes 2k. On either path the total meets the cap before any bitset int
+    is built: the one cap rule, _check_cap (RangeError past the cap,
+    InvalidInput for a cap that is not an int, so NaN or inf is refused,
+    never compared), runs only for a cap whose class is not int or that
+    the total exceeds, so an int cap costs two tests.
     """
     a0 = bits[0]
     radius = a0 - 1 if a0_offset and a0 else 0
@@ -244,7 +253,7 @@ def _reach(bits: tuple[int, ...], a0_offset: bool, cap: int) -> tuple[int | None
     if cap.__class__ is not int or total > cap:
         _check_cap(total, cap)
     reach = (1 << width) - 1
-    for a, equal in groupby((a, *rest)):
+    for a, equal in groupby(sorted((a, *rest))):
         # k equal bits add the multiples 0, a, ..., 2ka: by doubling, each
         # step shifting by at most the multiples already held plus one
         most, held = 2 * len(tuple(equal)), 0
@@ -271,12 +280,13 @@ def reachable_sums(seq: Sequence, a0_offset: bool = False, *, cap: int = DEFAULT
     gap, the set is one Python int: bit v + t stands for the sum v, where t
     is the radius plus the bits added so far, so adding bit a is
     S | S << a | S << 2a: the int is only as wide as the sums it holds and
-    nothing shifts right. A run of k equal bits a adds the multiples 0, a,
-    ..., 2ka at once, built by doubling: 4 shift-ors for the device's seven
-    5,760-junction bits, where one bit at a time takes 14. The final set
-    takes about 2*(total + a_0) bits. The loop is _reach, the kernel
-    is_complete shares. A set that stays one run is returned held by its
-    width, with no int built until something reads its mask.
+    nothing shifts right. The bits from there on are added smallest first,
+    and a run of k equal bits a adds the multiples 0, a, ..., 2ka at once,
+    built by doubling: 5 shift-ors for the device's twelve 5,760-junction
+    bits, and 10 for all 15 of its banks, against 14 in layout order. The
+    final set takes about 2*(total + a_0) bits. The loop is _reach, the
+    kernel is_complete shares. A set that stays one run is returned held
+    by its width, with no int built until something reads its mask.
 
     Raises RangeError when the sequence total exceeds the cap, and
     InvalidInput when the cap is not an int, by the one cap rule.

@@ -47,6 +47,8 @@ FIXED_KEYS = ("V", "f", "f_adjusted")
 class Representation:
     """Digits in {-1, 0, +1} per bit plus the residual beta."""
 
+    __module__ = "nims"
+
     signs: tuple[int, ...]
     beta: int
     target_m: int
@@ -62,6 +64,8 @@ class Representation:
 @dataclass(frozen=True, init=False)
 class BiasPlan:
     """One planned bias point: the multiple, its digits and the retuned frequency."""
+
+    __module__ = "nims"
 
     target_voltage: float
     base_frequency_hz: float

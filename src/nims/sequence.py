@@ -95,6 +95,8 @@ class Sequence(_Frozen):
     about 0.4 us for the AttributeError it formats.
     """
 
+    __module__ = "nims"
+
     __slots__ = ("bits", "_descent", "_tolerances", "_report")
     _fields = ("bits",)
     bits: tuple[int, ...]
@@ -192,6 +194,8 @@ class ValidationReport(_Frozen):
     cached properties need.
     """
 
+    __module__ = "nims"
+
     _fields = ("complete_capable", "_bits")
     _shown = ("strict_valid", "complete_capable", "violations")
     complete_capable: bool
@@ -232,6 +236,8 @@ class PrefixSums(NamedTuple):
     thresholds[n] adds the first bit on top: the magnitude at which the
     representation loop must activate bit n+1.
     """
+
+    __module__ = "nims"
 
     totals: tuple[int, ...]
     thresholds: tuple[int, ...]
@@ -391,6 +397,8 @@ def _descent(seq: Sequence) -> tuple:
 class RangeCheckReport(NamedTuple):
     """A full-range sweep: how many targets it round-tripped and each failure. A NamedTuple."""
 
+    __module__ = "nims"
+
     checked: int
     failures: tuple[tuple[int, str], ...]
 
@@ -494,6 +502,8 @@ class BitTolerance(NamedTuple):
 
 class ToleranceReport(NamedTuple):
     """Every bit's tolerance, least significant first. A NamedTuple."""
+
+    __module__ = "nims"
 
     entries: tuple[BitTolerance, ...]
 

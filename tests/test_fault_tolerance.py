@@ -23,6 +23,7 @@ from nims import (
     design,
     is_complete,
     oracle_gaps,
+    reachable_sums,
     tolerance_report,
     validate,
     within_tolerance,
@@ -31,7 +32,15 @@ from nims import (
 from nims.fault_tolerance import ORACLE_SAMPLES, ScanEntry
 from nims.sequence import PROPORTION_PAIRS, UPPER, _fraction_and_zero, _proportion, _tolerance_table
 
-from .conftest import INCAPABLE_MESSAGES, any_bits, capable_bits, fraction_proportion, interval_dp_sums
+from .conftest import (
+    INCAPABLE_MESSAGES,
+    any_bits,
+    capable_bits,
+    fraction_proportion,
+    growing_width_sums,
+    interval_dp_sums,
+    regex_runs,
+)
 
 
 @st.composite
@@ -44,11 +53,37 @@ def runs_of_bits(draw):
 
 NIMS1_TOLERANCES = (0, 0, 1, 1, 1, 2, 4, 6, 303, 5333, 5333, 5333, 5333, None)
 NIMS2_TOLERANCES = (0, 0, 2, 4, 6, 6, 12, 378, 5866, 5866, 5866, 5866, 5866, None)
+MEASURED_BITS = (
+    2, 6, 18, 54, 162, 480, 1434, 3574,
+    5759, 5760, 5760, 5760, 5760, 5760, 5759,
+    5760, 5760, 5760, 5760, 5760, 5760, 5760, 5730,
+)
 MEASURED_TOLERANCES = (
     0, 0, 0, 0, 2, 2, 242, 1654,
     3839, 3840, 3840, 3840, 3840, 3840, 3839,
     3840, 3840, 3840, 3840, 3840, 3840, 3850, None,
 )
+
+
+@st.composite
+def device_defect_maps(draw) -> dict[int, int]:
+    """Defects on one to three bits of the measured device, as the certify benchmark draws them.
+
+    Each count is within the bit's tolerance, which keeps the set one run,
+    just past it, which breaks the walk, or anywhere up to the whole bit.
+    """
+    missing = {}
+    for n in draw(st.sets(st.integers(0, len(MEASURED_BITS) - 1), min_size=1, max_size=3)):
+        bit, tolerance = MEASURED_BITS[n], MEASURED_TOLERANCES[n]
+        if tolerance is None:
+            tolerance = bit - 1
+        counts = [st.integers(1, bit)]
+        if tolerance:
+            counts.append(st.integers(1, tolerance))
+        if tolerance < bit:
+            counts.append(st.integers(tolerance + 1, min(bit, tolerance + 51)))
+        missing[n] = draw(st.one_of(counts))
+    return missing
 
 
 class TestToleranceReport:
@@ -66,6 +101,7 @@ class TestToleranceReport:
         assert t7 != 20
 
     def test_device_column(self, measured):
+        assert measured.bits == MEASURED_BITS
         assert tuple(e.tolerance for e in tolerance_report(measured).entries) == MEASURED_TOLERANCES
 
     def test_proportions_exact(self, nims1):
@@ -490,6 +526,22 @@ class TestOracleGaps:
         if below <= span:
             expected.append((below, span))
         assert list(gaps) == expected
+
+    @given(device_defect_maps())
+    @example({0: 2})  # 7,164 gaps
+    @example({5: 23, 19: 3622})  # two gaps, in the top 2% of the span
+    @example({2: 18, 5: 2})  # gaps from near sum 1: almost nothing to skip
+    @example({17: 1840})  # splits the 5,760-junction banks
+    @settings(max_examples=100, deadline=None)
+    def test_device_maps_match_the_in_order_references(self, measured, missing):
+        # the mask against the bitset grown one bit at a time in layout order,
+        # and the gaps against the complement of [-span, span] read by a regex
+        defective, _ = apply_defects(measured, DefectMap(missing))
+        mask, span, radius = growing_width_sums(defective.bits, True)
+        assert reachable_sums(defective, a0_offset=True).mask == mask
+        window = (1 << 2 * span + 1) - 1
+        expected = [(lo - span, hi - span) for lo, hi in regex_runs(~(mask >> radius) & window)]
+        assert list(oracle_gaps(defective)[1]) == expected
 
     def test_a_within_tolerance_map_builds_no_mask(self, measured):
         # every bit below the last loses its whole tolerance, and the set stays one run

@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,16 @@ def test_import_nims_loads_no_submodule():
     proc = _fresh("-c", "import sys, nims; print(sorted(m for m in sys.modules if m.startswith('nims')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['nims']"
+
+
+def test_a_pickle_loads_through_the_lazy_public_name():
+    # a fresh interpreter finds nims.SumSet by nims.__getattr__, which loads
+    # the oracle and the sequence module it builds on, and nothing else
+    data = pickle.dumps(nims.reachable_sums(nims.Sequence((1, 3, 10))))
+    load = "import pickle, sys; print(pickle.loads(bytes.fromhex(sys.argv[1])), sorted(m for m in sys.modules if 'nims' in m))"
+    proc = _fresh("-c", load, data.hex())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "SumSet(span=14, beta_radius=0) ['nims', 'nims.errors', 'nims.oracle', 'nims.sequence']"
 
 
 @pytest.mark.parametrize("command", MODULES)

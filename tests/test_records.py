@@ -4,15 +4,19 @@ Each record keeps the ==, hash, repr, pickling, to_doc and refusal to
 assign that it had as a frozen dataclass: equal field values compare
 equal and hash as the tuple of the compared fields, the repr names every
 shown field, a pickled copy compares equal, and no attribute can be set
-or deleted.
+or deleted. Every record class nims exports pickles by its public name,
+nims.<class>, not by the submodule that defines it.
 """
 
 from __future__ import annotations
 
 import copy
+import io
 import pickle
 
 import pytest
+
+import nims
 
 from nims import (
     DefectMap,
@@ -348,6 +352,39 @@ def test_classes_are_not_tuples(name):
     record = make()
     assert not isinstance(record, tuple)
     assert record != _key(record, fields)
+
+
+# the record classes nims exports: every exported class but the errors
+EXPORTED = [
+    name
+    for name, value in ((name, getattr(nims, name)) for name in nims.__all__)
+    if isinstance(value, type) and not issubclass(value, Exception)
+]
+
+
+class _NamedClasses(pickle.Unpickler):
+    """Loads a pickle and keeps the (module, name) of every class its bytes name."""
+
+    def __init__(self, data: bytes) -> None:
+        super().__init__(io.BytesIO(data))
+        self.named: list[tuple[str, str]] = []
+
+    def find_class(self, module_name: str, name: str) -> object:
+        self.named.append((module_name, name))
+        return super().find_class(module_name, name)
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_exported_records_pickle_by_the_public_name(name):
+    make, _, shown, _ = RECORDS[name]
+    record = make()
+    assert type(record).__module__ == "nims" and repr(type(record)) == f"<class 'nims.{name}'>"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loader = _NamedClasses(pickle.dumps(record, protocol))
+        loaded = loader.load()
+        assert type(loaded) is type(record) and loaded == record and repr(loaded) == shown
+        assert ("nims", name) in loader.named
+        assert not [named for named in loader.named if named[0].startswith("nims.") and named[1] == name]
 
 
 def test_design_result_equality_leaves_out_the_metadata():

@@ -360,6 +360,23 @@ class TestReachableSums:
         gaps = sums.gaps(-sums.span, sums.span)
         assert gaps == ((-5, -5), (5, 5))
 
+    @pytest.mark.parametrize(
+        "lo,hi,expected",
+        [
+            (-4, 4, ()),  # inside the central run: the skip reaches past hi
+            (-2, 3, ()),
+            (5, 14, ((5, 5),)),  # the first sum is missing: nothing skipped, the gap kept
+            (5, 5, ((5, 5),)),
+            (-20, 20, ((-20, -15), (-5, -5), (5, 5), (15, 20))),  # from below the lowest bit to above the top
+            (6, 20, ((15, 20),)),  # a run up to the top, then the clipped end
+            (3, 2, ()),  # lo > hi
+            (-50, -60, ()),
+        ],
+    )
+    def test_gap_windows_at_the_edges(self, lo, hi, expected):
+        # the set of 1, 3, 10 is -14..-6, -4..4 and 6..14
+        assert reachable_sums(Sequence((1, 3, 10))).gaps(lo, hi) == expected
+
     def test_cap_guard(self):
         with pytest.raises(RangeError):
             reachable_sums(Sequence((1, 3, 9)), cap=5)

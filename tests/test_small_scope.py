@@ -2,11 +2,12 @@
 
 The scope is every sequence of one to four bits, each bit from 0 to
 NIMS_SMALL_SCOPE (default 9: 11,110 sequences; 12 gives 30,940). The oracle
-(oracle._reach, read by reachable_sums and is_complete, and
-oracle._window_gaps, read by oracle_gaps) is checked against the digit
-sums listed one digit vector at a time, and the chain rule
-(sequence._chain_capable) against its statement here, with the coverage it
-implies; the chain gate (sequence._require_capable) must refuse exactly
+(oracle._reach, read by reachable_sums and is_complete;
+oracle._window_gaps, read by oracle_gaps; and SumSet.gaps from every lo
+to the top of the set, which skips the run its window opens with) is
+checked against the digit sums listed one digit vector at a time, and the
+chain rule (sequence._chain_capable) against its statement here, with the
+coverage it implies; the chain gate (sequence._require_capable) must refuse exactly
 where the rule fails, naming the POSITIVITY and UPPER violations. On
 every chain-capable sequence, represent, which reads the table
 sequence._descent builds, must round-trip every target in
@@ -97,6 +98,19 @@ def gaps(bits):
     return oracle_gaps(Sequence(bits))[1] == missing_runs(widened_sums(bits), -total, total)
 
 
+def gaps_to_the_top(bits):
+    """SumSet.gaps(lo, top) for every lo from below the set's lowest sum to its top, with and without the residual."""
+    for a0_offset, sums in ((False, digit_sums(bits)), (True, widened_sums(bits))):
+        reached = reachable_sums(Sequence(bits), a0_offset=a0_offset)
+        top = reached.span + reached.beta_radius
+        listed = missing_runs(sums, -top - 2, top)
+        for lo in range(-top - 2, top + 1):
+            expected = tuple((max(a, lo), b) for a, b in listed if b >= lo)
+            if reached.gaps(lo, top) != expected:
+                return False
+    return True
+
+
 def chain_verdict(bits):
     """The library's chain verdict is the rule above, and the chain implies coverage of [-A_N, A_N]."""
     total = sum(bits)
@@ -182,6 +196,7 @@ CHECKS = {
     "oracle._reach by reachable_sums count, a0_offset": (widened_count, SCOPE_BITS),
     "oracle._reach by is_complete": (complete, SCOPE_BITS),
     "oracle._window_gaps by oracle_gaps": (gaps, SCOPE_BITS),
+    "oracle.SumSet.gaps from every lo to the top": (gaps_to_the_top, SCOPE_BITS),
     "sequence._chain_capable by validate, and the chain implies coverage": (chain_verdict, SCOPE_BITS),
     "sequence._require_capable, refusing where the chain breaks": (gate, SCOPE_BITS),
     "sequence._tolerance_table, safe and sharp": (tolerances, CAPABLE_BITS),

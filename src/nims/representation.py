@@ -23,7 +23,9 @@ seq that is not a Sequence (InvalidInput), one not completeness capable
 so the table's bound, below 2**63, is tested after the limit, and
 multiplies a float without leaving float range. Representation and
 BiasPlan are frozen dataclasses, for dataclasses.replace, each built by
-one update of the instance dict instead of one object.__setattr__ a field.
+one item store into the instance dict a field, in field order: cheaper
+than one update call with keywords, which builds a dict of them first,
+and far cheaper than one object.__setattr__ a field.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from .sequence import Sequence, _descent, _integer, _require_type
 from .units import JOSEPHSON_HZ_PER_VOLT, _require_finite, _require_frequency, fixed_decimal
 
 DEFAULT_BAND_HALF_WIDTH = 0.005
+# the default band's edges as factors of the drive frequency, the floats plan multiplies by
+_BAND_LOW = 1 - DEFAULT_BAND_HALF_WIDTH
+_BAND_HIGH = 1 + DEFAULT_BAND_HALF_WIDTH
 
 # the plan's floats that JSON, CSV and the table print in fixed notation
 FIXED_KEYS = ("V", "f", "f_adjusted")
@@ -55,7 +60,11 @@ class Representation:
     expressed_m: int
 
     def __init__(self, signs: tuple[int, ...], beta: int, target_m: int, expressed_m: int) -> None:
-        self.__dict__.update(signs=signs, beta=beta, target_m=target_m, expressed_m=expressed_m)
+        d = self.__dict__
+        d["signs"] = signs
+        d["beta"] = beta
+        d["target_m"] = target_m
+        d["expressed_m"] = expressed_m
 
     def to_doc(self) -> dict:
         return {"m": self.target_m, "signs": list(self.signs), "beta": self.beta}
@@ -87,16 +96,15 @@ class BiasPlan:
         frequency_shift: float,
         in_band: bool,
     ) -> None:
-        self.__dict__.update(
-            target_voltage=target_voltage,
-            base_frequency_hz=base_frequency_hz,
-            m_target=m_target,
-            representation=representation,
-            adjusted_frequency_hz=adjusted_frequency_hz,
-            achieved_voltage=achieved_voltage,
-            frequency_shift=frequency_shift,
-            in_band=in_band,
-        )
+        d = self.__dict__
+        d["target_voltage"] = target_voltage
+        d["base_frequency_hz"] = base_frequency_hz
+        d["m_target"] = m_target
+        d["representation"] = representation
+        d["adjusted_frequency_hz"] = adjusted_frequency_hz
+        d["achieved_voltage"] = achieved_voltage
+        d["frequency_shift"] = frequency_shift
+        d["in_band"] = in_band
 
     def to_doc(self) -> dict:
         return {
@@ -163,15 +171,22 @@ def represent(m: int, seq: Sequence) -> Representation:
 
 
 def evaluate(rep: Representation, seq: Sequence) -> int:
-    """Recover the integer rep denotes over seq; either of another type is InvalidInput."""
+    """Recover the integer rep denotes over seq.
+
+    InvalidInput when rep or seq is of another type, the digits and bits
+    differ in number, a digit is not -1, 0 or 1, or a digit or the
+    residual is not a plain int: 1.0 and True pass `in (-1, 0, 1)`.
+    """
     _require_type("rep", rep, Representation)
     _require_type("seq", seq, Sequence)
     if len(rep.signs) != len(seq.bits):
         raise InvalidInput(
             f"representation has {len(rep.signs)} digits, sequence has {len(seq.bits)} bits"
         )
-    if any(s not in (-1, 0, 1) for s in rep.signs):
+    if any(type(s) is not int or s not in (-1, 0, 1) for s in rep.signs):
         raise InvalidInput("digits must be -1, 0, or +1")
+    if type(rep.beta) is not int:
+        raise InvalidInput(f"residual must be an integer, got {repr_text(rep.beta)}")
     return sum(s * a for s, a in zip(rep.signs, seq.bits)) + rep.beta
 
 
@@ -187,15 +202,26 @@ def _round_half_away(x: float) -> int:
 
 
 def _resolve_band(freq_hz: float, band: tuple[float, float] | None) -> tuple[float, float]:
+    """The band's (low, high) edges around the freq_hz that _require_frequency accepted.
+
+    The default band skips the checks, which it cannot fail: 0 < low <=
+    freq_hz <= high (high may be inf). An explicit band is read as one
+    tuple first, as Sequence reads its bits, so no check uses up an iterator.
+    """
     if band is None:
-        lo, hi = freq_hz * (1 - DEFAULT_BAND_HALF_WIDTH), freq_hz * (1 + DEFAULT_BAND_HALF_WIDTH)
+        return freq_hz * _BAND_LOW, freq_hz * _BAND_HIGH
+    try:
+        edges = tuple(band)
+    except (TypeError, ValueError):  # not iterable, or its iteration failed
+        edges = None
     else:
-        try:
-            for edge in band:
-                _require_finite("frequency band edge", edge)
-            lo, hi = band
-        except (TypeError, ValueError):  # not iterable, or not two edges
-            raise InvalidInput(f"bad frequency band {repr_text(band)}: expected two edges (low, high)") from None
+        for edge in edges:
+            _require_finite("frequency band edge", edge)
+    if edges is None or len(edges) != 2:
+        # an iterator is named by the edges it gave: its own repr holds an address
+        named = edges if edges is not None and iter(band) is band else band
+        raise InvalidInput(f"bad frequency band {repr_text(named)}: expected two edges (low, high)")
+    lo, hi = edges
     if not 0 < lo <= hi:
         raise InvalidInput(f"bad frequency band ({lo}, {hi})")
     if not lo <= freq_hz <= hi:
@@ -239,14 +265,15 @@ def plan(volts: float, freq_hz: float, seq: Sequence, band: tuple[float, float] 
     rep = _greedy(m_target, seq.bits, steps)
     if volts == 0:
         return BiasPlan(volts, freq_hz, 0, rep, freq_hz, 0.0, 0.0, True)
-    if rep.expressed_m == 0:
+    expressed = rep.expressed_m
+    if expressed == 0:
         raise DegenerateTarget(
             f"{volts} V rounds to expressed multiple 0; retuning cannot reach it"
         )
-    adjusted = volts * JOSEPHSON_HZ_PER_VOLT / rep.expressed_m
+    adjusted = volts * JOSEPHSON_HZ_PER_VOLT / expressed
     if adjusted <= 0:
         raise DegenerateTarget("expressed multiple opposes the requested voltage")
-    achieved = rep.expressed_m * adjusted / JOSEPHSON_HZ_PER_VOLT
+    achieved = expressed * adjusted / JOSEPHSON_HZ_PER_VOLT
     shift = abs(adjusted - freq_hz) / freq_hz
     return BiasPlan(
         volts, freq_hz, m_target, rep, adjusted, achieved, shift, lo <= adjusted <= hi

@@ -46,6 +46,7 @@ from nims import (
     build_report,
     compare_logics,
     design,
+    evaluate,
     is_complete,
     load_device,
     margin_report,
@@ -275,6 +276,31 @@ MALFORMED = {
         "bad frequency band (1000000000.0,): expected two edges (low, high)",
     ),
     "a number for a band": (lambda: plan(1.0, 1e10, SEQ, band=5), "bad frequency band 5: expected two edges (low, high)"),
+    # read as one tuple first, so the checks use up no iterator, which is named by its edges, not its address
+    "a generator of three edges for a band": (
+        lambda: plan(1.0, 1e10, SEQ, band=(edge for edge in (9e9, 1e10, 1.1e10))),
+        "bad frequency band (9000000000.0, 10000000000.0, 11000000000.0): expected two edges (low, high)",
+    ),
+    "a list of one edge for a band": (
+        lambda: plan(1.0, 1e10, SEQ, band=[1e9]),
+        "bad frequency band [1000000000.0]: expected two edges (low, high)",
+    ),
+    "a float for a digit": (
+        lambda: evaluate(Representation((1.0, 0, 0), 0, 1, 1), SEQ),
+        "digits must be -1, 0, or +1",
+    ),
+    "a bool for a digit": (
+        lambda: evaluate(Representation((True, 0, 0), 0, 1, 1), SEQ),
+        "digits must be -1, 0, or +1",
+    ),
+    "a float for a residual": (
+        lambda: evaluate(Representation((1, 0, 0), 0.5, 1, 1), SEQ),
+        "residual must be an integer, got 0.5",
+    ),
+    "a bool for a residual": (
+        lambda: evaluate(Representation((1, 0, 0), True, 1, 1), SEQ),
+        "residual must be an integer, got True",
+    ),
     "a list of pairs for a defect map": (
         lambda: DefectMap([(0, 1)]),
         "defects must be a mapping of bit index to count, got [(0, 1)]",

@@ -456,3 +456,23 @@ def test_dataclasses_left_rebuild_with_replace(name):
         assert all(getattr(changed, other) == getattr(record, other) for other in fields if other != field)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, "changed")
+
+
+@pytest.mark.parametrize("name", DATACLASSES)
+def test_item_store_records_keep_the_dataclass_contract(name):
+    # each constructor stores its fields one item at a time into the instance dict, in field order, which
+    # repr and asdict follow; assignment and replace of every field are pinned above
+    import dataclasses
+
+    make, fields, shown, _ = RECORDS[name]
+    record = make()
+    assert list(vars(record)) == [field.name for field in dataclasses.fields(record)] == list(fields)
+    assert list(dataclasses.asdict(record)) == list(fields) and repr(record) == shown
+    changed = dataclasses.replace(record, **{fields[1]: "changed"})
+    assert list(vars(changed)) == list(fields) and getattr(changed, fields[1]) == "changed"
+    for field in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, field)
+    copies = [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies + [copy.copy(record), copy.deepcopy(record)]:
+        assert other == record and list(vars(other)) == list(fields) and repr(other) == shown

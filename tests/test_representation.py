@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import struct
 import subprocess
 import sys
 from unittest.mock import patch
@@ -12,11 +14,13 @@ from hypothesis import strategies as st
 
 import nims.sequence
 from nims import (
+    BiasPlan,
     DEFAULT_BAND_HALF_WIDTH,
     DegenerateTarget,
     InvalidInput,
     InvalidSequence,
     JOSEPHSON_HZ_PER_VOLT,
+    NimsError,
     OutOfRange,
     RangeError,
     Sequence,
@@ -27,9 +31,9 @@ from nims import (
     represent,
     represent_range_check,
 )
-from nims.representation import FIXED_KEYS, _round_half_away
+from nims.representation import FIXED_KEYS, _resolve_band, _round_half_away
 from nims.sequence import PrefixSums
-from nims.units import fixed_decimal
+from nims.units import _require_frequency, fixed_decimal
 
 from .conftest import (
     INCAPABLE_MESSAGES,
@@ -134,6 +138,22 @@ class TestEvaluate:
         rep = Representation((2, 0, 0), 0, 2, 2)
         with pytest.raises(InvalidInput):
             evaluate(rep, REFERENCE)
+
+    @given(capable_bits(max_total=2000), st.data())
+    @settings(max_examples=100)
+    def test_the_kernel_gives_plain_ints(self, seq, data):
+        bound = seq.total + seq.bits[0] - 1
+        m = data.draw(st.integers(-bound, bound))
+        volts = m * 1.8e10 / JOSEPHSON_HZ_PER_VOLT
+        reps = [represent(m, seq)]
+        try:
+            reps.append(plan(volts, 1.8e10, seq).representation)
+        except DegenerateTarget:
+            pass
+        for rep in reps:
+            assert {type(s) for s in rep.signs} <= {int}
+            assert type(rep.beta) is type(rep.target_m) is type(rep.expressed_m) is int
+            assert type(evaluate(rep, seq)) is int and evaluate(rep, seq) == rep.target_m
 
 
 class TestAudit:
@@ -608,6 +628,14 @@ class TestPlan:
         with pytest.raises(InvalidInput, match="must be finite"):
             plan(1.0, 18.01e9, measured, (17.9e9, math.inf))
 
+    def test_an_iterator_of_two_edges_plans_as_the_tuple(self, measured):
+        # the band is read as one tuple before its checks, which would otherwise use the iterator up
+        for volts in (1.0, 0.0, -2.5):
+            expected = plan(volts, 18.01e9, measured, (17.9e9, 18.1e9))
+            for band in (iter([17.9e9, 18.1e9]), (edge for edge in (17.9e9, 18.1e9)), [17.9e9, 18.1e9]):
+                got = plan(volts, 18.01e9, measured, band)
+                assert got == expected and repr(got) == repr(expected)
+
     def test_incapable_sequence(self):
         # alike on every call: a refusal leaves no table on the sequence
         for bits, violations in INCAPABLE_MESSAGES.items():
@@ -668,6 +696,44 @@ class TestPlan:
             with pytest.raises(RangeError) as excinfo:
                 plan(1.0, 1e10, seq)
             assert str(excinfo.value) == "sequence total exceeds 4611686018427387904"
+
+
+class TestDefaultBand:
+    """_resolve_band returns the default band without its checks, which no accepted frequency fails."""
+
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(5e-324)
+    @example(sys.float_info.max)
+    @example(1.0)
+    def test_is_the_old_expression_and_holds_the_frequency(self, freq):
+        _require_frequency(freq)  # the drawn frequency is one plan accepts
+        lo, hi = _resolve_band(freq, None)
+        old = (freq * (1 - DEFAULT_BAND_HALF_WIDTH), freq * (1 + DEFAULT_BAND_HALF_WIDTH))
+        assert struct.pack("<2d", lo, hi) == struct.pack("<2d", *old)
+        assert 0 < lo <= freq <= hi
+
+    @given(st.integers(0, 2), st.floats(1e8, 1e12), st.floats(-1.1, 1.1))
+    @settings(max_examples=300)
+    @example(0, 18.01e9, 0.0)
+    @example(0, 18.01e9, 1e-9)
+    @example(0, 18.01e9, 1.003)
+    @example(1, 18.01e9, -1.05)
+    def test_plans_as_the_explicit_band_of_the_same_edges(self, measured, nims1, nims2, which, freq, share):
+        # share of the headroom at the base frequency: past 1.0 the multiple is clamped, past 1.005 refused
+        seq = (measured, nims1, nims2)[which]
+        volts = share * (seq.total + seq.bits[0] - 1) * freq / JOSEPHSON_HZ_PER_VOLT
+        band = (freq * (1 - DEFAULT_BAND_HALF_WIDTH), freq * (1 + DEFAULT_BAND_HALF_WIDTH))
+        try:
+            default = plan(volts, freq, seq)
+        except NimsError as exc:
+            with pytest.raises(type(exc)) as caught:
+                plan(volts, freq, seq, band)
+            assert str(caught.value) == str(exc)
+        else:
+            explicit = plan(volts, freq, seq, band)
+            for field in dataclasses.fields(BiasPlan):
+                assert repr(getattr(default, field.name)) == repr(getattr(explicit, field.name)), field.name
+            assert default == explicit
 
 
 class TestPlanRunsTheGreedy:

@@ -129,6 +129,20 @@ def _stored_tables(tree: ast.AST) -> Iterator[ast.AST]:
             yield node
 
 
+def _dict_updates(tree: ast.AST) -> Iterator[ast.AST]:
+    # a record fills its instance dict with one item store a field: update(**fields) first builds a dict
+    # of the keywords, which made each plan call measurably slower (representation.py's records)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "update"
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "__dict__"
+        ):
+            yield node
+
+
 # what oracle.py may import from sequence: the Sequence, the record base and the type refusal
 ORACLE_IMPORTS = {"Sequence", "_Frozen", "_require_type"}
 # the chain verdict, its wording and the greedy's table, which the oracle never names
@@ -194,6 +208,19 @@ RULES = (
         "no-gc-import", _gc_imports, LIBRARY, None,
         ("import gc", "import os, gc", "from gc import disable", "import gc as collector"),
         ("import gcd", "from math import gcd", "from .gc import x"),
+    ),
+    Rule(
+        "no-dict-update", _dict_updates, LIBRARY, None,
+        (
+            "self.__dict__.update(signs=signs, beta=beta)",
+            "def __init__(self, a):\n    self.__dict__.update({'a': a})",
+            "record.__dict__.update(fields)",
+        ),
+        (
+            'd = self.__dict__\nd["signs"] = signs\nd["beta"] = beta',
+            "self.fields.update(signs=signs)",
+            "cache.update(self.__dict__)",
+        ),
     ),
     # sequence._require_capable words every capability refusal, and only sequence.py names a
     # Sequence's stored report or words its violations, so each sequence is judged in one place

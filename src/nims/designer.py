@@ -222,9 +222,8 @@ def design(spec: DesignSpec) -> DesignResult:
     before, the banks and the trim positive), so the layout is built by
     sequence._unchecked_sequence, without the constructor's checks. It is
     then checked: an incapable one is refused by sequence._require_capable,
-    whose report stays on it, and each distinct bit size's required
-    tolerance is asked once, against the one tolerance table,
-    _tolerance_table, which stays on the new Sequence too.
+    and each distinct bit size's required tolerance is asked once, against
+    _tolerance_table; the report and that table stay stored on the layout.
     spec must be a DesignSpec, else InvalidInput.
     """
     _require_type("spec", spec, DesignSpec)
@@ -354,8 +353,8 @@ def compare_logics(
     leading stretch, and every bit's tolerance. The ratios are compared by
     integer cross-multiplication and summed as one numerator/denominator
     pair, its denominator kept at the lcm of the bits, so each reported
-    Fraction is built once. The tolerances are the candidate's shared
-    table, sequence._tolerance_table. lsb_count and msb_size are
+    Fraction is built once. The tolerances are sequence._tolerance_table,
+    stored on the candidate. lsb_count and msb_size are
     read and checked by _comparison_sizes, and each candidate must be a
     (name, Sequence) pair with a str name, else InvalidInput.
     """

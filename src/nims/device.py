@@ -324,7 +324,7 @@ def plausibility_lints(rec: DeviceRecord) -> tuple[str, ...]:
 def build_report(rec: DeviceRecord, min_margin_ma: float = 1.0) -> dict:
     """Combined device summary used by the CLI report command.
 
-    The tolerance rows read the sequence's one table, _tolerance_table;
+    The tolerance rows read _tolerance_table, stored on the sequence;
     retuned_resolution_v is None when bit 0 holds no junctions.
     """
     _require_type("rec", rec, DeviceRecord)

@@ -6,7 +6,7 @@ than t_n from a single bit always breaks the chain there; losing up to
 t_n from every bit at once still leaves the chain intact. The last bit
 has no chain successor, so losing up to a_N - 1 there only shrinks the
 range; losing all of it breaks positivity. The table of t_n is
-sequence._tolerance_table's, kept on each Sequence, and
+sequence._tolerance_table's, stored on each Sequence, and
 sequence.tolerance_report reports it. This module holds the defect
 audits: it applies a defect map, checks one against the table, and scans
 the worst single-bit defects, cross-checked with the reachability

@@ -16,8 +16,8 @@ multiple past the table's bound that the band top still reaches: it is
 clamped to the bound.
 
 The two entry points, represent and plan, read their own arguments, then
-the table sequence._descent keeps on seq, and run the kernel _greedy on
-its rows. Building the table refuses, on every call and in this order, a
+the table sequence._descent stores on seq, and run the kernel _greedy on
+its rows. Reading the table refuses, on every call and in this order, a
 seq that is not a Sequence (InvalidInput), one not completeness capable
 (InvalidSequence) and one whose total exceeds TOTAL_LIMIT (RangeError);
 so the table's bound, below 2**63, is tested after the limit, and

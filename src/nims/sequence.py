@@ -81,23 +81,18 @@ class Sequence(_Frozen):
 
     Built from any iterable of non-bool integers, at least one, none
     negative; int subclasses are stored as plain ints. Not a tuple: len()
-    and iteration give the bits. Three private slots, built and read in
-    this module alone: _descent the greedy's per-bit table, once the
-    function _descent has built it; _tolerances every bit's tolerance,
-    once _tolerance_table has built it; and _report, the report validate
-    returns, None until the first validate call stores it (enumerate_nims
-    stores the strict report on each sequence it lists, and
-    _capable_sequence a capable one on each it builds).
-    Only bits is a field, so equality, hash, repr and pickling leave the
-    three out: a copy starts without the tables and with _report None.
-    _report is set by every constructor, never left unset, since validate
-    reads it on every call and reading an unset slot raises, which costs
-    about 0.4 us for the AttributeError it formats.
+    and iteration give the bits. Two private slots, read in this module
+    alone: _tables, a dict of the tables built from the bits by builder
+    name, unset until _stored keeps the first; and _report, validate's
+    report or None. Only bits is a field, so equality, hash, repr and
+    pickling leave both out, and a copy starts bare. Every constructor
+    sets _report, which validate reads on every call: an unset slot's
+    AttributeError costs about 0.4 us to format.
     """
 
     __module__ = "nims"
 
-    __slots__ = ("bits", "_descent", "_tolerances", "_report")
+    __slots__ = ("bits", "_report", "_tables")
     _fields = ("bits",)
     bits: tuple[int, ...]
 
@@ -134,7 +129,7 @@ class Sequence(_Frozen):
 def _require_type(name: str, value: object, kind: type) -> None:
     """Refuse a value that is not a kind: InvalidInput "<name> must be a(n) <kind>, got <value!r>".
 
-    The one wording of a wrong-type refusal. validate, _descent, and the
+    The one wording of a wrong-type refusal. validate, _stored, and the
     oracle's reachable_sums and is_complete, which run in timed loops,
     check seq only when their first read of it raises AttributeError; the
     oracle's cap rule, _check_cap, checks a cap.
@@ -142,6 +137,30 @@ def _require_type(name: str, value: object, kind: type) -> None:
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
         raise InvalidInput(f"{name} must be {article} {kind.__name__}, got {repr_text(value)}") from None
+
+
+def _stored(build):
+    """build(seq), kept in seq's _tables under build's name: built by the first read, reused after.
+
+    The one reader and writer of _tables. A non-Sequence is refused
+    (_require_type); a build that raises stores nothing.
+    """
+    key = build.__name__
+
+    @functools.wraps(build)
+    def read(seq: Sequence):
+        try:
+            return seq._tables[key]
+        except AttributeError:  # an unset slot: no table stored yet, or not a Sequence
+            _require_type("seq", seq, Sequence)
+            tables = {}
+        except KeyError:  # another table stored, not this one
+            tables = seq._tables
+        table = tables[key] = build(seq)
+        object.__setattr__(seq, "_tables", tables)
+        return table
+
+    return read
 
 
 def _unchecked_sequence(bits: tuple[int, ...]) -> Sequence:
@@ -360,16 +379,14 @@ def prefix_sums(seq: Sequence) -> PrefixSums:
     return PrefixSums(tuple(totals), tuple(t + a0 for t in totals))
 
 
+@_stored
 def _descent(seq: Sequence) -> tuple:
-    """The greedy's table for seq, built and stored on seq the first time: (bound, steps).
+    """The greedy's table for seq, kept by _stored: (bound, steps).
 
-    The one place the table is built, read by representation.represent,
-    represent_range_check and representation.plan. Building refuses a seq
-    that is not a Sequence (_require_type), not capable (the chain gate,
-    _require_capable, which reads seq's stored report) or whose total
-    passes TOTAL_LIMIT (prefix_sums' RangeError) on every call, as a
-    refusal stores no table; so each of the three readers refuses the
-    limit before any test of its own on the bound.
+    Read by represent, represent_range_check and plan, each of which it
+    refuses, on every call and in this order, a seq that is not a Sequence
+    (_stored), not capable (_require_capable) or whose total passes
+    TOTAL_LIMIT (prefix_sums), before they test the bound.
     bound is A_N + a_0 - 1. steps holds one row (n, a_n, threshold,
     -threshold, slack, -slack) per bit from the top down to bit 0,
     threshold and slack being the running total below bit n plus a_0 and
@@ -377,10 +394,6 @@ def _descent(seq: Sequence) -> tuple:
     its slack the residual bound. The negated columns are stored so that
     the kernel representation._greedy negates nothing.
     """
-    try:
-        return seq._descent
-    except AttributeError:  # an unset slot: not built yet, or not a Sequence
-        _require_type("seq", seq, Sequence)
     _require_capable(seq)
     totals, thresholds = prefix_sums(seq)
     bits = seq.bits
@@ -389,9 +402,7 @@ def _descent(seq: Sequence) -> tuple:
     for n in range(len(bits) - 1, 0, -1):
         t, slack = thresholds[n - 1], totals[n - 1] + a0 - 1
         rows.append((n, bits[n], t, -t, slack, -slack))
-    table = (totals[-1] + a0 - 1, (*rows, (0, a0, a0, -a0, a0 - 1, 1 - a0)))
-    object.__setattr__(seq, "_descent", table)
-    return table
+    return totals[-1] + a0 - 1, (*rows, (0, a0, a0, -a0, a0 - 1, 1 - a0))
 
 
 class RangeCheckReport(NamedTuple):
@@ -469,20 +480,14 @@ def represent_range_check(seq: Sequence) -> RangeCheckReport:
     return RangeCheckReport(2 * bound + 1, tuple(failures))
 
 
+@_stored
 def _tolerance_table(seq: Sequence) -> tuple[int | None, ...]:
-    """t_n = max(0, a_n - ceil(a_{n+1}/3)) for every bit of seq, None for the last.
+    """t_n = max(0, a_n - ceil(a_{n+1}/3)) for every bit of seq, None for the last; kept by _stored.
 
-    The one statement of the tolerance rule, in integers. The first reader
-    of a Sequence object builds the table into its private _tolerances
-    slot; every later reader of that object reuses it.
+    The one statement of the tolerance rule, in integers.
     """
-    try:
-        return seq._tolerances
-    except AttributeError:  # an unset slot: not built yet
-        bits = seq.bits
-        table = (*[t if (t := a - (b + 2) // 3) > 0 else 0 for a, b in zip(bits, bits[1:])], None)
-        object.__setattr__(seq, "_tolerances", table)
-        return table
+    bits = seq.bits
+    return (*[t if (t := a - (b + 2) // 3) > 0 else 0 for a, b in zip(bits, bits[1:])], None)
 
 
 class BitTolerance(NamedTuple):
@@ -561,13 +566,9 @@ def tolerance_report(seq: Sequence) -> ToleranceReport:
     no tolerance bound: removing its junctions only reduces range, never
     completeness of what remains. seq must be a Sequence, else InvalidInput.
 
-    Each proportion comes from _proportion, which builds a pair's Fraction
-    once per process while the pair stays among its last PROPORTION_PAIRS,
-    and gives every clamped pair one shared Fraction(0). So the equal banks
-    of a designed layout, whose pairs (a, a) all give 2/3, hold one
-    Fraction between them, and so do the pairs that designs share.
-    Each entry is built by tuple.__new__ from its five fields, without the
-    NamedTuple's own Python-level __new__.
+    Each proportion comes from _proportion, so equal pairs, such as a
+    designed layout's equal banks, share one Fraction. Each entry is built
+    by tuple.__new__ from its five fields, without the NamedTuple's __new__.
     """
     _require_type("seq", seq, Sequence)
     bits = seq.bits

@@ -209,6 +209,12 @@ def eager_validate(seq: Sequence) -> ValidationReport:
     return ValidationReport(not violations, capable, tuple(violations))
 
 
+def plant_table(seq: Sequence, builder, table) -> Sequence:
+    """seq, holding table in its stored-table map under builder's key, as if builder had built it."""
+    object.__setattr__(seq, "_tables", {**getattr(seq, "_tables", {}), builder.__name__: table})
+    return seq
+
+
 def descent_rows(rep, seq) -> list[tuple[int, int]]:
     """(bit, remainder) after each step of the greedy, from the top bit down to bit 0.
 

@@ -32,6 +32,7 @@ from .conftest import (
     capable_bits,
     fraction_chain,
     fraction_column,
+    plant_table,
     three_clause_leads,
 )
 
@@ -317,15 +318,15 @@ class TestDesign:
     def test_the_post_check_table_stays_on_the_designed_sequence(self, monkeypatch):
         # design, tolerance_report and compare_logics share one tolerance table: a
         # hand-built one, 9 for every bit below the last where the rule gives 0 to
-        # 3840, is stored in the slot of the sequence design builds, and all three read it
+        # 3840, is stored in the map of the sequence design builds, and all three read it
         spec = DesignSpec(a0=2, msb_size=5760, target_total=92098, min_tolerance=(ToleranceRule(100, 2),))
-        planted, table = Sequence(design(spec).sequence.bits), (9,) * 22 + (None,)
-        object.__setattr__(planted, "_tolerances", table)
+        table = (9,) * 22 + (None,)
+        planted = plant_table(Sequence(design(spec).sequence.bits), nims.sequence._tolerance_table, table)
         monkeypatch.setattr(nims.designer, "_unchecked_sequence", lambda _: planted)
         seq = design(spec).sequence
         report = tolerance_report(seq)
         column = compare_logics(len(seq), 5760, [("designed", seq)]).candidates[0]
-        assert seq is planted and seq._tolerances is table and column.tolerances is table
+        assert seq is planted and seq._tables["_tolerance_table"] is table and column.tolerances is table
         assert tuple(e.tolerance for e in report.entries) == table
 
     @given(

@@ -39,6 +39,7 @@ from .conftest import (
     fraction_proportion,
     growing_width_sums,
     interval_dp_sums,
+    plant_table,
     regex_runs,
 )
 
@@ -438,15 +439,13 @@ class TestWorstCaseScan:
     def test_sharpness_check_fires_at_the_budget(self):
         # bit 2 of (1, 3, 8, 20) tolerates 1; a table one below that leaves the
         # chain capable one junction past the tolerance, exactly at the budget
-        seq = Sequence((1, 3, 8, 20))
-        object.__setattr__(seq, "_tolerances", (0, 0, 0, None))
+        seq = plant_table(Sequence((1, 3, 8, 20)), _tolerance_table, (0, 0, 0, None))
         with pytest.raises(AssertionError, match="^bit 2 survived 1 missing junctions, above its tolerance$"):
             worst_case_scan(seq, 1)
 
     def test_oracle_cross_check_fires(self):
         # a table that calls bit 0 of (1, 3, 8) safe at 1 leaves (0, 3, 8), which misses 1
-        seq = Sequence((1, 3, 8))
-        object.__setattr__(seq, "_tolerances", (1, 0, None))
+        seq = plant_table(Sequence((1, 3, 8)), _tolerance_table, (1, 0, None))
         with pytest.raises(AssertionError, match="^scan certified bit 0 safe at 1 but the oracle found a gap$"):
             worst_case_scan(seq, 1)
 
@@ -558,37 +557,37 @@ class TestOracleGaps:
 class TestWithinTolerance:
     def test_a_sequence_computes_its_tolerances_once(self, measured):
         # a hand-built table, one junction below the rule's at bit 6, is read and never rebuilt
-        seq = Sequence(measured.bits)
         table = (*MEASURED_TOLERANCES[:6], 241, *MEASURED_TOLERANCES[7:])
-        object.__setattr__(seq, "_tolerances", table)
+        seq = plant_table(Sequence(measured.bits), _tolerance_table, table)
         within, past = DefectMap({6: 241, 22: 5}), DefectMap({6: 242})
         assert all(within_tolerance(seq, within) for _ in range(50))
         assert not any(within_tolerance(seq, past) for _ in range(50))
-        assert seq._tolerances is table
+        assert seq._tables["_tolerance_table"] is table
 
     def test_every_reader_reads_the_one_table(self, measured):
-        # a Sequence whose _tolerances slot records each store and each read
+        # a Sequence whose _tables slot records each store and each read of its map
         stores, reads = [], []
-        slot = Sequence._tolerances
+        slot = Sequence._tables
 
         class Recorded(Sequence):
             __slots__ = ()
 
             @property
-            def _tolerances(self):
+            def _tables(self):
                 reads.append(slot.__get__(self))
                 return reads[-1]
 
-            @_tolerances.setter
-            def _tolerances(self, table):
-                stores.append(table)
-                slot.__set__(self, table)
+            @_tables.setter
+            def _tables(self, tables):
+                stores.append(tables)
+                slot.__set__(self, tables)
 
         seq = Recorded(measured.bits)
         assert within_tolerance(seq, DefectMap({6: 242}))
         scan = worst_case_scan(seq, 3)
         report = tolerance_report(seq)
         column = compare_logics(len(seq), 5760, [("device", seq)]).candidates[0]
-        assert stores == [MEASURED_TOLERANCES]
-        assert len(reads) == 3 and all(table is stores[0] for table in reads) and column.tolerances is stores[0]
-        assert tuple(e.tolerance for e in scan.entries) == tuple(e.tolerance for e in report.entries) == stores[0]
+        assert stores == [{"_tolerance_table": MEASURED_TOLERANCES}]
+        table = stores[0]["_tolerance_table"]
+        assert len(reads) == 3 and all(tables is stores[0] for tables in reads) and column.tolerances is table
+        assert tuple(e.tolerance for e in scan.entries) == tuple(e.tolerance for e in report.entries) == table

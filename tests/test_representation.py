@@ -43,6 +43,7 @@ from .conftest import (
     fraction_round_half_away,
     lean_range_check,
     percall_descend,
+    plant_table,
 )
 
 REFERENCE = Sequence((1, 3, 8))
@@ -270,7 +271,7 @@ def test_invariants_survive_optimize_flag(corrupt_totals, message):
     assert message in proc.stdout
 
 
-# Hand-built descent tables, stored in a fresh sequence's _descent slot, that
+# Hand-built descent tables, stored in a fresh sequence's map under _descent, that
 # put one invariant check exactly at its bound or one past it. Over (1, 3, 8),
 # bit 2 leaves the remainder -1 for 7 and +1 for -7, against a slack of 1 and
 # then of 0. Over (2, 6, 18), no bit above a_0 = 2 activates, so bit 0's row
@@ -310,7 +311,7 @@ if __debug__:
     sys.exit("not running under -O")
 
 seq = Sequence({bits!r})
-object.__setattr__(seq, "_descent", {table!r})
+object.__setattr__(seq, "_tables", {{"_descent": {table!r}}})
 try:
     print(repr(represent({m!r}, seq)))
 except AssertionError as exc:
@@ -321,14 +322,13 @@ except AssertionError as exc:
 def test_the_descent_table_holds_the_slack_column():
     seq = Sequence((2, 6, 18))
     represent(0, seq)
-    assert seq._descent == (27, ((2, 18, 10, -10, 9, -9), (1, 6, 4, -4, 3, -3), (0, 2, 2, -2, 1, -1)))
+    assert seq._tables["_descent"] == (27, ((2, 18, 10, -10, 9, -9), (1, 6, 4, -4, 3, -3), (0, 2, 2, -2, 1, -1)))
 
 
 @pytest.mark.parametrize("case", AT_THE_BOUNDS)
 def test_invariant_checks_fire_exactly_past_their_bounds(case):
     bits, table, m, outcome = AT_THE_BOUNDS[case]
-    seq = Sequence(bits)
-    object.__setattr__(seq, "_descent", table)
+    seq = plant_table(Sequence(bits), nims.sequence._descent, table)
     if outcome.startswith("Representation("):
         assert repr(represent(m, seq)) == outcome
     else:
@@ -468,10 +468,8 @@ def walk_rows(table):
 
 
 def sweep_table(bits, table):
-    """represent_range_check of a fresh sequence whose _descent slot holds table."""
-    seq = Sequence(bits)
-    object.__setattr__(seq, "_descent", table)
-    return represent_range_check(seq)
+    """represent_range_check of a fresh sequence whose stored _descent table is table."""
+    return represent_range_check(plant_table(Sequence(bits), nims.sequence._descent, table))
 
 
 # (1, 3, 8) with bit 2's row given the digits {0, +1}: its lower threshold is below every remainder

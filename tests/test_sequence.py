@@ -38,7 +38,17 @@ from nims import (
     worst_case_scan,
 )
 from nims.oracle import _reach, _runs, _window_gaps
-from nims.sequence import LOWER, POSITIVITY, UPPER, TOTAL_LIMIT, _chain_capable, csv_rows, read_json
+from nims.sequence import (
+    LOWER,
+    POSITIVITY,
+    TOTAL_LIMIT,
+    UPPER,
+    _chain_capable,
+    _descent,
+    _tolerance_table,
+    csv_rows,
+    read_json,
+)
 
 from .conftest import (
     INCAPABLE_MESSAGES,
@@ -283,6 +293,52 @@ class TestOneVerdictPerSequence:
         seq = design(DesignSpec(a0=1, msb_size=9, target_total=40)).sequence
         compare_logics(3, 9, [("designed", seq)])
         assert counted == {"_chain_capable": [seq.bits], "_violations": []}
+
+
+class TestStoredTables:
+    """The tables built from a Sequence's bits are kept in its one private map, which no value or copy shows."""
+
+    @given(any_bits())
+    @settings(max_examples=200)
+    def test_a_stored_table_never_leaks_into_a_value(self, seq):
+        tables = [_tolerance_table(seq)]
+        if validate(seq).complete_capable:
+            tables.append(_descent(seq))
+        assert list(seq._tables.values()) == tables
+        fresh = Sequence(seq.bits)
+        assert seq == fresh and hash(seq) == hash(fresh) and repr(seq) == repr(fresh)
+        copies = [copy.copy(seq), copy.deepcopy(seq)]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(seq, protocol) == pickle.dumps(fresh, protocol)
+            copies.append(pickle.loads(pickle.dumps(seq, protocol)))
+        for other in copies:
+            assert type(other) is Sequence and other == seq and not hasattr(other, "_tables")
+        assert _tolerance_table(seq) is tables[0] and (len(tables) == 1 or _descent(seq) is tables[1])
+
+    @pytest.mark.parametrize(
+        ("bits", "error", "message"),
+        [
+            ((1, 2, 7), InvalidSequence, "sequence is not completeness capable: bit 2 is 7, above three times bit 1 (2)"),
+            ((TOTAL_LIMIT, TOTAL_LIMIT), RangeError, f"sequence total exceeds {TOTAL_LIMIT}"),
+        ],
+        ids=["incapable", "past-total-limit"],
+    )
+    def test_a_refused_descent_table_is_refused_again_and_stores_nothing(self, bits, error, message):
+        # refused on a bare sequence and on one whose map already holds its tolerance table
+        bare, holding = Sequence(bits), Sequence(bits)
+        tolerances = _tolerance_table(holding)
+        for seq in (bare, holding):
+            for _ in range(2):
+                with pytest.raises(error) as caught:
+                    _descent(seq)
+                assert type(caught.value) is error and str(caught.value) == message
+        assert not hasattr(bare, "_tables") and holding._tables == {"_tolerance_table": tolerances}
+
+    @pytest.mark.parametrize("builder", [_descent, _tolerance_table], ids=["descent", "tolerance"])
+    def test_a_value_that_is_not_a_sequence_is_refused_before_any_build(self, builder):
+        for _ in range(2):
+            with pytest.raises(InvalidInput, match=r"^seq must be a Sequence, got \(1, 3, 8\)$"):
+                builder((1, 3, 8))
 
 
 class TestPrefixSums:

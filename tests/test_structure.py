@@ -122,10 +122,12 @@ def _total_limit_wordings(tree: ast.AST) -> Iterator[ast.AST]:
 
 
 def _stored_tables(tree: ast.AST) -> Iterator[ast.AST]:
-    # the _tolerances slot by any spelling, and the _descent slot as an attribute or a string;
-    # the function _descent, which builds and reads that slot, is called and imported by its name
+    # the _tables map by any spelling, and the retired per-table slots: _tolerances by any spelling,
+    # _descent as an attribute or a string; the function _descent is called and imported by its name
     for node, name in _names(tree):
-        if name == "_tolerances" or (name == "_descent" and isinstance(node, (ast.Attribute, ast.Constant))):
+        if name in ("_tables", "_tolerances") or (
+            name == "_descent" and isinstance(node, (ast.Attribute, ast.Constant))
+        ):
             yield node
 
 
@@ -149,6 +151,7 @@ ORACLE_IMPORTS = {"Sequence", "_Frozen", "_require_type"}
 CHAIN_NAMES = (
     "_chain_capable", "_lower_chain", "_strict_valid", "validate", "_tolerances", "_tolerance_table",
     "_violations", "_refusal", "_require_capable", "_report", "_STRICT_REPORT", "_descent", "prefix_sums",
+    "_tables",
 )
 
 
@@ -238,17 +241,26 @@ RULES = (
         ("ok = report.complete_capable", "text = 'completeness capable'", "seq._reports = ()"),
     ),
     # sequence.py declares, builds and reads a Sequence's stored tables, so each is kept in one place:
-    # the descent and tolerance tables here, the stored report in chain-gate-home
+    # the descent and tolerance tables in the _tables map here, the stored report in chain-gate-home;
+    # the retired per-table slots are flagged too, so a slot per table does not come back
     Rule(
         "stored-tables-home", _stored_tables, SRC, "sequence.py",
         (
+            "tables = seq._tables",
+            'object.__setattr__(seq, "_tables", {})',
+            'rows = seq._tables["_descent"]',
             "tolerances = seq._tolerances",
             'object.__setattr__(seq, "_tolerances", t)',
             "rows = seq._descent",
             "table = getattr(seq, '_descent')",
             "from .sequence import _tolerances",
         ),
-        ("bound, steps = _descent(seq)", "from .sequence import _descent", "table = _tolerance_table(seq)"),
+        (
+            "bound, steps = _descent(seq)",
+            "from .sequence import _descent",
+            "table = _tolerance_table(seq)",
+            "seq.tables = {}",
+        ),
     ),
     # only oracle.py reads a SumSet's private _one_run, so the oracle stays one piece beside its kernel
     Rule(
@@ -300,6 +312,7 @@ RULES = (
             "from nims import sequence",
             "ok = seq._report.complete_capable",
             "table = _descent(seq)",
+            "layers = seq._tables",
             "verdict = getattr(seq, '_report')",
             "from .sequence import Sequence, _check_cap",
         ),
@@ -307,6 +320,7 @@ RULES = (
             "from .sequence import Sequence, _Frozen, _require_type",
             "from .errors import RangeError",
             "from itertools import groupby",
+            "inner, low = _byte_tables()",
         ),
     ),
 )

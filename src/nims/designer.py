@@ -19,12 +19,11 @@ from .errors import Infeasible, InvalidInput, RangeError, fraction_text, int_tex
 from .sequence import (
     Sequence,
     _Frozen,
-    _capable_sequence,
     _integer,
+    _reported_sequence,
     _require_capable,
     _require_type,
     _tolerance_table,
-    _unchecked_sequence,
     csv_rows,
     read_json,
 )
@@ -220,10 +219,11 @@ def design(spec: DesignSpec) -> DesignResult:
     trimmed bank lead the full banks. The bits are plain ints formed from
     the spec's checked ints (a_0 >= 1, each chain bit larger than the one
     before, the banks and the trim positive), so the layout is built by
-    sequence._unchecked_sequence, without the constructor's checks. It is
-    then checked: an incapable one is refused by sequence._require_capable,
-    and each distinct bit size's required tolerance is asked once, against
-    _tolerance_table; the report and that table stay stored on the layout.
+    sequence._reported_sequence, without the constructor's checks and with
+    its chain judged. It is then checked: an incapable one is refused by
+    sequence._require_capable, reading that report, and each distinct bit
+    size's required tolerance is asked once, against _tolerance_table,
+    which stays stored on the layout beside the report.
     spec must be a DesignSpec, else InvalidInput.
     """
     _require_type("spec", spec, DesignSpec)
@@ -261,7 +261,7 @@ def design(spec: DesignSpec) -> DesignResult:
         else:
             banks.append(trim)
 
-    seq = _unchecked_sequence(tuple(chain + banks))
+    seq = _reported_sequence(tuple(chain + banks))
     bits = seq.bits
 
     # Post-verification: the greedy construction is supposed to guarantee
@@ -407,8 +407,8 @@ def standard_column(kind: str, msb_size: int, length: int) -> Sequence:
     kind must be a str naming one of STANDARD_RATIOS; msb_size and length
     are read by sequence._integer, and both must be positive. The bits are
     plain positive ints formed here, so the result is built by
-    sequence._capable_sequence, without the constructor's checks and with
-    the capable report already stored: each geometric bit is 2 or 3 times
+    sequence._reported_sequence, without the constructor's checks and with
+    a capable report stored unjudged: each geometric bit is 2 or 3 times
     the one below, and the banks follow only once the last geometric bit
     times the ratio reaches msb_size, so no bank is above three times its
     predecessor. compare_logics' chain gate then reads that report. The
@@ -427,4 +427,4 @@ def standard_column(kind: str, msb_size: int, length: int) -> Sequence:
     while bits[-1] * ratio < msb_size and len(bits) < length:
         bits.append(bits[-1] * ratio)
     bits += [msb_size] * (length - len(bits))
-    return _capable_sequence(tuple(bits))
+    return _reported_sequence(tuple(bits), capable=True)

@@ -25,6 +25,7 @@ from .sequence import (
     _chain_capable,
     _Frozen,
     _integer,
+    _reported_sequence,
     _require_capable,
     _require_type,
     _tolerance_table,
@@ -115,9 +116,10 @@ def _sequence_and_defects(seq: Sequence, defects: DefectMap) -> dict[int, int]:
 def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, ValidationReport]:
     """Subtract missing junctions and revalidate what is left.
 
-    The report's verdicts are set at once; its violations are worded only
-    if something reads them. seq must be a Sequence and defects a
-    DefectMap on its bits, else InvalidInput.
+    What is left is built by sequence._reported_sequence, which judges its
+    chain and stores the report validate returns; the violations are
+    worded only if something reads them. seq must be a Sequence and
+    defects a DefectMap on its bits, else InvalidInput.
     """
     missing = _sequence_and_defects(seq, defects)
     bits = list(seq.bits)
@@ -125,7 +127,7 @@ def apply_defects(seq: Sequence, defects: DefectMap) -> tuple[Sequence, Validati
         if cnt > bits[idx]:
             raise InvalidInput(f"bit {idx} holds {int_text(bits[idx])} junctions, cannot lose {int_text(cnt)}")
         bits[idx] -= cnt
-    defective = _unchecked_sequence(tuple(bits))
+    defective = _reported_sequence(tuple(bits))
     return defective, validate(defective)
 
 
@@ -190,8 +192,8 @@ def worst_case_scan(seq: Sequence, budget: int, *, cap: int = DEFAULT_ORACLE_CAP
 
     A sequence that is not completeness capable has no certificate to
     scan: the chain gate, sequence._require_capable, refuses it from the
-    report validate stores on seq. So every safe_up_to is at least 0, and
-    a SAFE placement the oracle finds a gap in is a fault of the scan,
+    report kept in seq's map. So every safe_up_to is at least 0, and a
+    SAFE placement the oracle finds a gap in is a fault of the scan,
     raised as AssertionError; so is a bit whose chain survives one
     junction past its tolerance. One pass over the bits and their
     tolerances writes each row and runs that bit's two checks, so the

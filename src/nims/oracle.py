@@ -291,12 +291,9 @@ def reachable_sums(seq: Sequence, a0_offset: bool = False, *, cap: int = DEFAULT
     Raises RangeError when the sequence total exceeds the cap, and
     InvalidInput when the cap is not an int, by the one cap rule.
     """
-    try:
-        bits = seq.bits
-    except AttributeError:
+    if seq.__class__ is not Sequence:
         _require_type("seq", seq, Sequence)
-        raise
-    return SumSet(*_reach(bits, a0_offset, cap))
+    return SumSet(*_reach(seq.bits, a0_offset, cap))
 
 
 def is_complete(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> bool:
@@ -310,12 +307,9 @@ def is_complete(seq: Sequence, *, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     lowest bit is the sum -(A_N + radius)). Independent of the chain
     predicate.
     """
-    try:
-        bits = seq.bits
-    except AttributeError:
+    if seq.__class__ is not Sequence:
         _require_type("seq", seq, Sequence)
-        raise
-    mask, total, radius = _reach(bits, True, cap)
+    mask, total, radius = _reach(seq.bits, True, cap)
     if mask is None:
         return True
     full = (1 << 2 * total + 1) - 1

@@ -76,23 +76,27 @@ class _Frozen:
         return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
+# The map every Sequence but enumerate_nims' results and _reported_sequence's starts on.
+# _stored replaces a map, never writes into one, so the shared maps never change.
+_NO_TABLES: dict = {}
+
+
 class Sequence(_Frozen):
     """Ordered junction counts, least significant bit first.
 
     Built from any iterable of non-bool integers, at least one, none
     negative; int subclasses are stored as plain ints. Not a tuple: len()
-    and iteration give the bits. Two private slots, read in this module
-    alone: _tables, a dict of the tables built from the bits by builder
-    name, unset until _stored keeps the first; and _report, validate's
-    report or None. Only bits is a field, so equality, hash, repr and
-    pickling leave both out, and a copy starts bare. Every constructor
-    sets _report, which validate reads on every call: an unset slot's
-    AttributeError costs about 0.4 us to format.
+    and iteration give the bits. One private slot, read in this module
+    alone: _tables, the map by builder name of what _stored built from
+    the bits, validate's report among them. Every constructor sets it,
+    most to the one shared empty map, so reading it never raises. Only
+    bits is a field, so equality, hash, repr and pickling leave the map
+    out, and a copy starts on the shared empty map.
     """
 
     __module__ = "nims"
 
-    __slots__ = ("bits", "_report", "_tables")
+    __slots__ = ("bits", "_tables")
     _fields = ("bits",)
     bits: tuple[int, ...]
 
@@ -109,7 +113,7 @@ class Sequence(_Frozen):
         if min(bits) < 0:
             raise InvalidInput("bits must be nonnegative (zero models a dead bit)")
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_tables", _NO_TABLES)
 
     @property
     def last_index(self) -> int:
@@ -129,10 +133,11 @@ class Sequence(_Frozen):
 def _require_type(name: str, value: object, kind: type) -> None:
     """Refuse a value that is not a kind: InvalidInput "<name> must be a(n) <kind>, got <value!r>".
 
-    The one wording of a wrong-type refusal. validate, _stored, and the
-    oracle's reachable_sums and is_complete, which run in timed loops,
-    check seq only when their first read of it raises AttributeError; the
-    oracle's cap rule, _check_cap, checks a cap.
+    The one wording of a wrong-type refusal. _stored, which validate and
+    the tables run in timed loops, checks seq only when reading its map
+    raises AttributeError, and the oracle's reachable_sums and is_complete
+    only when seq's class is not Sequence; the oracle's cap rule,
+    _check_cap, checks a cap.
     """
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
@@ -142,7 +147,10 @@ def _require_type(name: str, value: object, kind: type) -> None:
 def _stored(build):
     """build(seq), kept in seq's _tables under build's name: built by the first read, reused after.
 
-    The one reader and writer of _tables. A non-Sequence is refused
+    The one reader and writer of _tables. A store replaces seq's map with
+    a copy holding the new entry, read after the build, which may store
+    too (_descent's gate stores the report); no map is written into. A
+    non-Sequence, whose map read raises AttributeError, is refused
     (_require_type); a build that raises stores nothing.
     """
     key = build.__name__
@@ -151,13 +159,13 @@ def _stored(build):
     def read(seq: Sequence):
         try:
             return seq._tables[key]
-        except AttributeError:  # an unset slot: no table stored yet, or not a Sequence
+        except AttributeError:
             _require_type("seq", seq, Sequence)
-            tables = {}
-        except KeyError:  # another table stored, not this one
-            tables = seq._tables
-        table = tables[key] = build(seq)
-        object.__setattr__(seq, "_tables", tables)
+            raise
+        except KeyError:
+            pass
+        table = build(seq)
+        object.__setattr__(seq, "_tables", {**seq._tables, key: table})
         return table
 
     return read
@@ -173,22 +181,23 @@ def _unchecked_sequence(bits: tuple[int, ...]) -> Sequence:
     """
     seq = object.__new__(Sequence)
     object.__setattr__(seq, "bits", bits)
-    object.__setattr__(seq, "_report", None)
+    object.__setattr__(seq, "_tables", _NO_TABLES)
     return seq
 
 
-def _capable_sequence(bits: tuple[int, ...]) -> Sequence:
-    """_unchecked_sequence's Sequence, carrying the capable report from the start.
+def _reported_sequence(bits: tuple[int, ...], capable: bool | None = None) -> Sequence:
+    """_unchecked_sequence's Sequence, holding validate's report from the start.
 
-    The caller's precondition is _unchecked_sequence's, and more: its
-    construction makes the bits positive and keeps each at most three
-    times the one below, so validate would find them capable. The stored
-    report says so at once, as enumerate_nims stores _STRICT_REPORT, and
-    its strictness and violations are still worded from the bits when
-    first read.
+    The caller's precondition is _unchecked_sequence's. The verdict is
+    _chain_capable's, judged here, unless the caller passes capable=True
+    for bits its construction keeps positive and each at most three times
+    the one below. The report's strictness and violations are still
+    worded from the bits when first read.
     """
-    seq = _unchecked_sequence(bits)
-    object.__setattr__(seq, "_report", ValidationReport(True, bits))
+    seq = object.__new__(Sequence)
+    object.__setattr__(seq, "bits", bits)
+    verdict = _chain_capable(bits) if capable is None else capable
+    object.__setattr__(seq, "_tables", {"validate": ValidationReport(verdict, bits)})
     return seq
 
 
@@ -242,10 +251,10 @@ class ValidationReport(_Frozen):
         }
 
 
-# The one report every sequence enumerate_nims lists carries in its _report
-# slot. It judges no bits, which break no rule, so it equals, hashes, prints
-# and pickles as the report of any strictly valid sequence.
-_STRICT_REPORT = ValidationReport(True, ())
+# The one map every sequence enumerate_nims lists starts on. Its report judges
+# no bits, which break no rule, so it equals, hashes, prints and pickles as the
+# report of any strictly valid sequence.
+_STRICT_TABLES = {"validate": ValidationReport(True, ())}
 
 
 class PrefixSums(NamedTuple):
@@ -280,6 +289,7 @@ def _chain_capable(bits: tuple[int, ...]) -> bool:
     return True
 
 
+@_stored
 def validate(seq: Sequence) -> ValidationReport:
     """Check positivity plus both chain constraints; the report lists every violation.
 
@@ -288,21 +298,11 @@ def validate(seq: Sequence) -> ValidationReport:
     _chain_capable's verdict, set at once. The lower chain (including
     growth of the final pair) is what strictness adds: strict_valid and
     the violation list are read off _violations when something first
-    reads either. The first call stores the report in seq's _report slot
-    and later calls return it, so each Sequence is walked once and worded
-    at most once. A sequence enumerate_nims listed carries _STRICT_REPORT
-    there from the start, as it is strictly valid by construction, and one
-    _capable_sequence built carries a capable report.
+    reads either. The report is kept by _stored, so each Sequence is
+    walked once and worded at most once. enumerate_nims' results hold the
+    strict report from the start, and _reported_sequence's theirs.
     """
-    try:
-        report = seq._report
-    except AttributeError:
-        _require_type("seq", seq, Sequence)
-        raise
-    if report is None:
-        report = ValidationReport(_chain_capable(seq.bits), seq.bits)
-        object.__setattr__(seq, "_report", report)
-    return report
+    return ValidationReport(_chain_capable(seq.bits), seq.bits)
 
 
 def _violations(bits: tuple[int, ...]) -> tuple[Violation, ...]:
@@ -355,8 +355,8 @@ def _violations(bits: tuple[int, ...]) -> tuple[Violation, ...]:
 def _require_capable(seq: Sequence, what: str = "sequence", error: type = InvalidSequence) -> None:
     """The one chain gate: error "<what> is not completeness capable: <reasons>" where validate says so.
 
-    It reads the report validate stores on seq, so however often seq is
-    refused, its chain is walked and worded once. The reasons are the
+    It reads the report validate keeps in seq's map, so however often seq
+    is refused, its chain is walked and worded once. The reasons are the
     POSITIVITY and UPPER violations, the rules the predicate tests; the
     lower chain is strictness, so it is left out.
     """
@@ -607,7 +607,7 @@ def enumerate_nims(
 
     Every argument must be a non-bool int (else InvalidInput), checked once
     here: the search then forms only plain positive ints, so each result is
-    built by two slot stores, its bits and _STRICT_REPORT, without
+    built by two slot stores, its bits and the shared _STRICT_TABLES, without
     Sequence's per-bit checks. Its bounds are the lower and upper chain, so
     every result is strictly valid, and validate returns the stored report.
     """
@@ -656,11 +656,11 @@ def enumerate_nims(
         raise RangeError(f"enumeration exceeds {max_results} sequences")
     out: list[Sequence] = []
     new, append = object.__new__, out.append
-    set_bits, set_report = Sequence.bits.__set__, Sequence._report.__set__
+    set_bits, set_tables = Sequence.bits.__set__, Sequence._tables.__set__
     for bits in level:
         seq = new(Sequence)
         set_bits(seq, bits)
-        set_report(seq, _STRICT_REPORT)
+        set_tables(seq, _STRICT_TABLES)
         append(seq)
     return out
 

@@ -211,7 +211,7 @@ def eager_validate(seq: Sequence) -> ValidationReport:
 
 def plant_table(seq: Sequence, builder, table) -> Sequence:
     """seq, holding table in its stored-table map under builder's key, as if builder had built it."""
-    object.__setattr__(seq, "_tables", {**getattr(seq, "_tables", {}), builder.__name__: table})
+    object.__setattr__(seq, "_tables", {**seq._tables, builder.__name__: table})
     return seq
 
 

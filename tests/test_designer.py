@@ -247,8 +247,8 @@ class TestDesign:
     )
     def test_the_layout_carries_the_report_validate_gives(self, spec):
         seq = design(spec).sequence
-        fresh = validate(Sequence(seq.bits))
-        assert seq._report is not None and seq._report == fresh and seq._report.violations == fresh.violations
+        report, fresh = seq._tables["validate"], validate(Sequence(seq.bits))
+        assert validate(seq) is report and report == fresh and report.violations == fresh.violations
 
     def test_device_scale_chain_matches_measured_head(self, measured):
         spec = DesignSpec(
@@ -301,7 +301,7 @@ class TestDesign:
     def test_post_check_names_the_violations(self, monkeypatch):
         # the construction never yields an incapable layout, so substitute one
         for bits, violations in INCAPABLE_MESSAGES.items():
-            monkeypatch.setattr(nims.designer, "_unchecked_sequence", lambda _, bits=bits: Sequence(bits))
+            monkeypatch.setattr(nims.designer, "_reported_sequence", lambda _, bits=bits: Sequence(bits))
             with pytest.raises(Infeasible) as excinfo:
                 design(DesignSpec(a0=1, msb_size=3, target_total=6))
             assert str(excinfo.value) == "constructed layout is not completeness capable: " + violations
@@ -311,7 +311,7 @@ class TestDesign:
         # the same total whose second bit of 4, the one before the last, tolerates 0
         # where the rule asks for 1 (the first tolerates 2)
         spec = DesignSpec(a0=1, msb_size=9, target_total=22, min_tolerance=(ToleranceRule(3, 1),))
-        monkeypatch.setattr(nims.designer, "_unchecked_sequence", lambda _: Sequence((1, 2, 4, 4, 11)))
+        monkeypatch.setattr(nims.designer, "_reported_sequence", lambda _: Sequence((1, 2, 4, 4, 11)))
         with pytest.raises(Infeasible, match=r"^bit 3 \(size 4\) tolerates 0, needs 1$"):
             design(spec)
 
@@ -322,7 +322,7 @@ class TestDesign:
         spec = DesignSpec(a0=2, msb_size=5760, target_total=92098, min_tolerance=(ToleranceRule(100, 2),))
         table = (9,) * 22 + (None,)
         planted = plant_table(Sequence(design(spec).sequence.bits), nims.sequence._tolerance_table, table)
-        monkeypatch.setattr(nims.designer, "_unchecked_sequence", lambda _: planted)
+        monkeypatch.setattr(nims.designer, "_reported_sequence", lambda _: planted)
         seq = design(spec).sequence
         report = tolerance_report(seq)
         column = compare_logics(len(seq), 5760, [("designed", seq)]).candidates[0]
@@ -558,8 +558,8 @@ class TestCompare:
         assert column == Sequence(expected) and column.bits == expected
         assert all(type(b) is int for b in column.bits)
         # the stored report is the capable one a fresh validate words, violations included
-        report, fresh = column._report, validate(Sequence(expected))
-        assert report is not None and report.complete_capable
+        report, fresh = column._tables["validate"], validate(Sequence(expected))
+        assert validate(column) is report and report.complete_capable
         assert report == fresh and report.violations == fresh.violations
 
 

@@ -565,7 +565,7 @@ class TestWithinTolerance:
         assert seq._tables["_tolerance_table"] is table
 
     def test_every_reader_reads_the_one_table(self, measured):
-        # a Sequence whose _tables slot records each store and each read of its map
+        # a Sequence whose _tables slot records each map it is set to and each map read from it
         stores, reads = [], []
         slot = Sequence._tables
 
@@ -587,7 +587,10 @@ class TestWithinTolerance:
         scan = worst_case_scan(seq, 3)
         report = tolerance_report(seq)
         column = compare_logics(len(seq), 5760, [("device", seq)]).candidates[0]
-        assert stores == [{"_tolerance_table": MEASURED_TOLERANCES}]
-        table = stores[0]["_tolerance_table"]
-        assert len(reads) == 3 and all(tables is stores[0] for tables in reads) and column.tolerances is table
+        # the constructor's shared empty map, the table within_tolerance built, then the report
+        # worst_case_scan's gate kept beside that same table: one build, one object for every reader
+        table = stores[1]["_tolerance_table"]
+        held = [tables["_tolerance_table"] for tables in reads if "_tolerance_table" in tables]
+        assert len(held) == 6 and all(t is table for t in held) and column.tolerances is table
+        assert stores == [{}, {"_tolerance_table": MEASURED_TOLERANCES}, {**stores[1], "validate": validate(seq)}]
         assert tuple(e.tolerance for e in scan.entries) == tuple(e.tolerance for e in report.entries) == table

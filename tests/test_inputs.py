@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -454,6 +455,19 @@ def test_a_tuple_for_seq_is_invalid_input(name):
         with pytest.raises(InvalidInput) as caught:
             function(**{p.name: (1, 3, 8) if p.name == "seq" else BESIDE_SEQ[p.name] for p in required})
         assert str(caught.value) == "seq must be a Sequence, got (1, 3, 8)"
+
+
+# objects with a bits attribute that are not a Sequence: a device record, whose bits are records,
+# and a duck-typed tuple, whose bits the oracle would otherwise read as a sequence's
+HAS_BITS = {"device record": DEVICE, "duck-typed bits": namedtuple("Fake", "bits")((1, 3, 8))}
+
+
+@pytest.mark.parametrize("name", ["is_complete", "reachable_sums", "oracle_gaps"])
+@pytest.mark.parametrize("wrong", HAS_BITS.values(), ids=HAS_BITS)
+def test_the_oracle_refuses_a_value_with_bits_that_is_not_a_sequence(name, wrong):
+    with pytest.raises(InvalidInput) as caught:
+        getattr(nims, name)(wrong)
+    assert str(caught.value) == f"seq must be a Sequence, got {wrong!r}"
 
 
 # the record types a parameter other than seq may be annotated with

@@ -402,25 +402,28 @@ def test_cached_intervals_survive_pickling():
 
 
 def test_a_built_descent_table_stays_out_of_the_value():
-    # the descent table and the tolerance table, kept in the private _tables map, and
-    # the report, in its own slot; design leaves the tolerance table and the report of its post-check on
-    # the sequence it returns, represent's chain gate the report on the sequence
-    # it checked, and enumerate_nims the strict report on each it lists
+    # the descent table, the tolerance table and the report, kept in the private _tables map;
+    # design leaves the tolerance table and the report of its post-check on the sequence it
+    # returns, represent's chain gate the report on the sequence it checked, and
+    # enumerate_nims the strict report on each it lists
     checked = Sequence((1, 3, 8))
     represent(5, checked)
     within_tolerance(checked, DefectMap({}))
     designed = design(SPEC).sequence
     listed = enumerate_nims(1, 3, 8)[-1]
-    for built, keys in ((checked, ("_descent", "_tolerance_table")), (designed, ("_tolerance_table",)), (listed, ())):
+    for built, keys in (
+        (checked, {"validate", "_descent", "_tolerance_table"}),
+        (designed, {"validate", "_tolerance_table"}),
+        (listed, {"validate"}),
+    ):
         fresh = Sequence(built.bits)
-        for key in keys:
-            assert key in built._tables and not hasattr(fresh, "_tables")
-        assert built._report is validate(built) and fresh._report is None
+        assert set(built._tables) == keys and fresh._tables == {}
+        assert built._tables["validate"] is validate(built)
         assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
         copies = [pickle.loads(pickle.dumps(built, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for other in copies + [copy.copy(built), copy.deepcopy(built)]:
             assert type(other) is Sequence and other == built and hash(other) == hash(built)
-            assert not hasattr(other, "_tables") and other._report is None
+            assert other._tables == {}
 
 
 # the records bench/tests rebuild with dataclasses.replace

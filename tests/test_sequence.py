@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import nims.sequence
 from nims import (
     DEFAULT_ORACLE_CAP,
+    DefectMap,
     DesignSpec,
     InvalidInput,
     InvalidSequence,
@@ -34,7 +35,9 @@ from nims import (
     represent_range_check,
     sequence_from_file,
     standard_column,
+    tolerance_report,
     validate,
+    within_tolerance,
     worst_case_scan,
 )
 from nims.oracle import _reach, _runs, _window_gaps
@@ -45,7 +48,9 @@ from nims.sequence import (
     UPPER,
     _chain_capable,
     _descent,
+    _reported_sequence,
     _tolerance_table,
+    _unchecked_sequence,
     csv_rows,
     read_json,
 )
@@ -207,9 +212,9 @@ class TestValidate:
         # validate stores the report it builds, and every later call returns it
         for bits in ((2, 6, 18), (1, 3, 8), (1, 0, 2)):
             seq = Sequence(bits)
-            assert seq._report is None
+            assert seq._tables == {}
             first, second = validate(seq), validate(seq)
-            assert first is second and seq._report is first
+            assert first is second and seq._tables == {"validate": first}
             assert first == validate(Sequence(bits))
 
     def test_to_doc_round_trip(self):
@@ -286,7 +291,7 @@ class TestOneVerdictPerSequence:
             with pytest.raises(error) as caught:
                 call()
             assert str(caught.value) == f"{what} {reason}"
-        assert validate(seq) is seq._report and not validate(seq).complete_capable
+        assert validate(seq) is seq._tables["validate"] and not validate(seq).complete_capable
         assert counted == {"_chain_capable": [seq.bits], "_violations": [seq.bits]}
 
     def test_a_designed_sequence_is_compared_without_a_second_walk(self, counted):
@@ -301,8 +306,8 @@ class TestStoredTables:
     @given(any_bits())
     @settings(max_examples=200)
     def test_a_stored_table_never_leaks_into_a_value(self, seq):
-        tables = [_tolerance_table(seq)]
-        if validate(seq).complete_capable:
+        tables = [_tolerance_table(seq), validate(seq)]
+        if tables[1].complete_capable:
             tables.append(_descent(seq))
         assert list(seq._tables.values()) == tables
         fresh = Sequence(seq.bits)
@@ -312,8 +317,9 @@ class TestStoredTables:
             assert pickle.dumps(seq, protocol) == pickle.dumps(fresh, protocol)
             copies.append(pickle.loads(pickle.dumps(seq, protocol)))
         for other in copies:
-            assert type(other) is Sequence and other == seq and not hasattr(other, "_tables")
-        assert _tolerance_table(seq) is tables[0] and (len(tables) == 1 or _descent(seq) is tables[1])
+            assert type(other) is Sequence and other == seq and other._tables == {}
+        assert _tolerance_table(seq) is tables[0] and validate(seq) is tables[1]
+        assert len(tables) == 2 or _descent(seq) is tables[2]
 
     @pytest.mark.parametrize(
         ("bits", "error", "message"),
@@ -332,7 +338,42 @@ class TestStoredTables:
                 with pytest.raises(error) as caught:
                     _descent(seq)
                 assert type(caught.value) is error and str(caught.value) == message
-        assert not hasattr(bare, "_tables") and holding._tables == {"_tolerance_table": tolerances}
+        # the gate's report is kept, the refused table is not
+        assert bare._tables == {"validate": validate(bare)}
+        assert holding._tables == {"_tolerance_table": tolerances, "validate": validate(holding)}
+
+    def test_the_map_is_all_a_sequence_keeps(self):
+        # the report is a builder's entry like the two tables, so no slot of its own comes back
+        assert Sequence.__slots__ == ("bits", "_tables")
+        seq = Sequence((1, 3, 8))
+        assert validate(seq) is seq._tables["validate"] and validate.__wrapped__(seq) == validate(seq)
+
+    @given(any_bits(), st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=100)
+    def test_the_shared_maps_never_change(self, seq, a0, depth):
+        # every constructor, and every reader that stores, replaces a sequence's map and never writes into one
+        empty, strict = nims.sequence._NO_TABLES, nims.sequence._STRICT_TABLES
+        strict_report = strict["validate"]
+        bits = seq.bits
+        built = [seq, _unchecked_sequence(bits), _reported_sequence(bits), *enumerate_nims(a0, depth, 40)[:3]]
+        if _chain_capable(bits):
+            built.append(_reported_sequence(bits, capable=True))
+        for s in built:
+            within_tolerance(s, DefectMap({}))
+            tolerance_report(s)
+            if validate(s).complete_capable:
+                represent(0, s)
+                plan(0.0, 1e10, s)
+                worst_case_scan(s, 1)
+            else:
+                with pytest.raises(InvalidSequence):
+                    worst_case_scan(s, 1)
+            assert set(s._tables) <= {"validate", "_descent", "_tolerance_table"}
+            for other in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+                assert other._tables is empty
+        assert empty == {} and nims.sequence._NO_TABLES is empty
+        assert strict == {"validate": strict_report} and nims.sequence._STRICT_TABLES is strict
+        assert strict_report == validate(Sequence((1, 3, 8)))
 
     @pytest.mark.parametrize("builder", [_descent, _tolerance_table], ids=["descent", "tolerance"])
     def test_a_value_that_is_not_a_sequence_is_refused_before_any_build(self, builder):
@@ -819,8 +860,8 @@ class TestEnumerate:
             assert pickle.loads(pickle.dumps(report)) == fresh
             # a copy is rebuilt by the constructor: it starts with no stored report, then keeps its own
             for other in (copy.copy(s), pickle.loads(pickle.dumps(s))):
-                assert other == s and other._report is None
-                assert validate(other) == report and validate(other) is validate(other) is other._report
+                assert other == s and other._tables == {}
+                assert validate(other) == report and validate(other) is validate(other) is other._tables["validate"]
 
     @pytest.mark.parametrize(
         "args,max_results,listed",

@@ -18,6 +18,9 @@ it, and worst_case_scan must raise nothing at small budgets. The strict
 enumeration (sequence.enumerate_nims) must list, for every first bit and
 depth in the scope, exactly the scope sequences that meet the strict rules
 stated here, also when max_results is their count, and refuse one fewer.
+The report each constructor stores (sequence._reported_sequence, judging
+or told capable, and enumerate_nims' shared strict report) must equal
+validate's on a fresh Sequence in ==, hash, repr and to_doc.
 Each check is one test, named for its kernel, and lists the
 sequences (or, for the enumeration, the first bit and depth) it fails on.
 """
@@ -43,7 +46,15 @@ from nims import (
     validate,
     worst_case_scan,
 )
-from nims.sequence import POSITIVITY, UPPER, _chain_capable, _require_capable, _tolerance_table, _violations
+from nims.sequence import (
+    POSITIVITY,
+    UPPER,
+    _chain_capable,
+    _reported_sequence,
+    _require_capable,
+    _tolerance_table,
+    _violations,
+)
 
 SCOPE = int(os.environ.get("NIMS_SMALL_SCOPE", "9"))
 SCOPE_BITS = [bits for n in range(1, 5) for bits in itertools.product(range(SCOPE + 1), repeat=n)]
@@ -188,6 +199,30 @@ def enumerates(case):
     return False
 
 
+@functools.cache
+def enumerated() -> dict[tuple[int, ...], Sequence]:
+    """Every sequence enumerate_nims lists at every first bit and depth of the scope, by its bits."""
+    return {s.bits: s for a0 in range(1, SCOPE + 1) for depth in range(1, 5) for s in enumerate_nims(a0, depth, SCOPE)}
+
+
+def stored_reports(bits):
+    """The report each constructor stores equals a fresh validate's in ==, hash, repr and to_doc: the
+    reported Sequence judging its chain, told capable (capable bits only), and enumerate_nims' (strict bits only)."""
+    fresh = validate(Sequence(bits))
+    built = [_reported_sequence(bits)]
+    if capable(bits):
+        built.append(_reported_sequence(bits, capable=True))
+    if strict(bits):
+        built.append(enumerated()[bits])
+    for seq in built:
+        stored = seq._tables["validate"]
+        if not (stored == fresh and hash(stored) == hash(fresh) and repr(stored) == repr(fresh)):
+            return False
+        if stored.to_doc() != fresh.to_doc() or validate(seq) is not stored:
+            return False
+    return True
+
+
 CAPABLE_BITS = [bits for bits in SCOPE_BITS if capable(bits)]
 
 # Each check with its kernel and the sequences it runs on.
@@ -203,6 +238,7 @@ CHECKS = {
     "fault_tolerance.worst_case_scan at budgets 0 to 3": (scans, CAPABLE_BITS),
     "sequence._descent by represent round trips": (round_trips, CAPABLE_BITS),
     "sequence.represent_range_check over sequence._descent": (sweep_passes, CAPABLE_BITS),
+    "sequence._reported_sequence and enumerate_nims, the stored report": (stored_reports, SCOPE_BITS),
     "sequence.enumerate_nims at every first bit and depth": (
         enumerates,
         [(a0, depth) for a0 in range(1, SCOPE + 1) for depth in range(1, 5)],

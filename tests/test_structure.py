@@ -131,6 +131,24 @@ def _stored_tables(tree: ast.AST) -> Iterator[ast.AST]:
             yield node
 
 
+# the dict methods that change a map in place
+MAP_WRITES = ("update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__")
+
+
+def _table_writes(tree: ast.AST) -> Iterator[ast.AST]:
+    # a store into a _tables map in place, by subscript (assigned, augmented or deleted) or by a dict
+    # method: _stored replaces a sequence's map, so the maps constructors share never change
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MAP_WRITES:
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Attribute) and target.attr == "_tables":
+            yield node
+
+
 def _dict_updates(tree: ast.AST) -> Iterator[ast.AST]:
     # a record fills its instance dict with one item store a field: update(**fields) first builds a dict
     # of the keywords, which made each plan call measurably slower (representation.py's records)
@@ -151,7 +169,7 @@ ORACLE_IMPORTS = {"Sequence", "_Frozen", "_require_type"}
 CHAIN_NAMES = (
     "_chain_capable", "_lower_chain", "_strict_valid", "validate", "_tolerances", "_tolerance_table",
     "_violations", "_refusal", "_require_capable", "_report", "_STRICT_REPORT", "_descent", "prefix_sums",
-    "_tables",
+    "_tables", "_STRICT_TABLES", "_reported_sequence",
 )
 
 
@@ -225,23 +243,28 @@ RULES = (
             "cache.update(self.__dict__)",
         ),
     ),
-    # sequence._require_capable words every capability refusal, and only sequence.py names a
-    # Sequence's stored report or words its violations, so each sequence is judged in one place
+    # sequence._require_capable words every capability refusal, and only sequence.py names the shared
+    # strict map or words a violation, so each sequence is judged in one place; the retired report slot
+    # and strict report, _report and _STRICT_REPORT, are flagged too, so a slot for the report does not come back
     Rule(
         "chain-gate-home",
-        _both(_wording("completeness capable: "), _naming("_report", "_STRICT_REPORT", "_violations")),
+        _both(
+            _wording("completeness capable: "),
+            _naming("_report", "_STRICT_REPORT", "_STRICT_TABLES", "_violations"),
+        ),
         LIBRARY, "sequence.py",
         (
             "raise InvalidSequence(f'{what} is not completeness capable: {reasons}')",
             "report = seq._report",
             "from .sequence import _STRICT_REPORT",
+            "from .sequence import _STRICT_TABLES",
             "from .sequence import _violations as words",
             "_report = None",
         ),
         ("ok = report.complete_capable", "text = 'completeness capable'", "seq._reports = ()"),
     ),
     # sequence.py declares, builds and reads a Sequence's stored tables, so each is kept in one place:
-    # the descent and tolerance tables in the _tables map here, the stored report in chain-gate-home;
+    # the report and the descent and tolerance tables in the _tables map here;
     # the retired per-table slots are flagged too, so a slot per table does not come back
     Rule(
         "stored-tables-home", _stored_tables, SRC, "sequence.py",
@@ -260,6 +283,29 @@ RULES = (
             "from .sequence import _descent",
             "table = _tolerance_table(seq)",
             "seq.tables = {}",
+        ),
+    ),
+    # no module writes into a _tables map, sequence.py included: a store replaces the map, so the
+    # shared maps every constructor sets never change
+    Rule(
+        "no-table-write", _table_writes, SRC, None,
+        (
+            "seq._tables[key] = table",
+            "seq._tables[key] += 1",
+            "del seq._tables[key]",
+            "seq._tables.update({key: table})",
+            "seq._tables.setdefault(key, table)",
+            "seq._tables.pop(key)",
+            "seq._tables.clear()",
+            "seq._tables.__setitem__(key, table)",
+            "a, seq._tables['validate'] = 1, report",
+        ),
+        (
+            'object.__setattr__(seq, "_tables", {**seq._tables, key: table})',
+            "table = seq._tables[key]",
+            "tables = {}\ntables[key] = table",
+            "seq.tables.update(other)",
+            "table = seq._tables.get(key)",
         ),
     ),
     # only oracle.py reads a SumSet's private _one_run, so the oracle stays one piece beside its kernel
@@ -313,6 +359,8 @@ RULES = (
             "ok = seq._report.complete_capable",
             "table = _descent(seq)",
             "layers = seq._tables",
+            "from .sequence import _reported_sequence",
+            "strict = _STRICT_TABLES",
             "verdict = getattr(seq, '_report')",
             "from .sequence import Sequence, _check_cap",
         ),
